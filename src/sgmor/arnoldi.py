@@ -15,39 +15,36 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .bt_quadratic import ReducedModel
+from .bt_quadratic import ReducedModel, project
 from .errors import ConvergenceError, NumericalError
 from .galerkin import QuadraticOutputSystem
 
 __all__ = ["KrylovConfig", "arnoldi_basis", "reduce_arnoldi"]
 
 DEFLATION_RTOL = 1e-12
+REORTH_PASSES = 2
 
 
 @dataclass(frozen=True)
 class KrylovConfig:
-    """Expansion point, target dimension, and reorthogonalization depth."""
+    """Expansion point and target dimension."""
 
     r: int
     omega: float = 1.0
-    reorth_passes: int = 2
 
     def __post_init__(self):
         if self.r < 1:
             raise ValueError(f"reduced dimension must be >= 1, got {self.r}")
         if not np.isfinite(self.omega):
             raise ValueError("expansion point must be finite")
-        if self.reorth_passes < 1:
-            raise ValueError("at least one Gram-Schmidt pass is required")
 
 
-def arnoldi_basis(
-    fom: QuadraticOutputSystem, r: int, omega: float = 1.0, reorth_passes: int = 2
-) -> tuple[np.ndarray, dict]:
+def arnoldi_basis(fom: QuadraticOutputSystem, r: int, omega: float = 1.0) -> tuple[np.ndarray, dict]:
     """Orthonormal basis (m, r) of the shifted-inverse block Krylov space.
 
-    Candidates are S^{-1} applied to the previous block's surviving columns;
-    a candidate whose norm drops below 1e-12 of its pre-orthogonalization
+    Candidates are S^{-1} applied to the previous block's surviving columns
+    and orthogonalized in REORTH_PASSES Gram-Schmidt passes; a
+    candidate whose norm drops below 1e-12 of its pre-orthogonalization
     norm is deflated and its lineage ends.  Deflations are reported in the
     metadata; exhausting the space before r columns raises.
     """
@@ -76,7 +73,7 @@ def arnoldi_basis(
             if norm_before == 0.0:
                 deflated += 1
                 continue
-            for _ in range(reorth_passes):
+            for _ in range(REORTH_PASSES):
                 for j in range(k):
                     w -= (V[:, j] @ w) * V[:, j]
             norm_after = np.linalg.norm(w)
@@ -92,16 +89,11 @@ def arnoldi_basis(
                     f"Krylov space exhausted at dimension {k} before reaching {r}"
                 )
             frontier = survivors
-    meta = {"omega": omega, "deflated": deflated, "reorth_passes": reorth_passes}
+    meta = {"omega": omega, "deflated": deflated}
     return V, meta
 
 
 def reduce_arnoldi(fom: QuadraticOutputSystem, cfg: KrylovConfig) -> ReducedModel:
     """Galerkin projection of the system onto the Krylov basis (V = W)."""
-    V, meta = arnoldi_basis(fom, cfg.r, omega=cfg.omega, reorth_passes=cfg.reorth_passes)
-    A_r = V.T @ fom.A @ V
-    B_r = V.T @ fom.B
-    N_r = V.T @ fom.N @ V
-    N_r = 0.5 * (N_r + N_r.T)
-    rom = QuadraticOutputSystem(A=A_r, B=B_r, N=N_r, label="rom")
-    return ReducedModel(r=cfg.r, system=rom, V=V, W=V, meta=meta)
+    V, meta = arnoldi_basis(fom, cfg.r, omega=cfg.omega)
+    return ReducedModel(r=cfg.r, system=project(fom, V, V), V=V, W=V, meta=meta)

@@ -16,7 +16,15 @@ import scipy.linalg as la
 
 from .errors import ConvergenceError, RankError, StabilityError
 from .galerkin import QuadraticOutputSystem
-from .lyapsylv import SchurFactors, real_schur, solve_lyapunov, solve_sylvester, symmetric_factor
+from .lyapsylv import (
+    SchurFactors,
+    real_schur,
+    solve_lyapunov,
+    solve_sylvester,
+    spectral_abscissa,
+    symmetric_factor,
+)
+from .passivity import check_passivity
 
 __all__ = [
     "GramianCache",
@@ -24,14 +32,18 @@ __all__ = [
     "BalancedFactorization",
     "ReducedModel",
     "balance",
+    "project",
     "truncate",
     "h2_norm",
     "h2_error",
     "ReductionRow",
+    "sweep",
+    "write_csv",
     "write_report_csv",
 ]
 
 RANK_RTOL = 1e-13
+FACTOR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -92,19 +104,27 @@ class ReducedModel:
 
     @property
     def spectral_abscissa(self) -> float:
-        return float(np.linalg.eigvals(self.system.A).real.max())
+        return spectral_abscissa(self.system.A)
 
     @property
     def is_stable(self) -> bool:
         # abscissa >= -1e-12 counts as unstable, matching the sweep omission rule
         return self.spectral_abscissa < -1e-12
 
+    def leading(self, r: int) -> ReducedModel:
+        """The model on the first r basis columns: leading blocks of A, B, N, V, W."""
+        if not 1 <= r <= self.r:
+            raise RankError(f"leading dimension {r} outside 1..{self.r}")
+        s = self.system
+        rom = QuadraticOutputSystem(A=s.A[:r, :r], B=s.B[:r], N=s.N[:r, :r], label=s.label)
+        return ReducedModel(r=r, system=rom, V=self.V[:, :r], W=self.W[:, :r], meta=self.meta)
 
-def balance(fom: QuadraticOutputSystem, factor_tol: float = 1e-12) -> BalancedFactorization:
+
+def balance(fom: QuadraticOutputSystem) -> BalancedFactorization:
     """Gramians, symmetric factors, and the balancing SVD of a stable system."""
     cache = gramian_cache(fom)
-    Zp = symmetric_factor(cache.controllability, tol=factor_tol)
-    Zq = symmetric_factor(cache.observability, tol=factor_tol)
+    Zp = symmetric_factor(cache.controllability, tol=FACTOR_TOL)
+    Zq = symmetric_factor(cache.observability, tol=FACTOR_TOL)
     if Zp.shape[1] == 0 or Zq.shape[1] == 0:
         k = min(Zp.shape[1], Zq.shape[1])
         return BalancedFactorization(
@@ -115,13 +135,19 @@ def balance(fom: QuadraticOutputSystem, factor_tol: float = 1e-12) -> BalancedFa
     return BalancedFactorization(Zp=Zp, Zq=Zq, sigma=sigma, left=left, right_t=right_t, cache=cache)
 
 
+def project(fom: QuadraticOutputSystem, V: np.ndarray, W: np.ndarray) -> QuadraticOutputSystem:
+    """Reduced system A_r = (W^T A) V, B_r = W^T B, N_r = sym(V^T N V)."""
+    N_r = V.T @ fom.N @ V
+    return QuadraticOutputSystem(A=W.T @ fom.A @ V, B=W.T @ fom.B, N=0.5 * (N_r + N_r.T), label="rom")
+
+
 def truncate(bal: BalancedFactorization, fom: QuadraticOutputSystem, r: int) -> ReducedModel:
     """Project the full system onto the r dominant balanced directions.
 
-    V = Z_P U_1 S_1^{-1/2}, W = Z_Q V_1 S_1^{-1/2}; the reduced matrices are
-    A_r = W^T A V, B_r = W^T B, N_r = V^T N V.  ``r`` may not exceed the
-    numerical rank of the factorization (inverse square roots of vanishing
-    singular values would blow up).
+    V = Z_P U_1 S_1^{-1/2}, W = Z_Q V_1 S_1^{-1/2}; see ``project`` for the
+    reduced matrices.  ``r`` may not exceed the numerical rank of the
+    factorization (inverse square roots of vanishing singular values would
+    blow up).
     """
     rank = bal.numerical_rank
     if not 1 <= r <= rank:
@@ -129,12 +155,7 @@ def truncate(bal: BalancedFactorization, fom: QuadraticOutputSystem, r: int) -> 
     scale = 1.0 / np.sqrt(bal.sigma[:r])
     V = (bal.Zp @ bal.left[:, :r]) * scale
     W = (bal.Zq @ bal.right_t[:r, :].T) * scale
-    A_r = W.T @ fom.A @ V
-    B_r = W.T @ fom.B
-    N_r = V.T @ fom.N @ V
-    N_r = 0.5 * (N_r + N_r.T)
-    rom = QuadraticOutputSystem(A=A_r, B=B_r, N=N_r, label="rom")
-    return ReducedModel(r=r, system=rom, V=V, W=W)
+    return ReducedModel(r=r, system=project(fom, V, W), V=V, W=W)
 
 
 def h2_norm(sys: QuadraticOutputSystem, cache: GramianCache | None = None) -> float:
@@ -191,6 +212,38 @@ class ReductionRow:
     stable: bool
 
 
+def sweep(
+    fom: QuadraticOutputSystem,
+    rom: ReducedModel,
+    r_values,
+    cache: GramianCache,
+    sigma: np.ndarray | None = None,
+) -> list[ReductionRow]:
+    """One row per r from the leading r x r block of ``rom``.
+
+    Both reducers build nested bases (the balanced V = Z_P U_1 S_1^{-1/2} and
+    the Krylov columns keep their leading columns as r grows), so the
+    r-dimensional model is the leading block of the one at the largest r.
+    ``cache`` is the Gramian cache of ``fom``; ``sigma`` holds the balancing
+    singular values, if the reducer has them.  Unstable rows carry no error.
+    """
+    rows = []
+    for r in r_values:
+        sub = rom.leading(r)
+        stable = sub.is_stable
+        err = rel = None
+        if stable:
+            err = h2_error(fom, sub, cache=cache)
+            rel = err / cache.norm if cache.norm > 0 else None
+        rows.append(
+            ReductionRow(
+                r=r, sigma=None if sigma is None else float(sigma[r - 1]), h2_abs=err, h2_rel=rel,
+                lambda_max=check_passivity(sub.system).lambda_max, stable=stable,
+            )
+        )
+    return rows
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -199,15 +252,18 @@ def _fmt(value) -> str:
     return f"{value:.17g}"
 
 
-def write_report_csv(rows, path, include_stable: bool = False) -> None:
-    """Write sweep rows as CSV with 17-significant-digit numeric fields."""
-    header = ["r", "sigma_r", "h2_abs", "h2_rel", "lambda_max"]
-    if include_stable:
-        header.append("stable")
+def write_csv(path, header, rows) -> None:
+    """Write rows of fields as CSV; numbers carry 17 significant digits, None is empty."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fields = [str(row.r), _fmt(row.sigma), _fmt(row.h2_abs), _fmt(row.h2_rel), _fmt(row.lambda_max)]
-            if include_stable:
-                fields.append(_fmt(row.stable))
-            fh.write(",".join(fields) + "\n")
+        for fields in rows:
+            fh.write(",".join(_fmt(value) for value in fields) + "\n")
+
+
+def write_report_csv(rows, path) -> None:
+    """Write sweep rows, one CSV line per reduced dimension."""
+    write_csv(
+        path,
+        ("r", "sigma_r", "h2_abs", "h2_rel", "lambda_max", "stable"),
+        ([row.r, row.sigma, row.h2_abs, row.h2_rel, row.lambda_max, row.stable] for row in rows),
+    )

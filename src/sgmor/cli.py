@@ -17,19 +17,10 @@ import sys as _sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
-from .arnoldi import arnoldi_basis
-from .bt_quadratic import (
-    ReductionRow,
-    balance,
-    gramian_cache,
-    h2_error,
-    truncate,
-    write_report_csv,
-)
+from .arnoldi import KrylovConfig, reduce_arnoldi
+from .bt_quadratic import balance, gramian_cache, sweep, truncate, write_csv, write_report_csv
 from .errors import NumericalError
-from .galerkin import QuadraticOutputSystem, assemble, to_first_order, write_matrix_market
+from .galerkin import assemble, to_first_order, write_matrix_market
 from .msd import MsdConfig, build_msd, config_from_dict, default_config, load_config
 from .passivity import check_passivity, shifted_dissipation_certificate
 from .polychaos import PcBasis
@@ -38,8 +29,6 @@ from .simulate import default_input, integrate, verify_error_bound
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "sweep_balanced_truncation",
-    "sweep_arnoldi",
     "run_assemble",
     "run_reduce",
     "run_verify",
@@ -153,56 +142,6 @@ def _assemble_fom(cfg: ExperimentConfig, validate: bool = True):
     return galerkin
 
 
-def sweep_balanced_truncation(fom: QuadraticOutputSystem, r_values, bal=None) -> list[ReductionRow]:
-    """One ReductionRow per requested dimension, sharing a single balance step."""
-    if bal is None:
-        bal = balance(fom)
-    rows = []
-    for r in r_values:
-        rom = truncate(bal, fom, r)
-        lam = check_passivity(rom.system).lambda_max
-        stable = rom.is_stable
-        err = rel = None
-        if stable:
-            err = h2_error(fom, rom, cache=bal.cache)
-            rel = err / bal.cache.norm if bal.cache.norm > 0 else None
-        rows.append(
-            ReductionRow(
-                r=r, sigma=float(bal.sigma[r - 1]), h2_abs=err, h2_rel=rel,
-                lambda_max=lam, stable=stable,
-            )
-        )
-    return rows
-
-
-def sweep_arnoldi(fom: QuadraticOutputSystem, r_values, omega: float = 1.0, cache=None) -> list[ReductionRow]:
-    """Arnoldi rows over nested Krylov prefixes; unstable rows carry no error."""
-    r_values = list(r_values)
-    if not r_values:
-        return []
-    if cache is None:
-        cache = gramian_cache(fom)
-    V, _ = arnoldi_basis(fom, max(r_values), omega=omega)
-    G_A = V.T @ (fom.A @ V)
-    G_N = V.T @ (fom.N @ V)
-    G_B = V.T @ fom.B
-    rows = []
-    for r in r_values:
-        N_r = G_N[:r, :r]
-        rom = QuadraticOutputSystem(
-            A=G_A[:r, :r], B=G_B[:r], N=0.5 * (N_r + N_r.T), label="rom"
-        )
-        lam = check_passivity(rom).lambda_max
-        abscissa = float(np.linalg.eigvals(rom.A).real.max())
-        stable = abscissa < -1e-12
-        err = rel = None
-        if stable:
-            err = h2_error(fom, rom, cache=cache)
-            rel = err / cache.norm if cache.norm > 0 else None
-        rows.append(ReductionRow(r=r, sigma=None, h2_abs=err, h2_rel=rel, lambda_max=lam, stable=stable))
-    return rows
-
-
 def run_assemble(cfg: ExperimentConfig) -> dict:
     """Write Galerkin matrices (Matrix Market) and a summary record."""
     out = Path(cfg.out)
@@ -241,14 +180,18 @@ def run_reduce(cfg: ExperimentConfig) -> Path:
     fom = to_first_order(galerkin)
     if cfg.r_max > fom.m:
         raise ConfigError(f"r_max {cfg.r_max} exceeds the state dimension {fom.m}")
-    r_values = range(cfg.r_min, cfg.r_max + 1)
     if cfg.reducer == "balanced-truncation":
-        rows = sweep_balanced_truncation(fom, r_values)
+        bal = balance(fom)
+        rom, cache, sigma = truncate(bal, fom, cfg.r_max), bal.cache, bal.sigma
         path = out / "reduce_bt.csv"
     else:
-        rows = sweep_arnoldi(fom, r_values, omega=cfg.omega)
+        # validate before the Gramian chain; running that chain before the
+        # Krylov LU keeps the peak memory lower
+        krylov = KrylovConfig(r=cfg.r_max, omega=cfg.omega)
+        cache, sigma = gramian_cache(fom), None
+        rom = reduce_arnoldi(fom, krylov)
         path = out / "reduce_arnoldi.csv"
-    write_report_csv(rows, path, include_stable=True)
+    write_report_csv(sweep(fom, rom, range(cfg.r_min, cfg.r_max + 1), cache, sigma=sigma), path)
     return path
 
 
@@ -270,32 +213,23 @@ def run_verify(cfg: ExperimentConfig) -> Path:
     u = default_input if cfg.sim_input == "default" else None
     fom_traj = integrate(fom, u=u, h=cfg.sim_h, T=cfg.sim_T)
 
-    def fmt(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        return f"{value:.17g}"
-
-    with open(out / "verify.csv", "w", encoding="ascii", newline="\n") as fh:
-        fh.write("r,sup_error,bound,holds,lambda_max,passive,cert_residual\n")
-        for r in cfg.verify_r:
-            rom = truncate(bal, fom, r)
-            check = verify_error_bound(
-                fom, rom, u=u, h=cfg.sim_h, T=cfg.sim_T,
-                cache=bal.cache, fom_trajectory=fom_traj,
-            )
-            report = check_passivity(rom.system)
-            cert = shifted_dissipation_certificate(rom.system)
-            fields = [str(r), fmt(check.observed), fmt(check.bound), fmt(check.holds),
-                      fmt(report.lambda_max), fmt(report.passive), fmt(cert.composite_lambda_max)]
-            fh.write(",".join(fields) + "\n")
-        report = check_passivity(fom)
-        cert = shifted_dissipation_certificate(fom)
-        fields = [str(fom.m), "", "", "", fmt(report.lambda_max), fmt(report.passive),
-                  fmt(cert.composite_lambda_max)]
-        fh.write(",".join(fields) + "\n")
-    return out / "verify.csv"
+    rows = []
+    for r in cfg.verify_r:
+        rom = truncate(bal, fom, r)
+        check = verify_error_bound(
+            fom, rom, u=u, h=cfg.sim_h, T=cfg.sim_T,
+            cache=bal.cache, fom_trajectory=fom_traj,
+        )
+        report = check_passivity(rom.system)
+        cert = shifted_dissipation_certificate(rom.system)
+        rows.append([r, check.observed, check.bound, check.holds,
+                     report.lambda_max, report.passive, cert.composite_lambda_max])
+    report = check_passivity(fom)
+    cert = shifted_dissipation_certificate(fom)
+    rows.append([fom.m, None, None, None, report.lambda_max, report.passive, cert.composite_lambda_max])
+    path = out / "verify.csv"
+    write_csv(path, ("r", "sup_error", "bound", "holds", "lambda_max", "passive", "cert_residual"), rows)
+    return path
 
 
 def run_report(cfg: ExperimentConfig) -> Path:

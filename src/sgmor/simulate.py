@@ -25,8 +25,6 @@ __all__ = [
     "integrate",
     "BoundCheck",
     "verify_error_bound",
-    "write_trajectory_csv",
-    "write_comparison_csv",
 ]
 
 
@@ -151,18 +149,3 @@ def verify_error_bound(
     holds = observed <= bound * (1.0 + 1e-6) + slack
     return BoundCheck(observed=observed, bound=bound, holds=holds)
 
-
-def write_trajectory_csv(path, traj: Trajectory) -> None:
-    """Write `t,y` rows with 17 significant digits."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("t,y\n")
-        for tk, yk in zip(traj.t, traj.y):
-            fh.write(f"{tk:.17g},{yk:.17g}\n")
-
-
-def write_comparison_csv(path, fom_traj: Trajectory, rom_traj: Trajectory) -> None:
-    """Write `t,y,ybar,abs_err` rows for a paired full/reduced run."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("t,y,ybar,abs_err\n")
-        for tk, yk, yb in zip(fom_traj.t, fom_traj.y, rom_traj.y):
-            fh.write(f"{tk:.17g},{yk:.17g},{yb:.17g},{abs(yk - yb):.17g}\n")

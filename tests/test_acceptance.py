@@ -15,8 +15,8 @@ import numpy.linalg as npla
 import pytest
 
 from conftest import make_stable_system
-from sgmor.bt_quadratic import balance, h2_error, truncate
-from sgmor.cli import sweep_arnoldi, sweep_balanced_truncation
+from sgmor.arnoldi import KrylovConfig, reduce_arnoldi
+from sgmor.bt_quadratic import balance, h2_error, sweep, truncate
 from sgmor.galerkin import assemble, to_first_order
 from sgmor.lyapsylv import solve_lyapunov, solve_sylvester
 from sgmor.msd import build_msd, default_config
@@ -64,14 +64,15 @@ def balanced(fom):
 def bt_sweep(fom, balanced):
     bal, bal_elapsed = balanced
     start = time.perf_counter()
-    rows = sweep_balanced_truncation(fom, range(1, 101), bal=bal)
+    rows = sweep(fom, truncate(bal, fom, 100), range(1, 101), bal.cache, sigma=bal.sigma)
     return rows, bal_elapsed + (time.perf_counter() - start)
 
 
 @pytest.fixture(scope="module")
 def arnoldi_rows(fom, balanced):
     bal, _ = balanced
-    return sweep_arnoldi(fom, (10, 20, 30, 40, 50), omega=1.0, cache=bal.cache)
+    rom = reduce_arnoldi(fom, KrylovConfig(r=50, omega=1.0))
+    return sweep(fom, rom, (10, 20, 30, 40, 50), bal.cache)
 
 
 @pytest.fixture(scope="module")

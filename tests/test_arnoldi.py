@@ -113,5 +113,3 @@ class TestReduce:
             KrylovConfig(r=0)
         with pytest.raises(ValueError):
             KrylovConfig(r=3, omega=float("nan"))
-        with pytest.raises(ValueError):
-            KrylovConfig(r=3, reorth_passes=0)

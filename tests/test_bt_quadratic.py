@@ -210,23 +210,17 @@ class TestReportCsv:
         rows = [
             ReductionRow(r=1, sigma=0.5, h2_abs=0.25, h2_rel=0.5, lambda_max=-0.125, stable=True),
             ReductionRow(r=2, sigma=0.25, h2_abs=None, h2_rel=None, lambda_max=1.0, stable=False),
+            ReductionRow(r=3, sigma=None, h2_abs=0.0, h2_rel=0.0, lambda_max=0.1, stable=True),
         ]
         path = tmp_path / "rows.csv"
         write_report_csv(rows, path)
         text = path.read_text().splitlines()
-        assert text[0] == "r,sigma_r,h2_abs,h2_rel,lambda_max"
-        assert text[1] == "1,0.5,0.25,0.5,-0.125"
-        assert text[2] == "2,0.25,,,1"
-
-    def test_stable_column_optional(self, tmp_path):
-        rows = [ReductionRow(r=1, sigma=1.0, h2_abs=0.0, h2_rel=0.0, lambda_max=0.0, stable=True)]
-        path = tmp_path / "rows.csv"
-        write_report_csv(rows, path, include_stable=True)
-        text = path.read_text().splitlines()
         assert text[0] == "r,sigma_r,h2_abs,h2_rel,lambda_max,stable"
-        assert text[1].endswith(",true")
+        assert text[1] == "1,0.5,0.25,0.5,-0.125,true"
+        assert text[2] == "2,0.25,,,1,false"
+        assert text[3] == "3,,0,0,0.10000000000000001,true"
 
     def test_empty_sweep_writes_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_report_csv([], path)
-        assert path.read_text() == "r,sigma_r,h2_abs,h2_rel,lambda_max\n"
+        assert path.read_text() == "r,sigma_r,h2_abs,h2_rel,lambda_max,stable\n"

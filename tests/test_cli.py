@@ -4,12 +4,11 @@ import argparse
 import csv
 import json
 
-import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from sgmor.arnoldi import KrylovConfig, reduce_arnoldi
-from sgmor.bt_quadratic import balance
+from sgmor.bt_quadratic import balance, gramian_cache, sweep, truncate
 from sgmor.cli import (
     ConfigError,
     ExperimentConfig,
@@ -18,9 +17,8 @@ from sgmor.cli import (
     run_assemble,
     run_reduce,
     run_verify,
-    sweep_arnoldi,
-    sweep_balanced_truncation,
 )
+from sgmor.errors import RankError
 from sgmor.galerkin import assemble, to_first_order
 from sgmor.msd import build_msd, config_from_dict, default_config
 from sgmor.polychaos import PcBasis
@@ -146,10 +144,21 @@ class TestConfigParsing:
             experiment_from_args(ns(config=str(path)))
 
 
+def bt_sweep(fom, r_values):
+    bal = balance(fom)
+    return sweep(fom, truncate(bal, fom, max(r_values)), r_values, bal.cache, sigma=bal.sigma), bal
+
+
+# reducer name -> r-dimensional model of small_fom built directly
+SINGLE_RUNS = {
+    "balanced-truncation": lambda fom, r: truncate(balance(fom), fom, r),
+    "arnoldi": lambda fom, r: reduce_arnoldi(fom, KrylovConfig(r=r)),
+}
+
+
 class TestSweeps:
     def test_bt_rows(self, small_fom):
-        bal = balance(small_fom)
-        rows = sweep_balanced_truncation(small_fom, range(1, 5), bal=bal)
+        rows, bal = bt_sweep(small_fom, range(1, 5))
         assert [row.r for row in rows] == [1, 2, 3, 4]
         sigmas = [row.sigma for row in rows]
         assert sigmas == sorted(sigmas, reverse=True), f"sigma not sorted: {sigmas}"
@@ -160,28 +169,33 @@ class TestSweeps:
             assert_allclose(row.h2_rel, row.h2_abs / bal.cache.norm, rtol=1e-12)
 
     def test_bt_errors_non_increasing(self, small_fom):
-        rows = sweep_balanced_truncation(small_fom, range(1, 5))
+        rows, _ = bt_sweep(small_fom, range(1, 5))
         errs = [row.h2_abs for row in rows]
         assert errs[-1] <= errs[0], f"errors did not improve: {errs}"
 
-    def test_arnoldi_prefix_matches_single_runs(self, small_fom):
-        rows = sweep_arnoldi(small_fom, [2, 3], omega=1.0)
+    @pytest.mark.parametrize("reducer", sorted(SINGLE_RUNS))
+    def test_leading_block_matches_single_runs(self, small_fom, reducer):
+        r_max = 4
+        single = SINGLE_RUNS[reducer]
+        cache = gramian_cache(small_fom)
+        rows = sweep(small_fom, single(small_fom, r_max), range(1, r_max + 1), cache)
+        assert [row.r for row in rows] == list(range(1, r_max + 1))
         for row in rows:
-            single = reduce_arnoldi(small_fom, KrylovConfig(r=row.r, omega=1.0))
+            direct = sweep(small_fom, single(small_fom, row.r), [row.r], cache)[0]
+            assert row.stable == direct.stable, f"{reducer} r={row.r}: stable flags differ"
             assert_allclose(
-                row.lambda_max,
-                np.linalg.eigvalsh(
-                    single.system.A.T @ single.system.N
-                    + single.system.N @ single.system.A
-                )[-1],
-                atol=1e-10,
-                err_msg=f"prefix r={row.r} disagrees with a direct run",
+                [row.lambda_max, row.h2_abs], [direct.lambda_max, direct.h2_abs], rtol=1e-8,
+                err_msg=f"{reducer} r={row.r}: leading block disagrees with a direct reduction",
             )
             assert row.sigma is None
+        with pytest.raises(RankError):
+            sweep(small_fom, single(small_fom, r_max), [r_max + 1], cache)
 
     def test_empty_r_values(self, small_fom):
-        assert sweep_arnoldi(small_fom, []) == []
-        assert sweep_balanced_truncation(small_fom, [], bal=balance(small_fom)) == []
+        bal = balance(small_fom)
+        arnoldi = reduce_arnoldi(small_fom, KrylovConfig(r=2))
+        assert sweep(small_fom, arnoldi, [], bal.cache) == []
+        assert sweep(small_fom, truncate(bal, small_fom, 2), [], bal.cache, sigma=bal.sigma) == []
 
 
 class TestRunAssemble:
@@ -316,6 +330,12 @@ class TestMain:
     def test_rmax_too_large_is_exit_2(self, tmp_path):
         config = str(write_config(tmp_path))
         assert main(["reduce", "--config", config, "--rmax", "9"]) == 2
+
+    @pytest.mark.parametrize("omega", ["nan", "inf"])
+    def test_non_finite_omega_is_exit_2(self, tmp_path, capsys, omega):
+        config = str(write_config(tmp_path, reducer="arnoldi"))
+        assert main(["reduce", "--config", config, "--omega", omega]) == 2
+        assert "expansion point must be finite" in capsys.readouterr().err
 
     def test_missing_report_inputs_is_exit_4(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "empty")]) == 4

@@ -15,8 +15,6 @@ from sgmor.simulate import (
     default_input,
     integrate,
     verify_error_bound,
-    write_comparison_csv,
-    write_trajectory_csv,
 )
 
 
@@ -178,28 +176,3 @@ class TestErrorBound:
         )
         assert plain == cached, f"{plain} != {cached}"
 
-
-class TestCsv:
-    def test_trajectory_csv_round_trip(self, tmp_path):
-        traj = integrate(scalar_decay(), x0=np.array([1.0]), h=0.5, T=1.5)
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, traj)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,y"
-        assert len(lines) == 1 + traj.t.size
-        back = np.array([[float(p) for p in line.split(",")] for line in lines[1:]])
-        assert_allclose(back[:, 0], traj.t, atol=0.0)
-        assert_allclose(back[:, 1], traj.y, atol=0.0)
-
-    def test_comparison_csv_columns(self, tmp_path, rng):
-        fom = make_stable_system(rng, 4, n_in=1)
-        a = integrate(fom, u=default_input, h=0.5, T=2.0)
-        b = integrate(fom, u=lambda t: 2.0 * default_input(t), h=0.5, T=2.0)
-        path = tmp_path / "cmp.csv"
-        write_comparison_csv(path, a, b)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,y,ybar,abs_err"
-        back = np.array([[float(p) for p in line.split(",")] for line in lines[1:]])
-        assert_allclose(back[:, 1], a.y, atol=0.0)
-        assert_allclose(back[:, 2], b.y, atol=0.0)
-        assert_allclose(back[:, 3], np.abs(a.y - b.y), atol=0.0)
