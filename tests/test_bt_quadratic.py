@@ -220,6 +220,16 @@ class TestReportCsv:
         assert text[2] == "2,0.25,,,1,false"
         assert text[3] == "3,,0,0,0.10000000000000001,true"
 
+    def test_stable_column_optional(self, tmp_path):
+        # The stable column is always written now; the name is kept from
+        # when it was opt-in.
+        rows = [ReductionRow(r=1, sigma=1.0, h2_abs=0.0, h2_rel=0.0, lambda_max=0.0, stable=True)]
+        path = tmp_path / "rows.csv"
+        write_report_csv(rows, path)
+        text = path.read_text().splitlines()
+        assert text[0] == "r,sigma_r,h2_abs,h2_rel,lambda_max,stable"
+        assert text[1].endswith(",true")
+
     def test_empty_sweep_writes_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_report_csv([], path)
