@@ -51,6 +51,8 @@ def arnoldi_basis(fom: QuadraticOutputSystem, r: int, omega: float = 1.0) -> tup
     m = fom.A.shape[0]
     if not 1 <= r <= m:
         raise ValueError(f"reduced dimension {r} outside 1..{m}")
+    if not np.isfinite(omega):
+        raise ValueError("expansion point must be finite")
     shifted = omega * np.eye(m) - fom.A
     with warnings.catch_warnings():
         # singularity is detected and reported through the diagonal check

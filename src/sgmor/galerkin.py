@@ -130,12 +130,17 @@ class QuadraticOutputSystem:
 
     ``N`` is symmetric.  The internal energy of a Galerkin realization is
     y / 2; the factor 1/2 is applied only at reporting time.
+
+    ``galerkin`` is the second-order triple this system was converted from
+    (set by ``to_first_order``, None otherwise); the state is then
+    x = [p; p'] and time integration runs on the sparse triple.
     """
 
     A: np.ndarray
     B: np.ndarray
     N: np.ndarray
     label: str = "fom"
+    galerkin: GalerkinSystem | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
@@ -147,6 +152,9 @@ class QuadraticOutputSystem:
         if not np.allclose(self.N, self.N.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(self.N).max())):
             raise ValueError("output matrix N must be symmetric")
         object.__setattr__(self, "N", 0.5 * (self.N + self.N.T))
+        g = self.galerkin
+        if g is not None and (2 * g.dimension != m or g.B.shape[1] != self.B.shape[1]):
+            raise ValueError("second-order triple does not match the first-order dimensions")
 
     @property
     def m(self) -> int:
@@ -162,7 +170,7 @@ class QuadraticOutputSystem:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return float(x @ self.N @ x)
-        return np.einsum("ki,ij,kj->k", x, self.N, x)
+        return np.einsum("ki,ki->k", x @ self.N, x)
 
 
 def _smallest_eigenvalue_floor(mat: sp.spmatrix, shift: float) -> bool:
@@ -246,7 +254,7 @@ def to_first_order(g: GalerkinSystem, label: str = "fom") -> QuadraticOutputSyst
     N = np.zeros((2 * ns, 2 * ns))
     N[:ns, :ns] = K
     N[ns:, ns:] = M
-    return QuadraticOutputSystem(A=A, B=B, N=N, label=label)
+    return QuadraticOutputSystem(A=A, B=B, N=N, label=label, galerkin=g)
 
 
 def energy(g: GalerkinSystem, p: np.ndarray, pdot: np.ndarray) -> float:

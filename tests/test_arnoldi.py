@@ -85,6 +85,13 @@ class TestBasis:
         with pytest.raises(NumericalError):
             arnoldi_basis(sys, 1, omega=1.0)
 
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_shift_rejected(self, rng, omega):
+        sys = make_stable_system(rng, 3)
+        with pytest.raises(ValueError, match="expansion point must be finite"):
+            arnoldi_basis(sys, 2, omega=omega)
+
     def test_dimension_bounds(self, rng):
         sys = make_stable_system(rng, 5)
         with pytest.raises(ValueError):

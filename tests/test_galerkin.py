@@ -139,6 +139,13 @@ class TestFirstOrder:
         dev = np.abs(T - expected).max()
         assert dev <= 1e-12 * np.abs(g.D.toarray()).max(), f"structure defect {dev:.2e}"
 
+    def test_triple_attached(self):
+        g = assemble(two_mass_example(), PcBasis(q=2, d=1))
+        fom = to_first_order(g)
+        assert fom.galerkin is g
+        with pytest.raises(ValueError, match="second-order triple"):
+            QuadraticOutputSystem(A=fom.A[:4, :4], B=fom.B[:4], N=fom.N[:4, :4], galerkin=g)
+
     def test_energy_consistency(self, rng):
         g = assemble(two_mass_example(), PcBasis(q=2, d=1))
         fom = to_first_order(g)

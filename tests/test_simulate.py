@@ -1,14 +1,19 @@
 """Tests for the trapezoidal integrator and the output error bound."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 from scipy.integrate import trapezoid
 
 from conftest import make_stable_system
 from sgmor.bt_quadratic import balance, gramian_cache, h2_error, truncate
 from sgmor.errors import NumericalError
-from sgmor.galerkin import QuadraticOutputSystem
+from sgmor.galerkin import GalerkinSystem, QuadraticOutputSystem, assemble, to_first_order
+from sgmor.msd import build_msd, default_config
+from sgmor.polychaos import PcBasis
 from sgmor.simulate import (
     BoundCheck,
     Trajectory,
@@ -101,6 +106,80 @@ class TestIntegrate:
         )
         with pytest.raises(NumericalError, match="singular"):
             integrate(sys, h=0.01, T=0.1)
+
+
+def random_triple(rng, ns, n_in, M=None, D=None, K=None) -> GalerkinSystem:
+    """Random SPD M and K and PSD D of size ns, stored sparse, unless given."""
+
+    def spd(shift):
+        G = rng.standard_normal((ns, ns))
+        return G @ G.T + shift * np.eye(ns)
+
+    M = spd(1.0) if M is None else M
+    D = spd(0.0) if D is None else D
+    K = spd(1.0) if K is None else K
+    return GalerkinSystem(
+        M=sp.csr_matrix(M), D=sp.csr_matrix(D), K=sp.csr_matrix(K),
+        B=rng.standard_normal((ns, n_in)), basis=PcBasis(q=1, d=0), n=ns,
+    )
+
+
+@pytest.fixture(scope="module")
+def fom_d1():
+    parametric = build_msd(default_config())
+    return to_first_order(assemble(parametric, PcBasis(q=parametric.q, d=1)))
+
+
+def assert_same_trajectory(sparse_run, dense_run):
+    """States and outputs agree within 1e-12 of their largest magnitude."""
+    assert_allclose(sparse_run.t, dense_run.t, rtol=0.0, atol=0.0)
+    for name in ("x", "y"):
+        got, want = getattr(sparse_run, name), getattr(dense_run, name)
+        scale = np.abs(want).max()
+        assert scale > 0.0
+        dev = np.abs(got - want).max() / scale
+        assert dev <= 1e-12, f"{name} differs from the dense propagator by {dev:.2e} relative"
+
+
+class TestSecondOrderPath:
+    """Galerkin-derived systems step on the sparse triple; the dense
+    propagator on the same first-order matrices is the reference."""
+
+    def test_default_model_default_input(self, fom_d1):
+        dense = dataclasses.replace(fom_d1, galerkin=None)
+        assert_same_trajectory(
+            integrate(fom_d1, u=default_input, h=0.01, T=20.0),
+            integrate(dense, u=default_input, h=0.01, T=20.0),
+        )
+
+    def test_default_model_zero_input_random_state(self, fom_d1, rng):
+        x0 = rng.standard_normal(fom_d1.m)
+        dense = dataclasses.replace(fom_d1, galerkin=None)
+        sparse_run = integrate(fom_d1, x0=x0, h=0.01, T=20.0)
+        assert_same_trajectory(sparse_run, integrate(dense, x0=x0, h=0.01, T=20.0))
+        assert_allclose(sparse_run.x[0], x0, rtol=0.0, atol=0.0)
+
+    def test_two_inputs(self, rng):
+        fom = to_first_order(random_triple(rng, 6, 2))
+        dense = dataclasses.replace(fom, galerkin=None)
+
+        def u(t):
+            return np.array([np.sin(3.0 * t), np.exp(-t)])
+
+        x0 = rng.standard_normal(fom.m)
+        assert_same_trajectory(
+            integrate(fom, u=u, x0=x0, h=0.02, T=5.0),
+            integrate(dense, u=u, x0=x0, h=0.02, T=5.0),
+        )
+
+    def test_singular_step_matrix_reported(self, rng):
+        # K = 0 and D = -(2/h) M make M + h/2 D + h^2/4 K exactly zero
+        h, ns = 0.5, 4
+        G = rng.standard_normal((ns, ns))
+        M = G @ G.T + np.eye(ns)
+        fom = to_first_order(random_triple(rng, ns, 1, M=M, D=-(2.0 / h) * M, K=np.zeros((ns, ns))))
+        with pytest.raises(NumericalError, match="singular"):
+            integrate(fom, u=default_input, h=h, T=2.0)
 
 
 class TestErrorBound:
