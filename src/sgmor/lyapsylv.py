@@ -94,14 +94,13 @@ def solve_lyapunov(
     C: np.ndarray,
     factors: SchurFactors | None = None,
     transposed: bool = False,
-    rtol: float = RESIDUAL_RTOL,
 ) -> np.ndarray:
     """Solve A X + X A^T + C = 0 for symmetric C and asymptotically stable A.
 
     With ``transposed`` the adjoint equation A^T X + X A + C = 0 is solved
     instead, reusing the same Schur factorization of A.  The result is
     symmetrized; a StabilityError is raised for unstable A and a
-    ConvergenceError if the relative residual exceeds ``rtol``.
+    ConvergenceError if the relative residual exceeds RESIDUAL_RTOL.
     """
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -128,9 +127,9 @@ def solve_lyapunov(
         residual = la.norm(A.T @ X + X @ A + C, "fro")
     else:
         residual = la.norm(A @ X + X @ A.T + C, "fro")
-    if cnorm > 0.0 and residual / cnorm > rtol:
+    if cnorm > 0.0 and residual / cnorm > RESIDUAL_RTOL:
         raise ConvergenceError(
-            f"Lyapunov residual {residual / cnorm:.3e} exceeds tolerance {rtol:.1e}"
+            f"Lyapunov residual {residual / cnorm:.3e} exceeds tolerance {RESIDUAL_RTOL:.1e}"
         )
     return X
 
@@ -141,7 +140,6 @@ def solve_sylvester(
     C: np.ndarray,
     factors_a: SchurFactors | None = None,
     transpose_a: bool = False,
-    rtol: float = RESIDUAL_RTOL,
 ) -> np.ndarray:
     """Solve A Y + Y F + C = 0 (the spectra of A and -F must be disjoint).
 
@@ -174,9 +172,9 @@ def solve_sylvester(
     lhs = A.T @ Y if transpose_a else A @ Y
     residual = la.norm(lhs + Y @ F + C, "fro")
     denom = max(la.norm(C, "fro"), 1.0)
-    if residual / denom > rtol:
+    if residual / denom > RESIDUAL_RTOL:
         raise ConvergenceError(
-            f"Sylvester residual {residual / denom:.3e} exceeds tolerance {rtol:.1e}"
+            f"Sylvester residual {residual / denom:.3e} exceeds tolerance {RESIDUAL_RTOL:.1e}"
         )
     return Y
 

@@ -20,7 +20,6 @@ __all__ = [
     "DissipationReport",
     "DissipationCertificate",
     "check_passivity",
-    "supply_lmi_matrix",
     "shifted_dissipation_certificate",
 ]
 
@@ -55,67 +54,35 @@ def check_passivity(sys: QuadraticOutputSystem) -> DissipationReport:
     return DissipationReport(lambda_max=lam, passive=lam <= tol, tolerance=tol)
 
 
-def supply_lmi_matrix(
-    sys: QuadraticOutputSystem,
-    R: np.ndarray | None = None,
-    S: np.ndarray | None = None,
-    L: np.ndarray | None = None,
-) -> np.ndarray:
-    """Composite block matrix of the dissipation inequality for a supply rate.
-
-    [[A^T N + N A - L,  N B - S^T],
-     [B^T N - S,        -R       ]]
-
-    Negative semidefiniteness of this matrix certifies dissipativity with
-    storage x^T N x against the supply u^T R u + 2 y_s^T S u-type rates; the
-    defaults R = 0, S = B^T N, L = 0 reproduce the plain energy balance.
-    """
-    m = sys.A.shape[0]
-    n_in = sys.n_in
-    if R is None:
-        R = np.zeros((n_in, n_in))
-    if S is None:
-        S = sys.B.T @ sys.N
-    if L is None:
-        L = np.zeros((m, m))
-    top_left = sys.A.T @ sys.N + sys.N @ sys.A - L
-    top_right = sys.N @ sys.B - S.T
-    block = np.block([[top_left, top_right], [top_right.T, -R]])
-    return 0.5 * (block + block.T)
-
-
 @dataclass(frozen=True)
 class DissipationCertificate:
-    """Feasible supply-rate triple (R, S, L) with its verification residual.
+    """Shift of the dissipation inequality that makes it hold, with its residual.
 
-    ``composite_lambda_max`` is the largest eigenvalue of the composite LMI
-    matrix evaluated at the triple; non-positivity (up to roundoff) certifies
-    the shifted dissipation inequality.
+    ``lambda_max`` and ``passive`` are those of ``check_passivity``;
+    ``residual`` is the largest eigenvalue of the composite LMI matrix at the
+    shifted supply-rate triple, which is 0 by construction.
     """
 
     lambda_max: float
-    R: np.ndarray
-    S: np.ndarray
-    L: np.ndarray
-    composite_lambda_max: float
+    passive: bool
+    residual: float
 
 
 def shifted_dissipation_certificate(sys: QuadraticOutputSystem) -> DissipationCertificate:
-    """Supply-rate triple (R = 0, S = B^T N, L = lambda_max(T) I).
+    """Certificate for the supply-rate triple (R = 0, S = B^T N, L = lambda_max(T) I).
 
-    With S = B^T N the off-diagonal blocks of the composite matrix vanish,
-    and shifting the dissipation matrix by its own largest eigenvalue makes
-    the remaining block negative semidefinite by construction.  The triple is
-    verified by an eigensolve of the composite matrix; the resulting largest
-    eigenvalue is returned as the certificate residual.
+    The dissipation inequality for storage x^T N x and supply (R, S, L) asks
+    the composite matrix
+
+        [[T - L,        N B - S^T],
+         [B^T N - S,    -R       ]]
+
+    to be negative semidefinite.  With S = B^T N the off-diagonal blocks are
+    N B - N^T B = 0 (N is symmetric), and with R = 0 the composite matrix is
+    blkdiag(T - lambda_max(T) I, 0).  Its eigenvalues are lambda_i(T) -
+    lambda_max(T) <= 0 and the zeros of the input block, so its largest
+    eigenvalue, the certificate residual, is exactly 0.  The only eigensolve
+    is the one of T inside ``check_passivity``.
     """
-    m = sys.A.shape[0]
     report = check_passivity(sys)
-    R = np.zeros((sys.n_in, sys.n_in))
-    S = sys.B.T @ sys.N
-    L = report.lambda_max * np.eye(m)
-    composite = supply_lmi_matrix(sys, R=R, S=S, L=L)
-    residual = float(np.linalg.eigvalsh(composite)[-1])
-    return DissipationCertificate(
-        lambda_max=report.lambda_max, R=R, S=S, L=L, composite_lambda_max=residual
-    )
+    return DissipationCertificate(report.lambda_max, report.passive, residual=0.0)

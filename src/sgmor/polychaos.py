@@ -1,10 +1,10 @@
 """Multivariate orthonormal Legendre bases for independent uniform variables.
 
 The basis polynomials are orthonormal with respect to the product probability
-density (1/2)^q on the box [-1, 1]^q.  Expectations are evaluated either by a
-tensorized Gauss-Legendre rule (small parameter counts) or, for affine weight
-functions, analytically from the three-term recurrence of the univariate
-polynomials.
+density (1/2)^q on the box [-1, 1]^q.  The expectations E[kappa phi_i phi_j]
+of affine weight functions kappa follow analytically from the three-term
+recurrence of the univariate polynomials and the product structure of the
+density, so no q-dimensional quadrature is involved.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,17 +20,9 @@ import scipy.sparse as sp
 __all__ = [
     "basis_size",
     "multi_indices",
-    "legendre_orthonormal",
-    "legendre_table",
     "PcBasis",
-    "expectation_weighted",
-    "gram_matrix",
     "linear_triple_coefficient",
 ]
-
-# Materializing a tensor grid beyond this many nodes is refused; for larger
-# parameter counts the analytic product-moment route must be used instead.
-MAX_TENSOR_NODES = 4_000_000
 
 
 def basis_size(q: int, d: int) -> int:
@@ -72,35 +64,6 @@ def multi_indices(q: int, d: int) -> np.ndarray:
     return out
 
 
-def legendre_table(k_max: int, x: np.ndarray) -> np.ndarray:
-    """Evaluate the orthonormal Legendre polynomials of degree 0..k_max.
-
-    Uses the three-term recurrence of the classical polynomials followed by
-    the normalization sqrt(2k + 1), which makes them orthonormal against the
-    uniform density 1/2 on [-1, 1].
-
-    Returns an array of shape (len(x), k_max + 1).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    table = np.zeros((x.size, k_max + 1))
-    table[:, 0] = 1.0
-    if k_max >= 1:
-        table[:, 1] = x
-    for k in range(1, k_max):
-        table[:, k + 1] = ((2 * k + 1) * x * table[:, k] - k * table[:, k - 1]) / (k + 1)
-    table *= np.sqrt(2.0 * np.arange(k_max + 1) + 1.0)
-    return table
-
-
-def legendre_orthonormal(k: int, x):
-    """Degree-k Legendre polynomial, orthonormal w.r.t. the density 1/2 on [-1, 1]."""
-    if k < 0:
-        raise ValueError(f"degree must be >= 0, got {k}")
-    scalar = np.isscalar(x)
-    vals = legendre_table(k, np.atleast_1d(x))[:, k]
-    return float(vals[0]) if scalar else vals
-
-
 def linear_triple_coefficient(a: int, b: int) -> float:
     """Analytic value of E[x phi_a(x) phi_b(x)] for orthonormal Legendre phi.
 
@@ -115,9 +78,9 @@ def linear_triple_coefficient(a: int, b: int) -> float:
 
 @dataclass(frozen=True)
 class PcBasis:
-    """Orthonormal multivariate Legendre basis with a Gauss-Legendre rule.
+    """Orthonormal multivariate Legendre basis in graded lexicographic order.
 
-    Immutable after construction; all evaluation methods are pure.
+    Immutable after construction.
 
     Parameters
     ----------
@@ -125,28 +88,14 @@ class PcBasis:
         Number of independent uniform parameters on [-1, 1].
     d : int
         Maximal total polynomial degree.
-    quad_points : int, optional
-        Gauss-Legendre points per dimension.  Defaults to 2 (d + 1), which
-        integrates products phi_i * phi_j * (affine weight) exactly.
     """
 
     q: int
     d: int
-    quad_points: int | None = None
     indices: np.ndarray = field(init=False, repr=False)
-    nodes_1d: np.ndarray = field(init=False, repr=False)
-    weights_1d: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        npts = self.quad_points if self.quad_points is not None else 2 * (self.d + 1)
-        if npts < self.d + 1:
-            raise ValueError(f"need at least d+1={self.d + 1} quadrature points, got {npts}")
-        object.__setattr__(self, "quad_points", npts)
         object.__setattr__(self, "indices", multi_indices(self.q, self.d))
-        nodes, weights = np.polynomial.legendre.leggauss(npts)
-        # normalize to the probability measure of the uniform density 1/2
-        object.__setattr__(self, "nodes_1d", nodes)
-        object.__setattr__(self, "weights_1d", weights / 2.0)
 
     @property
     def size(self) -> int:
@@ -160,41 +109,6 @@ class PcBasis:
     def index_of(self, alpha: Sequence[int]) -> int:
         """Position of a multi-index within the graded-lexicographic ordering."""
         return self._index_pos[tuple(int(a) for a in alpha)]
-
-    def tensor_rule(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full tensor quadrature grid: nodes (n, q) and probability weights (n,).
-
-        Refuses grids larger than MAX_TENSOR_NODES; intended for q <= 4.
-        """
-        total = self.quad_points**self.q
-        if total > MAX_TENSOR_NODES:
-            raise ValueError(
-                f"tensor grid with {self.quad_points}^{self.q} nodes is too large; "
-                "use the analytic product-moment routines for large q"
-            )
-        grids = np.meshgrid(*([self.nodes_1d] * self.q), indexing="ij")
-        nodes = np.column_stack([g.ravel() for g in grids])
-        wgrids = np.meshgrid(*([self.weights_1d] * self.q), indexing="ij")
-        weights = np.ones(total)
-        for w in wgrids:
-            weights *= w.ravel()
-        return nodes, weights
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate all s basis polynomials at points of shape (n, q).
-
-        Returns an array of shape (n, s).
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.q:
-            raise ValueError(f"points have {pts.shape[1]} coordinates, basis has q={self.q}")
-        uni = [legendre_table(self.d, pts[:, j]) for j in range(self.q)]
-        vals = np.ones((pts.shape[0], self.size))
-        for i, alpha in enumerate(self.indices):
-            for j, k in enumerate(alpha):
-                if k:
-                    vals[:, i] *= uni[j][:, k]
-        return vals
 
     def linear_weight_matrix(self, k: int) -> sp.csr_matrix:
         """Sparse s x s matrix of E[kappa_k phi_i phi_j].
@@ -224,26 +138,3 @@ class PcBasis:
             vals += [c, c]
         return sp.csr_matrix((vals, (rows, cols)), shape=(s, s))
 
-
-def expectation_weighted(
-    basis: PcBasis, i: int, j: int, w: Callable[[np.ndarray], float]
-) -> float:
-    """E[w(mu) phi_i(mu) phi_j(mu)] by the tensorized Gauss-Legendre rule.
-
-    ``w`` maps a parameter vector of length q to a scalar.  Exact whenever the
-    integrand is a polynomial within the exactness degree of the rule.
-    """
-    s = basis.size
-    if not (0 <= i < s and 0 <= j < s):
-        raise ValueError(f"basis indices must be in 0..{s - 1}, got ({i}, {j})")
-    nodes, weights = basis.tensor_rule()
-    wvals = np.array([w(mu) for mu in nodes], dtype=float)
-    vals = basis.evaluate(nodes)
-    return float(np.sum(weights * wvals * vals[:, i] * vals[:, j]))
-
-
-def gram_matrix(basis: PcBasis) -> np.ndarray:
-    """Gram matrix E[phi_i phi_j] of the full basis via the tensor rule."""
-    nodes, weights = basis.tensor_rule()
-    vals = basis.evaluate(nodes)
-    return vals.T @ (weights[:, None] * vals)

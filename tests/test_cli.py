@@ -276,6 +276,8 @@ class TestRunVerify:
         assert sentinel["passive"] == "true", "full model must be passive"
         assert sentinel["sup_error"] == "" and sentinel["bound"] == ""
         assert float(sentinel["lambda_max"]) <= 1e-10
+        # the shifted certificate holds by construction, including at the sentinel
+        assert [row["cert_residual"] for row in rows] == ["0"] * 3
 
     def test_zero_input_gives_zero_columns(self, tmp_path):
         path = write_config(

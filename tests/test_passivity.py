@@ -10,12 +10,7 @@ from numpy.testing import assert_allclose
 from conftest import make_stable_system
 from sgmor.bt_quadratic import balance, truncate
 from sgmor.galerkin import QuadraticOutputSystem
-from sgmor.passivity import (
-    check_passivity,
-    dissipation_matrix,
-    shifted_dissipation_certificate,
-    supply_lmi_matrix,
-)
+from sgmor.passivity import check_passivity, dissipation_matrix, shifted_dissipation_certificate
 from sgmor.simulate import integrate
 
 
@@ -77,10 +72,23 @@ class TestOneDimensionalTruncation:
             assert (lam < 0.0) == rom.is_stable
 
 
+def composite_lmi(sys: QuadraticOutputSystem, shift: float) -> np.ndarray:
+    """Composite dissipation-inequality matrix at R = 0, S = B^T N, L = shift I.
+
+    [[A^T N + N A - L,  N B - S^T],
+     [B^T N - S,        -R       ]]
+    """
+    m, p = sys.m, sys.n_in
+    S = sys.B.T @ sys.N
+    top_right = sys.N @ sys.B - S.T
+    top_left = dissipation_matrix(sys) - shift * np.eye(m)
+    return np.block([[top_left, top_right], [top_right.T, np.zeros((p, p))]])
+
+
 class TestSupplyLmi:
     def test_default_triple_reduces_to_dissipation_block(self, rng):
         sys = make_stable_system(rng, 5)
-        block = supply_lmi_matrix(sys)
+        block = composite_lmi(sys, 0.0)
         m, p = 5, sys.n_in
         assert block.shape == (m + p, m + p)
         assert_allclose(block[:m, :m], dissipation_matrix(sys), atol=1e-13)
@@ -94,9 +102,24 @@ class TestSupplyLmi:
         for _ in range(20):
             sys = make_stable_system(rng, int(rng.integers(2, 7)))
             lam = check_passivity(sys).lambda_max
-            composite_lam = la.eigvalsh(supply_lmi_matrix(sys)).max()
+            composite_lam = la.eigvalsh(composite_lmi(sys, 0.0)).max()
             scale = max(abs(lam), 1.0)
             assert_allclose(composite_lam, max(lam, 0.0), atol=1e-10 * scale)
+
+    def test_shifted_triple_holds_by_construction(self, rng):
+        # shifting by L = lambda_max(T) I leaves blkdiag(T - lambda_max I, 0),
+        # whose largest eigenvalue is 0: the certificate reports that 0
+        systems = [make_stable_system(rng, int(rng.integers(2, 9))) for _ in range(20)]
+        fom = make_stable_system(rng, 8)
+        systems.append(truncate(balance(fom), fom, 3).system)
+        for sys in systems:
+            cert = shifted_dissipation_certificate(sys)
+            composite = composite_lmi(sys, cert.lambda_max)
+            m = sys.m
+            assert np.all(composite[:m, m:] == 0.0), "N B - (B^T N)^T must vanish exactly"
+            scale = max(1.0, la.norm(dissipation_matrix(sys), 2))
+            assert abs(la.eigvalsh(composite).max()) <= 1e-12 * scale
+            assert cert.residual == 0.0
 
 
 class TestCertificate:
@@ -105,12 +128,10 @@ class TestCertificate:
         bal = balance(sys)
         rom = truncate(bal, sys, 3)
         cert = shifted_dissipation_certificate(rom.system)
-        scale = max(abs(cert.lambda_max), la.norm(rom.system.N, 2))
-        assert cert.composite_lambda_max <= 1e-12 * max(scale, 1.0), (
-            f"certificate residual {cert.composite_lambda_max:.2e}"
-        )
-        assert_allclose(cert.L, cert.lambda_max * np.eye(3), atol=0.0)
-        assert np.all(cert.R == 0.0)
+        report = check_passivity(rom.system)
+        assert cert.residual == 0.0
+        assert cert.lambda_max == report.lambda_max
+        assert cert.passive == report.passive
 
     def test_passive_system_needs_no_shift(self):
         sys = QuadraticOutputSystem(A=-np.eye(3), B=np.ones((3, 1)), N=np.eye(3))
