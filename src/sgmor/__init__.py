@@ -7,7 +7,6 @@ from .bt_quadratic import (
     balance,
     gramian_cache,
     h2_error,
-    h2_norm,
     truncate,
 )
 from .errors import (
@@ -40,7 +39,6 @@ __all__ = [
     "balance",
     "gramian_cache",
     "h2_error",
-    "h2_norm",
     "truncate",
     "ConvergenceError",
     "DefinitenessError",

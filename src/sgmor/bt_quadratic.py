@@ -2,14 +2,18 @@
 
 The controllability Gramian P and the output-weighted observability Gramian Q
 (right-hand side N P N) are solved successively, factored, and the SVD of
-Z_P^T Z_Q delivers the projection bases.  The induced H2 norm of a system is
-sqrt(trace(B^T Q B)); the reduction error in that norm is computable exactly
-from two Sylvester equations coupling the full and reduced systems.
+Z_P^T Z_Q delivers the projection bases.  Every H2 quantity needs P alone:
+with B B^T = -(A P + P A^T), the norm sqrt(trace(B^T Q B)) equals
+sqrt(trace(N P N P)), and the squared reduction error is
+trace(N_e P_e N_e P_e) for P_e = [[P, X], [X^T, P_r]] and
+N_e = blkdiag(N, -N_r), where X solves the one Sylvester equation
+A X + X A_r^T + B B_r^T = 0.  Q is solved only to balance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
@@ -34,7 +38,6 @@ __all__ = [
     "balance",
     "project",
     "truncate",
-    "h2_norm",
     "h2_error",
     "ReductionRow",
     "sweep",
@@ -48,29 +51,36 @@ FACTOR_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GramianCache:
-    """Reusable per-system quantities: Schur form, Gramians, H2 norm."""
+    """Reusable per-system Schur form, Gramians and H2 norm; Q is solved on first read."""
 
+    sys: QuadraticOutputSystem = field(repr=False, compare=False)
     factors: SchurFactors
     controllability: np.ndarray
-    observability: np.ndarray
     norm_squared: float
 
     @property
     def norm(self) -> float:
         return float(np.sqrt(max(self.norm_squared, 0.0)))
 
+    @cached_property
+    def observability(self) -> np.ndarray:
+        """Q from A^T Q + Q A + N P N = 0 on the cached Schur factors."""
+        s = self.sys
+        return solve_lyapunov(s.A, s.N @ self.controllability @ s.N, factors=self.factors, transposed=True)
+
 
 def gramian_cache(sys: QuadraticOutputSystem) -> GramianCache:
-    """Solve the Gramian chain of a stable quadratic-output system once."""
+    """Schur form, controllability Gramian and H2 norm of a stable system."""
     fac = real_schur(sys.A)
     if fac.abscissa >= 0.0:
         raise StabilityError(
             f"{sys.label}: spectral abscissa {fac.abscissa:.3e} >= 0, Gramians undefined"
         )
     P = solve_lyapunov(sys.A, sys.B @ sys.B.T, factors=fac)
-    Q = solve_lyapunov(sys.A, sys.N @ P @ sys.N, factors=fac, transposed=True)
-    norm_sq = float(np.trace(sys.B.T @ Q @ sys.B))
-    return GramianCache(factors=fac, controllability=P, observability=Q, norm_squared=norm_sq)
+    NP = sys.N @ P
+    # trace(N P N P) without forming the product
+    norm_sq = float(np.sum(NP * NP.T))
+    return GramianCache(sys=sys, factors=fac, controllability=P, norm_squared=norm_sq)
 
 
 @dataclass(frozen=True)
@@ -123,8 +133,10 @@ class ReducedModel:
 def balance(fom: QuadraticOutputSystem) -> BalancedFactorization:
     """Gramians, symmetric factors, and the balancing SVD of a stable system."""
     cache = gramian_cache(fom)
+    # Q is solved before P is factored; the other order raises the peak RSS
+    Q = cache.observability
     Zp = symmetric_factor(cache.controllability, tol=FACTOR_TOL)
-    Zq = symmetric_factor(cache.observability, tol=FACTOR_TOL)
+    Zq = symmetric_factor(Q, tol=FACTOR_TOL)
     if Zp.shape[1] == 0 or Zq.shape[1] == 0:
         k = min(Zp.shape[1], Zq.shape[1])
         return BalancedFactorization(
@@ -158,13 +170,6 @@ def truncate(bal: BalancedFactorization, fom: QuadraticOutputSystem, r: int) -> 
     return ReducedModel(r=r, system=project(fom, V, W), V=V, W=W)
 
 
-def h2_norm(sys: QuadraticOutputSystem, cache: GramianCache | None = None) -> float:
-    """H2 norm sqrt(trace(B^T Q B)) of a stable quadratic-output system."""
-    if cache is None:
-        cache = gramian_cache(sys)
-    return cache.norm
-
-
 def h2_error(
     fom: QuadraticOutputSystem,
     rom: ReducedModel | QuadraticOutputSystem,
@@ -172,25 +177,21 @@ def h2_error(
 ) -> float:
     """H2 norm of the error system between a full and a reduced model.
 
-    Evaluates sqrt(trace(B^T Q B + B_r^T Q_r B_r - 2 B^T Z B_r)) where Z
-    couples the two systems through a pair of Sylvester equations.  The trace
-    argument is a difference of like-sized terms, so its magnitude below
-    1e-10 of the term scale is pure cancellation noise; that dead zone maps
-    to 0.  Anything more negative signals inaccurate Gramians and raises.
+    Evaluates sqrt(||H||^2 + ||H_r||^2 - 2 trace(N X N_r X^T)), where X
+    solves A X + X A_r^T + B B_r^T = 0.  The trace argument is a difference
+    of like-sized terms, so its magnitude below 1e-10 of the term scale is
+    pure cancellation noise; that dead zone maps to 0.  Anything more
+    negative signals inaccurate Gramians and raises.
     """
     rsys = rom.system if isinstance(rom, ReducedModel) else rom
     if cache is None:
         cache = gramian_cache(fom)
-    rom_cache = gramian_cache(rsys)
+    rom_norm_sq = gramian_cache(rsys).norm_squared
 
-    # cross terms: A X + X A_r^T + B B_r^T = 0, then A^T Z + Z A_r + N X N_r = 0
     X = solve_sylvester(fom.A, rsys.A.T, fom.B @ rsys.B.T, factors_a=cache.factors)
-    Z = solve_sylvester(
-        fom.A, rsys.A, fom.N @ X @ rsys.N, factors_a=cache.factors, transpose_a=True
-    )
-    cross = float(np.trace(fom.B.T @ Z @ rsys.B))
-    value = cache.norm_squared + rom_cache.norm_squared - 2.0 * cross
-    scale = abs(cache.norm_squared) + abs(rom_cache.norm_squared)
+    cross = float(np.sum((fom.N @ X) * (X @ rsys.N)))
+    value = cache.norm_squared + rom_norm_sq - 2.0 * cross
+    scale = abs(cache.norm_squared) + abs(rom_norm_sq)
     if value < -1e-10 * scale:
         raise ConvergenceError(
             f"error-norm trace argument {value:.3e} is negative beyond tolerance"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys as _sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -66,8 +67,8 @@ class ExperimentConfig:
             raise ConfigError(f"reducer must be one of {REDUCERS}, got {self.reducer!r}")
         if self.r_min < 1 or self.r_max < self.r_min:
             raise ConfigError(f"invalid r range [{self.r_min}, {self.r_max}]")
-        if self.sim_h <= 0 or self.sim_T <= 0:
-            raise ConfigError("simulation step and horizon must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.sim_h, self.sim_T)):
+            raise ConfigError("simulation step and horizon must be finite and positive")
         if self.sim_input not in ("default", "zero"):
             raise ConfigError(f"input signal must be 'default' or 'zero', got {self.sim_input!r}")
         if any(r < 1 for r in self.verify_r):

@@ -139,13 +139,11 @@ def solve_sylvester(
     F: np.ndarray,
     C: np.ndarray,
     factors_a: SchurFactors | None = None,
-    transpose_a: bool = False,
 ) -> np.ndarray:
     """Solve A Y + Y F + C = 0 (the spectra of A and -F must be disjoint).
 
-    ``transpose_a`` solves A^T Y + Y F + C = 0 while reusing a Schur
-    factorization of A, which is what repeated error-bound evaluations
-    against one full-order A need.
+    A Schur factorization of A can be passed in ``factors_a`` for repeated
+    solves against one full-order A.
     """
     A = np.asarray(A, dtype=float)
     F = np.asarray(F, dtype=float)
@@ -155,22 +153,20 @@ def solve_sylvester(
 
     fac_a = factors_a if factors_a is not None else real_schur(A)
     fac_f = real_schur(F)
-    spectrum_a = np.conj(fac_a.eigenvalues) if transpose_a else fac_a.eigenvalues
-    gaps = np.abs(spectrum_a[:, None] + fac_f.eigenvalues[None, :])
-    scale = max(np.abs(spectrum_a).max(), np.abs(fac_f.eigenvalues).max(), 1.0)
+    gaps = np.abs(fac_a.eigenvalues[:, None] + fac_f.eigenvalues[None, :])
+    scale = max(np.abs(fac_a.eigenvalues).max(), np.abs(fac_f.eigenvalues).max(), 1.0)
     if gaps.min() <= 1e-13 * scale:
         raise SpectralOverlapError(
             f"spectra of A and -F nearly intersect (gap {gaps.min():.3e})"
         )
 
     rhs = -(fac_a.U.T @ C @ fac_f.U)
-    y, scl, info = _trsyl(fac_a.T, fac_f.T, rhs, "T" if transpose_a else "N", "N")
+    y, scl, info = _trsyl(fac_a.T, fac_f.T, rhs, "N", "N")
     if info == 1:
         raise SpectralOverlapError("trsyl perturbed nearly common eigenvalues")
     Y = fac_a.U @ (y / scl) @ fac_f.U.T
 
-    lhs = A.T @ Y if transpose_a else A @ Y
-    residual = la.norm(lhs + Y @ F + C, "fro")
+    residual = la.norm(A @ Y + Y @ F + C, "fro")
     denom = max(la.norm(C, "fro"), 1.0)
     if residual / denom > RESIDUAL_RTOL:
         raise ConvergenceError(

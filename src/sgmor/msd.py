@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,12 +59,12 @@ class MsdConfig:
         if n == 0:
             raise ValueError("at least one mass is required")
         for v in self.masses:
-            if v <= 0:
-                raise ValueError("nominal masses must be positive")
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"nominal masses must be positive and finite, got {v}")
         for kind, elems in (("spring", self.springs), ("damper", self.dampers)):
             for a, b, v in elems:
-                if v <= 0:
-                    raise ValueError(f"nominal {kind} values must be positive")
+                if not (math.isfinite(v) and v > 0):
+                    raise ValueError(f"nominal {kind} values must be positive and finite, got {v}")
                 if not (0 <= a <= n and 0 <= b <= n):
                     raise ValueError(f"{kind} endpoint out of range: ({a}, {b})")
                 if a == b:

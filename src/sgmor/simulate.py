@@ -157,7 +157,6 @@ def verify_error_bound(
     T: float = 100.0,
     cache: GramianCache | None = None,
     fom_trajectory: Trajectory | None = None,
-    error_norm: float | None = None,
 ) -> BoundCheck:
     """Check sup_t |y - y_r| <= ||H - H_r||_H2 * (integral of ||u||^4)^(1/2).
 
@@ -165,8 +164,8 @@ def verify_error_bound(
     response).  The right side uses trapezoidal quadrature of ||u(t)||^4 on
     the integration grid.  ``holds`` allows a relative 1e-6 margin plus an
     O(h^2) integration slack, since the trajectories themselves are second-
-    order accurate.  Precomputed pieces (FOM Gramian cache, FOM trajectory,
-    error norm) can be passed in when checking several reduced models.
+    order accurate.  Precomputed pieces (FOM Gramian cache, FOM trajectory)
+    can be passed in when checking several reduced models.
     """
     rsys = rom.system if isinstance(rom, ReducedModel) else rom
     if fom_trajectory is None:
@@ -174,11 +173,9 @@ def verify_error_bound(
     rom_trajectory = integrate(rsys, u=u, h=h, T=T)
     observed = float(np.max(np.abs(fom_trajectory.y - rom_trajectory.y)))
 
-    if error_norm is None:
-        error_norm = h2_error(fom, rsys, cache=cache)
     unorm = np.linalg.norm(_input_samples(u, fom_trajectory.t, fom.n_in), axis=1)
     u_l4 = float(np.sqrt(trapezoid(unorm**4, fom_trajectory.t)))
-    bound = error_norm * u_l4
+    bound = h2_error(fom, rsys, cache=cache) * u_l4
 
     scale = max(bound, float(np.max(np.abs(fom_trajectory.y))), float(np.max(np.abs(rom_trajectory.y))))
     slack = h * h * scale

@@ -13,13 +13,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_stable_system
+from sgmor import bt_quadratic
 from sgmor.bt_quadratic import (
     BalancedFactorization,
     ReductionRow,
     balance,
     gramian_cache,
     h2_error,
-    h2_norm,
     truncate,
     write_report_csv,
 )
@@ -71,6 +71,38 @@ class TestGramianCache:
         sys = QuadraticOutputSystem(A=np.eye(2), B=np.ones((2, 1)), N=np.eye(2))
         with pytest.raises(StabilityError):
             gramian_cache(sys)
+
+    def test_norm_from_controllability_matches_observability_form(self, rng):
+        # trace(N P N P) must equal trace(B^T Q B)
+        for _ in range(6):
+            sys = make_stable_system(rng, int(rng.integers(2, 12)), n_in=int(rng.integers(1, 4)))
+            cache = gramian_cache(sys)
+            q_form = float(np.trace(sys.B.T @ cache.observability @ sys.B))
+            assert_allclose(cache.norm_squared, q_form, rtol=1e-10)
+
+    def test_solve_counts(self, rng, monkeypatch):
+        fom = make_stable_system(rng, 8)
+        rom = truncate(balance(fom), fom, 3)
+        calls = {"lyapunov": 0, "sylvester": 0}
+
+        def counted(kind, solve):
+            def wrapper(*args, **kwargs):
+                calls[kind] += 1
+                return solve(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bt_quadratic, "solve_lyapunov", counted("lyapunov", bt_quadratic.solve_lyapunov))
+        monkeypatch.setattr(bt_quadratic, "solve_sylvester", counted("sylvester", bt_quadratic.solve_sylvester))
+        cache = gramian_cache(fom)
+        assert calls == {"lyapunov": 1, "sylvester": 0}
+        cache.observability
+        assert calls == {"lyapunov": 2, "sylvester": 0}
+        cache.observability
+        assert calls == {"lyapunov": 2, "sylvester": 0}
+
+        calls.update(lyapunov=0, sylvester=0)
+        h2_error(fom, rom, cache=cache)
+        assert calls == {"lyapunov": 1, "sylvester": 1}
 
 
 class TestHandExample:
@@ -126,7 +158,7 @@ class TestBalance:
         sys = QuadraticOutputSystem(A=-np.eye(3), B=np.ones((3, 1)), N=np.zeros((3, 3)))
         bal = balance(sys)
         assert bal.numerical_rank == 0
-        assert h2_norm(sys) == 0.0
+        assert gramian_cache(sys).norm == 0.0
 
 
 class TestH2Norm:
@@ -135,24 +167,24 @@ class TestH2Norm:
         a, b, c = 0.7, 1.3, 2.1
         sys = QuadraticOutputSystem(A=[[-a]], B=[[b]], N=[[c]])
         expected = np.sqrt(b**2 * (c * b**2 / (2 * a) * c) / (2 * a))
-        assert_allclose(h2_norm(sys), expected, rtol=1e-12)
+        assert_allclose(gramian_cache(sys).norm, expected, rtol=1e-12)
 
     def test_zero_cases(self, rng):
         m = 4
         A = make_stable_system(rng, m).A
-        assert h2_norm(QuadraticOutputSystem(A=A, B=np.zeros((m, 1)), N=np.eye(m))) == 0.0
-        assert h2_norm(QuadraticOutputSystem(A=A, B=np.ones((m, 1)), N=np.zeros((m, m)))) == 0.0
+        assert gramian_cache(QuadraticOutputSystem(A=A, B=np.zeros((m, 1)), N=np.eye(m))).norm == 0.0
+        assert gramian_cache(QuadraticOutputSystem(A=A, B=np.ones((m, 1)), N=np.zeros((m, m)))).norm == 0.0
 
     def test_random_against_oracle(self, rng):
         for _ in range(5):
             sys = make_stable_system(rng, int(rng.integers(2, 8)))
-            assert_allclose(h2_norm(sys), h2_norm_oracle(sys), rtol=1e-9)
+            assert_allclose(gramian_cache(sys).norm, h2_norm_oracle(sys), rtol=1e-9)
 
 
 class TestH2Error:
     def test_identity_projection_is_exact(self, rng):
         sys = make_stable_system(rng, 7)
-        assert h2_error(sys, sys) <= 1e-8 * h2_norm(sys)
+        assert h2_error(sys, sys) <= 1e-8 * gramian_cache(sys).norm
 
     def test_zero_input(self, rng):
         m = 5
@@ -165,7 +197,7 @@ class TestH2Error:
             sys = make_stable_system(rng, int(rng.integers(4, 21)))
             bal = balance(sys)
             rom = truncate(bal, sys, bal.numerical_rank)
-            rel = h2_error(sys, rom, cache=bal.cache) / h2_norm(sys, cache=bal.cache)
+            rel = h2_error(sys, rom, cache=bal.cache) / bal.cache.norm
             assert rel <= 1e-8, f"full-rank relative error {rel:.2e}"
 
     def test_against_block_oracle(self, rng):
@@ -176,7 +208,7 @@ class TestH2Error:
             rom = truncate(bal, sys, r)
             value = h2_error(sys, rom, cache=bal.cache)
             oracle = h2_error_oracle(sys, rom.system)
-            assert_allclose(value, oracle, rtol=1e-7, atol=1e-10 * h2_norm(sys))
+            assert_allclose(value, oracle, rtol=1e-7, atol=1e-10 * gramian_cache(sys).norm)
 
     def test_error_decreases_with_rank(self, rng):
         sys = make_stable_system(rng, 12)

@@ -339,6 +339,14 @@ class TestMain:
         assert main(["reduce", "--config", config, "--omega", omega]) == 2
         assert "expansion point must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", [{"T": float("inf")}, {"h": float("nan")}])
+    def test_non_finite_simulation_setting_is_exit_2(self, tmp_path, capsys, setting):
+        simulation = {"h": 0.01, "T": 20.0, "r_values": [2, 3], **setting}
+        config = str(write_config(tmp_path, simulation=simulation))
+        assert main(["verify", "--config", config]) == 2
+        assert "must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists(), "rejected before any output was written"
+
     def test_missing_report_inputs_is_exit_4(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "empty")]) == 4
         assert "I/O error" in capsys.readouterr().err

@@ -116,14 +116,6 @@ class TestSylvester:
             rel = la.norm(Y - oracle) / la.norm(oracle)
             assert rel < 1e-10, f"Sylvester deviation {rel:.2e} at ({m}, {r})"
 
-    def test_transpose_a_variant(self, rng):
-        A = make_stable_system(rng, 5).A
-        F = make_stable_system(rng, 4).A
-        C = rng.standard_normal((5, 4))
-        Y = solve_sylvester(A, F, C, transpose_a=True)
-        oracle = kron_sylvester(A.T, F, C)
-        assert_allclose(Y, oracle, rtol=1e-9)
-
     def test_overlapping_spectra_raise(self):
         A = np.diag([-1.0, -2.0])
         with pytest.raises(SpectralOverlapError):

@@ -50,6 +50,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="damper values must be positive"):
             MsdConfig(dampers=((1, 2, -0.1),))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="masses must be positive and finite"):
+            MsdConfig(masses=(1.0, bad))
+        with pytest.raises(ValueError, match="spring values must be positive and finite"):
+            MsdConfig(springs=((0, 1, bad),), input_spring=1)
+        with pytest.raises(ValueError, match="damper values must be positive and finite"):
+            MsdConfig(dampers=((1, 2, bad),))
+
     def test_rejects_bad_endpoints(self):
         with pytest.raises(ValueError, match="endpoint out of range"):
             MsdConfig(masses=(1.0,), springs=((0, 2, 1.0),), dampers=(), input_spring=1)
