@@ -13,7 +13,6 @@ A X + X A_r^T + B B_r^T = 0.  Q is solved only to balance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
@@ -51,9 +50,8 @@ FACTOR_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GramianCache:
-    """Reusable per-system Schur form, Gramians and H2 norm; Q is solved on first read."""
+    """Reusable per-system Schur form, controllability Gramian and H2 norm."""
 
-    sys: QuadraticOutputSystem = field(repr=False, compare=False)
     factors: SchurFactors
     controllability: np.ndarray
     norm_squared: float
@@ -61,12 +59,6 @@ class GramianCache:
     @property
     def norm(self) -> float:
         return float(np.sqrt(max(self.norm_squared, 0.0)))
-
-    @cached_property
-    def observability(self) -> np.ndarray:
-        """Q from A^T Q + Q A + N P N = 0 on the cached Schur factors."""
-        s = self.sys
-        return solve_lyapunov(s.A, s.N @ self.controllability @ s.N, factors=self.factors, transposed=True)
 
 
 def gramian_cache(sys: QuadraticOutputSystem) -> GramianCache:
@@ -80,7 +72,7 @@ def gramian_cache(sys: QuadraticOutputSystem) -> GramianCache:
     NP = sys.N @ P
     # trace(N P N P) without forming the product
     norm_sq = float(np.sum(NP * NP.T))
-    return GramianCache(sys=sys, factors=fac, controllability=P, norm_squared=norm_sq)
+    return GramianCache(factors=fac, controllability=P, norm_squared=norm_sq)
 
 
 @dataclass(frozen=True)
@@ -133,9 +125,10 @@ class ReducedModel:
 def balance(fom: QuadraticOutputSystem) -> BalancedFactorization:
     """Gramians, symmetric factors, and the balancing SVD of a stable system."""
     cache = gramian_cache(fom)
+    P = cache.controllability
     # Q is solved before P is factored; the other order raises the peak RSS
-    Q = cache.observability
-    Zp = symmetric_factor(cache.controllability, tol=FACTOR_TOL)
+    Q = solve_lyapunov(fom.A, fom.N @ P @ fom.N, factors=cache.factors, transposed=True)
+    Zp = symmetric_factor(P, tol=FACTOR_TOL)
     Zq = symmetric_factor(Q, tol=FACTOR_TOL)
     if Zp.shape[1] == 0 or Zq.shape[1] == 0:
         k = min(Zp.shape[1], Zq.shape[1])
