@@ -97,5 +97,5 @@ def arnoldi_basis(fom: QuadraticOutputSystem, r: int, omega: float = 1.0) -> tup
 
 def reduce_arnoldi(fom: QuadraticOutputSystem, cfg: KrylovConfig) -> ReducedModel:
     """Galerkin projection of the system onto the Krylov basis (V = W)."""
-    V, meta = arnoldi_basis(fom, cfg.r, omega=cfg.omega)
-    return ReducedModel(r=cfg.r, system=project(fom, V, V), V=V, W=V, meta=meta)
+    V, _ = arnoldi_basis(fom, cfg.r, omega=cfg.omega)
+    return ReducedModel(r=cfg.r, system=project(fom, V, V), V=V, W=V)

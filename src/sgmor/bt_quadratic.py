@@ -1,5 +1,10 @@
 """Balanced truncation for linear systems with a quadratic output.
 
+Each system is reduced to real Schur form once (``QuadraticOutputSystem.schur``)
+and every spectral question reads that form: the stability verdict of a
+reduced model, the Lyapunov solves for P and Q, and both coefficients of the
+H2 Sylvester solve, so a sweep row costs one r x r Schur form.
+
 The controllability Gramian P and the output-weighted observability Gramian Q
 (right-hand side N P N) are solved successively, factored, and the SVD of
 Z_P^T Z_Q delivers the projection bases.  Every H2 quantity needs P alone:
@@ -19,14 +24,7 @@ import scipy.linalg as la
 
 from .errors import ConvergenceError, RankError, StabilityError
 from .galerkin import QuadraticOutputSystem
-from .lyapsylv import (
-    SchurFactors,
-    real_schur,
-    solve_lyapunov,
-    solve_sylvester,
-    spectral_abscissa,
-    symmetric_factor,
-)
+from .lyapsylv import solve_lyapunov, solve_sylvester, symmetric_factor
 from .passivity import check_passivity
 
 __all__ = [
@@ -50,9 +48,8 @@ FACTOR_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GramianCache:
-    """Reusable per-system Schur form, controllability Gramian and H2 norm."""
+    """Reusable per-system controllability Gramian and H2 norm."""
 
-    factors: SchurFactors
     controllability: np.ndarray
     norm_squared: float
 
@@ -62,8 +59,8 @@ class GramianCache:
 
 
 def gramian_cache(sys: QuadraticOutputSystem) -> GramianCache:
-    """Schur form, controllability Gramian and H2 norm of a stable system."""
-    fac = real_schur(sys.A)
+    """Controllability Gramian and H2 norm of a stable system, on its Schur form."""
+    fac = sys.schur
     if fac.abscissa >= 0.0:
         raise StabilityError(
             f"{sys.label}: spectral abscissa {fac.abscissa:.3e} >= 0, Gramians undefined"
@@ -72,7 +69,7 @@ def gramian_cache(sys: QuadraticOutputSystem) -> GramianCache:
     NP = sys.N @ P
     # trace(N P N P) without forming the product
     norm_sq = float(np.sum(NP * NP.T))
-    return GramianCache(factors=fac, controllability=P, norm_squared=norm_sq)
+    return GramianCache(controllability=P, norm_squared=norm_sq)
 
 
 @dataclass(frozen=True)
@@ -102,16 +99,11 @@ class ReducedModel:
     system: QuadraticOutputSystem
     V: np.ndarray
     W: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def spectral_abscissa(self) -> float:
-        return spectral_abscissa(self.system.A)
 
     @property
     def is_stable(self) -> bool:
         # abscissa >= -1e-12 counts as unstable, matching the sweep omission rule
-        return self.spectral_abscissa < -1e-12
+        return self.system.schur.abscissa < -1e-12
 
     def leading(self, r: int) -> ReducedModel:
         """The model on the first r basis columns: leading blocks of A, B, N, V, W."""
@@ -119,7 +111,7 @@ class ReducedModel:
             raise RankError(f"leading dimension {r} outside 1..{self.r}")
         s = self.system
         rom = QuadraticOutputSystem(A=s.A[:r, :r], B=s.B[:r], N=s.N[:r, :r], label=s.label)
-        return ReducedModel(r=r, system=rom, V=self.V[:, :r], W=self.W[:, :r], meta=self.meta)
+        return ReducedModel(r=r, system=rom, V=self.V[:, :r], W=self.W[:, :r])
 
 
 def balance(fom: QuadraticOutputSystem) -> BalancedFactorization:
@@ -127,7 +119,7 @@ def balance(fom: QuadraticOutputSystem) -> BalancedFactorization:
     cache = gramian_cache(fom)
     P = cache.controllability
     # Q is solved before P is factored; the other order raises the peak RSS
-    Q = solve_lyapunov(fom.A, fom.N @ P @ fom.N, factors=cache.factors, transposed=True)
+    Q = solve_lyapunov(fom.A, fom.N @ P @ fom.N, factors=fom.schur, transposed=True)
     Zp = symmetric_factor(P, tol=FACTOR_TOL)
     Zq = symmetric_factor(Q, tol=FACTOR_TOL)
     if Zp.shape[1] == 0 or Zq.shape[1] == 0:
@@ -181,7 +173,7 @@ def h2_error(
         cache = gramian_cache(fom)
     rom_norm_sq = gramian_cache(rsys).norm_squared
 
-    X = solve_sylvester(fom.A, rsys.A.T, fom.B @ rsys.B.T, factors_a=cache.factors)
+    X = solve_sylvester(fom.A, rsys.A, fom.B @ rsys.B.T, factors_a=fom.schur, factors_f=rsys.schur)
     cross = float(np.sum((fom.N @ X) * (X @ rsys.N)))
     value = cache.norm_squared + rom_norm_sq - 2.0 * cross
     scale = abs(cache.norm_squared) + abs(rom_norm_sq)

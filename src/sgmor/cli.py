@@ -39,6 +39,23 @@ __all__ = [
 
 REDUCERS = ("balanced-truncation", "arnoldi")
 
+# config-file key -> (ExperimentConfig field, converter), per section of the file
+FILE_KEYS = {
+    "degree": ("degree", int),
+    "reducer": ("reducer", str),
+    "omega": ("omega", float),
+    "out": ("out", str),
+}
+R_KEYS = {"min": ("r_min", int), "max": ("r_max", int)}
+SIMULATION_KEYS = {
+    "h": ("sim_h", float),
+    "T": ("sim_T", float),
+    "input": ("sim_input", str),
+    "r_values": ("verify_r", lambda values: tuple(int(r) for r in values)),
+}
+# command-line flag -> the ExperimentConfig field it overrides
+FLAG_FIELDS = {"degree": "degree", "reducer": "reducer", "omega": "omega", "rmax": "r_max", "out": "out"}
+
 
 class ConfigError(Exception):
     """Invalid or inconsistent experiment configuration."""
@@ -100,40 +117,29 @@ def experiment_from_args(args: argparse.Namespace) -> ExperimentConfig:
         else:
             model = config_from_dict(model_entry)
 
-        r_entry = raw.get("r", {})
-        sim = raw.get("simulation", {})
-        cfg = ExperimentConfig(
-            model=model,
-            degree=int(raw.get("degree", 2)),
-            reducer=str(raw.get("reducer", "balanced-truncation")),
-            omega=float(raw.get("omega", 1.0)),
-            r_min=int(r_entry.get("min", 1)),
-            r_max=int(r_entry.get("max", 100)),
-            sim_h=float(sim.get("h", 0.01)),
-            sim_T=float(sim.get("T", 100.0)),
-            sim_input=str(sim.get("input", "default")),
-            verify_r=tuple(int(r) for r in sim.get("r_values", (10, 30, 50))),
-            out=str(raw.get("out", "results")),
+        # only the keys the file holds; ExperimentConfig keeps the defaults
+        fields = {}
+        sections = (
+            (raw, FILE_KEYS), (raw.get("r", {}), R_KEYS), (raw.get("simulation", {}), SIMULATION_KEYS),
         )
+        for section, keys in sections:
+            for key, value in section.items():
+                if key in keys:
+                    name, convert = keys[key]
+                    fields[name] = convert(value)
+        cfg = ExperimentConfig(model=model, **fields)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
-    overrides = {}
-    if args.degree is not None:
-        overrides["degree"] = args.degree
-    if getattr(args, "reducer", None) is not None:
-        overrides["reducer"] = args.reducer
-    if getattr(args, "omega", None) is not None:
-        overrides["omega"] = args.omega
-    if getattr(args, "rmax", None) is not None:
-        overrides["r_max"] = args.rmax
-    if args.out is not None:
-        overrides["out"] = args.out
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    # a subcommand registers only the flags it reads
+    overrides = {
+        name: getattr(args, flag)
+        for flag, name in FLAG_FIELDS.items()
+        if getattr(args, flag, None) is not None
+    }
+    return replace(cfg, **overrides)
 
 
 def _assemble_fom(cfg: ExperimentConfig):
@@ -270,19 +276,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Stochastic Galerkin assembly and energy-output model reduction",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("assemble", "write Galerkin matrices and a summary record"),
-        ("reduce", "sweep a reducer over r and write per-dimension diagnostics"),
-        ("verify", "check output error bounds and dissipation certificates"),
-        ("report", "merge emitted CSVs into one table"),
+    flags = {
+        "config": dict(help="JSON experiment config"),
+        "degree": dict(type=int, help="total polynomial degree"),
+        "reducer": dict(choices=REDUCERS, help="reduction method"),
+        "omega": dict(type=float, help="Arnoldi expansion point"),
+        "rmax": dict(type=int, help="largest reduced dimension"),
+        "out": dict(help="output directory"),
+    }
+    for name, help_text, reads in (
+        ("assemble", "write Galerkin matrices and a summary record", ("config", "degree", "out")),
+        ("reduce", "sweep a reducer over r and write per-dimension diagnostics",
+         ("config", "degree", "reducer", "omega", "rmax", "out")),
+        ("verify", "check output error bounds and dissipation certificates", ("config", "degree", "out")),
+        ("report", "merge emitted CSVs into one table", ("config", "out")),
     ):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", help="JSON experiment config")
-        cmd.add_argument("--degree", type=int, help="total polynomial degree")
-        cmd.add_argument("--reducer", choices=REDUCERS, help="reduction method")
-        cmd.add_argument("--omega", type=float, help="Arnoldi expansion point")
-        cmd.add_argument("--rmax", type=int, help="largest reduced dimension")
-        cmd.add_argument("--out", help="output directory")
+        for flag in reads:
+            cmd.add_argument(f"--{flag}", **flags[flag])
     return parser
 
 
@@ -298,10 +309,7 @@ def main(argv=None) -> int:
     try:
         cfg = experiment_from_args(args)
         runners[args.command](cfg)
-    except ConfigError as exc:
-        print(f"sgmor: config error: {exc}", file=_sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"sgmor: config error: {exc}", file=_sys.stderr)
         return 2
     except NumericalError as exc:

@@ -8,12 +8,14 @@ system whose quadratic output realizes the internal energy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
 from .errors import DefinitenessError
+from .lyapsylv import SchurFactors, real_schur
 from .polychaos import PcBasis
 
 __all__ = [
@@ -22,7 +24,6 @@ __all__ = [
     "QuadraticOutputSystem",
     "assemble",
     "to_first_order",
-    "energy",
     "write_matrix_market",
 ]
 
@@ -75,22 +76,6 @@ class ParametricSecondOrderSystem:
     @property
     def q(self) -> int:
         return len(self.M_terms) - 1
-
-    def _at(self, terms, mu):
-        mu = np.asarray(mu, dtype=float)
-        out = terms[0].copy()
-        for k in range(1, len(terms)):
-            out += mu[k - 1] * terms[k]
-        return out
-
-    def mass_at(self, mu) -> np.ndarray:
-        return self._at(self.M_terms, mu)
-
-    def damping_at(self, mu) -> np.ndarray:
-        return self._at(self.D_terms, mu)
-
-    def stiffness_at(self, mu) -> np.ndarray:
-        return self._at(self.K_terms, mu)
 
 
 @dataclass(frozen=True)
@@ -164,6 +149,11 @@ class QuadraticOutputSystem:
     @property
     def n_in(self) -> int:
         return self.B.shape[1]
+
+    @cached_property
+    def schur(self) -> SchurFactors:
+        """Real Schur form of A, computed once; every spectral question reads it."""
+        return real_schur(self.A)
 
     def quadratic_output(self, x: np.ndarray) -> np.ndarray:
         """y = x^T N x for a single state (m,) or a batch (steps, m)."""
@@ -255,15 +245,6 @@ def to_first_order(g: GalerkinSystem, label: str = "fom") -> QuadraticOutputSyst
     N[:ns, :ns] = K
     N[ns:, ns:] = M
     return QuadraticOutputSystem(A=A, B=B, N=N, label=label, galerkin=g)
-
-
-def energy(g: GalerkinSystem, p: np.ndarray, pdot: np.ndarray) -> float:
-    """Internal energy (kinetic + potential) of a Galerkin state."""
-    p = np.asarray(p, dtype=float).ravel()
-    pdot = np.asarray(pdot, dtype=float).ravel()
-    if p.size != g.dimension or pdot.size != g.dimension:
-        raise ValueError(f"state vectors must have length {g.dimension}")
-    return 0.5 * (float(pdot @ (g.M @ pdot)) + float(p @ (g.K @ p)))
 
 
 def write_matrix_market(path, mat, symmetry: str = "general") -> None:

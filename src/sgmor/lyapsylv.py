@@ -1,9 +1,10 @@
 """Dense direct solvers for Lyapunov and Sylvester equations.
 
-Bartels-Stewart style: reduce the coefficients to real Schur form once and
-solve the quasi-triangular equation with LAPACK's trsyl kernel.  A Schur
-factorization can be computed up front and passed to repeated solves against
-the same coefficient matrix; every solution is verified against its residual
+Bartels-Stewart (1972): reduce the coefficients to real Schur form and
+solve the quasi-triangular equation with LAPACK's trsyl.  Lyapunov is the
+Sylvester case F = A, and both solvers share one kernel (transform, trsyl,
+scale, back-transform).  Schur factorizations computed up front can be
+passed to every solve; each solution is verified against its residual
 before it is returned.
 """
 
@@ -20,7 +21,6 @@ from .errors import ConvergenceError, DefinitenessError, SpectralOverlapError, S
 __all__ = [
     "SchurFactors",
     "real_schur",
-    "spectral_abscissa",
     "solve_lyapunov",
     "solve_sylvester",
     "symmetric_factor",
@@ -76,17 +76,20 @@ def real_schur(A: np.ndarray) -> SchurFactors:
     return SchurFactors(T=T, U=U, eigenvalues=_quasi_triangular_eigenvalues(T))
 
 
-def spectral_abscissa(A: np.ndarray) -> float:
-    """Largest real part of the eigenvalues of A."""
-    return float(np.linalg.eigvals(np.asarray(A, dtype=float)).real.max())
+def _bartels_stewart(fac_a: SchurFactors, fac_f: SchurFactors, C: np.ndarray, trana: str, tranb: str):
+    """Solve op(A) Y + Y op(F) = -C on the Schur forms of A and F.
 
-
-def _trsyl(Ta, Tb, C, trana: str, tranb: str):
-    (trsyl,) = la.get_lapack_funcs(("trsyl",), (Ta, C))
-    y, scale, info = trsyl(Ta, Tb, C, trana=trana, tranb=tranb, isgn=1)
+    With op(A) = A^trana and op(F) = F^tranb, Y = U_a Z U_f^T where
+    op(T_a) Z + Z op(T_f) = -U_a^T C U_f is the quasi-triangular equation
+    LAPACK's trsyl solves.  Returns Y and trsyl's info (1: the spectra were
+    perturbed to keep the equation solvable).
+    """
+    rhs = -(fac_a.U.T @ C @ fac_f.U)
+    (trsyl,) = la.get_lapack_funcs(("trsyl",), (fac_a.T, rhs))
+    z, scale, info = trsyl(fac_a.T, fac_f.T, rhs, trana=trana, tranb=tranb, isgn=1)
     if info < 0:
         raise ValueError(f"illegal argument {-info} passed to trsyl")
-    return y, scale, info
+    return fac_a.U @ (z / scale) @ fac_f.U.T, info
 
 
 def solve_lyapunov(
@@ -97,10 +100,12 @@ def solve_lyapunov(
 ) -> np.ndarray:
     """Solve A X + X A^T + C = 0 for symmetric C and asymptotically stable A.
 
-    With ``transposed`` the adjoint equation A^T X + X A + C = 0 is solved
-    instead, reusing the same Schur factorization of A.  The result is
-    symmetrized; a StabilityError is raised for unstable A and a
-    ConvergenceError if the relative residual exceeds RESIDUAL_RTOL.
+    The Sylvester equation of ``solve_sylvester`` with F = A, on one Schur
+    factorization; stability of A keeps the spectra of A and -A apart, so
+    no gap check is needed.  With ``transposed`` the adjoint equation
+    A^T X + X A + C = 0 is solved instead, reusing the same factorization.
+    The result is symmetrized; a StabilityError is raised for unstable A and
+    a ConvergenceError if the relative residual exceeds RESIDUAL_RTOL.
     """
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -114,13 +119,10 @@ def solve_lyapunov(
     if fac.abscissa >= 0.0:
         raise StabilityError(f"coefficient matrix has spectral abscissa {fac.abscissa:.3e} >= 0")
 
-    T, U = fac.T, fac.U
-    rhs = -(U.T @ C @ U)
     trana, tranb = ("T", "N") if transposed else ("N", "T")
-    y, scale, info = _trsyl(T, T, rhs, trana, tranb)
+    X, info = _bartels_stewart(fac, fac, C, trana, tranb)
     if info == 1:
         raise ConvergenceError("trsyl perturbed nearly singular Lyapunov spectrum")
-    X = U @ (y / scale) @ U.T
     X = 0.5 * (X + X.T)
 
     if transposed:
@@ -139,11 +141,12 @@ def solve_sylvester(
     F: np.ndarray,
     C: np.ndarray,
     factors_a: SchurFactors | None = None,
+    factors_f: SchurFactors | None = None,
 ) -> np.ndarray:
-    """Solve A Y + Y F + C = 0 (the spectra of A and -F must be disjoint).
+    """Solve A Y + Y F^T + C = 0 (the spectra of A and -F must be disjoint).
 
-    A Schur factorization of A can be passed in ``factors_a`` for repeated
-    solves against one full-order A.
+    Schur factorizations of A and F can be passed in ``factors_a`` and
+    ``factors_f`` when the caller already holds them.
     """
     A = np.asarray(A, dtype=float)
     F = np.asarray(F, dtype=float)
@@ -152,7 +155,7 @@ def solve_sylvester(
         raise ValueError(f"right-hand side shape {C.shape} does not match ({A.shape[0]}, {F.shape[0]})")
 
     fac_a = factors_a if factors_a is not None else real_schur(A)
-    fac_f = real_schur(F)
+    fac_f = factors_f if factors_f is not None else real_schur(F)
     gaps = np.abs(fac_a.eigenvalues[:, None] + fac_f.eigenvalues[None, :])
     scale = max(np.abs(fac_a.eigenvalues).max(), np.abs(fac_f.eigenvalues).max(), 1.0)
     if gaps.min() <= 1e-13 * scale:
@@ -160,13 +163,11 @@ def solve_sylvester(
             f"spectra of A and -F nearly intersect (gap {gaps.min():.3e})"
         )
 
-    rhs = -(fac_a.U.T @ C @ fac_f.U)
-    y, scl, info = _trsyl(fac_a.T, fac_f.T, rhs, "N", "N")
+    Y, info = _bartels_stewart(fac_a, fac_f, C, "N", "T")
     if info == 1:
         raise SpectralOverlapError("trsyl perturbed nearly common eigenvalues")
-    Y = fac_a.U @ (y / scl) @ fac_f.U.T
 
-    residual = la.norm(A @ Y + Y @ F + C, "fro")
+    residual = la.norm(A @ Y + Y @ F.T + C, "fro")
     denom = max(la.norm(C, "fro"), 1.0)
     if residual / denom > RESIDUAL_RTOL:
         raise ConvergenceError(

@@ -146,7 +146,7 @@ def test_criterion_04_matrix_equation_oracles():
         r = int(rng.integers(2, 11))
         F = make_stable_system(rng, r).A
         G = rng.standard_normal((m, r))
-        Y = solve_sylvester(sys.A, F, G)
+        Y = solve_sylvester(sys.A, F.T, G)
         oracle = kron_sylvester(sys.A, F, G)
         worst_sylv = max(worst_sylv, npla.norm(Y - oracle) / npla.norm(oracle))
     elapsed = time.perf_counter() - start

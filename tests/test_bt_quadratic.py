@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_stable_system
-from sgmor import bt_quadratic
+from sgmor import bt_quadratic, galerkin, lyapsylv
 from sgmor.bt_quadratic import (
     BalancedFactorization,
     GramianCache,
@@ -21,6 +21,7 @@ from sgmor.bt_quadratic import (
     balance,
     gramian_cache,
     h2_error,
+    sweep,
     truncate,
     write_report_csv,
 )
@@ -61,9 +62,9 @@ def h2_error_oracle(fom: QuadraticOutputSystem, rsys: QuadraticOutputSystem) -> 
 
 
 def observability(sys: QuadraticOutputSystem, cache: GramianCache) -> np.ndarray:
-    """Q from A^T Q + Q A + N P N = 0, the solve ``balance`` makes on the cached factors."""
+    """Q from A^T Q + Q A + N P N = 0, the solve ``balance`` makes on the system's Schur form."""
     P = cache.controllability
-    return solve_lyapunov(sys.A, sys.N @ P @ sys.N, factors=cache.factors, transposed=True)
+    return solve_lyapunov(sys.A, sys.N @ P @ sys.N, factors=sys.schur, transposed=True)
 
 
 class TestGramianCache:
@@ -81,9 +82,11 @@ class TestGramianCache:
             gramian_cache(sys)
 
     def test_solve_counts(self, rng, monkeypatch):
-        fom = make_stable_system(rng, 8)
-        rom = truncate(balance(fom), fom, 3)
-        calls = {"lyapunov": 0, "sylvester": 0}
+        sys = make_stable_system(rng, 8)
+        rom = truncate(balance(sys), sys, 3)
+        # the same system without the Schur form balancing attached to it
+        fom = QuadraticOutputSystem(A=sys.A, B=sys.B, N=sys.N)
+        calls = {"schur": 0, "lyapunov": 0, "sylvester": 0}
 
         def counted(kind, solve):
             def wrapper(*args, **kwargs):
@@ -91,17 +94,25 @@ class TestGramianCache:
                 return solve(*args, **kwargs)
             return wrapper
 
+        # every binding of real_schur: the Schur form of a system and the solvers' fallback
+        for module in (galerkin, lyapsylv):
+            monkeypatch.setattr(module, "real_schur", counted("schur", lyapsylv.real_schur))
         monkeypatch.setattr(bt_quadratic, "solve_lyapunov", counted("lyapunov", bt_quadratic.solve_lyapunov))
         monkeypatch.setattr(bt_quadratic, "solve_sylvester", counted("sylvester", bt_quadratic.solve_sylvester))
         cache = gramian_cache(fom)
-        assert calls == {"lyapunov": 1, "sylvester": 0}
-        calls.update(lyapunov=0)
+        assert calls == {"schur": 1, "lyapunov": 1, "sylvester": 0}
+        calls.update(schur=0, lyapunov=0)
         balance(fom)
-        assert calls == {"lyapunov": 2, "sylvester": 0}
+        assert calls == {"schur": 0, "lyapunov": 2, "sylvester": 0}
 
         calls.update(lyapunov=0, sylvester=0)
         h2_error(fom, rom, cache=cache)
-        assert calls == {"lyapunov": 1, "sylvester": 1}
+        assert calls == {"schur": 1, "lyapunov": 1, "sylvester": 1}
+
+        # one Schur form per row: the stability verdict and the H2 error share it
+        calls.update(schur=0)
+        sweep(fom, rom, range(1, 4), cache)
+        assert calls["schur"] == 3
 
 
 class TestHandExample:
@@ -222,7 +233,7 @@ class TestReducedModel:
         sys = make_stable_system(rng, 8)
         bal = balance(sys)
         rom = truncate(bal, sys, 4)
-        assert rom.spectral_abscissa < 0
+        assert rom.system.schur.abscissa < 0
         assert rom.is_stable
         assert rom.r == 4
         assert rom.system.N.shape == (4, 4)

@@ -323,6 +323,24 @@ class TestMain:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("verify", "--reducer", "arnoldi"),
+        ("verify", "--omega", "2"),
+        ("verify", "--rmax", "3"),
+        ("assemble", "--reducer", "arnoldi"),
+        ("assemble", "--omega", "2"),
+        ("assemble", "--rmax", "3"),
+        ("report", "--degree", "1"),
+        ("report", "--reducer", "arnoldi"),
+    ])
+    def test_flag_the_command_ignores_is_exit_2(self, tmp_path, capsys, command, flag, value):
+        config = str(write_config(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", config, flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists(), "rejected before any output was written"
+
     def test_malformed_config_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{oops")

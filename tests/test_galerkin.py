@@ -13,13 +13,13 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from quadrature import expectation_weighted
+from second_order import energy
 from sgmor.errors import DefinitenessError
 from sgmor.galerkin import (
     GalerkinSystem,
     ParametricSecondOrderSystem,
     QuadraticOutputSystem,
     assemble,
-    energy,
     to_first_order,
     write_matrix_market,
 )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from second_order import affine_at
 from sgmor.galerkin import ParametricSecondOrderSystem
 from sgmor.msd import (
     MsdConfig,
@@ -165,9 +166,9 @@ class TestBuild:
         sys = build_msd(cfg)
         # evaluating at a corner equals scaling every nominal element by 1 + delta
         mu = np.ones(cfg.q)
-        assert_allclose(sys.mass_at(mu), 1.2 * sys.M_terms[0], atol=1e-14)
-        assert_allclose(sys.stiffness_at(mu), 1.2 * sys.K_terms[0], atol=1e-14)
-        assert_allclose(sys.damping_at(mu), 1.2 * sys.D_terms[0], atol=1e-14)
+        assert_allclose(affine_at(sys.M_terms, mu), 1.2 * sys.M_terms[0], atol=1e-14)
+        assert_allclose(affine_at(sys.K_terms, mu), 1.2 * sys.K_terms[0], atol=1e-14)
+        assert_allclose(affine_at(sys.D_terms, mu), 1.2 * sys.D_terms[0], atol=1e-14)
 
     def test_zero_delta_kills_parametric_terms(self):
         cfg = MsdConfig(delta=0.0)
