@@ -39,6 +39,22 @@ __all__ = [
 
 REDUCERS = ("balanced-truncation", "arnoldi")
 
+JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+
+
+def _typed(value, expected: type, where: str):
+    """``value`` if it has the expected JSON type, else a ConfigError naming ``where``."""
+    if not isinstance(value, expected):
+        raise ConfigError(
+            f"{where} must be {JSON_TYPES[expected]}, got {JSON_TYPES.get(type(value), 'a number')}"
+        )
+    return value
+
+
+def _dimensions(values) -> tuple[int, ...]:
+    return tuple(int(r) for r in _typed(values, list, "config key 'simulation.r_values'"))
+
+
 # config-file key -> (ExperimentConfig field, converter), per section of the file
 FILE_KEYS = {
     "degree": ("degree", int),
@@ -51,7 +67,7 @@ SIMULATION_KEYS = {
     "h": ("sim_h", float),
     "T": ("sim_T", float),
     "input": ("sim_input", str),
-    "r_values": ("verify_r", lambda values: tuple(int(r) for r in values)),
+    "r_values": ("verify_r", _dimensions),
 }
 # command-line flag -> the ExperimentConfig field it overrides
 FLAG_FIELDS = {"degree": "degree", "reducer": "reducer", "omega": "omega", "rmax": "r_max", "out": "out"}
@@ -104,7 +120,7 @@ def _load_json(path: str) -> dict:
 
 def experiment_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """Merge config file (if any) and command-line flags into one config."""
-    raw = _load_json(args.config) if args.config else {}
+    raw = _typed(_load_json(args.config), dict, "the config file") if args.config else {}
     try:
         model_entry = raw.get("model")
         if model_entry is None:
@@ -115,12 +131,14 @@ def experiment_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 path = Path(args.config).parent / path
             model = load_config(path)
         else:
-            model = config_from_dict(model_entry)
+            model = config_from_dict(_typed(model_entry, dict, "config key 'model'"))
 
         # only the keys the file holds; ExperimentConfig keeps the defaults
         fields = {}
         sections = (
-            (raw, FILE_KEYS), (raw.get("r", {}), R_KEYS), (raw.get("simulation", {}), SIMULATION_KEYS),
+            (raw, FILE_KEYS),
+            (_typed(raw.get("r", {}), dict, "config key 'r'"), R_KEYS),
+            (_typed(raw.get("simulation", {}), dict, "config key 'simulation'"), SIMULATION_KEYS),
         )
         for section, keys in sections:
             for key, value in section.items():

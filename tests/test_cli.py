@@ -347,6 +347,19 @@ class TestMain:
         assert main(["assemble", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"r": 5}, "config key 'r' must be an object, got a number"),
+        ({"simulation": 3}, "config key 'simulation' must be an object, got a number"),
+        ({"simulation": {"r_values": 7}}, "config key 'simulation.r_values' must be an array, got a number"),
+        ({"model": [1]}, "config key 'model' must be an object, got an array"),
+        ([1, 2], "the config file must be an object, got an array"),
+    ])
+    def test_wrong_json_type_names_the_key(self, tmp_path, capsys, raw, message):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(raw))
+        assert main(["report", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_rmax_too_large_is_exit_2(self, tmp_path):
         config = str(write_config(tmp_path))
         assert main(["reduce", "--config", config, "--rmax", "9"]) == 2

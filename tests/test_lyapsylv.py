@@ -1,8 +1,10 @@
 """Dense Lyapunov/Sylvester solver tests against Kronecker-system oracles.
 
-Every solve is cross-checked by building the full Kronecker linear system and
-solving it with a general-purpose dense solver, which is slow but independent
-of the Schur-based implementation under test.
+Small solves are cross-checked by building the full Kronecker linear system
+and solving it with a general-purpose dense solver, which is slow but
+independent of the Schur-based implementation under test.  Solves above the
+leaf size of the blocked kernel are checked against scipy's
+``solve_sylvester``, one unblocked trsyl call on the whole system.
 """
 
 from __future__ import annotations
@@ -10,10 +12,13 @@ from __future__ import annotations
 import numpy as np
 import numpy.linalg as la
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
-from sgmor.errors import DefinitenessError, SpectralOverlapError, StabilityError
+from sgmor import lyapsylv
+from sgmor.errors import ConvergenceError, DefinitenessError, SpectralOverlapError, StabilityError
 from sgmor.lyapsylv import (
+    LEAF,
     SchurFactors,
     real_schur,
     solve_lyapunov,
@@ -33,6 +38,29 @@ def kron_sylvester(A: np.ndarray, F: np.ndarray, C: np.ndarray) -> np.ndarray:
     m, r = A.shape[0], F.shape[0]
     lhs = np.kron(np.eye(r), A) + np.kron(F.T, np.eye(m))
     return la.solve(lhs, -C.reshape(-1, order="F")).reshape(m, r, order="F")
+
+
+def unblocked_sylvester(A: np.ndarray, F: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """A Y + Y F^T + C = 0 by scipy: one trsyl call on the full Schur forms."""
+    return scipy.linalg.solve_sylvester(A, F.T, -C)
+
+
+def complex_pair_matrix(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Stable m x m matrix (m even) whose eigenvalues are all complex pairs.
+
+    Its real Schur form is all 2x2 blocks, so a midpoint split at an odd
+    index falls inside a block.
+    """
+    T = np.triu(rng.standard_normal((m, m)), 1) / np.sqrt(m)
+    for i in range(0, m, 2):
+        re, b, c = -rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        T[i : i + 2, i : i + 2] = [[re, b], [-c, re]]
+    Q, _ = la.qr(rng.standard_normal((m, m)))
+    return Q @ T @ Q.T
+
+
+def relative_error(value: np.ndarray, oracle: np.ndarray) -> float:
+    return float(la.norm(value - oracle) / la.norm(oracle))
 
 
 class TestLyapunov:
@@ -123,6 +151,88 @@ class TestSylvester:
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError, match="shape"):
             solve_sylvester(-np.eye(3), -np.eye(2), np.ones((2, 2)))
+
+
+class TestBlockedKernel:
+    """Solves above LEAF, where the kernel recurses and trsyl sees only leaves."""
+
+    @pytest.fixture
+    def trsyl_calls(self, monkeypatch):
+        """Record the shape of every right-hand side trsyl receives."""
+        shapes = []
+
+        def recorded(a, b, c, **kwargs):
+            shapes.append(c.shape)
+            return scipy.linalg.lapack.dtrsyl(a, b, c, **kwargs)
+
+        monkeypatch.setattr(lyapsylv, "dtrsyl", recorded)
+        return shapes
+
+    def test_all_2x2_blocks_straddle_the_midpoint(self, rng):
+        T = real_schur(complex_pair_matrix(rng, 150)).T
+        assert np.all(np.diag(T, -1)[::2] != 0.0) and np.all(np.diag(T, -1)[1::2] == 0.0)
+        assert T[75, 74] != 0.0, "the midpoint 75 must cut a 2x2 block"
+
+    @pytest.mark.parametrize("m", [150, 258])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_lyapunov_against_unblocked(self, rng, trsyl_calls, m, transposed):
+        A = complex_pair_matrix(rng, m)
+        G = rng.standard_normal((m, 3))
+        C = G @ G.T
+        X = solve_lyapunov(A, C, transposed=transposed)
+        oracle = unblocked_sylvester(A.T, A.T, C) if transposed else unblocked_sylvester(A, A, C)
+        assert relative_error(X, oracle) < 1e-10
+        assert len(trsyl_calls) > 1 and max(max(shape) for shape in trsyl_calls) <= LEAF
+
+    @pytest.mark.parametrize("m, r", [(150, 30), (150, 70), (30, 150)])
+    def test_rectangular_sylvester_against_unblocked(self, rng, trsyl_calls, m, r):
+        A, F = complex_pair_matrix(rng, m), complex_pair_matrix(rng, r)
+        C = rng.standard_normal((m, r))
+        Y = solve_sylvester(A, F, C)
+        assert relative_error(Y, unblocked_sylvester(A, F, C)) < 1e-10
+        assert len(trsyl_calls) > 1 and max(max(shape) for shape in trsyl_calls) <= LEAF
+
+    @pytest.mark.parametrize("leaf", [0, 3, 7])
+    def test_leaf_scale_below_one(self, rng, monkeypatch, leaf):
+        """A leaf that solves for scale * R must still give the unscaled solution."""
+        calls = []
+
+        def scaled(a, b, c, **kwargs):
+            z, scale, info = scipy.linalg.lapack.dtrsyl(a, b, c, **kwargs)
+            calls.append(c.shape)
+            if len(calls) - 1 == leaf:
+                return 0.25 * z, 0.25 * scale, info
+            return z, scale, info
+
+        monkeypatch.setattr(lyapsylv, "dtrsyl", scaled)
+        A, F = complex_pair_matrix(rng, 150), complex_pair_matrix(rng, 70)
+        C = rng.standard_normal((150, 70))
+        Y = solve_sylvester(A, F, C)
+        assert len(calls) > leaf
+        assert relative_error(Y, unblocked_sylvester(A, F, C)) < 1e-10
+
+    def test_leaf_info_raises(self, rng, monkeypatch):
+        """info = 1 from one leaf reaches the caller's error."""
+        calls = []
+
+        def perturbed(a, b, c, **kwargs):
+            z, scale, info = scipy.linalg.lapack.dtrsyl(a, b, c, **kwargs)
+            calls.append(c.shape)
+            return z, scale, 1 if len(calls) == 2 else info
+
+        monkeypatch.setattr(lyapsylv, "dtrsyl", perturbed)
+        A = complex_pair_matrix(rng, 150)
+        with pytest.raises(SpectralOverlapError, match="trsyl"):
+            solve_sylvester(A, A, rng.standard_normal((150, 150)))
+        calls.clear()
+        with pytest.raises(ConvergenceError, match="trsyl"):
+            solve_lyapunov(A, np.eye(150))
+
+    def test_near_overlap_raises(self, rng):
+        A = complex_pair_matrix(rng, 150)
+        F = -A + 1e-15 * np.eye(150)
+        with pytest.raises(SpectralOverlapError):
+            solve_sylvester(A, F, rng.standard_normal((150, 150)))
 
 
 class TestSchurHelpers:

@@ -2,7 +2,9 @@
 
 Hypothesis draws the system shape, the seed of ``make_stable_system`` and the
 reduced dimension; ``derandomize`` fixes the examples, so every run checks
-the same cases.
+the same cases.  Systems above the leaf size of the blocked Bartels-Stewart
+kernel are checked against scipy's unblocked solver instead, since their
+Kronecker systems are too large.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from hypothesis import strategies as st
 
 from conftest import make_stable_system
 from test_bt_quadratic import h2_error_oracle
-from test_lyapsylv import kron_sylvester
+from test_lyapsylv import kron_sylvester, relative_error, unblocked_sylvester
 from sgmor.bt_quadratic import ReducedModel, balance, gramian_cache, h2_error, truncate
 from sgmor.galerkin import QuadraticOutputSystem
-from sgmor.lyapsylv import real_schur, solve_sylvester
+from sgmor.lyapsylv import LEAF, real_schur, solve_lyapunov, solve_sylvester
 
 SEEDED = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -36,6 +38,14 @@ systems = st.builds(
     random_system,
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(2, 8),
+    n_in=st.integers(1, 3),
+)
+
+
+large_systems = st.builds(
+    random_system,
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(LEAF + 1, 3 * LEAF),
     n_in=st.integers(1, 3),
 )
 
@@ -84,3 +94,16 @@ def test_sylvester_matches_kronecker(a, f, seed):
         Y = solve_sylvester(A, F.T, C, **factors)
         rel = la.norm(Y - oracle) / la.norm(oracle)
         assert rel < 1e-10, f"Sylvester deviation {rel:.2e} ({'with' if factors else 'without'} factors)"
+
+
+@settings(derandomize=True, database=None, max_examples=6, deadline=None)
+@given(a=large_systems, r=st.integers(1, 3 * LEAF), seed=st.integers(0, 2**32 - 1))
+def test_blocked_solves_match_unblocked(a, r, seed):
+    rng = np.random.default_rng(seed)
+    F = make_stable_system(rng, r).A
+    C = rng.standard_normal((a.m, r))
+    rel = relative_error(solve_sylvester(a.A, F, C), unblocked_sylvester(a.A, F, C))
+    assert rel < 1e-10, f"Sylvester deviation {rel:.2e} at ({a.m}, {r})"
+    # the observability equation A^T X + X A + N = 0
+    rel = relative_error(solve_lyapunov(a.A, a.N, transposed=True), unblocked_sylvester(a.A.T, a.A.T, a.N))
+    assert rel < 1e-10, f"Lyapunov deviation {rel:.2e} at m={a.m}"
