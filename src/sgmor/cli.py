@@ -16,13 +16,14 @@ import json
 import math
 import sys as _sys
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from .arnoldi import KrylovConfig, reduce_arnoldi
 from .bt_quadratic import balance, gramian_cache, sweep, truncate, write_csv, write_report_csv
 from .errors import NumericalError
 from .galerkin import assemble, to_first_order, write_matrix_market
-from .msd import MsdConfig, build_msd, config_from_dict, default_config, load_config
+from .msd import MsdConfig, build_msd, config_from_dict, default_config, integer, load_config
 from .passivity import shifted_dissipation_certificate
 from .polychaos import PcBasis
 from .simulate import default_input, integrate, verify_error_bound
@@ -52,17 +53,18 @@ def _typed(value, expected: type, where: str):
 
 
 def _dimensions(values) -> tuple[int, ...]:
-    return tuple(int(r) for r in _typed(values, list, "config key 'simulation.r_values'"))
+    where = "simulation.r_values"
+    return tuple(integer(r, where) for r in _typed(values, list, f"config key '{where}'"))
 
 
 # config-file key -> (ExperimentConfig field, converter), per section of the file
 FILE_KEYS = {
-    "degree": ("degree", int),
+    "degree": ("degree", partial(integer, key="degree")),
     "reducer": ("reducer", str),
     "omega": ("omega", float),
     "out": ("out", str),
 }
-R_KEYS = {"min": ("r_min", int), "max": ("r_max", int)}
+R_KEYS = {"min": ("r_min", partial(integer, key="r.min")), "max": ("r_max", partial(integer, key="r.max"))}
 SIMULATION_KEYS = {
     "h": ("sim_h", float),
     "T": ("sim_T", float),

@@ -15,7 +15,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from .errors import DefinitenessError
-from .lyapsylv import SchurFactors, real_schur
+from .lyapsylv import SchurFactors, is_symmetric, real_schur
 from .polychaos import PcBasis
 
 __all__ = [
@@ -134,7 +134,7 @@ class QuadraticOutputSystem:
         m = self.A.shape[0]
         if self.A.shape != (m, m) or self.N.shape != (m, m) or self.B.shape[0] != m:
             raise ValueError("inconsistent system dimensions")
-        if not np.allclose(self.N, self.N.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(self.N).max())):
+        if not is_symmetric(self.N, 1e-12 * max(1.0, np.abs(self.N).max())):
             raise ValueError("output matrix N must be symmetric")
         object.__setattr__(self, "N", 0.5 * (self.N + self.N.T))
         g = self.galerkin

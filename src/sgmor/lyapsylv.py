@@ -1,14 +1,18 @@
 """Dense direct solvers for Lyapunov and Sylvester equations.
 
 Bartels-Stewart (1972): reduce the coefficients to real Schur form and
-solve the quasi-triangular equation op(T_a) Z + Z op(T_f) = R by recursive
-blocking (Jonsson & Kagstrom, RECSY, ACM TOMS 2002).  The larger dimension
-is halved at a 2x2-block boundary, the halves are solved in the order
-op(T) requires, and each off-diagonal coupling is one GEMM into a
-workspace allocated once per solve; LAPACK's level-2 trsyl runs only on
-leaf blocks of at most LEAF rows and columns.  Lyapunov is the Sylvester
-case F = A, and both solvers share this one kernel (transform, solve,
-scale, back-transform).  Schur factorizations computed up front can be
+solve the quasi-triangular equation by recursive blocking (Jonsson &
+Kagstrom, RECSY, ACM TOMS 2002).  Each split falls on a 2x2-block
+boundary, the parts are solved in the order op(T) requires, and each
+off-diagonal coupling is one GEMM into a workspace allocated once per
+solve; LAPACK's level-2 trsyl runs only on leaf blocks of at most LEAF rows
+and columns.  The Sylvester recursion halves the larger dimension of
+op(T_a) Z + Z op(T_f) = R.  The Lyapunov recursion splits op(T) Z +
+Z op(T)^T = R symmetrically and solves only the blocks on and above the
+diagonal: two half-size Lyapunov equations and one Sylvester equation for
+the off-diagonal block, which is mirrored (136 instead of 256 leaves at
+m = 960).  Both share the transform, scale and back-transform of
+``_bartels_stewart``.  Schur factorizations computed up front can be
 passed to every solve; each solution is verified against its residual
 before it is returned.
 """
@@ -26,6 +30,7 @@ from .errors import ConvergenceError, DefinitenessError, SpectralOverlapError, S
 
 __all__ = [
     "SchurFactors",
+    "is_symmetric",
     "real_schur",
     "solve_lyapunov",
     "solve_sylvester",
@@ -35,6 +40,14 @@ __all__ = [
 RESIDUAL_RTOL = 1e-10
 # largest block handed to trsyl; above it the flops go to GEMM couplings
 LEAF = 64
+
+
+def is_symmetric(X: np.ndarray, atol: float) -> bool:
+    """True when X is square and max |X - X^T| <= atol; NaN anywhere gives False."""
+    if X.ndim != 2 or X.shape[0] != X.shape[1]:
+        return False
+    d = X - X.T
+    return bool(np.abs(d, out=d).max(initial=0.0) <= atol)
 
 
 def _quasi_triangular_eigenvalues(T: np.ndarray) -> np.ndarray:
@@ -93,6 +106,14 @@ def _split(T: np.ndarray) -> int:
 _FLIP = {"N": "T", "T": "N"}
 
 
+def _leaf(Ta, Tf, R, trana: str, tranb: str) -> tuple[np.ndarray, float, int]:
+    """One trsyl call on a leaf block: Z, scale and info of op(Ta) Z + Z op(Tf) = scale * R."""
+    z, scale, info = dtrsyl(Ta, Tf, R, trana=trana, tranb=tranb, isgn=1)
+    if info < 0:
+        raise ValueError(f"illegal argument {-info} passed to trsyl")
+    return z, scale, info
+
+
 def _blocked_trsyl(Ta, Tf, R, trana: str, tranb: str, work: np.ndarray) -> tuple[float, int]:
     """Overwrite R with Z solving op(Ta) Z + Z op(Tf) = scale * R.
 
@@ -105,10 +126,7 @@ def _blocked_trsyl(Ta, Tf, R, trana: str, tranb: str, work: np.ndarray) -> tuple
     """
     m, n = R.shape
     if max(m, n) <= LEAF:
-        z, scale, info = dtrsyl(Ta, Tf, R, trana=trana, tranb=tranb, isgn=1)
-        if info < 0:
-            raise ValueError(f"illegal argument {-info} passed to trsyl")
-        R[...] = z
+        R[...], scale, info = _leaf(Ta, Tf, R, trana, tranb)
         return scale, info
     if n > m:
         return _blocked_trsyl(Tf, Ta, R.T, _FLIP[tranb], _FLIP[trana], work)
@@ -129,14 +147,64 @@ def _blocked_trsyl(Ta, Tf, R, trana: str, tranb: str, work: np.ndarray) -> tuple
     return scale1 * scale2, max(info1, info2)
 
 
-def _bartels_stewart(fac_a: SchurFactors, fac_f: SchurFactors, C: np.ndarray, trana: str, tranb: str):
-    """Solve op(A) Y + Y op(F) = -C on the Schur forms of A and F.
+def _blocked_lyapunov(T, R, trana: str, work: np.ndarray) -> tuple[float, int]:
+    """Overwrite the symmetric R with Z solving op(T) Z + Z op(T)^T = scale * R.
 
-    With op(A) = A^trana and op(F) = F^tranb, Y = U_a Z U_f^T where
-    op(T_a) Z + Z op(T_f) = -U_a^T C U_f is the quasi-triangular equation
-    of ``_blocked_trsyl``, solved for U_a^T C U_f and negated.  Returns Y
-    and the largest trsyl info (1: the spectra were perturbed to keep the
-    equation solvable).
+    Only the blocks on and above the diagonal are solved.  For op = N, with
+    T split at a block boundary k, in this order:
+
+        T22 Z22 + Z22 T22^T = R22                   (recursion)
+        T11 Z12 + Z12 T22^T = R12 - T12 Z22         (``_blocked_trsyl``)
+        T11 Z11 + Z11 T11^T = R11 - G - G^T,  G = T12 Z12^T   (recursion)
+
+    and Z21 = Z12^T is mirrored.  op = T is the mirror image: block 11
+    first, coupling Z11 T12, and G = T12^T Z12 into block 22.  A diagonal
+    leaf's right-hand side is symmetric only to roundoff, so each leaf
+    solution is symmetrized; without that the rounding of the leaves adds
+    up to an indefinite part of the Gramian.  Returns the product of the
+    leaf scales and the largest leaf info; ``work`` holds each coupling
+    product.
+    """
+    m = R.shape[0]
+    if m <= LEAF:
+        z, scale, info = _leaf(T, T, R, trana, _FLIP[trana])
+        R[...] = 0.5 * (z + z.T)
+        return scale, info
+
+    k = _split(T)
+    first, second = (slice(k, m), slice(0, k)) if trana == "N" else (slice(0, k), slice(k, m))
+    Z1, R2, R12, T12 = R[first, first], R[second, second], R[:k, k:], T[:k, k:]
+    scale1, info1 = _blocked_lyapunov(T[first, first], Z1, trana, work)
+    if scale1 != 1.0:
+        R12 *= scale1
+        R2 *= scale1
+    out = work[: R12.size].reshape(R12.shape)
+    R12 -= np.matmul(T12, Z1, out=out) if trana == "N" else np.matmul(Z1, T12, out=out)
+    scale2, info2 = _blocked_trsyl(T[:k, :k], T[k:, k:], R12, trana, _FLIP[trana], work)
+    if scale2 != 1.0:
+        Z1 *= scale2
+        R2 *= scale2
+    out = work[: R2.size].reshape(R2.shape)
+    G = np.matmul(T12, R12.T, out=out) if trana == "N" else np.matmul(T12.T, R12, out=out)
+    R2 -= G
+    R2 -= G.T
+    scale3, info3 = _blocked_lyapunov(T[second, second], R2, trana, work)
+    if scale3 != 1.0:
+        Z1 *= scale3
+        R12 *= scale3
+    R[k:, :k] = R12.T
+    return scale1 * scale2 * scale3, max(info1, info2, info3)
+
+
+def _bartels_stewart(fac_a: SchurFactors, fac_f: SchurFactors, C: np.ndarray, solve):
+    """Transform, solve on the Schur forms, scale and back-transform: Y = U_a Z U_f^T.
+
+    ``solve(R, work)`` is ``_blocked_trsyl`` or ``_blocked_lyapunov`` on
+    T_a and T_f: it overwrites R = U_a^T C U_f with the Z of the
+    quasi-triangular equation for right-hand side scale * R and returns
+    (scale, info).  Z is divided by -scale, so Y solves the equation with
+    right-hand side -C.  Returns Y and the largest trsyl info (1: the
+    spectra were perturbed to keep the equation solvable).
     """
     m, n = fac_a.T.shape[0], fac_f.T.shape[0]
     # Z and the coupling workspace behind it share one allocation: a separate
@@ -145,7 +213,7 @@ def _bartels_stewart(fac_a: SchurFactors, fac_f: SchurFactors, C: np.ndarray, tr
     # most half the rows (plus a 2x2 block) of Z or Z^T.
     buf = np.empty(m * n + (max(m, n) // 2 + 1) * min(m, n))
     Z = np.matmul(fac_a.U.T @ C, fac_f.U, out=buf[: m * n].reshape(m, n))
-    scale, info = _blocked_trsyl(fac_a.T, fac_f.T, Z, trana, tranb, buf[m * n :])
+    scale, info = solve(Z, buf[m * n :])
     Z /= -scale
     return fac_a.U @ Z @ fac_f.U.T, info
 
@@ -158,27 +226,28 @@ def solve_lyapunov(
 ) -> np.ndarray:
     """Solve A X + X A^T + C = 0 for symmetric C and asymptotically stable A.
 
-    The Sylvester equation of ``solve_sylvester`` with F = A, on one Schur
-    factorization; stability of A keeps the spectra of A and -A apart, so
-    no gap check is needed.  With ``transposed`` the adjoint equation
-    A^T X + X A + C = 0 is solved instead, reusing the same factorization.
-    The result is symmetrized; a StabilityError is raised for unstable A and
-    a ConvergenceError if the relative residual exceeds RESIDUAL_RTOL.
+    The symmetric recursion ``_blocked_lyapunov`` on one Schur
+    factorization solves only the blocks of X on and above the diagonal;
+    stability of A keeps the spectra of A and -A apart, so no gap check is
+    needed.  With ``transposed`` the adjoint equation A^T X + X A + C = 0
+    is solved instead, reusing the same factorization.  The result is
+    symmetrized; a StabilityError is raised for unstable A and a
+    ConvergenceError if the relative residual exceeds RESIDUAL_RTOL.
     """
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float)
     if C.shape != A.shape:
         raise ValueError(f"right-hand side shape {C.shape} does not match A {A.shape}")
     cnorm = la.norm(C, "fro")
-    if not np.allclose(C, C.T, rtol=0.0, atol=1e-12 * max(cnorm, 1.0)):
+    if not is_symmetric(C, 1e-12 * max(cnorm, 1.0)):
         raise ValueError("Lyapunov right-hand side must be symmetric")
 
     fac = factors if factors is not None else real_schur(A)
     if fac.abscissa >= 0.0:
         raise StabilityError(f"coefficient matrix has spectral abscissa {fac.abscissa:.3e} >= 0")
 
-    trana, tranb = ("T", "N") if transposed else ("N", "T")
-    X, info = _bartels_stewart(fac, fac, C, trana, tranb)
+    trana = "T" if transposed else "N"
+    X, info = _bartels_stewart(fac, fac, C, lambda Z, work: _blocked_lyapunov(fac.T, Z, trana, work))
     if info == 1:
         raise ConvergenceError("trsyl perturbed nearly singular Lyapunov spectrum")
     X = 0.5 * (X + X.T)
@@ -220,7 +289,9 @@ def solve_sylvester(
             f"spectra of A and -F nearly intersect (gap {gaps.min():.3e})"
         )
 
-    Y, info = _bartels_stewart(fac_a, fac_f, C, "N", "T")
+    Y, info = _bartels_stewart(
+        fac_a, fac_f, C, lambda Z, work: _blocked_trsyl(fac_a.T, fac_f.T, Z, "N", "T", work)
+    )
     if info == 1:
         raise SpectralOverlapError("trsyl perturbed nearly common eigenvalues")
 
@@ -241,7 +312,7 @@ def symmetric_factor(X: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     Raises DefinitenessError when X is indefinite beyond tol * ||X||_2.
     """
     X = np.asarray(X, dtype=float)
-    if not np.allclose(X, X.T, rtol=0.0, atol=1e-12 * max(np.abs(X).max(initial=0.0), 1.0)):
+    if not is_symmetric(X, 1e-12 * max(np.abs(X).max(initial=0.0), 1.0)):
         raise ValueError("matrix must be symmetric")
     w, V = la.eigh(0.5 * (X + X.T))
     norm2 = np.abs(w).max(initial=0.0)

@@ -25,6 +25,7 @@ __all__ = [
     "default_config",
     "load_config",
     "config_from_dict",
+    "integer",
     "build_msd",
     "corner_definiteness_check",
 ]
@@ -99,6 +100,19 @@ def load_config(path) -> MsdConfig:
     return config_from_dict(raw)
 
 
+def integer(value, key: str) -> int:
+    """A config value that must be an integer: an integral JSON number.
+
+    Non-integral numbers, booleans (JSON true is not 1) and every other type
+    raise a ValueError naming ``key``; nothing is truncated.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"config key '{key}' must be an integer, got {json.dumps(value)}")
+
+
 def config_from_dict(raw: dict) -> MsdConfig:
     """Build an MsdConfig from a parsed model description.
 
@@ -108,18 +122,17 @@ def config_from_dict(raw: dict) -> MsdConfig:
     ``input_spring`` (1-based), ``delta``.
     """
 
-    def element(entry, value_key):
+    def element(entry, value_key, where):
         if "ends" in entry:
             a, b = entry["ends"]
-        else:
-            a, b = entry["mass"], 0
-        return int(a), int(b), float(entry[value_key])
+            return integer(a, f"{where}.ends"), integer(b, f"{where}.ends"), float(entry[value_key])
+        return integer(entry["mass"], f"{where}.mass"), 0, float(entry[value_key])
 
     return MsdConfig(
         masses=tuple(float(m) for m in raw["masses"]),
-        springs=tuple(element(e, "stiffness") for e in raw["springs"]),
-        dampers=tuple(element(e, "coefficient") for e in raw["dampers"]),
-        input_spring=int(raw.get("input_spring", 1)),
+        springs=tuple(element(e, "stiffness", f"springs[{i}]") for i, e in enumerate(raw["springs"])),
+        dampers=tuple(element(e, "coefficient", f"dampers[{i}]") for i, e in enumerate(raw["dampers"])),
+        input_spring=integer(raw.get("input_spring", 1), "input_spring"),
         delta=float(raw.get("delta", 0.10)),
     )
 

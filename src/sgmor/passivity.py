@@ -4,7 +4,8 @@ For the energy N the matrix T = A^T N + N A governs the internal dissipation:
 d/dt (x^T N x) = x^T T x + input terms.  A system is passive with respect to
 the energy supply when T is negative semidefinite.  The reduced systems lose
 that property in general; lambda_max(T) measures by how much, and shifting the
-dissipation inequality by lambda_max(T) I restores a certificate.
+dissipation inequality by lambda_max(T) I restores a certificate.  T is
+formed from the one product S = N A as S + S^T, which is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -27,9 +28,14 @@ PASSIVITY_RTOL = 1e-10
 
 
 def dissipation_matrix(sys: QuadraticOutputSystem) -> np.ndarray:
-    """Symmetric part of A^T N + N A (exactly symmetric up to roundoff)."""
-    T = sys.A.T @ sys.N + sys.N @ sys.A
-    return 0.5 * (T + T.T)
+    """T = A^T N + N A, formed as S + S^T with S = N A.
+
+    N is exactly symmetric (``QuadraticOutputSystem`` symmetrizes it), so
+    A^T N = (N A)^T: one matrix product instead of two, and the sum of S
+    and its transpose is exactly symmetric, as ``eigvalsh`` assumes.
+    """
+    S = sys.N @ sys.A
+    return S + S.T
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,15 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from numpy.testing import assert_allclose
 
+import sgmor
 from sgmor.arnoldi import KrylovConfig, reduce_arnoldi
 from sgmor.bt_quadratic import balance, gramian_cache, sweep, truncate
 from sgmor.cli import (
@@ -106,6 +111,12 @@ class TestConfigParsing:
         assert cfg.reducer == "arnoldi" and cfg.omega == 2.0
         assert (cfg.r_min, cfg.r_max) == (1, 4)
         assert cfg.sim_T == 20.0 and cfg.verify_r == (2, 3)
+
+    def test_integral_floats_accepted(self, tmp_path):
+        path = write_config(tmp_path, degree=1.0, r={"min": 1.0, "max": 4.0})
+        cfg = experiment_from_args(ns(config=str(path)))
+        assert (cfg.degree, cfg.r_min, cfg.r_max) == (1, 1, 4)
+        assert all(type(v) is int for v in (cfg.degree, cfg.r_min, cfg.r_max))
 
     def test_model_path_resolved_relative_to_config(self, tmp_path):
         (tmp_path / "model.json").write_text(json.dumps(SMALL_MODEL))
@@ -360,6 +371,23 @@ class TestMain:
         assert main(["report", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [1.5, True])
+    @pytest.mark.parametrize("key, overrides", [
+        ("degree", lambda v: {"degree": v}),
+        ("r.min", lambda v: {"r": {"min": v, "max": 4}}),
+        ("r.max", lambda v: {"r": {"min": 1, "max": v}}),
+        ("simulation.r_values", lambda v: {"simulation": {"r_values": [2, v]}}),
+        ("input_spring", lambda v: {"model": {**SMALL_MODEL, "input_spring": v}}),
+        ("springs[0].ends", lambda v: {"model": {**SMALL_MODEL, "springs": [{"ends": [0, v], "stiffness": 4.0}]}}),
+        ("dampers[0].ends", lambda v: {"model": {**SMALL_MODEL, "dampers": [{"ends": [v, 0], "coefficient": 0.5}]}}),
+        ("dampers[0].mass", lambda v: {"model": {**SMALL_MODEL, "dampers": [{"mass": v, "coefficient": 0.5}]}}),
+    ])
+    def test_non_integer_value_is_exit_2(self, tmp_path, capsys, key, overrides, value):
+        """Integer keys reject non-integral numbers and booleans instead of truncating them."""
+        path = write_config(tmp_path, **overrides(value))
+        assert main(["report", "--config", str(path)]) == 2
+        assert f"config key '{key}' must be an integer" in capsys.readouterr().err
+
     def test_rmax_too_large_is_exit_2(self, tmp_path):
         config = str(write_config(tmp_path))
         assert main(["reduce", "--config", config, "--rmax", "9"]) == 2
@@ -387,3 +415,13 @@ class TestMain:
         config = str(write_config(tmp_path, model=model, reducer="arnoldi"))
         assert main(["reduce", "--config", config]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+def test_import_leaves_out_unused_scipy_subpackages():
+    """Importing the command line loads neither scipy.integrate nor what it pulls in."""
+    unused = ("scipy.integrate", "scipy.optimize", "scipy.special")
+    code = f"import sys, sgmor.cli; print(*(m for m in {unused!r} if m in sys.modules))"
+    src = str(Path(sgmor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.split() == []

@@ -20,6 +20,7 @@ from sgmor.errors import ConvergenceError, DefinitenessError, SpectralOverlapErr
 from sgmor.lyapsylv import (
     LEAF,
     SchurFactors,
+    is_symmetric,
     real_schur,
     solve_lyapunov,
     solve_sylvester,
@@ -61,6 +62,19 @@ def complex_pair_matrix(rng: np.random.Generator, m: int) -> np.ndarray:
 
 def relative_error(value: np.ndarray, oracle: np.ndarray) -> float:
     return float(la.norm(value - oracle) / la.norm(oracle))
+
+
+def diagonal_leaves(T: np.ndarray) -> list[int]:
+    """Sizes of the diagonal leaf blocks the symmetric recursion cuts T into.
+
+    The split rule of the kernel: the midpoint, moved down past a 2x2 block
+    it would cut, until a block has at most LEAF rows.
+    """
+    m = T.shape[0]
+    if m <= LEAF:
+        return [m]
+    k = m // 2 + (T[m // 2, m // 2 - 1] != 0.0)
+    return diagonal_leaves(T[:k, :k]) + diagonal_leaves(T[k:, k:])
 
 
 class TestLyapunov:
@@ -182,7 +196,20 @@ class TestBlockedKernel:
         X = solve_lyapunov(A, C, transposed=transposed)
         oracle = unblocked_sylvester(A.T, A.T, C) if transposed else unblocked_sylvester(A, A, C)
         assert relative_error(X, oracle) < 1e-10
+        assert np.array_equal(X, X.T)
         assert len(trsyl_calls) > 1 and max(max(shape) for shape in trsyl_calls) <= LEAF
+
+    @pytest.mark.parametrize("m", [150, 258])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_lyapunov_solves_the_upper_block_triangle(self, rng, trsyl_calls, m, transposed):
+        """One leaf per block on and above the diagonal: d(d+1)/2 calls, not d^2."""
+        A = complex_pair_matrix(rng, m)
+        sizes = diagonal_leaves(real_schur(A).T)
+        solve_lyapunov(A, np.eye(m), transposed=transposed)
+        d = len(sizes)
+        assert d > 2 and len(trsyl_calls) == d * (d + 1) // 2
+        upper = sum(s * sum(sizes[i:]) for i, s in enumerate(sizes))
+        assert sum(rows * cols for rows, cols in trsyl_calls) == upper < m * m
 
     @pytest.mark.parametrize("m, r", [(150, 30), (150, 70), (30, 150)])
     def test_rectangular_sylvester_against_unblocked(self, rng, trsyl_calls, m, r):
@@ -192,9 +219,19 @@ class TestBlockedKernel:
         assert relative_error(Y, unblocked_sylvester(A, F, C)) < 1e-10
         assert len(trsyl_calls) > 1 and max(max(shape) for shape in trsyl_calls) <= LEAF
 
-    @pytest.mark.parametrize("leaf", [0, 3, 7])
-    def test_leaf_scale_below_one(self, rng, monkeypatch, leaf):
-        """A leaf that solves for scale * R must still give the unscaled solution."""
+    @pytest.mark.parametrize("trana", ["N", "T"])
+    def test_quasi_triangular_solution_exactly_symmetric(self, rng, trana):
+        """Leaf right-hand sides are symmetric only to roundoff; each leaf is symmetrized."""
+        T = real_schur(complex_pair_matrix(rng, 150)).T
+        S = rng.standard_normal((150, 150))
+        R = S + S.T
+        scale, info = lyapsylv._blocked_lyapunov(T, R, trana, np.empty(76 * 150))
+        assert (scale, info) == (1.0, 0)
+        assert np.array_equal(R, R.T)
+
+    @staticmethod
+    def scale_leaf(monkeypatch, leaf: int) -> list:
+        """Make the given trsyl call solve for 0.25 * R; returns the call record."""
         calls = []
 
         def scaled(a, b, c, **kwargs):
@@ -205,11 +242,31 @@ class TestBlockedKernel:
             return z, scale, info
 
         monkeypatch.setattr(lyapsylv, "dtrsyl", scaled)
+        return calls
+
+    @pytest.mark.parametrize("leaf", [0, 3, 7])
+    def test_leaf_scale_below_one(self, rng, monkeypatch, leaf):
+        """A leaf that solves for scale * R must still give the unscaled solution."""
+        calls = self.scale_leaf(monkeypatch, leaf)
         A, F = complex_pair_matrix(rng, 150), complex_pair_matrix(rng, 70)
         C = rng.standard_normal((150, 70))
         Y = solve_sylvester(A, F, C)
         assert len(calls) > leaf
         assert relative_error(Y, unblocked_sylvester(A, F, C)) < 1e-10
+
+    @pytest.mark.parametrize("leaf", [0, 1, 2, 5, 9])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_lyapunov_leaf_scale_below_one(self, rng, monkeypatch, leaf, transposed):
+        """Scaled diagonal (0, 2, 9) and off-diagonal (1, 5) leaves of the symmetric recursion."""
+        calls = self.scale_leaf(monkeypatch, leaf)
+        A = complex_pair_matrix(rng, 150)
+        G = rng.standard_normal((150, 3))
+        C = G @ G.T
+        X = solve_lyapunov(A, C, transposed=transposed)
+        assert len(calls) == 10
+        oracle = unblocked_sylvester(A.T, A.T, C) if transposed else unblocked_sylvester(A, A, C)
+        assert relative_error(X, oracle) < 1e-10
+        assert np.array_equal(X, X.T)
 
     def test_leaf_info_raises(self, rng, monkeypatch):
         """info = 1 from one leaf reaches the caller's error."""
@@ -227,6 +284,22 @@ class TestBlockedKernel:
         calls.clear()
         with pytest.raises(ConvergenceError, match="trsyl"):
             solve_lyapunov(A, np.eye(150))
+
+    @pytest.mark.parametrize("leaf", [0, 1, 9])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_lyapunov_leaf_info_raises(self, rng, monkeypatch, leaf, transposed):
+        """info = 1 from a diagonal (0, 9) or off-diagonal (1) leaf of the symmetric recursion."""
+        calls = []
+
+        def perturbed(a, b, c, **kwargs):
+            z, scale, info = scipy.linalg.lapack.dtrsyl(a, b, c, **kwargs)
+            calls.append(c.shape)
+            return z, scale, 1 if len(calls) - 1 == leaf else info
+
+        monkeypatch.setattr(lyapsylv, "dtrsyl", perturbed)
+        with pytest.raises(ConvergenceError, match="trsyl"):
+            solve_lyapunov(complex_pair_matrix(rng, 150), np.eye(150), transposed=transposed)
+        assert len(calls) == 10
 
     def test_near_overlap_raises(self, rng):
         A = complex_pair_matrix(rng, 150)
@@ -284,3 +357,26 @@ class TestSymmetricFactor:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             symmetric_factor(np.array([[1.0, 0.2], [0.0, 1.0]]))
+
+
+class TestIsSymmetric:
+    def test_within_and_beyond_atol(self):
+        X = np.array([[1.0, 2.0], [2.0 + 2.0**-20, 1.0]])
+        assert is_symmetric(X, atol=2.0**-20)
+        assert not is_symmetric(X, atol=2.0**-21)
+        assert is_symmetric(np.eye(3), atol=0.0)
+
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_nan_rejected(self, where):
+        X = np.eye(2)
+        X[where] = np.nan
+        assert not is_symmetric(X, atol=np.inf)
+
+    def test_non_square_rejected(self):
+        assert not is_symmetric(np.zeros((2, 3)), atol=1.0)
+
+    def test_input_untouched(self, rng):
+        X = rng.standard_normal((5, 5))
+        before = X.copy()
+        is_symmetric(X, atol=1.0)
+        assert np.array_equal(X, before)

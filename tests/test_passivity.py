@@ -29,6 +29,13 @@ class TestDissipationMatrix:
         T = dissipation_matrix(sys)
         assert np.array_equal(T, T.T)
 
+    def test_matches_both_products(self, rng):
+        for m in (3, 8, 40):
+            sys = make_stable_system(rng, m)
+            T = dissipation_matrix(sys)
+            reference = sys.A.T @ sys.N + sys.N @ sys.A
+            assert_allclose(T, reference, rtol=0.0, atol=1e-13 * la.norm(reference))
+
 
 class TestCheckPassivity:
     def test_dissipative_system(self):

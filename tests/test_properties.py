@@ -104,6 +104,10 @@ def test_blocked_solves_match_unblocked(a, r, seed):
     C = rng.standard_normal((a.m, r))
     rel = relative_error(solve_sylvester(a.A, F, C), unblocked_sylvester(a.A, F, C))
     assert rel < 1e-10, f"Sylvester deviation {rel:.2e} at ({a.m}, {r})"
+    # the controllability equation A X + X A^T + B B^T = 0
+    C = a.B @ a.B.T
+    rel = relative_error(solve_lyapunov(a.A, C), unblocked_sylvester(a.A, a.A, C))
+    assert rel < 1e-10, f"Lyapunov deviation {rel:.2e} at m={a.m}"
     # the observability equation A^T X + X A + N = 0
     rel = relative_error(solve_lyapunov(a.A, a.N, transposed=True), unblocked_sylvester(a.A.T, a.A.T, a.N))
-    assert rel < 1e-10, f"Lyapunov deviation {rel:.2e} at m={a.m}"
+    assert rel < 1e-10, f"adjoint Lyapunov deviation {rel:.2e} at m={a.m}"
