@@ -122,12 +122,6 @@ def balance(fom: QuadraticOutputSystem) -> BalancedFactorization:
     Q = solve_lyapunov(fom.A, fom.N @ P @ fom.N, factors=fom.schur, transposed=True)
     Zp = symmetric_factor(P, tol=FACTOR_TOL)
     Zq = symmetric_factor(Q, tol=FACTOR_TOL)
-    if Zp.shape[1] == 0 or Zq.shape[1] == 0:
-        k = min(Zp.shape[1], Zq.shape[1])
-        return BalancedFactorization(
-            Zp=Zp, Zq=Zq, sigma=np.zeros(k), left=np.zeros((Zp.shape[1], k)),
-            right_t=np.zeros((k, Zq.shape[1])), cache=cache,
-        )
     left, sigma, right_t = la.svd(Zp.T @ Zq, full_matrices=False)
     return BalancedFactorization(Zp=Zp, Zq=Zq, sigma=sigma, left=left, right_t=right_t, cache=cache)
 
@@ -233,13 +227,16 @@ def sweep(
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     return f"{value:.17g}"
 
 
 def write_csv(path, header, rows) -> None:
-    """Write rows of fields as CSV; numbers carry 17 significant digits, None is empty."""
+    """Write rows of fields as CSV; numbers carry 17 significant digits, None is empty,
+    strings are written as they are."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for fields in rows:

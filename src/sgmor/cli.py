@@ -23,7 +23,7 @@ from .arnoldi import KrylovConfig, reduce_arnoldi
 from .bt_quadratic import balance, gramian_cache, sweep, truncate, write_csv, write_report_csv
 from .errors import NumericalError
 from .galerkin import assemble, to_first_order, write_matrix_market
-from .msd import MsdConfig, build_msd, config_from_dict, default_config, integer, load_config
+from .msd import MsdConfig, build_msd, config_from_dict, default_config, integer, number
 from .passivity import shifted_dissipation_certificate
 from .polychaos import PcBasis
 from .simulate import default_input, integrate, verify_error_bound
@@ -61,13 +61,13 @@ def _dimensions(values) -> tuple[int, ...]:
 FILE_KEYS = {
     "degree": ("degree", partial(integer, key="degree")),
     "reducer": ("reducer", str),
-    "omega": ("omega", float),
+    "omega": ("omega", partial(number, key="omega")),
     "out": ("out", str),
 }
 R_KEYS = {"min": ("r_min", partial(integer, key="r.min")), "max": ("r_max", partial(integer, key="r.max"))}
 SIMULATION_KEYS = {
-    "h": ("sim_h", float),
-    "T": ("sim_T", float),
+    "h": ("sim_h", partial(number, key="simulation.h")),
+    "T": ("sim_T", partial(number, key="simulation.T")),
     "input": ("sim_input", str),
     "r_values": ("verify_r", _dimensions),
 }
@@ -110,7 +110,7 @@ class ExperimentConfig:
             raise ConfigError("verification dimensions must be >= 1")
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str | Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -131,7 +131,7 @@ def experiment_from_args(args: argparse.Namespace) -> ExperimentConfig:
             path = Path(model_entry)
             if not path.is_absolute() and args.config:
                 path = Path(args.config).parent / path
-            model = load_config(path)
+            model = config_from_dict(_typed(_load_json(path), dict, f"the model file {path}"))
         else:
             model = config_from_dict(_typed(model_entry, dict, "config key 'model'"))
 
@@ -282,11 +282,8 @@ def run_report(cfg: ExperimentConfig) -> Path:
                     target[col] = row[field]
 
     report_path = out / "report.csv"
-    with open(report_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(["r"] + columns) + "\n")
-        for r in sorted(merged):
-            row = merged[r]
-            fh.write(",".join([str(r)] + [row.get(col, "") for col in columns]) + "\n")
+    rows = ([r] + [merged[r].get(col, "") for col in columns] for r in sorted(merged))
+    write_csv(report_path, ["r"] + columns, rows)
     return report_path
 
 

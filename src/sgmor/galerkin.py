@@ -13,6 +13,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import DefinitenessError
 from .lyapsylv import SchurFactors, is_symmetric, real_schur
@@ -163,19 +164,27 @@ class QuadraticOutputSystem:
         return np.einsum("ki,ki->k", x @ self.N, x)
 
 
-def _smallest_eigenvalue_floor(mat: sp.spmatrix, shift: float) -> bool:
-    """True if mat + shift*I admits a Cholesky factorization (is PD)."""
-    dense = np.asarray(mat.todense())
-    if shift:
-        dense = dense + shift * np.eye(dense.shape[0])
+def _is_positive_definite(mat: sp.spmatrix) -> bool:
+    """True if the symmetric sparse ``mat`` is positive definite.
+
+    A symmetric-mode SuperLU factorization that takes only diagonal pivots
+    (perm_r == perm_c) is an LDL^T factorization of P mat P^T, and by
+    Sylvester's law of inertia mat is positive definite iff every pivot is
+    positive.  With a zero pivot threshold SuperLU keeps to the diagonal
+    unless the diagonal pivot is exactly zero, and raises when a column has
+    no nonzero pivot at all.
+    """
     try:
-        la.cholesky(dense, lower=True)
-        return True
-    except la.LinAlgError:
+        lu = spla.splu(
+            mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError:  # exactly singular
         return False
+    return np.array_equal(lu.perm_r, lu.perm_c) and bool(np.all(lu.U.diagonal() > 0.0))
 
 
-def assemble(sys: ParametricSecondOrderSystem, basis: PcBasis, validate: bool = True) -> GalerkinSystem:
+def assemble(sys: ParametricSecondOrderSystem, basis: PcBasis) -> GalerkinSystem:
     """Project an affine-parametric second-order system onto a PC basis.
 
     Block (i, j) of each assembled matrix is sum_k E[kappa_k phi_i phi_j] A_k
@@ -183,9 +192,9 @@ def assemble(sys: ParametricSecondOrderSystem, basis: PcBasis, validate: bool = 
     triple-product matrices of the basis.  The input block is e_1 (x) B since
     B is parameter independent and the first basis polynomial is constant.
 
-    With ``validate`` the definiteness inherited from the input model is
-    verified (M, K positive definite, D positive semi-definite) and a
-    DefinitenessError is raised on violation.
+    The definiteness the energy output rests on is checked on the sparse
+    assembled matrices (M, K positive definite, D positive semi-definite);
+    a violation raises DefinitenessError.
     """
     if sys.q != basis.q:
         raise ValueError(f"system has q={sys.q} parameters, basis was built for q={basis.q}")
@@ -210,12 +219,12 @@ def assemble(sys: ParametricSecondOrderSystem, basis: PcBasis, validate: bool = 
     B = np.zeros((s * sys.n, sys.n_in))
     B[: sys.n, :] = sys.B
 
-    if validate:
-        for name, mat in (("M", M), ("K", K)):
-            if not _smallest_eigenvalue_floor(mat, 0.0):
-                raise DefinitenessError(f"assembled {name} block matrix is not positive definite")
-        dnorm = np.abs(D.data).max() if D.nnz else 0.0
-        if D.nnz and not _smallest_eigenvalue_floor(D, 1e-12 * dnorm):
+    for name, mat in (("M", M), ("K", K)):
+        if not _is_positive_definite(mat):
+            raise DefinitenessError(f"assembled {name} block matrix is not positive definite")
+    if D.nnz:
+        shifted = D + 1e-12 * np.abs(D.data).max() * sp.identity(D.shape[0])
+        if not _is_positive_definite(shifted):
             raise DefinitenessError("assembled damping block matrix is not positive semi-definite")
 
     return GalerkinSystem(M=M, D=D, K=K, B=B, basis=basis, n=sys.n)

@@ -11,7 +11,6 @@ through the lowest ground spring.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,11 +22,10 @@ from .galerkin import ParametricSecondOrderSystem
 __all__ = [
     "MsdConfig",
     "default_config",
-    "load_config",
     "config_from_dict",
     "integer",
+    "number",
     "build_msd",
-    "corner_definiteness_check",
 ]
 
 # (end_a, end_b, nominal value); 0 = ground.  The nominal values are chosen
@@ -93,13 +91,6 @@ def default_config() -> MsdConfig:
     return MsdConfig()
 
 
-def load_config(path) -> MsdConfig:
-    """Read an MsdConfig from a JSON model file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return config_from_dict(raw)
-
-
 def integer(value, key: str) -> int:
     """A config value that must be an integer: an integral JSON number.
 
@@ -113,6 +104,17 @@ def integer(value, key: str) -> int:
     raise ValueError(f"config key '{key}' must be an integer, got {json.dumps(value)}")
 
 
+def number(value, key: str) -> float:
+    """A config value that must be a real number: any JSON number.
+
+    Booleans (JSON true is not 1.0), strings and every other type raise a
+    ValueError naming ``key``.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"config key '{key}' must be a number, got {json.dumps(value)}")
+
+
 def config_from_dict(raw: dict) -> MsdConfig:
     """Build an MsdConfig from a parsed model description.
 
@@ -123,17 +125,18 @@ def config_from_dict(raw: dict) -> MsdConfig:
     """
 
     def element(entry, value_key, where):
+        value = number(entry[value_key], f"{where}.{value_key}")
         if "ends" in entry:
             a, b = entry["ends"]
-            return integer(a, f"{where}.ends"), integer(b, f"{where}.ends"), float(entry[value_key])
-        return integer(entry["mass"], f"{where}.mass"), 0, float(entry[value_key])
+            return integer(a, f"{where}.ends"), integer(b, f"{where}.ends"), value
+        return integer(entry["mass"], f"{where}.mass"), 0, value
 
     return MsdConfig(
-        masses=tuple(float(m) for m in raw["masses"]),
+        masses=tuple(number(m, f"masses[{i}]") for i, m in enumerate(raw["masses"])),
         springs=tuple(element(e, "stiffness", f"springs[{i}]") for i, e in enumerate(raw["springs"])),
         dampers=tuple(element(e, "coefficient", f"dampers[{i}]") for i, e in enumerate(raw["dampers"])),
         input_spring=integer(raw.get("input_spring", 1), "input_spring"),
-        delta=float(raw.get("delta", 0.10)),
+        delta=number(raw.get("delta", 0.10), "delta"),
     )
 
 
@@ -186,35 +189,3 @@ def build_msd(cfg: MsdConfig) -> ParametricSecondOrderSystem:
         M_terms=tuple(M_terms), D_terms=tuple(D_terms), K_terms=tuple(K_terms), B=B
     )
 
-
-def corner_definiteness_check(
-    sys: ParametricSecondOrderSystem,
-    max_exhaustive_q: int = 20,
-    samples: int = 4096,
-    seed: int = 0,
-) -> bool:
-    """Check definiteness of M, D, K at the corners of the parameter box.
-
-    The smallest eigenvalue of an affine symmetric matrix is concave in mu,
-    so its minimum over the box is attained at a corner.  All 2^q corners are
-    visited for q <= max_exhaustive_q; beyond that a seeded random sample of
-    corners is used.  Returns True iff M and K stay positive definite and D
-    stays above -1e-12.
-    """
-    q = sys.q
-    if q <= max_exhaustive_q:
-        corners = np.array(list(itertools.product((-1.0, 1.0), repeat=q)))
-    else:
-        rng = np.random.default_rng(seed)
-        corners = rng.choice((-1.0, 1.0), size=(samples, q))
-
-    def min_eig(terms):
-        stack = np.stack(terms[1:])  # (q, n, n)
-        mats = terms[0][None, :, :] + np.tensordot(corners, stack, axes=(1, 0))
-        return np.linalg.eigvalsh(mats)[:, 0].min()
-
-    return (
-        min_eig(sys.M_terms) > 0.0
-        and min_eig(sys.K_terms) > 0.0
-        and min_eig(sys.D_terms) >= -1e-12
-    )

@@ -85,7 +85,7 @@ def test_criterion_01_basis_sizes_and_dimensions(parametric):
     got = {}
     for d in (2, 3):
         basis = PcBasis(q=Q, d=d)
-        system = assemble(parametric, basis, validate=False)
+        system = assemble(parametric, basis)
         got[d] = (basis.size, system.dimension)
     elapsed = time.perf_counter() - start
     assert got[2] == (120, 480), f"degree 2 gave (s, dim) = {got[2]}, want (120, 480)"
@@ -102,7 +102,7 @@ def test_criterion_02_sparsity_percentages(parametric):
     )
     start = time.perf_counter()
     measured = {
-        d: assemble(parametric, PcBasis(q=Q, d=d), validate=False).nnz_percentages()
+        d: assemble(parametric, PcBasis(q=Q, d=d)).nnz_percentages()
         for d in expected
     }
     elapsed = time.perf_counter() - start

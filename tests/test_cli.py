@@ -388,6 +388,31 @@ class TestMain:
         assert main(["report", "--config", str(path)]) == 2
         assert f"config key '{key}' must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [True, "1.5"])
+    @pytest.mark.parametrize("key, overrides", [
+        ("omega", lambda v: {"omega": v}),
+        ("simulation.h", lambda v: {"simulation": {"h": v}}),
+        ("simulation.T", lambda v: {"simulation": {"T": v}}),
+        ("masses[0]", lambda v: {"model": {**SMALL_MODEL, "masses": [v]}}),
+        ("springs[0].stiffness", lambda v: {"model": {**SMALL_MODEL, "springs": [{"ends": [0, 1], "stiffness": v}]}}),
+        ("dampers[0].coefficient", lambda v: {"model": {**SMALL_MODEL, "dampers": [{"mass": 1, "coefficient": v}]}}),
+        ("delta", lambda v: {"model": {**SMALL_MODEL, "delta": v}}),
+    ])
+    def test_non_number_value_is_exit_2(self, tmp_path, capsys, key, overrides, value):
+        """Real-valued keys reject booleans and strings instead of reading true as 1.0."""
+        path = write_config(tmp_path, **overrides(value))
+        assert main(["report", "--config", str(path)]) == 2
+        assert f"config key '{key}' must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, "{not json", "[1]"])
+    def test_bad_model_file_is_exit_2(self, tmp_path, capsys, content):
+        """A missing, malformed or non-object model file is a config error naming the file."""
+        if content is not None:
+            (tmp_path / "nope.json").write_text(content)
+        path = write_config(tmp_path, model="nope.json")
+        assert main(["report", "--config", str(path)]) == 2
+        assert str(tmp_path / "nope.json") in capsys.readouterr().err
+
     def test_rmax_too_large_is_exit_2(self, tmp_path):
         config = str(write_config(tmp_path))
         assert main(["reduce", "--config", config, "--rmax", "9"]) == 2

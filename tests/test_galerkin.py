@@ -16,7 +16,6 @@ from quadrature import expectation_weighted
 from second_order import energy
 from sgmor.errors import DefinitenessError
 from sgmor.galerkin import (
-    GalerkinSystem,
     ParametricSecondOrderSystem,
     QuadraticOutputSystem,
     assemble,
@@ -114,9 +113,20 @@ class TestAssembly:
         )
         with pytest.raises(DefinitenessError):
             assemble(sys, PcBasis(q=1, d=1))
-        # the same system passes with validation off
-        g = assemble(sys, PcBasis(q=1, d=1), validate=False)
-        assert isinstance(g, GalerkinSystem)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("M", np.array([[0.0, 1.0], [1.0, 0.0]])),  # indefinite, zero diagonal: off-diagonal pivots
+        ("K", np.array([[1.0, 0.0], [0.0, 0.0]])),  # a zero column
+        ("K", np.array([[1.0, 1.0], [1.0, 1.0]])),  # an exactly zero pivot
+    ])
+    def test_zero_pivot_cases_rejected(self, name, bad):
+        eye, zero = np.eye(2), np.zeros((2, 2))
+        terms = {"M": (eye, zero), "K": (eye, zero), name: (bad, zero)}
+        sys = ParametricSecondOrderSystem(
+            M_terms=terms["M"], D_terms=(zero, zero), K_terms=terms["K"], B=np.ones((2, 1))
+        )
+        with pytest.raises(DefinitenessError, match=f"assembled {name} block"):
+            assemble(sys, PcBasis(q=1, d=1))
 
 
 class TestFirstOrder:

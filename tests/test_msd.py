@@ -1,21 +1,12 @@
 """Tests for the mass-spring-damper benchmark builder."""
 
-import json
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from second_order import affine_at
+from second_order import affine_at, corner_definiteness_check
 from sgmor.galerkin import ParametricSecondOrderSystem
-from sgmor.msd import (
-    MsdConfig,
-    build_msd,
-    config_from_dict,
-    corner_definiteness_check,
-    default_config,
-    load_config,
-)
+from sgmor.msd import MsdConfig, build_msd, config_from_dict, default_config
 
 
 def two_mass_config():
@@ -112,11 +103,6 @@ class TestDictAndFile:
         cfg = config_from_dict(raw)
         assert cfg.input_spring == 1
         assert cfg.delta == 0.10
-
-    def test_load_config_round_trip(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(self.make_raw()))
-        assert load_config(path) == config_from_dict(self.make_raw())
 
 
 class TestBuild:

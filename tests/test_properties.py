@@ -1,4 +1,5 @@
-"""Seeded property tests: random stable systems against the Kronecker oracles.
+"""Seeded property tests: random stable systems against the Kronecker oracles,
+and the definiteness check of ``assemble`` against dense Cholesky.
 
 Hypothesis draws the system shape, the seed of ``make_stable_system`` and the
 reduced dimension; ``derandomize`` fixes the examples, so every run checks
@@ -15,11 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_stable_system
+from second_order import corner_definiteness_check
 from test_bt_quadratic import h2_error_oracle
 from test_lyapsylv import kron_sylvester, relative_error, unblocked_sylvester
 from sgmor.bt_quadratic import ReducedModel, balance, gramian_cache, h2_error, truncate
-from sgmor.galerkin import QuadraticOutputSystem
+from sgmor.errors import DefinitenessError
+from sgmor.galerkin import ParametricSecondOrderSystem, QuadraticOutputSystem, assemble
 from sgmor.lyapsylv import LEAF, real_schur, solve_lyapunov, solve_sylvester
+from sgmor.msd import MsdConfig, build_msd
+from sgmor.polychaos import PcBasis
 
 SEEDED = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -111,3 +116,97 @@ def test_blocked_solves_match_unblocked(a, r, seed):
     # the observability equation A^T X + X A + N = 0
     rel = relative_error(solve_lyapunov(a.A, a.N, transposed=True), unblocked_sylvester(a.A.T, a.A.T, a.N))
     assert rel < 1e-10, f"adjoint Lyapunov deviation {rel:.2e} at m={a.m}"
+
+
+@st.composite
+def msd_chains(draw) -> ParametricSecondOrderSystem:
+    """Chains ground-1-2-...-n of 1 to 5 masses with one optional extra spring
+    and up to three dampers anywhere, so D may be singular or zero.
+
+    The chain springs tie every mass to the ground, which keeps K definite.
+    """
+    n = draw(st.integers(1, 5), label="masses")
+    value = st.floats(0.1, 10.0)
+    ends = st.sampled_from([(a, b) for a in range(n + 1) for b in range(a + 1, n + 1)])
+    springs = [(k, k + 1, draw(value)) for k in range(n)]
+    springs += [(*draw(ends), draw(value)) for _ in range(draw(st.integers(0, 1)))]
+    dampers = [(*draw(ends), draw(value)) for _ in range(draw(st.integers(0, 3)))]
+    return build_msd(MsdConfig(
+        masses=tuple(draw(value) for _ in range(n)),
+        springs=tuple(springs),
+        dampers=tuple(dampers),
+        input_spring=1,
+        delta=draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True), label="delta"),
+    ))
+
+
+def random_affine_system(seed: int, n: int, q: int, spread: float) -> ParametricSecondOrderSystem:
+    """Affine system with random symmetric terms whose q variations add up to
+    at most ``spread`` times the norm of the nominal term (at least 1), so
+    definiteness is lost for some draws and kept for others.
+
+    The nominal M and K are positive definite (a Gram matrix plus I); the
+    nominal D is a Gram matrix of random rank, zero included.
+    """
+    rng = np.random.default_rng(seed)
+
+    def family(rank):
+        x = rng.standard_normal((n, rank))
+        nominal = x @ x.T + (rank == n) * np.eye(n)
+        scale = spread * max(la.norm(nominal, 2), 1.0) / q
+        terms = [nominal]
+        for _ in range(q):
+            s = rng.standard_normal((n, n))
+            terms.append(scale * (s + s.T) / la.norm(s + s.T, 2))
+        return tuple(0.5 * (t + t.T) for t in terms)
+
+    return ParametricSecondOrderSystem(
+        M_terms=family(n), D_terms=family(int(rng.integers(0, n + 1))), K_terms=family(n),
+        B=rng.standard_normal((n, 1)),
+    )
+
+
+affine_systems = st.builds(
+    random_affine_system,
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    q=st.integers(1, 3),
+    spread=st.floats(0.0, 2.0),
+)
+
+
+def dense_galerkin(terms, basis: PcBasis) -> np.ndarray:
+    """sum_k G_k (x) A_k with the dense weight matrices G_k of the basis."""
+    return sum(np.kron(basis.linear_weight_matrix(k).toarray(), term) for k, term in enumerate(terms))
+
+
+def cholesky_succeeds(a: np.ndarray) -> bool:
+    try:
+        la.cholesky(a)
+        return True
+    except la.LinAlgError:
+        return False
+
+
+@SEEDED
+@given(sys=st.one_of(msd_chains(), affine_systems), d=st.integers(0, 2))
+def test_definiteness_check_matches_dense_cholesky(sys, d):
+    basis = PcBasis(q=sys.q, d=d)
+    M, D, K = (dense_galerkin(terms, basis) for terms in (sys.M_terms, sys.D_terms, sys.K_terms))
+    shift = 1e-12 * np.abs(D).max()
+    verdicts = {
+        "M": cholesky_succeeds(M),
+        "K": cholesky_succeeds(K),
+        "damping": not shift or cholesky_succeeds(D + shift * np.eye(len(D))),
+    }
+    # assemble checks M, then K, then D and raises on the first failure
+    expected = next((name for name, ok in verdicts.items() if not ok), None)
+    try:
+        assemble(sys, basis)
+        rejected = None
+    except DefinitenessError as exc:
+        rejected = str(exc).split()[1]
+    assert rejected == expected, f"assemble rejected {rejected}, dense Cholesky fails on {expected}"
+    # the corner check's D clause has an absolute floor, so only M and K compare
+    if corner_definiteness_check(sys):
+        assert rejected not in ("M", "K"), f"corner check accepts, assemble rejects {rejected}"
