@@ -1,6 +1,6 @@
 """Stochastic Galerkin assembly and balanced truncation with an energy output."""
 
-from .arnoldi import KrylovConfig, reduce_arnoldi
+from .arnoldi import reduce_arnoldi
 from .bt_quadratic import (
     BalancedFactorization,
     ReducedModel,
@@ -32,7 +32,6 @@ from .simulate import Trajectory, default_input, integrate, verify_error_bound
 __version__ = "0.1.0"
 
 __all__ = [
-    "KrylovConfig",
     "reduce_arnoldi",
     "BalancedFactorization",
     "ReducedModel",

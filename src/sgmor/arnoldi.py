@@ -10,7 +10,6 @@ and carry no stability guarantee.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -19,31 +18,18 @@ from .bt_quadratic import ReducedModel, project
 from .errors import ConvergenceError, NumericalError
 from .galerkin import QuadraticOutputSystem
 
-__all__ = ["KrylovConfig", "arnoldi_basis", "reduce_arnoldi"]
+__all__ = ["arnoldi_basis", "reduce_arnoldi"]
 
 DEFLATION_RTOL = 1e-12
 REORTH_PASSES = 2
-
-
-@dataclass(frozen=True)
-class KrylovConfig:
-    """Expansion point and target dimension."""
-
-    r: int
-    omega: float = 1.0
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"reduced dimension must be >= 1, got {self.r}")
-        if not np.isfinite(self.omega):
-            raise ValueError("expansion point must be finite")
 
 
 def arnoldi_basis(fom: QuadraticOutputSystem, r: int, omega: float = 1.0) -> tuple[np.ndarray, dict]:
     """Orthonormal basis (m, r) of the shifted-inverse block Krylov space.
 
     Candidates are S^{-1} applied to the previous block's surviving columns
-    and orthogonalized in REORTH_PASSES Gram-Schmidt passes; a
+    and orthogonalized in REORTH_PASSES classical Gram-Schmidt passes
+    against the whole basis so far (one block product each); a
     candidate whose norm drops below 1e-12 of its pre-orthogonalization
     norm is deflated and its lineage ends.  Deflations are reported in the
     metadata; exhausting the space before r columns raises.
@@ -76,8 +62,7 @@ def arnoldi_basis(fom: QuadraticOutputSystem, r: int, omega: float = 1.0) -> tup
                 deflated += 1
                 continue
             for _ in range(REORTH_PASSES):
-                for j in range(k):
-                    w -= (V[:, j] @ w) * V[:, j]
+                w -= V[:, :k] @ (V[:, :k].T @ w)
             norm_after = np.linalg.norm(w)
             if norm_after <= DEFLATION_RTOL * norm_before:
                 deflated += 1
@@ -95,7 +80,7 @@ def arnoldi_basis(fom: QuadraticOutputSystem, r: int, omega: float = 1.0) -> tup
     return V, meta
 
 
-def reduce_arnoldi(fom: QuadraticOutputSystem, cfg: KrylovConfig) -> ReducedModel:
-    """Galerkin projection of the system onto the Krylov basis (V = W)."""
-    V, _ = arnoldi_basis(fom, cfg.r, omega=cfg.omega)
-    return ReducedModel(r=cfg.r, system=project(fom, V, V), V=V, W=V)
+def reduce_arnoldi(fom: QuadraticOutputSystem, r: int, omega: float = 1.0) -> ReducedModel:
+    """Galerkin projection of the system onto the r-column Krylov basis (V = W)."""
+    V, _ = arnoldi_basis(fom, r, omega=omega)
+    return ReducedModel(r=r, system=project(fom, V, V), V=V, W=V)

@@ -5,9 +5,12 @@ and every spectral question reads that form: the stability verdict of a
 reduced model, the Lyapunov solves for P and Q, and both coefficients of the
 H2 Sylvester solve, so a sweep row costs one r x r Schur form.
 
-The controllability Gramian P and the output-weighted observability Gramian Q
-(right-hand side N P N) are solved successively, factored, and the SVD of
-Z_P^T Z_Q delivers the projection bases.  Every H2 quantity needs P alone:
+Each system likewise solves its controllability Gramian P once
+(``QuadraticOutputSystem.gramian``, a ``GramianCache`` with the H2 norm), so
+no caller passes a Gramian beside its system.  ``balance`` solves the
+output-weighted observability Gramian Q (right-hand side N P N) after P,
+factors both, and the SVD of Z_P^T Z_Q delivers the projection bases.
+Every H2 quantity needs P alone:
 with B B^T = -(A P + P A^T), the norm sqrt(trace(B^T Q B)) equals
 sqrt(trace(N P N P)), and the squared reduction error is
 trace(N_e P_e N_e P_e) for P_e = [[P, X], [X^T, P_r]] and
@@ -17,13 +20,15 @@ A X + X A_r^T + B B_r^T = 0.  Q is solved only to balance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
 
-from .errors import ConvergenceError, RankError, StabilityError
-from .galerkin import QuadraticOutputSystem
+from .errors import ConvergenceError, RankError
+# GramianCache and gramian_cache are defined beside QuadraticOutputSystem.gramian
+# (galerkin cannot import this module) and re-exported with the H2 functions
+from .galerkin import GramianCache, QuadraticOutputSystem, gramian_cache
 from .lyapsylv import solve_lyapunov, solve_sylvester, symmetric_factor
 from .passivity import check_passivity
 
@@ -47,32 +52,6 @@ FACTOR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class GramianCache:
-    """Reusable per-system controllability Gramian and H2 norm."""
-
-    controllability: np.ndarray
-    norm_squared: float
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(max(self.norm_squared, 0.0)))
-
-
-def gramian_cache(sys: QuadraticOutputSystem) -> GramianCache:
-    """Controllability Gramian and H2 norm of a stable system, on its Schur form."""
-    fac = sys.schur
-    if fac.abscissa >= 0.0:
-        raise StabilityError(
-            f"{sys.label}: spectral abscissa {fac.abscissa:.3e} >= 0, Gramians undefined"
-        )
-    P = solve_lyapunov(sys.A, sys.B @ sys.B.T, factors=fac)
-    NP = sys.N @ P
-    # trace(N P N P) without forming the product
-    norm_sq = float(np.sum(NP * NP.T))
-    return GramianCache(controllability=P, norm_squared=norm_sq)
-
-
-@dataclass(frozen=True)
 class BalancedFactorization:
     """Gramian factors and the SVD data of Z_P^T Z_Q (descending singular values)."""
 
@@ -81,7 +60,6 @@ class BalancedFactorization:
     sigma: np.ndarray
     left: np.ndarray
     right_t: np.ndarray
-    cache: GramianCache = field(repr=False)
 
     @property
     def numerical_rank(self) -> int:
@@ -116,14 +94,13 @@ class ReducedModel:
 
 def balance(fom: QuadraticOutputSystem) -> BalancedFactorization:
     """Gramians, symmetric factors, and the balancing SVD of a stable system."""
-    cache = gramian_cache(fom)
-    P = cache.controllability
+    P = fom.gramian.controllability
     # Q is solved before P is factored; the other order raises the peak RSS
     Q = solve_lyapunov(fom.A, fom.N @ P @ fom.N, factors=fom.schur, transposed=True)
     Zp = symmetric_factor(P, tol=FACTOR_TOL)
     Zq = symmetric_factor(Q, tol=FACTOR_TOL)
     left, sigma, right_t = la.svd(Zp.T @ Zq, full_matrices=False)
-    return BalancedFactorization(Zp=Zp, Zq=Zq, sigma=sigma, left=left, right_t=right_t, cache=cache)
+    return BalancedFactorization(Zp=Zp, Zq=Zq, sigma=sigma, left=left, right_t=right_t)
 
 
 def project(fom: QuadraticOutputSystem, V: np.ndarray, W: np.ndarray) -> QuadraticOutputSystem:
@@ -149,28 +126,23 @@ def truncate(bal: BalancedFactorization, fom: QuadraticOutputSystem, r: int) -> 
     return ReducedModel(r=r, system=project(fom, V, W), V=V, W=W)
 
 
-def h2_error(
-    fom: QuadraticOutputSystem,
-    rom: ReducedModel | QuadraticOutputSystem,
-    cache: GramianCache | None = None,
-) -> float:
+def h2_error(fom: QuadraticOutputSystem, rsys: QuadraticOutputSystem) -> float:
     """H2 norm of the error system between a full and a reduced model.
 
-    Evaluates sqrt(||H||^2 + ||H_r||^2 - 2 trace(N X N_r X^T)), where X
-    solves A X + X A_r^T + B B_r^T = 0.  The trace argument is a difference
+    Evaluates sqrt(||H||^2 + ||H_r||^2 - 2 trace(N X N_r X^T)), where the
+    norms come from each system's own ``gramian`` and X solves
+    A X + X A_r^T + B B_r^T = 0.  The trace argument is a difference
     of like-sized terms, so its magnitude below 1e-10 of the term scale is
     pure cancellation noise; that dead zone maps to 0.  Anything more
     negative signals inaccurate Gramians and raises.
     """
-    rsys = rom.system if isinstance(rom, ReducedModel) else rom
-    if cache is None:
-        cache = gramian_cache(fom)
-    rom_norm_sq = gramian_cache(rsys).norm_squared
+    fom_norm_sq = fom.gramian.norm_squared
+    rom_norm_sq = rsys.gramian.norm_squared
 
     X = solve_sylvester(fom.A, rsys.A, fom.B @ rsys.B.T, factors_a=fom.schur, factors_f=rsys.schur)
     cross = float(np.sum((fom.N @ X) * (X @ rsys.N)))
-    value = cache.norm_squared + rom_norm_sq - 2.0 * cross
-    scale = abs(cache.norm_squared) + abs(rom_norm_sq)
+    value = fom_norm_sq + rom_norm_sq - 2.0 * cross
+    scale = abs(fom_norm_sq) + abs(rom_norm_sq)
     if value < -1e-10 * scale:
         raise ConvergenceError(
             f"error-norm trace argument {value:.3e} is negative beyond tolerance"
@@ -196,7 +168,6 @@ def sweep(
     fom: QuadraticOutputSystem,
     rom: ReducedModel,
     r_values,
-    cache: GramianCache,
     sigma: np.ndarray | None = None,
 ) -> list[ReductionRow]:
     """One row per r from the leading r x r block of ``rom``.
@@ -204,17 +175,18 @@ def sweep(
     Both reducers build nested bases (the balanced V = Z_P U_1 S_1^{-1/2} and
     the Krylov columns keep their leading columns as r grows), so the
     r-dimensional model is the leading block of the one at the largest r.
-    ``cache`` is the Gramian cache of ``fom``; ``sigma`` holds the balancing
-    singular values, if the reducer has them.  Unstable rows carry no error.
+    ``sigma`` holds the balancing singular values, if the reducer has them.
+    Unstable rows carry no error.
     """
+    norm = fom.gramian.norm
     rows = []
     for r in r_values:
         sub = rom.leading(r)
         stable = sub.is_stable
         err = rel = None
         if stable:
-            err = h2_error(fom, sub, cache=cache)
-            rel = err / cache.norm if cache.norm > 0 else None
+            err = h2_error(fom, sub.system)
+            rel = err / norm if norm > 0 else None
         rows.append(
             ReductionRow(
                 r=r, sigma=None if sigma is None else float(sigma[r - 1]), h2_abs=err, h2_rel=rel,

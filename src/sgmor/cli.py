@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
-from .arnoldi import KrylovConfig, reduce_arnoldi
-from .bt_quadratic import balance, gramian_cache, sweep, truncate, write_csv, write_report_csv
+from .arnoldi import reduce_arnoldi
+from .bt_quadratic import balance, sweep, truncate, write_csv, write_report_csv
 from .errors import NumericalError
 from .galerkin import assemble, to_first_order, write_matrix_market
 from .msd import MsdConfig, build_msd, config_from_dict, default_config, integer, number
@@ -100,6 +100,8 @@ class ExperimentConfig:
             raise ConfigError(f"degree must be >= 0, got {self.degree}")
         if self.reducer not in REDUCERS:
             raise ConfigError(f"reducer must be one of {REDUCERS}, got {self.reducer!r}")
+        if not math.isfinite(self.omega):
+            raise ConfigError(f"expansion point must be finite, got omega = {self.omega}")
         if self.r_min < 1 or self.r_max < self.r_min:
             raise ConfigError(f"invalid r range [{self.r_min}, {self.r_max}]")
         if not all(math.isfinite(v) and v > 0 for v in (self.sim_h, self.sim_T)):
@@ -207,16 +209,15 @@ def run_reduce(cfg: ExperimentConfig) -> Path:
         raise ConfigError(f"r_max {cfg.r_max} exceeds the state dimension {fom.m}")
     if cfg.reducer == "balanced-truncation":
         bal = balance(fom)
-        rom, cache, sigma = truncate(bal, fom, cfg.r_max), bal.cache, bal.sigma
+        rom, sigma = truncate(bal, fom, cfg.r_max), bal.sigma
         path = out / "reduce_bt.csv"
     else:
-        # validate before the Gramian chain; running that chain before the
-        # Krylov LU keeps the peak memory lower
-        krylov = KrylovConfig(r=cfg.r_max, omega=cfg.omega)
-        cache, sigma = gramian_cache(fom), None
-        rom = reduce_arnoldi(fom, krylov)
+        # the FOM Gramian is solved before the Krylov LU, not by the sweep
+        # after it: this order keeps the peak memory lower
+        fom.gramian
+        rom, sigma = reduce_arnoldi(fom, cfg.r_max, omega=cfg.omega), None
         path = out / "reduce_arnoldi.csv"
-    write_report_csv(sweep(fom, rom, range(cfg.r_min, cfg.r_max + 1), cache, sigma=sigma), path)
+    write_report_csv(sweep(fom, rom, range(cfg.r_min, cfg.r_max + 1), sigma=sigma), path)
     return path
 
 
@@ -241,10 +242,7 @@ def run_verify(cfg: ExperimentConfig) -> Path:
     rows = []
     for r in cfg.verify_r:
         rom = truncate(bal, fom, r)
-        check = verify_error_bound(
-            fom, rom, u=u, h=cfg.sim_h, T=cfg.sim_T,
-            cache=bal.cache, fom_trajectory=fom_traj,
-        )
+        check = verify_error_bound(fom, rom.system, u=u, h=cfg.sim_h, T=cfg.sim_T, fom_trajectory=fom_traj)
         cert = shifted_dissipation_certificate(rom.system)
         rows.append([r, check.observed, check.bound, check.holds,
                      cert.lambda_max, cert.passive, cert.residual])

@@ -2,7 +2,9 @@
 
 Assembles the deterministic block system for the polynomial-coefficient
 states, its internal-energy matrix, and the equivalent explicit first-order
-system whose quadratic output realizes the internal energy.
+system whose quadratic output realizes the internal energy.  A first-order
+system computes its real Schur form and its controllability Gramian once, on
+first use, and every consumer reads them off the system.
 """
 
 from __future__ import annotations
@@ -15,14 +17,16 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DefinitenessError
-from .lyapsylv import SchurFactors, is_symmetric, real_schur
+from .errors import DefinitenessError, StabilityError
+from .lyapsylv import SchurFactors, is_symmetric, real_schur, solve_lyapunov
 from .polychaos import PcBasis
 
 __all__ = [
     "ParametricSecondOrderSystem",
     "GalerkinSystem",
     "QuadraticOutputSystem",
+    "GramianCache",
+    "gramian_cache",
     "assemble",
     "to_first_order",
     "write_matrix_market",
@@ -156,12 +160,43 @@ class QuadraticOutputSystem:
         """Real Schur form of A, computed once; every spectral question reads it."""
         return real_schur(self.A)
 
+    @cached_property
+    def gramian(self) -> GramianCache:
+        """Controllability Gramian and H2 norm, solved once on the Schur form."""
+        return gramian_cache(self)
+
     def quadratic_output(self, x: np.ndarray) -> np.ndarray:
         """y = x^T N x for a single state (m,) or a batch (steps, m)."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return float(x @ self.N @ x)
         return np.einsum("ki,ki->k", x @ self.N, x)
+
+
+@dataclass(frozen=True)
+class GramianCache:
+    """Reusable per-system controllability Gramian and H2 norm."""
+
+    controllability: np.ndarray
+    norm_squared: float
+
+    @property
+    def norm(self) -> float:
+        return float(np.sqrt(max(self.norm_squared, 0.0)))
+
+
+def gramian_cache(sys: QuadraticOutputSystem) -> GramianCache:
+    """Controllability Gramian and H2 norm of a stable system, on its Schur form."""
+    fac = sys.schur
+    if fac.abscissa >= 0.0:
+        raise StabilityError(
+            f"{sys.label}: spectral abscissa {fac.abscissa:.3e} >= 0, Gramians undefined"
+        )
+    P = solve_lyapunov(sys.A, sys.B @ sys.B.T, factors=fac)
+    NP = sys.N @ P
+    # trace(N P N P) without forming the product
+    norm_sq = float(np.sum(NP * NP.T))
+    return GramianCache(controllability=P, norm_squared=norm_sq)
 
 
 def _is_positive_definite(mat: sp.spmatrix) -> bool:
@@ -230,7 +265,7 @@ def assemble(sys: ParametricSecondOrderSystem, basis: PcBasis) -> GalerkinSystem
     return GalerkinSystem(M=M, D=D, K=K, B=B, basis=basis, n=sys.n)
 
 
-def to_first_order(g: GalerkinSystem, label: str = "fom") -> QuadraticOutputSystem:
+def to_first_order(g: GalerkinSystem) -> QuadraticOutputSystem:
     """Equivalent explicit first-order realization with energy as quadratic output.
 
     A = [[0, I], [-M^{-1}K, -M^{-1}D]], B = [0; M^{-1}B], N = blkdiag(K, M).
@@ -253,7 +288,7 @@ def to_first_order(g: GalerkinSystem, label: str = "fom") -> QuadraticOutputSyst
     N = np.zeros((2 * ns, 2 * ns))
     N[:ns, :ns] = K
     N[ns:, ns:] = M
-    return QuadraticOutputSystem(A=A, B=B, N=N, label=label, galerkin=g)
+    return QuadraticOutputSystem(A=A, B=B, N=N, galerkin=g)
 
 
 def write_matrix_market(path, mat, symmetry: str = "general") -> None:

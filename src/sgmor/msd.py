@@ -44,7 +44,8 @@ class MsdConfig:
     ``springs`` and ``dampers`` are (end_a, end_b, value) triples with mass
     indices 1..n and 0 for the ground.  ``input_spring`` is the 1-based index
     of the grounded spring through which the excitation enters.  ``delta`` is
-    the relative half-width of the uniform parameter variation.
+    the relative half-width of the uniform parameter variation.  Every mass
+    needs a chain of springs to the ground; without one K is singular.
     """
 
     masses: tuple[float, ...] = DEFAULT_MASSES
@@ -75,6 +76,12 @@ class MsdConfig:
         a, b, _ = self.springs[self.input_spring - 1]
         if a != 0 and b != 0:
             raise ValueError("the input spring must have one ground endpoint")
+        loose = _ungrounded(n, self.springs)
+        if loose:
+            raise ValueError(
+                f"mass {loose[0]} has no spring path to the ground (endpoint 0), "
+                "so the stiffness matrix is singular"
+            )
 
     @property
     def n(self) -> int:
@@ -84,6 +91,19 @@ class MsdConfig:
     def q(self) -> int:
         """Parameter count: one per mass, spring, and damper."""
         return len(self.masses) + len(self.springs) + len(self.dampers)
+
+
+def _ungrounded(n: int, springs) -> list[int]:
+    """Masses (1-based) that no chain of springs connects to the ground."""
+    reached = {0}
+    grew = True
+    while grew:
+        grew = False
+        for a, b, _ in springs:
+            if (a in reached) != (b in reached):
+                reached.update((a, b))
+                grew = True
+    return [i for i in range(1, n + 1) if i not in reached]
 
 
 def default_config() -> MsdConfig:

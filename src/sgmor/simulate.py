@@ -16,7 +16,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .bt_quadratic import GramianCache, ReducedModel, h2_error
+from .bt_quadratic import h2_error
 from .errors import NumericalError
 from .galerkin import GalerkinSystem, QuadraticOutputSystem
 
@@ -48,6 +48,13 @@ class Trajectory:
         return 0.5 * self.y
 
 
+def _time_grid(h: float, T: float) -> np.ndarray:
+    """The uniform grid 0, h, ..., round(T / h) h that ``integrate`` steps on."""
+    if h <= 0 or T <= 0:
+        raise ValueError("step size and horizon must be positive")
+    return h * np.arange(int(round(T / h)) + 1)
+
+
 def _input_samples(u, t: np.ndarray, n_in: int) -> np.ndarray:
     if u is None:
         return np.zeros((t.size, n_in))
@@ -73,8 +80,7 @@ def integrate(
     (I - h/2 A)^{-1} (I + h/2 A), factored once per call.  Both are the same
     trapezoidal rule.
     """
-    if h <= 0 or T <= 0:
-        raise ValueError("step size and horizon must be positive")
+    t = _time_grid(h, T)
     m = sys.A.shape[0]
     if x0 is None:
         x0 = np.zeros(m)
@@ -82,8 +88,6 @@ def integrate(
     if x0.shape != (m,):
         raise ValueError(f"initial state must have shape ({m},)")
 
-    steps = int(round(T / h))
-    t = h * np.arange(steps + 1)
     ugrid = _input_samples(u, t, sys.n_in)
     if sys.galerkin is not None:
         x, y = _step_second_order(sys.galerkin, ugrid, x0, h)
@@ -103,9 +107,9 @@ def integrate(
     propagator = la.lu_solve((lu, piv), eye + 0.5 * h * sys.A)
     forcing = la.lu_solve((lu, piv), 0.5 * h * sys.B)
 
-    x = np.empty((steps + 1, m))
+    x = np.empty((t.size, m))
     x[0] = x0
-    for k in range(steps):
+    for k in range(t.size - 1):
         x[k + 1] = propagator @ x[k] + forcing @ (ugrid[k] + ugrid[k + 1])
     y = sys.quadratic_output(x)
     return Trajectory(t=t, x=x, y=y)
@@ -150,11 +154,10 @@ class BoundCheck:
 
 def verify_error_bound(
     fom: QuadraticOutputSystem,
-    rom: ReducedModel | QuadraticOutputSystem,
+    rsys: QuadraticOutputSystem,
     u=default_input,
     h: float = 0.01,
     T: float = 100.0,
-    cache: GramianCache | None = None,
     fom_trajectory: Trajectory | None = None,
 ) -> BoundCheck:
     """Check sup_t |y - y_r| <= ||H - H_r||_H2 * (integral of ||u||^4)^(1/2).
@@ -163,11 +166,18 @@ def verify_error_bound(
     response).  The right side uses trapezoidal quadrature of ||u(t)||^4 on
     the integration grid.  ``holds`` allows a relative 1e-6 margin plus an
     O(h^2) integration slack, since the trajectories themselves are second-
-    order accurate.  Precomputed pieces (FOM Gramian cache, FOM trajectory)
-    can be passed in when checking several reduced models.
+    order accurate.  The FOM trajectory can be passed in when checking
+    several reduced models; its time grid must be the (h, T) grid.
     """
-    rsys = rom.system if isinstance(rom, ReducedModel) else rom
-    if fom_trajectory is None:
+    if fom_trajectory is not None:
+        grid = _time_grid(h, T)
+        t = fom_trajectory.t
+        if t.shape != grid.shape or not np.allclose(t, grid, rtol=0.0, atol=1e-9 * h):
+            raise ValueError(
+                f"fom_trajectory is not on the time grid of h = {h:.6g}, T = {T:.6g} "
+                f"({grid.size} samples)"
+            )
+    else:
         fom_trajectory = integrate(fom, u=u, h=h, T=T)
     rom_trajectory = integrate(rsys, u=u, h=h, T=T)
     observed = float(np.max(np.abs(fom_trajectory.y - rom_trajectory.y)))
@@ -176,7 +186,7 @@ def verify_error_bound(
     t, f = fom_trajectory.t, unorm**4
     # scipy.integrate.trapezoid's operation order, without importing scipy.integrate
     u_l4 = float(np.sqrt(np.sum((t[1:] - t[:-1]) * (f[1:] + f[:-1]) / 2.0)))
-    bound = h2_error(fom, rsys, cache=cache) * u_l4
+    bound = h2_error(fom, rsys) * u_l4
 
     scale = max(bound, float(np.max(np.abs(fom_trajectory.y))), float(np.max(np.abs(rom_trajectory.y))))
     slack = h * h * scale

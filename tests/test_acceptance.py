@@ -15,7 +15,7 @@ import numpy.linalg as npla
 import pytest
 
 from conftest import make_stable_system
-from sgmor.arnoldi import KrylovConfig, reduce_arnoldi
+from sgmor.arnoldi import reduce_arnoldi
 from sgmor.bt_quadratic import balance, h2_error, sweep, truncate
 from sgmor.galerkin import assemble, to_first_order
 from sgmor.lyapsylv import solve_lyapunov, solve_sylvester
@@ -64,15 +64,14 @@ def balanced(fom):
 def bt_sweep(fom, balanced):
     bal, bal_elapsed = balanced
     start = time.perf_counter()
-    rows = sweep(fom, truncate(bal, fom, 100), range(1, 101), bal.cache, sigma=bal.sigma)
+    rows = sweep(fom, truncate(bal, fom, 100), range(1, 101), sigma=bal.sigma)
     return rows, bal_elapsed + (time.perf_counter() - start)
 
 
 @pytest.fixture(scope="module")
-def arnoldi_rows(fom, balanced):
-    bal, _ = balanced
-    rom = reduce_arnoldi(fom, KrylovConfig(r=50, omega=1.0))
-    return sweep(fom, rom, (10, 20, 30, 40, 50), bal.cache)
+def arnoldi_rows(fom):
+    rom = reduce_arnoldi(fom, 50, omega=1.0)
+    return sweep(fom, rom, (10, 20, 30, 40, 50))
 
 
 @pytest.fixture(scope="module")
@@ -162,11 +161,11 @@ def test_criterion_05_full_rank_exactness(fom, balanced):
         sys = make_stable_system(rng, m)
         b = balance(sys)
         rom = truncate(b, sys, b.numerical_rank)
-        worst = max(worst, h2_error(sys, rom, cache=b.cache) / b.cache.norm)
+        worst = max(worst, h2_error(sys, rom.system) / sys.gramian.norm)
     assert worst <= 1e-8, f"random-system full-rank relative error {worst:.3e} > 1e-8"
     bal, _ = balanced
     rom = truncate(bal, fom, bal.numerical_rank)
-    rel = h2_error(fom, rom, cache=bal.cache) / bal.cache.norm
+    rel = h2_error(fom, rom.system) / fom.gramian.norm
     assert rel <= 1e-8, (
         f"benchmark full-rank (r={bal.numerical_rank}) relative error {rel:.3e} > 1e-8"
     )
@@ -259,9 +258,7 @@ def test_criterion_11_error_bound_validity(fom, balanced, fom_trajectory):
     bal, _ = balanced
     for r in (10, 30, 50):
         rom = truncate(bal, fom, r)
-        check = verify_error_bound(
-            fom, rom, h=0.01, T=100.0, cache=bal.cache, fom_trajectory=fom_trajectory
-        )
+        check = verify_error_bound(fom, rom.system, h=0.01, T=100.0, fom_trajectory=fom_trajectory)
         assert check.holds and check.observed <= check.bound, (
             f"r={r}: sup output error {check.observed:.3e} "
             f"exceeds bound {check.bound:.3e}"

@@ -12,8 +12,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_stable_system
-from sgmor.arnoldi import KrylovConfig, arnoldi_basis, reduce_arnoldi
-from sgmor.bt_quadratic import gramian_cache, h2_error
+from sgmor.arnoldi import arnoldi_basis, reduce_arnoldi
+from sgmor.bt_quadratic import h2_error
 from sgmor.errors import ConvergenceError, NumericalError
 from sgmor.galerkin import QuadraticOutputSystem
 
@@ -46,6 +46,10 @@ class TestBasis:
         residual = K - V @ (V.T @ K)
         rel = la.norm(residual) / la.norm(K)
         assert rel < 1e-9, f"Krylov span not reproduced: residual {rel:.2e}"
+        # nested: the first k columns span the first k Krylov directions for
+        # every k, so V matches the Q factor of K column by column up to sign
+        Q, _ = la.qr(K)
+        assert_allclose(np.abs(np.sum(V * Q, axis=0)), 1.0, atol=1e-9)
 
     def test_first_vector_single_input(self, rng):
         sys = make_stable_system(rng, 7, n_in=1)
@@ -103,7 +107,7 @@ class TestBasis:
 class TestReduce:
     def test_galerkin_projection(self, rng):
         sys = make_stable_system(rng, 9, n_in=1)
-        rom = reduce_arnoldi(sys, KrylovConfig(r=4))
+        rom = reduce_arnoldi(sys, 4)
         V = rom.V
         assert rom.W is rom.V
         assert_allclose(rom.system.A, V.T @ sys.A @ V, atol=1e-12)
@@ -111,12 +115,13 @@ class TestReduce:
 
     def test_full_space_reduction_exact(self, rng):
         sys = make_stable_system(rng, 6, n_in=2)
-        rom = reduce_arnoldi(sys, KrylovConfig(r=6))
-        rel = h2_error(sys, rom) / gramian_cache(sys).norm
+        rom = reduce_arnoldi(sys, 6)
+        rel = h2_error(sys, rom.system) / sys.gramian.norm
         assert rel <= 1e-8, f"orthogonal change of basis must be exact, got {rel:.2e}"
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            KrylovConfig(r=0)
-        with pytest.raises(ValueError):
-            KrylovConfig(r=3, omega=float("nan"))
+    def test_argument_validation(self, rng):
+        sys = make_stable_system(rng, 5)
+        with pytest.raises(ValueError, match="reduced dimension"):
+            reduce_arnoldi(sys, 0)
+        with pytest.raises(ValueError, match="expansion point must be finite"):
+            reduce_arnoldi(sys, 3, omega=float("nan"))

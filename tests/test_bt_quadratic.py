@@ -19,7 +19,6 @@ from sgmor.bt_quadratic import (
     GramianCache,
     ReductionRow,
     balance,
-    gramian_cache,
     h2_error,
     sweep,
     truncate,
@@ -61,30 +60,34 @@ def h2_error_oracle(fom: QuadraticOutputSystem, rsys: QuadraticOutputSystem) -> 
     return float(np.sqrt(max(value, 0.0)))
 
 
-def observability(sys: QuadraticOutputSystem, cache: GramianCache) -> np.ndarray:
+def observability(sys: QuadraticOutputSystem) -> np.ndarray:
     """Q from A^T Q + Q A + N P N = 0, the solve ``balance`` makes on the system's Schur form."""
-    P = cache.controllability
+    P = sys.gramian.controllability
     return solve_lyapunov(sys.A, sys.N @ P @ sys.N, factors=sys.schur, transposed=True)
 
 
 class TestGramianCache:
     def test_gramians_match_kronecker(self, rng):
         sys = make_stable_system(rng, 6)
-        cache = gramian_cache(sys)
         P_oracle = kron_lyapunov(sys.A, sys.B @ sys.B.T)
         Q_oracle = kron_lyapunov(sys.A.T, sys.N @ P_oracle @ sys.N)
-        assert_allclose(cache.controllability, P_oracle, rtol=1e-9)
-        assert_allclose(observability(sys, cache), Q_oracle, rtol=1e-9)
+        assert_allclose(sys.gramian.controllability, P_oracle, rtol=1e-9)
+        assert_allclose(observability(sys), Q_oracle, rtol=1e-9)
+
+    def test_gramian_is_memoized(self, rng):
+        sys = make_stable_system(rng, 4)
+        assert isinstance(sys.gramian, GramianCache)
+        assert sys.gramian is sys.gramian
 
     def test_unstable_system_rejected(self):
         sys = QuadraticOutputSystem(A=np.eye(2), B=np.ones((2, 1)), N=np.eye(2))
         with pytest.raises(StabilityError):
-            gramian_cache(sys)
+            sys.gramian
 
     def test_solve_counts(self, rng, monkeypatch):
         sys = make_stable_system(rng, 8)
         rom = truncate(balance(sys), sys, 3)
-        # the same system without the Schur form balancing attached to it
+        # the same system without the Schur form and Gramian balancing attached to it
         fom = QuadraticOutputSystem(A=sys.A, B=sys.B, N=sys.N)
         calls = {"schur": 0, "lyapunov": 0, "sylvester": 0}
 
@@ -97,22 +100,45 @@ class TestGramianCache:
         # every binding of real_schur: the Schur form of a system and the solvers' fallback
         for module in (galerkin, lyapsylv):
             monkeypatch.setattr(module, "real_schur", counted("schur", lyapsylv.real_schur))
-        monkeypatch.setattr(bt_quadratic, "solve_lyapunov", counted("lyapunov", bt_quadratic.solve_lyapunov))
+        # P is solved beside the system's Schur form, Q in balance
+        for module in (galerkin, bt_quadratic):
+            monkeypatch.setattr(module, "solve_lyapunov", counted("lyapunov", lyapsylv.solve_lyapunov))
         monkeypatch.setattr(bt_quadratic, "solve_sylvester", counted("sylvester", bt_quadratic.solve_sylvester))
-        cache = gramian_cache(fom)
+        fom.gramian
         assert calls == {"schur": 1, "lyapunov": 1, "sylvester": 0}
         calls.update(schur=0, lyapunov=0)
         balance(fom)
-        assert calls == {"schur": 0, "lyapunov": 2, "sylvester": 0}
+        assert calls == {"schur": 0, "lyapunov": 1, "sylvester": 0}
 
-        calls.update(lyapunov=0, sylvester=0)
-        h2_error(fom, rom, cache=cache)
+        # the first call solves the reduced model's P on its Schur form, the second reuses both
+        calls.update(lyapunov=0)
+        h2_error(fom, rom.system)
         assert calls == {"schur": 1, "lyapunov": 1, "sylvester": 1}
+        h2_error(fom, rom.system)
+        assert calls == {"schur": 1, "lyapunov": 1, "sylvester": 2}
 
-        # one Schur form per row: the stability verdict and the H2 error share it
-        calls.update(schur=0)
-        sweep(fom, rom, range(1, 4), cache)
-        assert calls["schur"] == 3
+        # one Schur form per row, shared by the stability verdict and the H2 error;
+        # one Lyapunov solve per stable row, for its own P, and none for the FOM's
+        calls.update(schur=0, lyapunov=0, sylvester=0)
+        stable = sum(row.stable for row in sweep(fom, rom, range(1, 4)))
+        assert calls == {"schur": 3, "lyapunov": stable, "sylvester": stable}
+
+    def test_fom_equation_solved_once(self, rng, monkeypatch):
+        """Two H2 errors and a sweep against one full system solve its P equation once."""
+        sys = make_stable_system(rng, 8)
+        rom = truncate(balance(sys), sys, 3)
+        fom = QuadraticOutputSystem(A=sys.A, B=sys.B, N=sys.N)
+        sizes = []
+
+        def counted(A, *args, **kwargs):
+            sizes.append(A.shape[0])
+            return lyapsylv.solve_lyapunov(A, *args, **kwargs)
+
+        monkeypatch.setattr(galerkin, "solve_lyapunov", counted)
+        h2_error(fom, rom.system)
+        h2_error(fom, rom.system)
+        sweep(fom, rom, range(1, 4))
+        assert sizes.count(fom.m) == 1, f"Lyapunov solves by dimension: {sizes}"
 
 
 class TestHandExample:
@@ -125,9 +151,8 @@ class TestHandExample:
         )
 
     def test_gramians(self, system):
-        cache = gramian_cache(system)
-        assert_allclose(cache.controllability, np.diag([1.0, 0.0]), atol=1e-14)
-        assert_allclose(observability(system, cache), np.diag([1.0, 0.0]), atol=1e-14)
+        assert_allclose(system.gramian.controllability, np.diag([1.0, 0.0]), atol=1e-14)
+        assert_allclose(observability(system), np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_hankel_values(self, system):
         bal = balance(system)
@@ -168,7 +193,7 @@ class TestBalance:
         sys = QuadraticOutputSystem(A=-np.eye(3), B=np.ones((3, 1)), N=np.zeros((3, 3)))
         bal = balance(sys)
         assert bal.numerical_rank == 0
-        assert gramian_cache(sys).norm == 0.0
+        assert sys.gramian.norm == 0.0
 
 
 class TestH2Norm:
@@ -177,25 +202,25 @@ class TestH2Norm:
         a, b, c = 0.7, 1.3, 2.1
         sys = QuadraticOutputSystem(A=[[-a]], B=[[b]], N=[[c]])
         expected = np.sqrt(b**2 * (c * b**2 / (2 * a) * c) / (2 * a))
-        assert_allclose(gramian_cache(sys).norm, expected, rtol=1e-12)
+        assert_allclose(sys.gramian.norm, expected, rtol=1e-12)
 
     def test_zero_cases(self, rng):
         m = 4
         A = make_stable_system(rng, m).A
-        assert gramian_cache(QuadraticOutputSystem(A=A, B=np.zeros((m, 1)), N=np.eye(m))).norm == 0.0
-        assert gramian_cache(QuadraticOutputSystem(A=A, B=np.ones((m, 1)), N=np.zeros((m, m)))).norm == 0.0
+        assert QuadraticOutputSystem(A=A, B=np.zeros((m, 1)), N=np.eye(m)).gramian.norm == 0.0
+        assert QuadraticOutputSystem(A=A, B=np.ones((m, 1)), N=np.zeros((m, m))).gramian.norm == 0.0
 
     def test_random_against_oracle(self, rng):
         # trace(N P N P) against the Q-form trace(B^T Q B), with one to three inputs
         for _ in range(6):
             sys = make_stable_system(rng, int(rng.integers(2, 8)), n_in=int(rng.integers(1, 4)))
-            assert_allclose(gramian_cache(sys).norm, h2_norm_oracle(sys), rtol=1e-9)
+            assert_allclose(sys.gramian.norm, h2_norm_oracle(sys), rtol=1e-9)
 
 
 class TestH2Error:
     def test_identity_projection_is_exact(self, rng):
         sys = make_stable_system(rng, 7)
-        assert h2_error(sys, sys) <= 1e-8 * gramian_cache(sys).norm
+        assert h2_error(sys, sys) <= 1e-8 * sys.gramian.norm
 
     def test_zero_input(self, rng):
         m = 5
@@ -208,7 +233,7 @@ class TestH2Error:
             sys = make_stable_system(rng, int(rng.integers(4, 21)))
             bal = balance(sys)
             rom = truncate(bal, sys, bal.numerical_rank)
-            rel = h2_error(sys, rom, cache=bal.cache) / bal.cache.norm
+            rel = h2_error(sys, rom.system) / sys.gramian.norm
             assert rel <= 1e-8, f"full-rank relative error {rel:.2e}"
 
     def test_against_block_oracle(self, rng):
@@ -217,14 +242,14 @@ class TestH2Error:
             bal = balance(sys)
             r = min(3, bal.numerical_rank)
             rom = truncate(bal, sys, r)
-            value = h2_error(sys, rom, cache=bal.cache)
+            value = h2_error(sys, rom.system)
             oracle = h2_error_oracle(sys, rom.system)
-            assert_allclose(value, oracle, rtol=1e-7, atol=1e-10 * gramian_cache(sys).norm)
+            assert_allclose(value, oracle, rtol=1e-7, atol=1e-10 * sys.gramian.norm)
 
     def test_error_decreases_with_rank(self, rng):
         sys = make_stable_system(rng, 12)
         bal = balance(sys)
-        errs = [h2_error(sys, truncate(bal, sys, r), cache=bal.cache) for r in (2, 6, 10)]
+        errs = [h2_error(sys, truncate(bal, sys, r).system) for r in (2, 6, 10)]
         assert errs[0] >= errs[1] >= errs[2]
 
 

@@ -12,8 +12,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import sgmor
-from sgmor.arnoldi import KrylovConfig, reduce_arnoldi
-from sgmor.bt_quadratic import balance, gramian_cache, sweep, truncate
+from sgmor.arnoldi import reduce_arnoldi
+from sgmor.bt_quadratic import balance, sweep, truncate
 from sgmor.cli import (
     ConfigError,
     ExperimentConfig,
@@ -157,13 +157,13 @@ class TestConfigParsing:
 
 def bt_sweep(fom, r_values):
     bal = balance(fom)
-    return sweep(fom, truncate(bal, fom, max(r_values)), r_values, bal.cache, sigma=bal.sigma), bal
+    return sweep(fom, truncate(bal, fom, max(r_values)), r_values, sigma=bal.sigma), bal
 
 
 # reducer name -> r-dimensional model of small_fom built directly
 SINGLE_RUNS = {
     "balanced-truncation": lambda fom, r: truncate(balance(fom), fom, r),
-    "arnoldi": lambda fom, r: reduce_arnoldi(fom, KrylovConfig(r=r)),
+    "arnoldi": reduce_arnoldi,
 }
 
 
@@ -177,7 +177,7 @@ class TestSweeps:
         for row in rows:
             assert row.stable, f"r={row.r} unexpectedly unstable"
             assert row.h2_abs is not None and row.h2_abs >= 0.0
-            assert_allclose(row.h2_rel, row.h2_abs / bal.cache.norm, rtol=1e-12)
+            assert_allclose(row.h2_rel, row.h2_abs / small_fom.gramian.norm, rtol=1e-12)
 
     def test_bt_errors_non_increasing(self, small_fom):
         rows, _ = bt_sweep(small_fom, range(1, 5))
@@ -188,11 +188,10 @@ class TestSweeps:
     def test_leading_block_matches_single_runs(self, small_fom, reducer):
         r_max = 4
         single = SINGLE_RUNS[reducer]
-        cache = gramian_cache(small_fom)
-        rows = sweep(small_fom, single(small_fom, r_max), range(1, r_max + 1), cache)
+        rows = sweep(small_fom, single(small_fom, r_max), range(1, r_max + 1))
         assert [row.r for row in rows] == list(range(1, r_max + 1))
         for row in rows:
-            direct = sweep(small_fom, single(small_fom, row.r), [row.r], cache)[0]
+            direct = sweep(small_fom, single(small_fom, row.r), [row.r])[0]
             assert row.stable == direct.stable, f"{reducer} r={row.r}: stable flags differ"
             assert_allclose(
                 [row.lambda_max, row.h2_abs], [direct.lambda_max, direct.h2_abs], rtol=1e-8,
@@ -200,13 +199,13 @@ class TestSweeps:
             )
             assert row.sigma is None
         with pytest.raises(RankError):
-            sweep(small_fom, single(small_fom, r_max), [r_max + 1], cache)
+            sweep(small_fom, single(small_fom, r_max), [r_max + 1])
 
     def test_empty_r_values(self, small_fom):
         bal = balance(small_fom)
-        arnoldi = reduce_arnoldi(small_fom, KrylovConfig(r=2))
-        assert sweep(small_fom, arnoldi, [], bal.cache) == []
-        assert sweep(small_fom, truncate(bal, small_fom, 2), [], bal.cache, sigma=bal.sigma) == []
+        arnoldi = reduce_arnoldi(small_fom, 2)
+        assert sweep(small_fom, arnoldi, []) == []
+        assert sweep(small_fom, truncate(bal, small_fom, 2), [], sigma=bal.sigma) == []
 
 
 class TestRunAssemble:
@@ -422,6 +421,20 @@ class TestMain:
         config = str(write_config(tmp_path, reducer="arnoldi"))
         assert main(["reduce", "--config", config, "--omega", omega]) == 2
         assert "expansion point must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists(), "rejected before any output was written"
+
+    @pytest.mark.parametrize("command", ["assemble", "reduce", "verify"])
+    def test_ungrounded_network_is_exit_2(self, tmp_path, capsys, command):
+        """A mass without a spring path to the ground makes K singular: a config error."""
+        model = {
+            "masses": [1.0, 1.0, 1.0],
+            "springs": [{"ends": [0, 1], "stiffness": 4.0}, {"ends": [2, 3], "stiffness": 4.0}],
+            "dampers": [{"mass": 1, "coefficient": 0.5}],
+            "input_spring": 1,
+        }
+        config = str(write_config(tmp_path, model=model))
+        assert main([command, "--config", config]) == 2
+        assert "mass 2 has no spring path to the ground" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", [{"T": float("inf")}, {"h": float("nan")}])
     def test_non_finite_simulation_setting_is_exit_2(self, tmp_path, capsys, setting):

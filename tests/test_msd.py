@@ -57,6 +57,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="distinct endpoints"):
             MsdConfig(masses=(1.0,), springs=((1, 1, 1.0),), dampers=(), input_spring=1)
 
+    def test_rejects_ungrounded_mass(self):
+        # masses 2 and 3 hang together but off the ground: K is exactly singular
+        with pytest.raises(ValueError, match="mass 2 has no spring path to the ground"):
+            MsdConfig(masses=(1.0, 1.0, 1.0), springs=((0, 1, 1.0), (2, 3, 1.0)), dampers=(), input_spring=1)
+        # a damper is no path to the ground
+        with pytest.raises(ValueError, match="mass 2 has no spring path"):
+            MsdConfig(masses=(1.0, 1.0), springs=((0, 1, 1.0),), dampers=((2, 0, 1.0),), input_spring=1)
+        # a path through other masses is enough
+        MsdConfig(masses=(1.0, 1.0, 1.0), springs=((0, 2, 1.0), (3, 1, 1.0), (2, 1, 1.0)), dampers=(), input_spring=1)
+
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError, match="delta"):
             MsdConfig(delta=1.0)

@@ -1,5 +1,6 @@
 """Seeded property tests: random stable systems against the Kronecker oracles,
-and the definiteness check of ``assemble`` against dense Cholesky.
+the ground check of ``MsdConfig`` against a graph search, and the
+definiteness check of ``assemble`` against dense Cholesky.
 
 Hypothesis draws the system shape, the seed of ``make_stable_system`` and the
 reduced dimension; ``derandomize`` fixes the examples, so every run checks
@@ -12,14 +13,17 @@ from __future__ import annotations
 
 import numpy as np
 import numpy.linalg as la
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from conftest import make_stable_system
 from second_order import corner_definiteness_check
 from test_bt_quadratic import h2_error_oracle
 from test_lyapsylv import kron_sylvester, relative_error, unblocked_sylvester
-from sgmor.bt_quadratic import ReducedModel, balance, gramian_cache, h2_error, truncate
+from sgmor.bt_quadratic import ReducedModel, balance, h2_error, truncate
 from sgmor.errors import DefinitenessError
 from sgmor.galerkin import ParametricSecondOrderSystem, QuadraticOutputSystem, assemble
 from sgmor.lyapsylv import LEAF, real_schur, solve_lyapunov, solve_sylvester
@@ -66,13 +70,13 @@ def test_h2_error_matches_block_oracle(sys, data):
     bal = balance(sys)
     r = data.draw(st.integers(1, bal.numerical_rank), label="r")
     rom = truncate(bal, sys, r)
-    value = h2_error(sys, rom, cache=bal.cache)
+    value = h2_error(sys, rom.system)
     oracle = h2_error_oracle(sys, rom.system)
-    if value >= RESOLVED * bal.cache.norm:
+    if value >= RESOLVED * sys.gramian.norm:
         assert abs(value - oracle) <= 1e-8 * oracle, f"r={r}: {value!r} vs oracle {oracle!r}"
     else:
         # the squares agree within the dead zone plus an equal share of noise
-        scale = bal.cache.norm_squared + gramian_cache(rom.system).norm_squared
+        scale = sys.gramian.norm_squared + rom.system.gramian.norm_squared
         assert abs(value**2 - oracle**2) <= 2 * DEAD_ZONE * scale, f"r={r}: {value!r} vs oracle {oracle!r}"
 
 
@@ -119,25 +123,46 @@ def test_blocked_solves_match_unblocked(a, r, seed):
 
 
 @st.composite
-def msd_chains(draw) -> ParametricSecondOrderSystem:
-    """Chains ground-1-2-...-n of 1 to 5 masses with one optional extra spring
-    and up to three dampers anywhere, so D may be singular or zero.
-
-    The chain springs tie every mass to the ground, which keeps K definite.
+def msd_networks(draw) -> dict:
+    """MsdConfig arguments of 1 to 5 masses: a grounded input spring, up to
+    n + 1 more springs between any two endpoints, and up to three dampers
+    anywhere, so K may be singular and D singular or zero.
     """
     n = draw(st.integers(1, 5), label="masses")
     value = st.floats(0.1, 10.0)
     ends = st.sampled_from([(a, b) for a in range(n + 1) for b in range(a + 1, n + 1)])
-    springs = [(k, k + 1, draw(value)) for k in range(n)]
-    springs += [(*draw(ends), draw(value)) for _ in range(draw(st.integers(0, 1)))]
+    springs = [(0, draw(st.integers(1, n)), draw(value))]
+    springs += [(*draw(ends), draw(value)) for _ in range(draw(st.integers(0, n + 1)))]
     dampers = [(*draw(ends), draw(value)) for _ in range(draw(st.integers(0, 3)))]
-    return build_msd(MsdConfig(
+    return dict(
         masses=tuple(draw(value) for _ in range(n)),
         springs=tuple(springs),
         dampers=tuple(dampers),
         input_spring=1,
         delta=draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True), label="delta"),
-    ))
+    )
+
+
+def grounded(network: dict) -> bool:
+    """True if every mass is in the ground's connected component of the spring graph."""
+    n = len(network["masses"])
+    a, b = np.array([spring[:2] for spring in network["springs"]]).T
+    graph = coo_matrix((np.ones(a.size), (a, b)), shape=(n + 1, n + 1))
+    _, component = connected_components(graph, directed=False)
+    return bool(np.all(component == component[0]))
+
+
+@SEEDED
+@given(network=msd_networks())
+def test_config_rejects_exactly_the_ungrounded_networks(network):
+    if grounded(network):
+        MsdConfig(**network)
+    else:
+        with pytest.raises(ValueError, match="no spring path to the ground"):
+            MsdConfig(**network)
+
+
+grounded_msd_systems = msd_networks().filter(grounded).map(lambda network: build_msd(MsdConfig(**network)))
 
 
 def random_affine_system(seed: int, n: int, q: int, spread: float) -> ParametricSecondOrderSystem:
@@ -189,7 +214,7 @@ def cholesky_succeeds(a: np.ndarray) -> bool:
 
 
 @SEEDED
-@given(sys=st.one_of(msd_chains(), affine_systems), d=st.integers(0, 2))
+@given(sys=st.one_of(grounded_msd_systems, affine_systems), d=st.integers(0, 2))
 def test_definiteness_check_matches_dense_cholesky(sys, d):
     basis = PcBasis(q=sys.q, d=d)
     M, D, K = (dense_galerkin(terms, basis) for terms in (sys.M_terms, sys.D_terms, sys.K_terms))

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import trapezoid
 
 from conftest import make_stable_system
-from sgmor.bt_quadratic import balance, gramian_cache, h2_error, truncate
+from sgmor.bt_quadratic import balance, h2_error, truncate
 from sgmor.errors import NumericalError
 from sgmor.galerkin import GalerkinSystem, QuadraticOutputSystem, assemble, to_first_order
 from sgmor.msd import build_msd, default_config
@@ -197,19 +197,19 @@ class TestErrorBound:
 
     def test_bound_value_is_error_norm_times_input_norm(self, rng):
         fom = make_stable_system(rng, 8, n_in=1)
-        rom = truncate(balance(fom), fom, 3)
+        rom = truncate(balance(fom), fom, 3).system
         h, T = 0.02, 10.0
         check = verify_error_bound(fom, rom, h=h, T=T)
         t = h * np.arange(int(round(T / h)) + 1)
         u4 = default_input(t) ** 4
-        expected = h2_error(fom, rom.system) * np.sqrt(trapezoid(u4, t))
+        expected = h2_error(fom, rom) * np.sqrt(trapezoid(u4, t))
         assert_allclose(check.bound, expected, rtol=1e-12)
 
     def test_bound_holds_for_truncated_model(self, rng):
         fom = make_stable_system(rng, 8, n_in=1)
         bal = balance(fom)
         for r in (2, 4):
-            check = verify_error_bound(fom, truncate(bal, fom, r), h=0.02, T=20.0)
+            check = verify_error_bound(fom, truncate(bal, fom, r).system, h=0.02, T=20.0)
             assert check.holds, (
                 f"r={r}: observed {check.observed:.3e} > bound {check.bound:.3e}"
             )
@@ -218,8 +218,7 @@ class TestErrorBound:
         # the H2-type bound must dominate sup|y - ybar| for any L4 input
         fom = make_stable_system(rng, 8, n_in=1)
         bal = balance(fom)
-        rom = truncate(bal, fom, 3)
-        cache = gramian_cache(fom)
+        rom = truncate(bal, fom, 3).system
         for trial in range(10):
             c = rng.standard_normal(3)
             tau = rng.uniform(2.0, 10.0, size=3)
@@ -228,7 +227,7 @@ class TestErrorBound:
             def u(t):
                 return float(np.sum(c * np.exp(-t / tau) * np.sin(omega * t)))
 
-            check = verify_error_bound(fom, rom, u=u, h=0.02, T=20.0, cache=cache)
+            check = verify_error_bound(fom, rom, u=u, h=0.02, T=20.0)
             assert check.holds, (
                 f"trial {trial}: observed {check.observed:.3e} "
                 f"> bound {check.bound:.3e}"
@@ -236,12 +235,17 @@ class TestErrorBound:
 
     def test_precomputed_pieces_do_not_change_result(self, rng):
         fom = make_stable_system(rng, 7, n_in=1)
-        rom = truncate(balance(fom), fom, 3)
+        rom = truncate(balance(fom), fom, 3).system
         plain = verify_error_bound(fom, rom, h=0.05, T=5.0)
-        cache = gramian_cache(fom)
         fom_traj = integrate(fom, u=default_input, h=0.05, T=5.0)
-        cached = verify_error_bound(
-            fom, rom, h=0.05, T=5.0, cache=cache, fom_trajectory=fom_traj
-        )
+        cached = verify_error_bound(fom, rom, h=0.05, T=5.0, fom_trajectory=fom_traj)
         assert plain == cached, f"{plain} != {cached}"
+
+    @pytest.mark.parametrize("h, T", [(0.02, 40.0), (0.02, 20.0), (0.01, 40.0)])
+    def test_trajectory_on_another_grid_rejected(self, rng, h, T):
+        fom = make_stable_system(rng, 6, n_in=1)
+        rom = truncate(balance(fom), fom, 2).system
+        fom_traj = integrate(fom, u=default_input, h=0.01, T=20.0)
+        with pytest.raises(ValueError, match="time grid"):
+            verify_error_bound(fom, rom, h=h, T=T, fom_trajectory=fom_traj)
 
