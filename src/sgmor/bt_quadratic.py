@@ -95,8 +95,10 @@ class ReducedModel:
 def balance(fom: QuadraticOutputSystem) -> BalancedFactorization:
     """Gramians, symmetric factors, and the balancing SVD of a stable system."""
     P = fom.gramian.controllability
-    # Q is solved before P is factored; the other order raises the peak RSS
-    Q = solve_lyapunov(fom.A, fom.N @ P @ fom.N, factors=fom.schur, transposed=True)
+    # N P N = N (N P)^T as P and N are symmetric: two sparse products when N
+    # is sparse.  Q is solved before P is factored; the other order raises
+    # the peak RSS
+    Q = solve_lyapunov(fom.A, fom.N @ (fom.N @ P).T, factors=fom.schur, transposed=True)
     Zp = symmetric_factor(P, tol=FACTOR_TOL)
     Zq = symmetric_factor(Q, tol=FACTOR_TOL)
     left, sigma, right_t = la.svd(Zp.T @ Zq, full_matrices=False)
@@ -104,9 +106,13 @@ def balance(fom: QuadraticOutputSystem) -> BalancedFactorization:
 
 
 def project(fom: QuadraticOutputSystem, V: np.ndarray, W: np.ndarray) -> QuadraticOutputSystem:
-    """Reduced system A_r = (W^T A) V, B_r = W^T B, N_r = sym(V^T N V)."""
-    N_r = V.T @ fom.N @ V
-    return QuadraticOutputSystem(A=W.T @ fom.A @ V, B=W.T @ fom.B, N=0.5 * (N_r + N_r.T), label="rom")
+    """Reduced system A_r = W^T (A V), B_r = W^T B, N_r = sym(V^T (N V)).
+
+    A and N are applied to the basis only, so a ``FirstOrderOperator`` and
+    a sparse N are never densified.
+    """
+    N_r = V.T @ (fom.N @ V)
+    return QuadraticOutputSystem(A=W.T @ (fom.A @ V), B=W.T @ fom.B, N=0.5 * (N_r + N_r.T), label="rom")
 
 
 def truncate(bal: BalancedFactorization, fom: QuadraticOutputSystem, r: int) -> ReducedModel:

@@ -2,9 +2,12 @@
 
 Assembles the deterministic block system for the polynomial-coefficient
 states, its internal-energy matrix, and the equivalent explicit first-order
-system whose quadratic output realizes the internal energy.  A first-order
-system computes its real Schur form and its controllability Gramian once, on
-first use, and every consumer reads them off the system.
+system whose quadratic output realizes the internal energy.  The first-order
+form of a Galerkin system keeps its sparse structure: A is applied through
+the (M, D, K) triple and one sparse LU of M, and N = blkdiag(K, M) stays
+sparse.  A first-order system computes its real Schur form and its
+controllability Gramian once, on first use, and every consumer reads them off
+the system; the dense A exists only as the input of the Schur form.
 """
 
 from __future__ import annotations
@@ -13,17 +16,17 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DefinitenessError, StabilityError
+from .errors import DefinitenessError, NumericalError, StabilityError
 from .lyapsylv import SchurFactors, is_symmetric, real_schur, solve_lyapunov
 from .polychaos import PcBasis
 
 __all__ = [
     "ParametricSecondOrderSystem",
     "GalerkinSystem",
+    "FirstOrderOperator",
     "QuadraticOutputSystem",
     "GramianCache",
     "gramian_cache",
@@ -114,6 +117,87 @@ class GalerkinSystem:
         }
 
 
+class FirstOrderOperator:
+    """A = [[0, I], [-M^{-1} K, -M^{-1} D]] of a Galerkin triple, never stored.
+
+    A is applied through the sparse (M, D, K) and one sparse LU of M:
+    A X = [X_2; -M^{-1}(K X_1 + D X_2)] and, as M, D and K are symmetric,
+    A^T X = [-K M^{-1} X_2; X_1 - D M^{-1} X_2].  ``shape``, ``T`` and ``@``
+    are what the solvers use; ``toarray`` builds the dense matrix, the input
+    of the Schur form and of test oracles.
+    """
+
+    def __init__(self, galerkin: GalerkinSystem, mass_lu: spla.SuperLU, transposed: bool = False):
+        self.galerkin = galerkin
+        self._mass_lu = mass_lu
+        self._transposed = transposed
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        m = 2 * self.galerkin.dimension
+        return (m, m)
+
+    @property
+    def T(self) -> FirstOrderOperator:
+        return FirstOrderOperator(self.galerkin, self._mass_lu, not self._transposed)
+
+    def __matmul__(self, X) -> np.ndarray:
+        g, ns = self.galerkin, self.galerkin.dimension
+        X = np.asarray(X, dtype=float)
+        if X.shape[0] != 2 * ns:
+            raise ValueError(f"operand has {X.shape[0]} rows, expected {2 * ns}")
+        X1, X2 = X[:ns], X[ns:]
+        out = np.empty(X.shape)
+        top, bottom = out[:ns], out[ns:]
+        if self._transposed:
+            Y = self._mass_lu.solve(X2)
+            np.negative(g.K @ Y, out=top)
+            np.subtract(X1, g.D @ Y, out=bottom)
+        else:
+            top[...] = X2
+            KD = g.K @ X1
+            KD += g.D @ X2
+            np.negative(self._mass_lu.solve(KD), out=bottom)
+        return out
+
+    def toarray(self) -> np.ndarray:
+        """The dense A (A^T for a transposed operator), Fortran-ordered."""
+        g, ns = self.galerkin, self.galerkin.dimension
+        A = np.zeros((2 * ns, 2 * ns), order="F")
+        idx = np.arange(ns)
+        A[idx, ns + idx] = 1.0
+        A[ns:, :ns] = self._mass_lu.solve(g.K.toarray())
+        A[ns:, ns:] = self._mass_lu.solve(g.D.toarray())
+        np.negative(A[ns:], out=A[ns:])
+        return A.T if self._transposed else A
+
+    def shift_inverse(self, omega: float):
+        """x -> (omega I - A)^{-1} x by one sparse LU of omega^2 M + omega D + K.
+
+        (omega I - A) x = b reads omega x_1 - x_2 = b_1 and
+        omega M x_2 + K x_1 + D x_2 = M b_2, so
+        (omega^2 M + omega D + K) x_1 = M b_2 + (omega M + D) b_1 and
+        x_2 = omega x_1 - b_1.  A singular shift raises NumericalError.
+        """
+        if self._transposed:
+            raise ValueError("shifted solves are defined for A, not A^T")
+        g, ns = self.galerkin, self.galerkin.dimension
+        try:
+            lu = spla.splu((omega * omega * g.M + omega * g.D + g.K).tocsc())
+        except RuntimeError as exc:  # splu reports an exactly singular factor this way
+            raise NumericalError(f"shift {omega} makes omega*I - A singular") from exc
+        damped = omega * g.M + g.D
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            b1, b2 = b[:ns], b[ns:]
+            x = np.empty(b.shape)
+            x[:ns] = lu.solve(g.M @ b2 + damped @ b1)
+            x[ns:] = omega * x[:ns] - b1
+            return x
+
+        return solve
+
+
 @dataclass(frozen=True)
 class QuadraticOutputSystem:
     """First-order system x' = A x + B u with quadratic output y = x^T N x.
@@ -121,30 +205,41 @@ class QuadraticOutputSystem:
     ``N`` is symmetric.  The internal energy of a Galerkin realization is
     y / 2; the factor 1/2 is applied only at reporting time.
 
-    ``galerkin`` is the second-order triple this system was converted from
-    (set by ``to_first_order``, None otherwise); the state is then
-    x = [p; p'] and time integration runs on the sparse triple.
+    ``A`` is a dense array or a ``FirstOrderOperator``; ``N`` a dense array
+    or a sparse matrix.  ``galerkin`` is the second-order triple this system
+    was converted from (set by ``to_first_order``, None otherwise); A and N
+    are then the sparse first-order form of that triple, the state is
+    x = [p; p'], and time integration and the dissipation matrix read the
+    triple.
     """
 
-    A: np.ndarray
+    A: np.ndarray | FirstOrderOperator
     B: np.ndarray
-    N: np.ndarray
+    N: np.ndarray | sp.spmatrix
     label: str = "fom"
     galerkin: GalerkinSystem | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
+        if not isinstance(self.A, FirstOrderOperator):
+            object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
         object.__setattr__(self, "B", np.atleast_2d(np.asarray(self.B, dtype=float)))
-        object.__setattr__(self, "N", np.asarray(self.N, dtype=float))
+        sparse = sp.issparse(self.N)
+        N = sp.csr_matrix(self.N, dtype=float) if sparse else np.asarray(self.N, dtype=float)
         m = self.A.shape[0]
-        if self.A.shape != (m, m) or self.N.shape != (m, m) or self.B.shape[0] != m:
+        if self.A.shape != (m, m) or N.shape != (m, m) or self.B.shape[0] != m:
             raise ValueError("inconsistent system dimensions")
-        if not is_symmetric(self.N, 1e-12 * max(1.0, np.abs(self.N).max())):
+        if sparse:
+            symmetric = abs(N - N.T).max() <= 1e-12 * max(1.0, abs(N).max())
+        else:
+            symmetric = is_symmetric(N, 1e-12 * max(1.0, np.abs(N).max()))
+        if not symmetric:
             raise ValueError("output matrix N must be symmetric")
-        object.__setattr__(self, "N", 0.5 * (self.N + self.N.T))
+        object.__setattr__(self, "N", 0.5 * (N + N.T))
         g = self.galerkin
         if g is not None and (2 * g.dimension != m or g.B.shape[1] != self.B.shape[1]):
             raise ValueError("second-order triple does not match the first-order dimensions")
+        if isinstance(self.A, FirstOrderOperator) and self.A.galerkin is not g:
+            raise ValueError("a first-order operator needs its second-order triple attached")
 
     @property
     def m(self) -> int:
@@ -157,8 +252,13 @@ class QuadraticOutputSystem:
 
     @cached_property
     def schur(self) -> SchurFactors:
-        """Real Schur form of A, computed once; every spectral question reads it."""
-        return real_schur(self.A)
+        """Real Schur form of A, computed once; every spectral question reads it.
+
+        Its input is a Fortran-ordered dense copy of A, which the Schur form
+        overwrites; a ``FirstOrderOperator`` is densified only here.
+        """
+        A = self.A.toarray() if isinstance(self.A, FirstOrderOperator) else np.array(self.A, order="F")
+        return real_schur(A, overwrite_a=True)
 
     @cached_property
     def gramian(self) -> GramianCache:
@@ -199,15 +299,17 @@ def gramian_cache(sys: QuadraticOutputSystem) -> GramianCache:
     return GramianCache(controllability=P, norm_squared=norm_sq)
 
 
-def _is_positive_definite(mat: sp.spmatrix) -> bool:
-    """True if the symmetric sparse ``mat`` is positive definite.
+def _definite_lu(mat: sp.spmatrix) -> spla.SuperLU | None:
+    """An LU factorization of the symmetric sparse ``mat`` if it is positive
+    definite, None otherwise.
 
     A symmetric-mode SuperLU factorization that takes only diagonal pivots
     (perm_r == perm_c) is an LDL^T factorization of P mat P^T, and by
     Sylvester's law of inertia mat is positive definite iff every pivot is
     positive.  With a zero pivot threshold SuperLU keeps to the diagonal
     unless the diagonal pivot is exactly zero, and raises when a column has
-    no nonzero pivot at all.
+    no nonzero pivot at all.  Diagonal pivoting is stable on a positive
+    definite matrix, so the factorization also serves for solves.
     """
     try:
         lu = spla.splu(
@@ -215,8 +317,10 @@ def _is_positive_definite(mat: sp.spmatrix) -> bool:
             options={"SymmetricMode": True},
         )
     except RuntimeError:  # exactly singular
-        return False
-    return np.array_equal(lu.perm_r, lu.perm_c) and bool(np.all(lu.U.diagonal() > 0.0))
+        return None
+    if np.array_equal(lu.perm_r, lu.perm_c) and bool(np.all(lu.U.diagonal() > 0.0)):
+        return lu
+    return None
 
 
 def assemble(sys: ParametricSecondOrderSystem, basis: PcBasis) -> GalerkinSystem:
@@ -255,11 +359,11 @@ def assemble(sys: ParametricSecondOrderSystem, basis: PcBasis) -> GalerkinSystem
     B[: sys.n, :] = sys.B
 
     for name, mat in (("M", M), ("K", K)):
-        if not _is_positive_definite(mat):
+        if _definite_lu(mat) is None:
             raise DefinitenessError(f"assembled {name} block matrix is not positive definite")
     if D.nnz:
         shifted = D + 1e-12 * np.abs(D.data).max() * sp.identity(D.shape[0])
-        if not _is_positive_definite(shifted):
+        if _definite_lu(shifted) is None:
             raise DefinitenessError("assembled damping block matrix is not positive semi-definite")
 
     return GalerkinSystem(M=M, D=D, K=K, B=B, basis=basis, n=sys.n)
@@ -268,27 +372,19 @@ def assemble(sys: ParametricSecondOrderSystem, basis: PcBasis) -> GalerkinSystem
 def to_first_order(g: GalerkinSystem) -> QuadraticOutputSystem:
     """Equivalent explicit first-order realization with energy as quadratic output.
 
-    A = [[0, I], [-M^{-1}K, -M^{-1}D]], B = [0; M^{-1}B], N = blkdiag(K, M).
-    The reported internal energy is y/2 = x^T N x / 2.
+    A = [[0, I], [-M^{-1}K, -M^{-1}D]] (a ``FirstOrderOperator`` on the sparse
+    triple and one sparse LU of M), B = [0; M^{-1}B] and the sparse
+    N = blkdiag(K, M).  The reported internal energy is y/2 = x^T N x / 2.
+    A mass matrix that is not positive definite raises DefinitenessError.
     """
     ns = g.dimension
-    M = np.asarray(g.M.todense())
-    D = np.asarray(g.D.todense())
-    K = np.asarray(g.K.todense())
-    try:
-        cho = la.cho_factor(M, lower=True)
-    except la.LinAlgError as exc:
-        raise DefinitenessError("mass block matrix is not positive definite") from exc
-    A = np.zeros((2 * ns, 2 * ns))
-    A[:ns, ns:] = np.eye(ns)
-    A[ns:, :ns] = -la.cho_solve(cho, K)
-    A[ns:, ns:] = -la.cho_solve(cho, D)
+    lu = _definite_lu(g.M)
+    if lu is None:
+        raise DefinitenessError("mass block matrix is not positive definite")
     B = np.zeros((2 * ns, g.B.shape[1]))
-    B[ns:, :] = la.cho_solve(cho, g.B)
-    N = np.zeros((2 * ns, 2 * ns))
-    N[:ns, :ns] = K
-    N[ns:, ns:] = M
-    return QuadraticOutputSystem(A=A, B=B, N=N, galerkin=g)
+    B[ns:, :] = lu.solve(g.B)
+    N = sp.block_diag((g.K, g.M), format="csr")
+    return QuadraticOutputSystem(A=FirstOrderOperator(g, lu), B=B, N=N, galerkin=g)
 
 
 def write_matrix_market(path, mat, symmetry: str = "general") -> None:

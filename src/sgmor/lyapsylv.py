@@ -88,13 +88,33 @@ class SchurFactors:
         return float(self.eigenvalues.real.max())
 
 
-def real_schur(A: np.ndarray) -> SchurFactors:
-    """Compute the real Schur form of a square matrix."""
+def real_schur(A: np.ndarray, overwrite_a: bool = False) -> SchurFactors:
+    """Compute the real Schur form of a square matrix.
+
+    With ``overwrite_a`` a Fortran-ordered float64 A becomes T in place
+    instead of being copied.
+    """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    T, U = la.schur(A, output="real")
+    T, U = la.schur(A, output="real", overwrite_a=overwrite_a)
     return SchurFactors(T=T, U=U, eigenvalues=_quasi_triangular_eigenvalues(T))
+
+
+def _symmetrize(X: np.ndarray) -> np.ndarray:
+    """X <- (X + X^T) / 2 in place, one strip of LEAF rows at a time.
+
+    Each strip pairs rows i:j with columns i:j from the diagonal on, so the
+    only temporary is LEAF x m; the result equals 0.5 * (X + X.T) bitwise.
+    """
+    m = X.shape[0]
+    for i in range(0, m, LEAF):
+        j = min(i + LEAF, m)
+        strip = X[i:j, i:] + X[i:, i:j].T
+        strip *= 0.5
+        X[i:j, i:] = strip
+        X[i:, i:j] = strip.T
+    return X
 
 
 def _split(T: np.ndarray) -> int:
@@ -233,8 +253,12 @@ def solve_lyapunov(
     is solved instead, reusing the same factorization.  The result is
     symmetrized; a StabilityError is raised for unstable A and a
     ConvergenceError if the relative residual exceeds RESIDUAL_RTOL.
+
+    A is a dense array or, when ``factors`` are given, any operator with
+    ``shape``, ``T`` and ``@`` (the residual only applies it).
     """
-    A = np.asarray(A, dtype=float)
+    if factors is None:
+        A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float)
     if C.shape != A.shape:
         raise ValueError(f"right-hand side shape {C.shape} does not match A {A.shape}")
@@ -250,11 +274,14 @@ def solve_lyapunov(
     X, info = _bartels_stewart(fac, fac, C, lambda Z, work: _blocked_lyapunov(fac.T, Z, trana, work))
     if info == 1:
         raise ConvergenceError("trsyl perturbed nearly singular Lyapunov spectrum")
-    X = 0.5 * (X + X.T)
+    _symmetrize(X)
 
-    # X is exactly symmetric, so A X + X A^T = (A X) + (A X)^T
-    AX = (A.T if transposed else A) @ X
-    residual = la.norm(AX + AX.T + C, "fro")
+    # X is exactly symmetric, so A X + X A^T = (A X) + (A X)^T = 2 sym(A X),
+    # formed in place (the doubling is exact)
+    R = _symmetrize((A.T if transposed else A) @ X)
+    R *= 2.0
+    R += C
+    residual = la.norm(R, "fro")
     if cnorm > 0.0 and residual / cnorm > RESIDUAL_RTOL:
         raise ConvergenceError(
             f"Lyapunov residual {residual / cnorm:.3e} exceeds tolerance {RESIDUAL_RTOL:.1e}"
@@ -272,9 +299,12 @@ def solve_sylvester(
     """Solve A Y + Y F^T + C = 0 (the spectra of A and -F must be disjoint).
 
     Schur factorizations of A and F can be passed in ``factors_a`` and
-    ``factors_f`` when the caller already holds them.
+    ``factors_f`` when the caller already holds them; with ``factors_a``, A
+    may be any operator with ``shape`` and ``@`` (the residual only applies
+    it).
     """
-    A = np.asarray(A, dtype=float)
+    if factors_a is None:
+        A = np.asarray(A, dtype=float)
     F = np.asarray(F, dtype=float)
     C = np.asarray(C, dtype=float)
     if C.shape != (A.shape[0], F.shape[0]):
@@ -314,7 +344,9 @@ def symmetric_factor(X: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if not is_symmetric(X, 1e-12 * max(np.abs(X).max(initial=0.0), 1.0)):
         raise ValueError("matrix must be symmetric")
-    w, V = la.eigh(0.5 * (X + X.T))
+    # eigh overwrites its input, a symmetrized copy of X; an exactly
+    # symmetric C-ordered matrix is passed as its Fortran-ordered transpose
+    w, V = la.eigh(_symmetrize(X.copy()).T, overwrite_a=True)
     norm2 = np.abs(w).max(initial=0.0)
     if w[0] < -tol * norm2:
         raise DefinitenessError(
@@ -323,9 +355,12 @@ def symmetric_factor(X: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     cutoff = tol * max(w[-1], 0.0)
     keep = w > cutoff
     Z = V[:, keep] * np.sqrt(w[keep])
+    del V  # freed before the m x m defect product, which would otherwise set the peak memory
     # descending eigenvalue order keeps the dominant directions first
     Z = Z[:, ::-1]
-    err = la.norm(Z @ Z.T - X, "fro")
+    defect = Z @ Z.T
+    defect -= X
+    err = la.norm(defect, "fro")
     xnorm = la.norm(X, "fro")
     if xnorm > 0.0 and err > 10.0 * tol * xnorm:
         raise ConvergenceError(

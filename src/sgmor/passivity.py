@@ -6,6 +6,8 @@ the energy supply when T is negative semidefinite.  The reduced systems lose
 that property in general; lambda_max(T) measures by how much, and shifting the
 dissipation inequality by lambda_max(T) I restores a certificate.  T is
 formed from the one product S = N A as S + S^T, which is exactly symmetric.
+The first-order form of a Galerkin triple has T = blkdiag(0, -2 D) by
+construction, and its spectrum is read off D.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .galerkin import QuadraticOutputSystem
 
@@ -27,15 +30,31 @@ __all__ = [
 PASSIVITY_RTOL = 1e-10
 
 
-def dissipation_matrix(sys: QuadraticOutputSystem) -> np.ndarray:
+def dissipation_matrix(sys: QuadraticOutputSystem) -> np.ndarray | sp.csr_matrix:
     """T = A^T N + N A, formed as S + S^T with S = N A.
 
     N is exactly symmetric (``QuadraticOutputSystem`` symmetrizes it), so
     A^T N = (N A)^T: one matrix product instead of two, and the sum of S
-    and its transpose is exactly symmetric, as ``eigvalsh`` assumes.
+    and its transpose is exactly symmetric, as ``eigvalsh`` assumes.  For
+    the first-order form of a Galerkin triple, A^T N + N A =
+    blkdiag(0, -2 D) exactly, returned sparse.
     """
+    g = sys.galerkin
+    if g is not None:
+        zero = sp.csr_matrix((g.dimension, g.dimension))
+        return sp.block_diag((zero, -2.0 * g.D), format="csr")
     S = sys.N @ sys.A
     return S + S.T
+
+
+def _dissipation_eigenvalues(sys: QuadraticOutputSystem) -> np.ndarray:
+    """Ascending eigenvalues of T; for a Galerkin triple ns zeros and
+    -2 eig(D), one ns x ns eigensolve instead of an m x m one."""
+    g = sys.galerkin
+    if g is None:
+        return np.linalg.eigvalsh(dissipation_matrix(sys))
+    damping = -2.0 * np.linalg.eigvalsh(g.D.toarray())
+    return np.sort(np.concatenate([np.zeros(g.dimension), damping]))
 
 
 @dataclass(frozen=True)
@@ -52,8 +71,7 @@ def check_passivity(sys: QuadraticOutputSystem) -> DissipationReport:
     still counts as passive, so roundoff at the semidefinite boundary does not
     flip the answer.
     """
-    T = dissipation_matrix(sys)
-    eigs = np.linalg.eigvalsh(T)
+    eigs = _dissipation_eigenvalues(sys)
     lam = float(eigs[-1])
     spectral_norm = float(max(abs(eigs[0]), abs(eigs[-1])))
     tol = PASSIVITY_RTOL * spectral_norm

@@ -29,6 +29,10 @@ __all__ = [
 ]
 
 
+# steps per block of the second-order output evaluation
+OUTPUT_ROWS = 256
+
+
 def default_input(t):
     """Square-integrable excitation exp(-t/10) sin(2 t)."""
     return np.exp(-t / 10.0) * np.sin(2.0 * t)
@@ -36,11 +40,13 @@ def default_input(t):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniform-grid states and quadratic outputs y_k = x_k^T N x_k."""
+    """Uniform-grid states and quadratic outputs y_k = x_k^T N x_k, with the
+    input samples u_k (steps, n_in) they were integrated with."""
 
     t: np.ndarray
     x: np.ndarray
     y: np.ndarray
+    u: np.ndarray
 
     @property
     def energy(self) -> np.ndarray:
@@ -81,7 +87,7 @@ def integrate(
     trapezoidal rule.
     """
     t = _time_grid(h, T)
-    m = sys.A.shape[0]
+    m = sys.m
     if x0 is None:
         x0 = np.zeros(m)
     x0 = np.asarray(x0, dtype=float)
@@ -91,7 +97,7 @@ def integrate(
     ugrid = _input_samples(u, t, sys.n_in)
     if sys.galerkin is not None:
         x, y = _step_second_order(sys.galerkin, ugrid, x0, h)
-        return Trajectory(t=t, x=x, y=y)
+        return Trajectory(t=t, x=x, y=y, u=ugrid)
 
     eye = np.eye(m)
     lhs = eye - 0.5 * h * sys.A
@@ -112,7 +118,7 @@ def integrate(
     for k in range(t.size - 1):
         x[k + 1] = propagator @ x[k] + forcing @ (ugrid[k] + ugrid[k + 1])
     y = sys.quadratic_output(x)
-    return Trajectory(t=t, x=x, y=y)
+    return Trajectory(t=t, x=x, y=y, u=ugrid)
 
 
 def _step_second_order(g: GalerkinSystem, ugrid: np.ndarray, x0: np.ndarray, h: float):
@@ -120,7 +126,8 @@ def _step_second_order(g: GalerkinSystem, ugrid: np.ndarray, x0: np.ndarray, h: 
 
     Eliminating p+ = p + h/2 (v + v+) from the first-order step leaves
     (M + h/2 D + h^2/4 K) v+ = (M - h/2 D - h^2/4 K) v - h K p + h/2 B (u + u+),
-    one sparse solve per step; y = p^T K p + v^T M v.
+    one sparse solve per step; y = p^T K p + v^T M v, formed OUTPUT_ROWS
+    steps at a time so that no (steps, ns) temporary is made.
     """
     ns = g.dimension
     shift = 0.5 * h * g.D + 0.25 * h * h * g.K
@@ -138,8 +145,10 @@ def _step_second_order(g: GalerkinSystem, ugrid: np.ndarray, x0: np.ndarray, h: 
         v_next = lu.solve(explicit @ x[k] + forcing[k])
         x[k + 1, :ns] = p + 0.5 * h * (v + v_next)
         x[k + 1, ns:] = v_next
-    p, v = x[:, :ns], x[:, ns:]
-    y = np.einsum("ki,ki->k", p @ g.K, p) + np.einsum("ki,ki->k", v @ g.M, v)
+    y = np.empty(ugrid.shape[0])
+    for k in range(0, y.size, OUTPUT_ROWS):
+        p, v = x[k : k + OUTPUT_ROWS, :ns], x[k : k + OUTPUT_ROWS, ns:]
+        y[k : k + OUTPUT_ROWS] = np.einsum("ki,ki->k", p @ g.K, p) + np.einsum("ki,ki->k", v @ g.M, v)
     return x, y
 
 
@@ -167,7 +176,8 @@ def verify_error_bound(
     the integration grid.  ``holds`` allows a relative 1e-6 margin plus an
     O(h^2) integration slack, since the trajectories themselves are second-
     order accurate.  The FOM trajectory can be passed in when checking
-    several reduced models; its time grid must be the (h, T) grid.
+    several reduced models; its time grid must be the (h, T) grid and its
+    input samples those of ``u`` on that grid, or ValueError is raised.
     """
     if fom_trajectory is not None:
         grid = _time_grid(h, T)
@@ -177,12 +187,14 @@ def verify_error_bound(
                 f"fom_trajectory is not on the time grid of h = {h:.6g}, T = {T:.6g} "
                 f"({grid.size} samples)"
             )
+        if not np.array_equal(fom_trajectory.u, _input_samples(u, t, fom.n_in)):
+            raise ValueError("fom_trajectory was integrated with another input than u")
     else:
         fom_trajectory = integrate(fom, u=u, h=h, T=T)
     rom_trajectory = integrate(rsys, u=u, h=h, T=T)
     observed = float(np.max(np.abs(fom_trajectory.y - rom_trajectory.y)))
 
-    unorm = np.linalg.norm(_input_samples(u, fom_trajectory.t, fom.n_in), axis=1)
+    unorm = np.linalg.norm(fom_trajectory.u, axis=1)
     t, f = fom_trajectory.t, unorm**4
     # scipy.integrate.trapezoid's operation order, without importing scipy.integrate
     u_l4 = float(np.sqrt(np.sum((t[1:] - t[:-1]) * (f[1:] + f[:-1]) / 2.0)))

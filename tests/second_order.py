@@ -1,11 +1,11 @@
 """Second-order oracles: the affine matrices at one parameter point, the
-definiteness of an affine system over its parameter box, and the internal
-energy of a Galerkin state.
+definiteness of an affine system over its parameter box, the internal
+energy of a Galerkin state, and the dense first-order form.
 
 The package never evaluates a parametric system at a single point (it
-projects the affine terms and checks definiteness on the projection) and
-reads the energy off the quadratic output, so these helpers exist only to
-check it.
+projects the affine terms and checks definiteness on the projection),
+reads the energy off the quadratic output and keeps the first-order form
+of a Galerkin triple sparse, so these helpers exist only to check it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from sgmor.galerkin import GalerkinSystem, ParametricSecondOrderSystem
+from sgmor.galerkin import GalerkinSystem, ParametricSecondOrderSystem, QuadraticOutputSystem
 
 
 def affine_at(terms, mu) -> np.ndarray:
@@ -66,3 +66,9 @@ def energy(g: GalerkinSystem, p: np.ndarray, pdot: np.ndarray) -> float:
     if p.size != g.dimension or pdot.size != g.dimension:
         raise ValueError(f"state vectors must have length {g.dimension}")
     return 0.5 * (float(pdot @ (g.M @ pdot)) + float(p @ (g.K @ p)))
+
+
+def dense_first_order(fom: QuadraticOutputSystem) -> QuadraticOutputSystem:
+    """The first-order form of a Galerkin triple with dense A and N and no
+    triple attached, so every consumer takes its dense path."""
+    return QuadraticOutputSystem(A=fom.A.toarray(), B=fom.B, N=fom.N.toarray(), label=fom.label)

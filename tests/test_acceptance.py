@@ -15,6 +15,7 @@ import numpy.linalg as npla
 import pytest
 
 from conftest import make_stable_system
+from second_order import dense_first_order
 from sgmor.arnoldi import reduce_arnoldi
 from sgmor.bt_quadratic import balance, h2_error, sweep, truncate
 from sgmor.galerkin import assemble, to_first_order
@@ -119,7 +120,8 @@ def test_criterion_03_first_order_structure_identity(galerkin_d2, fom):
     start = time.perf_counter()
     Dhat = galerkin_d2.D.toarray()
     ns = Dhat.shape[0]
-    T = fom.A.T @ fom.N + fom.N @ fom.A
+    dense = dense_first_order(fom)
+    T = dense.A.T @ dense.N + dense.N @ dense.A
     expected = np.zeros_like(T)
     expected[ns:, ns:] = -2.0 * Dhat
     deviation = float(np.max(np.abs(T - expected)))

@@ -15,7 +15,8 @@ from conftest import make_stable_system
 from sgmor.arnoldi import arnoldi_basis, reduce_arnoldi
 from sgmor.bt_quadratic import h2_error
 from sgmor.errors import ConvergenceError, NumericalError
-from sgmor.galerkin import QuadraticOutputSystem
+from sgmor.galerkin import ParametricSecondOrderSystem, QuadraticOutputSystem, assemble, to_first_order
+from sgmor.polychaos import PcBasis
 
 
 def krylov_span(A: np.ndarray, B: np.ndarray, depth: int, omega: float) -> np.ndarray:
@@ -88,6 +89,18 @@ class TestBasis:
         sys = QuadraticOutputSystem(A=A, B=np.ones((2, 1)), N=np.eye(2))
         with pytest.raises(NumericalError):
             arnoldi_basis(sys, 1, omega=1.0)
+
+    def test_singular_shift_on_sparse_pencil_rejected(self):
+        # M = 1, D = 2, K = 1 in every block: omega^2 M + omega D + K = 0 at omega = -1
+        one, zero = np.array([[1.0]]), np.zeros((1, 1))
+        sys = ParametricSecondOrderSystem(
+            M_terms=(one, zero), D_terms=(2.0 * one, zero), K_terms=(one, zero), B=one
+        )
+        fom = to_first_order(assemble(sys, PcBasis(q=1, d=1)))
+        V, _ = arnoldi_basis(fom, 2, omega=-0.5)
+        assert np.abs(V.T @ V - np.eye(2)).max() < 1e-12
+        with pytest.raises(NumericalError, match="singular"):
+            arnoldi_basis(fom, 2, omega=-1.0)
 
     @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
     @pytest.mark.filterwarnings("error")

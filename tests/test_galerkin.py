@@ -6,6 +6,9 @@ applied entry by entry, which is exact for the affine weights involved.
 
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.io
@@ -13,15 +16,18 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from quadrature import expectation_weighted
-from second_order import energy
+from second_order import dense_first_order, energy
 from sgmor.errors import DefinitenessError
 from sgmor.galerkin import (
+    GalerkinSystem,
     ParametricSecondOrderSystem,
     QuadraticOutputSystem,
     assemble,
     to_first_order,
     write_matrix_market,
 )
+from sgmor.msd import build_msd, default_config
+from sgmor.passivity import check_passivity
 from sgmor.polychaos import PcBasis
 
 
@@ -137,14 +143,16 @@ class TestFirstOrder:
             M_terms=(one, zero), D_terms=(one, zero), K_terms=(one, zero), B=one
         )
         fom = to_first_order(assemble(sys, PcBasis(q=1, d=0)))
-        assert_allclose(fom.A, np.array([[0.0, 1.0], [-1.0, -1.0]]))
-        assert_allclose(fom.N, np.eye(2))
+        dense = dense_first_order(fom)
+        assert_allclose(dense.A, np.array([[0.0, 1.0], [-1.0, -1.0]]))
+        assert_allclose(dense.N, np.eye(2))
 
     def test_dissipation_structure_identity(self):
         g = assemble(two_mass_example(), PcBasis(q=2, d=2))
         fom = to_first_order(g)
         ns = g.dimension
-        T = fom.A.T @ fom.N + fom.N @ fom.A
+        dense = dense_first_order(fom)
+        T = dense.A.T @ dense.N + dense.N @ dense.A
         expected = np.zeros_like(T)
         expected[ns:, ns:] = -2.0 * g.D.toarray()
         dev = np.abs(T - expected).max()
@@ -154,8 +162,20 @@ class TestFirstOrder:
         g = assemble(two_mass_example(), PcBasis(q=2, d=1))
         fom = to_first_order(g)
         assert fom.galerkin is g
+        dense = dense_first_order(fom)
         with pytest.raises(ValueError, match="second-order triple"):
-            QuadraticOutputSystem(A=fom.A[:4, :4], B=fom.B[:4], N=fom.N[:4, :4], galerkin=g)
+            QuadraticOutputSystem(A=dense.A[:4, :4], B=fom.B[:4], N=dense.N[:4, :4], galerkin=g)
+        with pytest.raises(ValueError, match="second-order triple"):
+            dataclasses.replace(fom, galerkin=None)
+
+    def test_indefinite_mass_rejected(self, rng):
+        eye = sp.identity(2, format="csr")
+        g = GalerkinSystem(
+            M=sp.csr_matrix(np.diag([1.0, -1.0])), D=0.0 * eye, K=eye,
+            B=np.ones((2, 1)), basis=PcBasis(q=1, d=0), n=2,
+        )
+        with pytest.raises(DefinitenessError, match="mass block"):
+            to_first_order(g)
 
     def test_energy_consistency(self, rng):
         g = assemble(two_mass_example(), PcBasis(q=2, d=1))
@@ -173,6 +193,30 @@ class TestFirstOrder:
         assert energy(g, np.zeros(ns), np.zeros(ns)) == 0.0
         with pytest.raises(ValueError, match="length"):
             energy(g, np.zeros(3), np.zeros(ns))
+
+
+def traced_peak(fn):
+    """fn() and the peak of the memory allocated during the call, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_first_order_form_allocates_no_dense_matrix():
+    """On the default d = 2 model (m = 960) neither the first-order form nor
+    its passivity check allocates as much as one dense m x m matrix."""
+    parametric = build_msd(default_config())
+    g = assemble(parametric, PcBasis(q=parametric.q, d=2))
+    dense_bytes = (2 * g.dimension) ** 2 * np.dtype(float).itemsize
+    fom, peak = traced_peak(lambda: to_first_order(g))
+    assert peak < dense_bytes, f"to_first_order peaked at {peak / dense_bytes:.2f} dense matrices"
+    report, peak = traced_peak(lambda: check_passivity(fom))
+    assert peak < dense_bytes, f"check_passivity peaked at {peak / dense_bytes:.2f} dense matrices"
+    assert report.passive
 
 
 class TestQuadraticOutputSystem:

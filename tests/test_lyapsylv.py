@@ -325,6 +325,14 @@ class TestSchurHelpers:
             real_schur(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("m", [1, LEAF - 1, LEAF, LEAF + 1, 3 * LEAF + 5])
+def test_in_place_symmetrization_is_exact(rng, m):
+    """The strip-wise symmetrization equals the out-of-place 0.5 (X + X^T) bitwise."""
+    X = rng.standard_normal((m, m))
+    Y = lyapsylv._symmetrize(X.copy())
+    assert np.array_equal(Y, 0.5 * (X + X.T))
+
+
 class TestSymmetricFactor:
     def test_identity(self):
         Z = symmetric_factor(np.eye(4))

@@ -8,9 +8,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_stable_system
+from second_order import dense_first_order
 from sgmor.bt_quadratic import balance, truncate
-from sgmor.galerkin import QuadraticOutputSystem
+from sgmor.galerkin import QuadraticOutputSystem, assemble, to_first_order
+from sgmor.msd import build_msd, default_config
 from sgmor.passivity import check_passivity, dissipation_matrix, shifted_dissipation_certificate
+from sgmor.polychaos import PcBasis
 from sgmor.simulate import integrate
 
 
@@ -56,6 +59,19 @@ class TestCheckPassivity:
         report = check_passivity(sys)
         oracle = la.eigvalsh(dissipation_matrix(sys)).max()
         assert_allclose(report.lambda_max, oracle, rtol=1e-13)
+
+    def test_galerkin_form_matches_dense_oracle(self):
+        # T = blkdiag(0, -2 D) is read off the triple; the dense oracle forms
+        # it from the dense first-order matrices
+        parametric = build_msd(default_config())
+        fom = to_first_order(assemble(parametric, PcBasis(q=parametric.q, d=1)))
+        dense = dense_first_order(fom)
+        T, oracle = dissipation_matrix(fom), dissipation_matrix(dense)
+        scale = np.abs(oracle).max()
+        assert_allclose(T.toarray(), oracle, rtol=0.0, atol=1e-10 * scale)
+        report, dense_report = check_passivity(fom), check_passivity(dense)
+        assert report.passive and dense_report.passive
+        assert abs(report.lambda_max - dense_report.lambda_max) <= 1e-10 * scale
 
     def test_boundary_case_counts_as_passive(self):
         # lambda_max is exactly 0 for conservative dynamics

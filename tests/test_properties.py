@@ -1,6 +1,7 @@
 """Seeded property tests: random stable systems against the Kronecker oracles,
-the ground check of ``MsdConfig`` against a graph search, and the
-definiteness check of ``assemble`` against dense Cholesky.
+the ground check of ``MsdConfig`` against a graph search, the
+definiteness check of ``assemble`` against dense Cholesky, and the sparse
+first-order operator of grounded networks against its dense matrix.
 
 Hypothesis draws the system shape, the seed of ``make_stable_system`` and the
 reduced dimension; ``derandomize`` fixes the examples, so every run checks
@@ -25,7 +26,7 @@ from test_bt_quadratic import h2_error_oracle
 from test_lyapsylv import kron_sylvester, relative_error, unblocked_sylvester
 from sgmor.bt_quadratic import ReducedModel, balance, h2_error, truncate
 from sgmor.errors import DefinitenessError
-from sgmor.galerkin import ParametricSecondOrderSystem, QuadraticOutputSystem, assemble
+from sgmor.galerkin import ParametricSecondOrderSystem, QuadraticOutputSystem, assemble, to_first_order
 from sgmor.lyapsylv import LEAF, real_schur, solve_lyapunov, solve_sylvester
 from sgmor.msd import MsdConfig, build_msd
 from sgmor.polychaos import PcBasis
@@ -235,3 +236,27 @@ def test_definiteness_check_matches_dense_cholesky(sys, d):
     # the corner check's D clause has an absolute floor, so only M and K compare
     if corner_definiteness_check(sys):
         assert rejected not in ("M", "K"), f"corner check accepts, assemble rejects {rejected}"
+
+
+@SEEDED
+@given(
+    sys=grounded_msd_systems, d=st.integers(0, 2), omega=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_first_order_operator_matches_dense(sys, d, omega, seed):
+    g = assemble(sys, PcBasis(q=sys.q, d=d))
+    fom = to_first_order(g)
+    A = fom.A.toarray()
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((fom.m, 3))
+    assert relative_error(fom.A @ X, A @ X) < 1e-12
+    assert relative_error(fom.A.T @ X, A.T @ X) < 1e-12
+    b = rng.standard_normal(fom.m)
+    oracle = la.solve(omega * np.eye(fom.m) - A, b)
+    assert relative_error(fom.A.shift_inverse(omega)(b), oracle) < 1e-10
+    # A^T N + N A = blkdiag(0, -2 D), with A^T N = (N A)^T applied by the operator
+    S = fom.A.T @ fom.N.toarray()
+    expected = np.zeros_like(S)
+    expected[g.dimension:, g.dimension:] = -2.0 * g.D.toarray()
+    scale = max(abs(g.K).max(), abs(g.D).max())
+    assert np.abs(S + S.T - expected).max() <= 1e-12 * scale

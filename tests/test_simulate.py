@@ -1,7 +1,5 @@
 """Tests for the trapezoidal integrator and the output error bound."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import trapezoid
 
 from conftest import make_stable_system
+from second_order import dense_first_order
 from sgmor.bt_quadratic import balance, h2_error, truncate
 from sgmor.errors import NumericalError
 from sgmor.galerkin import GalerkinSystem, QuadraticOutputSystem, assemble, to_first_order
@@ -146,7 +145,7 @@ class TestSecondOrderPath:
     propagator on the same first-order matrices is the reference."""
 
     def test_default_model_default_input(self, fom_d1):
-        dense = dataclasses.replace(fom_d1, galerkin=None)
+        dense = dense_first_order(fom_d1)
         assert_same_trajectory(
             integrate(fom_d1, u=default_input, h=0.01, T=20.0),
             integrate(dense, u=default_input, h=0.01, T=20.0),
@@ -154,14 +153,14 @@ class TestSecondOrderPath:
 
     def test_default_model_zero_input_random_state(self, fom_d1, rng):
         x0 = rng.standard_normal(fom_d1.m)
-        dense = dataclasses.replace(fom_d1, galerkin=None)
+        dense = dense_first_order(fom_d1)
         sparse_run = integrate(fom_d1, x0=x0, h=0.01, T=20.0)
         assert_same_trajectory(sparse_run, integrate(dense, x0=x0, h=0.01, T=20.0))
         assert_allclose(sparse_run.x[0], x0, rtol=0.0, atol=0.0)
 
     def test_two_inputs(self, rng):
         fom = to_first_order(random_triple(rng, 6, 2))
-        dense = dataclasses.replace(fom, galerkin=None)
+        dense = dense_first_order(fom)
 
         def u(t):
             return np.array([np.sin(3.0 * t), np.exp(-t)])
@@ -240,6 +239,14 @@ class TestErrorBound:
         fom_traj = integrate(fom, u=default_input, h=0.05, T=5.0)
         cached = verify_error_bound(fom, rom, h=0.05, T=5.0, fom_trajectory=fom_traj)
         assert plain == cached, f"{plain} != {cached}"
+
+    def test_trajectory_of_another_input_rejected(self, rng):
+        fom = make_stable_system(rng, 6, n_in=1)
+        rom = truncate(balance(fom), fom, 2).system
+        zero_input_run = integrate(fom, u=None, h=0.01, T=20.0)
+        assert not np.any(zero_input_run.u)
+        with pytest.raises(ValueError, match="another input"):
+            verify_error_bound(fom, rom, u=default_input, h=0.01, T=20.0, fom_trajectory=zero_input_run)
 
     @pytest.mark.parametrize("h, T", [(0.02, 40.0), (0.02, 20.0), (0.01, 40.0)])
     def test_trajectory_on_another_grid_rejected(self, rng, h, T):
