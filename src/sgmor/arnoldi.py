@@ -2,39 +2,25 @@
 
 The projection basis spans the shifted-inverse Krylov space
 span{S^{-1}B, S^{-2}B, ...} with S = omega*I - A, grown column by column so
-any exact reduced dimension r is reachable.  S is factored once: by a sparse
-LU of omega^2 M + omega D + K for the first-order form of a Galerkin triple,
-by a dense LU otherwise.  Both projection matrices equal
-the orthonormal basis (V = W), so reduced systems are Galerkin projections
-and carry no stability guarantee.
+any exact reduced dimension r is reachable.  S is factored once by
+``QuadraticOutputSystem.shift_inverse``: a sparse LU of omega^2 M + omega D + K
+for the first-order form of a Galerkin triple, a dense LU otherwise.  Both
+projection matrices equal the orthonormal basis (V = W), so reduced systems
+are Galerkin projections and carry no stability guarantee.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg as la
 
 from .bt_quadratic import ReducedModel, project
-from .errors import ConvergenceError, NumericalError
-from .galerkin import FirstOrderOperator, QuadraticOutputSystem
+from .errors import ConvergenceError
+from .galerkin import QuadraticOutputSystem
 
 __all__ = ["arnoldi_basis", "reduce_arnoldi"]
 
 DEFLATION_RTOL = 1e-12
 REORTH_PASSES = 2
-
-
-def _dense_shift_inverse(A: np.ndarray, omega: float):
-    """x -> (omega I - A)^{-1} x by one dense LU; a singular shift raises NumericalError."""
-    with warnings.catch_warnings():
-        # singularity is detected and reported through the diagonal check
-        warnings.simplefilter("ignore", la.LinAlgWarning)
-        lu, piv = la.lu_factor(omega * np.eye(A.shape[0]) - A)
-    if np.abs(np.diag(lu)).min() == 0.0:
-        raise NumericalError(f"shift {omega} makes omega*I - A singular")
-    return lambda b: la.lu_solve((lu, piv), b)
 
 
 def arnoldi_basis(fom: QuadraticOutputSystem, r: int, omega: float = 1.0) -> tuple[np.ndarray, dict]:
@@ -52,10 +38,7 @@ def arnoldi_basis(fom: QuadraticOutputSystem, r: int, omega: float = 1.0) -> tup
         raise ValueError(f"reduced dimension {r} outside 1..{m}")
     if not np.isfinite(omega):
         raise ValueError("expansion point must be finite")
-    if isinstance(fom.A, FirstOrderOperator):
-        shift_inverse = fom.A.shift_inverse(omega)
-    else:
-        shift_inverse = _dense_shift_inverse(fom.A, omega)
+    shift_inverse = fom.shift_inverse(omega)
 
     V = np.empty((m, r))
     k = 0

@@ -12,10 +12,12 @@ the system; the dense A exists only as the input of the Schur form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -161,41 +163,15 @@ class FirstOrderOperator:
         return out
 
     def toarray(self) -> np.ndarray:
-        """The dense A (A^T for a transposed operator), Fortran-ordered."""
+        """The dense A (A^T for a transposed operator)."""
         g, ns = self.galerkin, self.galerkin.dimension
-        A = np.zeros((2 * ns, 2 * ns), order="F")
+        A = np.zeros((2 * ns, 2 * ns))
         idx = np.arange(ns)
         A[idx, ns + idx] = 1.0
         A[ns:, :ns] = self._mass_lu.solve(g.K.toarray())
         A[ns:, ns:] = self._mass_lu.solve(g.D.toarray())
         np.negative(A[ns:], out=A[ns:])
         return A.T if self._transposed else A
-
-    def shift_inverse(self, omega: float):
-        """x -> (omega I - A)^{-1} x by one sparse LU of omega^2 M + omega D + K.
-
-        (omega I - A) x = b reads omega x_1 - x_2 = b_1 and
-        omega M x_2 + K x_1 + D x_2 = M b_2, so
-        (omega^2 M + omega D + K) x_1 = M b_2 + (omega M + D) b_1 and
-        x_2 = omega x_1 - b_1.  A singular shift raises NumericalError.
-        """
-        if self._transposed:
-            raise ValueError("shifted solves are defined for A, not A^T")
-        g, ns = self.galerkin, self.galerkin.dimension
-        try:
-            lu = spla.splu((omega * omega * g.M + omega * g.D + g.K).tocsc())
-        except RuntimeError as exc:  # splu reports an exactly singular factor this way
-            raise NumericalError(f"shift {omega} makes omega*I - A singular") from exc
-        damped = omega * g.M + g.D
-
-        def solve(b: np.ndarray) -> np.ndarray:
-            b1, b2 = b[:ns], b[ns:]
-            x = np.empty(b.shape)
-            x[:ns] = lu.solve(g.M @ b2 + damped @ b1)
-            x[ns:] = omega * x[:ns] - b1
-            return x
-
-        return solve
 
 
 @dataclass(frozen=True)
@@ -205,19 +181,17 @@ class QuadraticOutputSystem:
     ``N`` is symmetric.  The internal energy of a Galerkin realization is
     y / 2; the factor 1/2 is applied only at reporting time.
 
-    ``A`` is a dense array or a ``FirstOrderOperator``; ``N`` a dense array
-    or a sparse matrix.  ``galerkin`` is the second-order triple this system
-    was converted from (set by ``to_first_order``, None otherwise); A and N
-    are then the sparse first-order form of that triple, the state is
-    x = [p; p'], and time integration and the dissipation matrix read the
-    triple.
+    ``A`` is a dense array or, for the first-order form of a Galerkin triple
+    (built by ``to_first_order``), a ``FirstOrderOperator`` on that triple;
+    ``N`` is a dense array or a sparse matrix.  Whether A is dense is
+    decided in one place, ``galerkin``: ``dense_A``, ``shift_inverse``,
+    time integration and the dissipation matrix all branch on it.
     """
 
     A: np.ndarray | FirstOrderOperator
     B: np.ndarray
     N: np.ndarray | sp.spmatrix
     label: str = "fom"
-    galerkin: GalerkinSystem | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.A, FirstOrderOperator):
@@ -235,11 +209,20 @@ class QuadraticOutputSystem:
         if not symmetric:
             raise ValueError("output matrix N must be symmetric")
         object.__setattr__(self, "N", 0.5 * (N + N.T))
+        if isinstance(self.A, FirstOrderOperator) and self.A._transposed:
+            raise ValueError("A^T of a second-order triple is not the A of a system")
         g = self.galerkin
-        if g is not None and (2 * g.dimension != m or g.B.shape[1] != self.B.shape[1]):
-            raise ValueError("second-order triple does not match the first-order dimensions")
-        if isinstance(self.A, FirstOrderOperator) and self.A.galerkin is not g:
-            raise ValueError("a first-order operator needs its second-order triple attached")
+        if g is not None and g.B.shape[1] != self.B.shape[1]:
+            raise ValueError("second-order triple does not match the first-order inputs")
+
+    @property
+    def galerkin(self) -> GalerkinSystem | None:
+        """The second-order triple A is applied through, or None for a dense A.
+
+        With a triple the state is x = [p; p'], and time integration and
+        the dissipation matrix read the triple instead of A.
+        """
+        return self.A.galerkin if isinstance(self.A, FirstOrderOperator) else None
 
     @property
     def m(self) -> int:
@@ -250,15 +233,53 @@ class QuadraticOutputSystem:
     def n_in(self) -> int:
         return self.B.shape[1]
 
+    def dense_A(self) -> np.ndarray:
+        """A as a dense array; built anew for the first-order form of a triple."""
+        return self.A if self.galerkin is None else self.A.toarray()
+
     @cached_property
     def schur(self) -> SchurFactors:
         """Real Schur form of A, computed once; every spectral question reads it.
 
-        Its input is a Fortran-ordered dense copy of A, which the Schur form
-        overwrites; a ``FirstOrderOperator`` is densified only here.
+        The dense A of a triple is built here and dropped after the call.
         """
-        A = self.A.toarray() if isinstance(self.A, FirstOrderOperator) else np.array(self.A, order="F")
-        return real_schur(A, overwrite_a=True)
+        return real_schur(self.dense_A())
+
+    def shift_inverse(self, omega: float):
+        """x -> (omega I - A)^{-1} x, factored once; a singular shift raises NumericalError.
+
+        A dense A takes a dense LU of omega I - A.  For a triple,
+        (omega I - A) x = b reads omega x_1 - x_2 = b_1 and
+        omega M x_2 + K x_1 + D x_2 = M b_2, so one sparse LU of
+        omega^2 M + omega D + K solves
+        (omega^2 M + omega D + K) x_1 = M b_2 + (omega M + D) b_1, and
+        x_2 = omega x_1 - b_1.
+        """
+        g = self.galerkin
+        if g is None:
+            with warnings.catch_warnings():
+                # singularity is detected and reported through the diagonal check
+                warnings.simplefilter("ignore", la.LinAlgWarning)
+                lu, piv = la.lu_factor(omega * np.eye(self.m) - self.A)
+            if np.abs(np.diag(lu)).min() == 0.0:
+                raise NumericalError(f"shift {omega} makes omega*I - A singular")
+            return lambda b: la.lu_solve((lu, piv), b)
+
+        ns = g.dimension
+        try:
+            lu = spla.splu((omega * omega * g.M + omega * g.D + g.K).tocsc())
+        except RuntimeError as exc:  # splu reports an exactly singular factor this way
+            raise NumericalError(f"shift {omega} makes omega*I - A singular") from exc
+        damped = omega * g.M + g.D
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            b1, b2 = b[:ns], b[ns:]
+            x = np.empty(b.shape)
+            x[:ns] = lu.solve(g.M @ b2 + damped @ b1)
+            x[ns:] = omega * x[:ns] - b1
+            return x
+
+        return solve
 
     @cached_property
     def gramian(self) -> GramianCache:
@@ -384,7 +405,7 @@ def to_first_order(g: GalerkinSystem) -> QuadraticOutputSystem:
     B = np.zeros((2 * ns, g.B.shape[1]))
     B[ns:, :] = lu.solve(g.B)
     N = sp.block_diag((g.K, g.M), format="csr")
-    return QuadraticOutputSystem(A=FirstOrderOperator(g, lu), B=B, N=N, galerkin=g)
+    return QuadraticOutputSystem(A=FirstOrderOperator(g, lu), B=B, N=N)
 
 
 def write_matrix_market(path, mat, symmetry: str = "general") -> None:

@@ -88,16 +88,12 @@ class SchurFactors:
         return float(self.eigenvalues.real.max())
 
 
-def real_schur(A: np.ndarray, overwrite_a: bool = False) -> SchurFactors:
-    """Compute the real Schur form of a square matrix.
-
-    With ``overwrite_a`` a Fortran-ordered float64 A becomes T in place
-    instead of being copied.
-    """
+def real_schur(A: np.ndarray) -> SchurFactors:
+    """Compute the real Schur form of a square matrix."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    T, U = la.schur(A, output="real", overwrite_a=overwrite_a)
+    T, U = la.schur(A, output="real")
     return SchurFactors(T=T, U=U, eigenvalues=_quasi_triangular_eigenvalues(T))
 
 
