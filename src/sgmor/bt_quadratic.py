@@ -7,9 +7,12 @@ H2 Sylvester solve, so a sweep row costs one r x r Schur form.
 
 Each system likewise solves its controllability Gramian P once
 (``QuadraticOutputSystem.gramian``, a ``GramianCache`` with the H2 norm), so
-no caller passes a Gramian beside its system.  ``balance`` solves the
-output-weighted observability Gramian Q (right-hand side N P N) after P,
-factors both, and the SVD of Z_P^T Z_Q delivers the projection bases.
+no caller passes a Gramian beside its system.  ``balance`` factors
+P = Z_P Z_P^T, solves the output-weighted observability Gramian Q, whose
+right-hand side N P N is replaced by N Z_P Z_P^T N and passed as its
+factor N Z_P, factors Q, and the SVD of Z_P^T Z_Q delivers the projection
+bases.  Every right-hand side is passed as a factor (B for P, (B, B_r)
+for the H2 Sylvester equation), so no m x m right-hand side is formed.
 Every H2 quantity needs P alone:
 with B B^T = -(A P + P A^T), the norm sqrt(trace(B^T Q B)) equals
 sqrt(trace(N P N P)), and the squared reduction error is
@@ -94,12 +97,9 @@ class ReducedModel:
 
 def balance(fom: QuadraticOutputSystem) -> BalancedFactorization:
     """Gramians, symmetric factors, and the balancing SVD of a stable system."""
-    P = fom.gramian.controllability
-    # N P N = N (N P)^T as P and N are symmetric: two sparse products when N
-    # is sparse.  Q is solved before P is factored; the other order raises
-    # the peak RSS
-    Q = solve_lyapunov(fom.A, fom.N @ (fom.N @ P).T, factors=fom.schur, transposed=True)
-    Zp = symmetric_factor(P, tol=FACTOR_TOL)
+    Zp = symmetric_factor(fom.gramian.controllability, tol=FACTOR_TOL)
+    # Q's right-hand side N Z_P Z_P^T N is passed as its factor N Z_P
+    Q = solve_lyapunov(fom.A, fom.N @ Zp, factors=fom.schur, transposed=True)
     Zq = symmetric_factor(Q, tol=FACTOR_TOL)
     left, sigma, right_t = la.svd(Zp.T @ Zq, full_matrices=False)
     return BalancedFactorization(Zp=Zp, Zq=Zq, sigma=sigma, left=left, right_t=right_t)
@@ -145,7 +145,7 @@ def h2_error(fom: QuadraticOutputSystem, rsys: QuadraticOutputSystem) -> float:
     fom_norm_sq = fom.gramian.norm_squared
     rom_norm_sq = rsys.gramian.norm_squared
 
-    X = solve_sylvester(fom.A, rsys.A, fom.B @ rsys.B.T, factors_a=fom.schur, factors_f=rsys.schur)
+    X = solve_sylvester(fom.A, rsys.A, fom.B, rsys.B, factors_a=fom.schur, factors_f=rsys.schur)
     cross = float(np.sum((fom.N @ X) * (X @ rsys.N)))
     value = fom_norm_sq + rom_norm_sq - 2.0 * cross
     scale = abs(fom_norm_sq) + abs(rom_norm_sq)

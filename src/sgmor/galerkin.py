@@ -313,10 +313,10 @@ def gramian_cache(sys: QuadraticOutputSystem) -> GramianCache:
         raise StabilityError(
             f"{sys.label}: spectral abscissa {fac.abscissa:.3e} >= 0, Gramians undefined"
         )
-    P = solve_lyapunov(sys.A, sys.B @ sys.B.T, factors=fac)
+    P = solve_lyapunov(sys.A, sys.B, factors=fac)
     NP = sys.N @ P
-    # trace(N P N P) without forming the product
-    norm_sq = float(np.sum(NP * NP.T))
+    # trace(N P N P) = sum_ij (NP)_ij (NP)_ji, with no temporary
+    norm_sq = float(np.einsum("ij,ji->", NP, NP))
     return GramianCache(controllability=P, norm_squared=norm_sq)
 
 

@@ -15,6 +15,12 @@ m = 960).  Both share the transform, scale and back-transform of
 ``_bartels_stewart``.  Schur factorizations computed up front can be
 passed to every solve; each solution is verified against its residual
 before it is returned.
+
+Right-hand sides are passed as factors, as in low-rank ADI (Penzl 2000; Li &
+White 2002): B B^T for a Lyapunov equation and L R^T for a Sylvester
+equation.  The transform to Schur coordinates is then (U_a^T L)(U_f^T R)^T,
+O(m n k) flops for k columns in place of two m x m products, and no m x m
+right-hand side is ever formed.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
-from scipy.linalg.lapack import dtrsyl
+from scipy.linalg.lapack import dgees, dtrsyl
 
 from .errors import ConvergenceError, DefinitenessError, SpectralOverlapError, StabilityError
 
@@ -40,6 +46,8 @@ __all__ = [
 RESIDUAL_RTOL = 1e-10
 # largest block handed to trsyl; above it the flops go to GEMM couplings
 LEAF = 64
+# columns of X one operator application of the Lyapunov residual takes
+RESIDUAL_COLS = 2 * LEAF
 
 
 def is_symmetric(X: np.ndarray, atol: float) -> bool:
@@ -88,12 +96,31 @@ class SchurFactors:
         return float(self.eigenvalues.real.max())
 
 
+def _no_sort(wr, wi):
+    """The eigenvalue selector gees takes; never called, as no ordering is asked for."""
+    return 0
+
+
 def real_schur(A: np.ndarray) -> SchurFactors:
-    """Compute the real Schur form of a square matrix."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    T, U = la.schur(A, output="real")
+    """Compute the real Schur form of a square matrix.
+
+    LAPACK gees runs on one Fortran-ordered copy of A, which it overwrites
+    with T, so the caller's array is never changed.  The workspace query
+    passes the same copy and reads only its dimension, so it copies nothing
+    (scipy's ``schur`` copies A for the query and keeps that copy alive
+    through the real call).
+    """
+    T = np.array(A, dtype=float, order="F")
+    if T.ndim != 2 or T.shape[0] != T.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {T.shape}")
+    if not np.isfinite(T).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lwork = int(dgees(_no_sort, T, lwork=-1, overwrite_a=True)[-2][0])
+    T, _, _, _, U, _, info = dgees(_no_sort, T, lwork=lwork, overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"illegal argument {-info} passed to gees")
+    if info > 0:
+        raise la.LinAlgError("Schur form not found: the QR algorithm did not converge")
     return SchurFactors(T=T, U=U, eigenvalues=_quasi_triangular_eigenvalues(T))
 
 
@@ -212,71 +239,99 @@ def _blocked_lyapunov(T, R, trana: str, work: np.ndarray) -> tuple[float, int]:
     return scale1 * scale2 * scale3, max(info1, info2, info3)
 
 
-def _bartels_stewart(fac_a: SchurFactors, fac_f: SchurFactors, C: np.ndarray, solve):
+def _bartels_stewart(fac_a: SchurFactors, fac_f: SchurFactors, L: np.ndarray, R: np.ndarray, solve):
     """Transform, solve on the Schur forms, scale and back-transform: Y = U_a Z U_f^T.
 
+    The right-hand side L R^T is transformed as (U_a^T L)(U_f^T R)^T, one
+    product with U_a^T L when R is L and the factorizations are one.
     ``solve(R, work)`` is ``_blocked_trsyl`` or ``_blocked_lyapunov`` on
-    T_a and T_f: it overwrites R = U_a^T C U_f with the Z of the
-    quasi-triangular equation for right-hand side scale * R and returns
-    (scale, info).  Z is divided by -scale, so Y solves the equation with
-    right-hand side -C.  Returns Y and the largest trsyl info (1: the
-    spectra were perturbed to keep the equation solvable).
+    T_a and T_f: it overwrites R with the Z of the quasi-triangular
+    equation for right-hand side scale * R and returns (scale, info).  Z is
+    divided by -scale, so Y solves the equation with right-hand side
+    -L R^T.  Returns Y and the largest trsyl info (1: the spectra were
+    perturbed to keep the equation solvable).
     """
     m, n = fac_a.T.shape[0], fac_f.T.shape[0]
-    # Z and the coupling workspace behind it share one allocation: a separate
-    # medium-sized workspace fragments the malloc heap and raised the peak
-    # memory of a d = 2 verify run by up to 11 MB.  A coupling updates at
-    # most half the rows (plus a 2x2 block) of Z or Z^T.
-    buf = np.empty(m * n + (max(m, n) // 2 + 1) * min(m, n))
-    Z = np.matmul(fac_a.U.T @ C, fac_f.U, out=buf[: m * n].reshape(m, n))
-    scale, info = solve(Z, buf[m * n :])
+    # Z and the coupling workspace behind it share one allocation that
+    # lives through the back-transform: splitting it, or freeing it before
+    # the back-transform, fragments the malloc heap and raised the peak
+    # memory of a d = 2 verify run.  A coupling updates at most half the
+    # rows (plus a 2x2 block) of Z or Z^T; the workspace also holds at
+    # least one row of Z for the back-transform.
+    buf = np.empty(m * n + max((max(m, n) // 2 + 1) * min(m, n), n))
+    Z, work = buf[: m * n].reshape(m, n), buf[m * n :]
+    UL = fac_a.U.T @ L
+    UR = UL if R is L and fac_f is fac_a else fac_f.U.T @ R
+    np.matmul(UL, UR.T, out=Z)
+    scale, info = solve(Z, work)
     Z /= -scale
-    return fac_a.U @ Z @ fac_f.U.T, info
+    # Z <- Z U_f^T in strips of rows through the workspace, so that the
+    # only new m x n array is Y = U_a Z
+    rows = work.size // n
+    for i in range(0, m, rows):
+        strip = Z[i : i + rows]
+        out = work[: strip.size].reshape(strip.shape)
+        strip[...] = np.matmul(strip, fac_f.U.T, out=out)
+    return fac_a.U @ Z, info
+
+
+def _factor(name: str, X, rows: int) -> np.ndarray:
+    """X as a float array of ``rows`` rows: the factor of a right-hand side."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] != rows:
+        raise ValueError(f"right-hand side factor {name} has shape {X.shape}, expected {rows} rows")
+    return X
 
 
 def solve_lyapunov(
     A: np.ndarray,
-    C: np.ndarray,
+    B: np.ndarray,
     factors: SchurFactors | None = None,
     transposed: bool = False,
 ) -> np.ndarray:
-    """Solve A X + X A^T + C = 0 for symmetric C and asymptotically stable A.
+    """Solve A X + X A^T + B B^T = 0 for an m x k factor B and asymptotically stable A.
 
     The symmetric recursion ``_blocked_lyapunov`` on one Schur
     factorization solves only the blocks of X on and above the diagonal;
     stability of A keeps the spectra of A and -A apart, so no gap check is
-    needed.  With ``transposed`` the adjoint equation A^T X + X A + C = 0
+    needed.  With ``transposed`` the adjoint equation A^T X + X A + B B^T = 0
     is solved instead, reusing the same factorization.  The result is
     symmetrized; a StabilityError is raised for unstable A and a
-    ConvergenceError if the relative residual exceeds RESIDUAL_RTOL.
+    ConvergenceError if the residual, relative to ||B B^T||_F, exceeds
+    RESIDUAL_RTOL.
 
     A is a dense array or, when ``factors`` are given, any operator with
     ``shape``, ``T`` and ``@`` (the residual only applies it).
     """
     if factors is None:
         A = np.asarray(A, dtype=float)
-    C = np.asarray(C, dtype=float)
-    if C.shape != A.shape:
-        raise ValueError(f"right-hand side shape {C.shape} does not match A {A.shape}")
-    cnorm = la.norm(C, "fro")
-    if not is_symmetric(C, 1e-12 * max(cnorm, 1.0)):
-        raise ValueError("Lyapunov right-hand side must be symmetric")
+    m = A.shape[0]
+    B = _factor("B", B, m)
+    # ||B B^T||_F = ||B^T B||_F, a k x k product
+    cnorm = la.norm(B.T @ B, "fro")
 
     fac = factors if factors is not None else real_schur(A)
     if fac.abscissa >= 0.0:
         raise StabilityError(f"coefficient matrix has spectral abscissa {fac.abscissa:.3e} >= 0")
 
     trana = "T" if transposed else "N"
-    X, info = _bartels_stewart(fac, fac, C, lambda Z, work: _blocked_lyapunov(fac.T, Z, trana, work))
+    X, info = _bartels_stewart(fac, fac, B, B, lambda Z, work: _blocked_lyapunov(fac.T, Z, trana, work))
     if info == 1:
         raise ConvergenceError("trsyl perturbed nearly singular Lyapunov spectrum")
     _symmetrize(X)
 
     # X is exactly symmetric, so A X + X A^T = (A X) + (A X)^T = 2 sym(A X),
-    # formed in place (the doubling is exact)
-    R = _symmetrize((A.T if transposed else A) @ X)
+    # formed in place (the doubling is exact).  A X is applied to a block
+    # of columns at a time, so an operator A solves with few right-hand
+    # sides at once, and B B^T is added one strip of rows at a time.
+    op = A.T if transposed else A
+    R = np.empty((m, m))
+    for j in range(0, m, RESIDUAL_COLS):
+        R[:, j : j + RESIDUAL_COLS] = op @ X[:, j : j + RESIDUAL_COLS]
+    _symmetrize(R)
     R *= 2.0
-    R += C
+    for i in range(0, m, LEAF):
+        R[i : i + LEAF] += B[i : i + LEAF] @ B.T
     residual = la.norm(R, "fro")
     if cnorm > 0.0 and residual / cnorm > RESIDUAL_RTOL:
         raise ConvergenceError(
@@ -288,23 +343,26 @@ def solve_lyapunov(
 def solve_sylvester(
     A: np.ndarray,
     F: np.ndarray,
-    C: np.ndarray,
+    L: np.ndarray,
+    R: np.ndarray,
     factors_a: SchurFactors | None = None,
     factors_f: SchurFactors | None = None,
 ) -> np.ndarray:
-    """Solve A Y + Y F^T + C = 0 (the spectra of A and -F must be disjoint).
+    """Solve A Y + Y F^T + L R^T = 0 (the spectra of A and -F must be disjoint).
 
-    Schur factorizations of A and F can be passed in ``factors_a`` and
-    ``factors_f`` when the caller already holds them; with ``factors_a``, A
-    may be any operator with ``shape`` and ``@`` (the residual only applies
-    it).
+    L (m x k) and R (n x k) factor the right-hand side; a general m x n C
+    is passed as (C, I).  Schur factorizations of A and F can be passed in
+    ``factors_a`` and ``factors_f`` when the caller already holds them; with
+    ``factors_a``, A may be any operator with ``shape`` and ``@`` (the
+    residual only applies it).
     """
     if factors_a is None:
         A = np.asarray(A, dtype=float)
     F = np.asarray(F, dtype=float)
-    C = np.asarray(C, dtype=float)
-    if C.shape != (A.shape[0], F.shape[0]):
-        raise ValueError(f"right-hand side shape {C.shape} does not match ({A.shape[0]}, {F.shape[0]})")
+    L = _factor("L", L, A.shape[0])
+    R = _factor("R", R, F.shape[0])
+    if L.shape[1] != R.shape[1]:
+        raise ValueError(f"right-hand side factors have shapes {L.shape} and {R.shape}, column counts differ")
 
     fac_a = factors_a if factors_a is not None else real_schur(A)
     fac_f = factors_f if factors_f is not None else real_schur(F)
@@ -316,13 +374,16 @@ def solve_sylvester(
         )
 
     Y, info = _bartels_stewart(
-        fac_a, fac_f, C, lambda Z, work: _blocked_trsyl(fac_a.T, fac_f.T, Z, "N", "T", work)
+        fac_a, fac_f, L, R, lambda Z, work: _blocked_trsyl(fac_a.T, fac_f.T, Z, "N", "T", work)
     )
     if info == 1:
         raise SpectralOverlapError("trsyl perturbed nearly common eigenvalues")
 
-    residual = la.norm(A @ Y + Y @ F.T + C, "fro")
+    C = L @ R.T
     denom = max(la.norm(C, "fro"), 1.0)
+    C += A @ Y
+    C += Y @ F.T
+    residual = la.norm(C, "fro")
     if residual / denom > RESIDUAL_RTOL:
         raise ConvergenceError(
             f"Sylvester residual {residual / denom:.3e} exceeds tolerance {RESIDUAL_RTOL:.1e}"

@@ -136,13 +136,14 @@ def _step_second_order(g: GalerkinSystem, ugrid: np.ndarray, x0: np.ndarray, h: 
     except RuntimeError as exc:  # splu reports an exactly singular factor this way
         raise NumericalError(f"M + h/2 D + h^2/4 K is singular at h={h}") from exc
     explicit = sp.hstack([-h * g.K, g.M - shift], format="csr")
-    forcing = (0.5 * h) * (ugrid[:-1] + ugrid[1:]) @ g.B.T
+    # h/2 (u + u+) stays in input space, (steps, n_in); B is applied per step
+    forcing = (0.5 * h) * (ugrid[:-1] + ugrid[1:])
 
     x = np.empty((ugrid.shape[0], 2 * ns))
     x[0] = x0
     for k in range(ugrid.shape[0] - 1):
         p, v = x[k, :ns], x[k, ns:]
-        v_next = lu.solve(explicit @ x[k] + forcing[k])
+        v_next = lu.solve(explicit @ x[k] + g.B @ forcing[k])
         x[k + 1, :ns] = p + 0.5 * h * (v + v_next)
         x[k + 1, ns:] = v_next
     y = np.empty(ugrid.shape[0])

@@ -140,14 +140,13 @@ def test_criterion_04_matrix_equation_oracles():
     for _ in range(20):
         m = int(rng.integers(2, 11))
         sys = make_stable_system(rng, m)
-        C = sys.B @ sys.B.T
-        X = solve_lyapunov(sys.A, C)
-        oracle = kron_lyapunov(sys.A, C)
+        X = solve_lyapunov(sys.A, sys.B)
+        oracle = kron_lyapunov(sys.A, sys.B @ sys.B.T)
         worst_lyap = max(worst_lyap, npla.norm(X - oracle) / npla.norm(oracle))
         r = int(rng.integers(2, 11))
         F = make_stable_system(rng, r).A
         G = rng.standard_normal((m, r))
-        Y = solve_sylvester(sys.A, F.T, G)
+        Y = solve_sylvester(sys.A, F.T, G, np.eye(r))
         oracle = kron_sylvester(sys.A, F, G)
         worst_sylv = max(worst_sylv, npla.norm(Y - oracle) / npla.norm(oracle))
     elapsed = time.perf_counter() - start

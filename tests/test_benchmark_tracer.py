@@ -2,11 +2,15 @@
 
 ``perfbench/tracing.py`` wraps the functions listed in its ``WRAPPED`` table
 by name, so a rename or deletion in ``sgmor`` breaks a traced benchmark run.
-The table is read from the file without running or changing it.
+Its ``ATTRS`` table reads arguments of those functions by parameter name
+(``a["A"]``), so a renamed parameter breaks it too.  Both tables are read
+from the file without changing it.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -31,3 +35,45 @@ def test_wrapped_entries_resolve_to_callables():
             if not callable(target):
                 missing.append(f"sgmor.{mod_name}.{qual}")
     assert not missing, f"tracer entries that no longer resolve: {missing}"
+
+
+def resolve(span_name: str):
+    """The package function a span name ("module.function") of the tracer wraps."""
+    mod_name, name = span_name.split(".")
+    qual = next(q for q in wrapped_table()[mod_name] if q.rsplit(".", 1)[-1] == name)
+    target = importlib.import_module(f"sgmor.{mod_name}")
+    for part in qual.split("."):
+        target = getattr(target, part)
+    return target
+
+
+def attrs_reads() -> dict[str, set[str]]:
+    """Span name -> the keys its ``ATTRS`` entry reads off the bound arguments.
+
+    Parsed from the source: each entry is a lambda (a, res), and a read is a
+    subscript of its first parameter by a string constant.
+    """
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    table = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "ATTRS" for t in node.targets)
+    )
+    reads = {}
+    for key, entry in zip(table.keys, table.values):
+        arg = entry.args.args[0].arg
+        reads[key.value] = {
+            node.slice.value for node in ast.walk(entry.body)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == arg and isinstance(node.slice, ast.Constant)
+        }
+    return reads
+
+
+def test_attrs_read_parameters_of_the_wrapped_functions():
+    reads = attrs_reads()
+    assert any(reads.values()), "no argument reads parsed from ATTRS"
+    missing = []
+    for span_name, keys in reads.items():
+        params = inspect.signature(resolve(span_name)).parameters
+        missing += [f"{span_name}: {key}" for key in sorted(keys - set(params))]
+    assert not missing, f"ATTRS reads arguments the wrapped functions do not take: {missing}"

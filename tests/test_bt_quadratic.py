@@ -26,7 +26,7 @@ from sgmor.bt_quadratic import (
 )
 from sgmor.errors import RankError, StabilityError
 from sgmor.galerkin import QuadraticOutputSystem
-from sgmor.lyapsylv import solve_lyapunov
+from sgmor.lyapsylv import solve_lyapunov, symmetric_factor
 
 
 def kron_lyapunov(A: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -61,9 +61,10 @@ def h2_error_oracle(fom: QuadraticOutputSystem, rsys: QuadraticOutputSystem) -> 
 
 
 def observability(sys: QuadraticOutputSystem) -> np.ndarray:
-    """Q from A^T Q + Q A + N P N = 0, the solve ``balance`` makes on the system's Schur form."""
-    P = sys.gramian.controllability
-    return solve_lyapunov(sys.A, sys.N @ P @ sys.N, factors=sys.schur, transposed=True)
+    """Q from A^T Q + Q A + N Z_P Z_P^T N = 0, the solve ``balance`` makes on the
+    system's Schur form with the factor N Z_P of its right-hand side."""
+    Zp = symmetric_factor(sys.gramian.controllability, tol=bt_quadratic.FACTOR_TOL)
+    return solve_lyapunov(sys.A, sys.N @ Zp, factors=sys.schur, transposed=True)
 
 
 class TestGramianCache:

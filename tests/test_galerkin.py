@@ -26,6 +26,7 @@ from sgmor.galerkin import (
     to_first_order,
     write_matrix_market,
 )
+from sgmor.lyapsylv import real_schur
 from sgmor.msd import build_msd, default_config
 from sgmor.passivity import check_passivity
 from sgmor.polychaos import PcBasis
@@ -218,6 +219,20 @@ def test_first_order_form_allocates_no_dense_matrix():
     report, peak = traced_peak(lambda: check_passivity(fom))
     assert peak < dense_bytes, f"check_passivity peaked at {peak / dense_bytes:.2f} dense matrices"
     assert report.passive
+
+
+def test_schur_form_and_gramian_peak_memory():
+    """On the default d = 2 model (m = 960) the Schur form peaks at 3.5 dense
+    m x m arrays (the dense A, the copy gees overwrites with T, and U) and the
+    controllability Gramian, its Schur form included, at 5 (T, U, the solve
+    buffer of 1.5 and P): no right-hand side or transform copies are formed."""
+    parametric = build_msd(default_config())
+    fom = to_first_order(assemble(parametric, PcBasis(q=parametric.q, d=2)))
+    dense_bytes = fom.m**2 * np.dtype(float).itemsize
+    _, peak = traced_peak(lambda: real_schur(fom.dense_A()))
+    assert peak <= 3.5 * dense_bytes, f"real_schur peaked at {peak / dense_bytes:.2f} dense matrices"
+    _, peak = traced_peak(lambda: fom.gramian)
+    assert peak <= 5.0 * dense_bytes, f"the Gramian peaked at {peak / dense_bytes:.2f} dense matrices"
 
 
 class TestQuadraticOutputSystem:

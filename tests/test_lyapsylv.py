@@ -4,7 +4,9 @@ Small solves are cross-checked by building the full Kronecker linear system
 and solving it with a general-purpose dense solver, which is slow but
 independent of the Schur-based implementation under test.  Solves above the
 leaf size of the blocked kernel are checked against scipy's
-``solve_sylvester``, one unblocked trsyl call on the whole system.
+``solve_sylvester``, one unblocked trsyl call on the whole system.  The
+solvers take factored right-hand sides: a Lyapunov C = B B^T is passed as B,
+and a general Sylvester C as (C, I).
 """
 
 from __future__ import annotations
@@ -79,45 +81,42 @@ def diagonal_leaves(T: np.ndarray) -> list[int]:
 
 class TestLyapunov:
     def test_identity_coefficients(self):
-        X = solve_lyapunov(-np.eye(3), 2.0 * np.eye(3))
+        X = solve_lyapunov(-np.eye(3), np.sqrt(2.0) * np.eye(3))
         assert_allclose(X, np.eye(3), atol=1e-14)
 
     def test_diagonal_closed_form(self):
-        A = np.diag([-1.0, -2.0])
-        C = np.array([[2.0, 3.0], [3.0, 4.0]])
-        X = solve_lyapunov(A, C)
-        assert_allclose(X, np.ones((2, 2)), atol=1e-14)
+        """Diagonal A: X_ij = -(B B^T)_ij / (a_i + a_j) for a PSD B B^T."""
+        a = np.array([-1.0, -2.0, -4.0])
+        B = np.array([[1.0, 2.0], [-1.0, 0.5], [3.0, 1.0]])
+        X = solve_lyapunov(np.diag(a), B)
+        assert_allclose(X, -(B @ B.T) / (a[:, None] + a[None, :]), atol=1e-14)
 
     def test_random_against_kronecker(self, rng):
         for _ in range(6):
             m = int(rng.integers(2, 7))
             sys = make_stable_system(rng, m)
-            C = sys.B @ sys.B.T
-            X = solve_lyapunov(sys.A, C)
-            oracle = kron_lyapunov(sys.A, C)
+            X = solve_lyapunov(sys.A, sys.B)
+            oracle = kron_lyapunov(sys.A, sys.B @ sys.B.T)
             rel = la.norm(X - oracle) / la.norm(oracle)
             assert rel < 1e-10, f"Lyapunov deviation {rel:.2e} at m={m}"
 
     def test_transposed_equation(self, rng):
         sys = make_stable_system(rng, 5)
-        C = sys.N @ sys.N.T
-        X = solve_lyapunov(sys.A, C, transposed=True)
-        oracle = kron_lyapunov(sys.A.T, C)
+        X = solve_lyapunov(sys.A, sys.N, transposed=True)
+        oracle = kron_lyapunov(sys.A.T, sys.N @ sys.N.T)
         assert_allclose(X, oracle, rtol=1e-10)
 
     def test_cached_factors_reused(self, rng):
         sys = make_stable_system(rng, 6)
         fac = real_schur(sys.A)
-        C1 = sys.B @ sys.B.T
-        C2 = np.eye(6)
-        X1 = solve_lyapunov(sys.A, C1, factors=fac)
-        X2 = solve_lyapunov(sys.A, C2, factors=fac)
-        assert_allclose(X1, kron_lyapunov(sys.A, C1), rtol=1e-10)
-        assert_allclose(X2, kron_lyapunov(sys.A, C2), rtol=1e-10)
+        X1 = solve_lyapunov(sys.A, sys.B, factors=fac)
+        X2 = solve_lyapunov(sys.A, np.eye(6), factors=fac)
+        assert_allclose(X1, kron_lyapunov(sys.A, sys.B @ sys.B.T), rtol=1e-10)
+        assert_allclose(X2, kron_lyapunov(sys.A, np.eye(6)), rtol=1e-10)
 
     def test_solution_symmetric_and_psd(self, rng):
         sys = make_stable_system(rng, 7)
-        X = solve_lyapunov(sys.A, sys.B @ sys.B.T)
+        X = solve_lyapunov(sys.A, sys.B)
         assert_allclose(X, X.T, atol=1e-13 * la.norm(X))
         eigs = la.eigvalsh(0.5 * (X + X.T))
         assert eigs.min() >= -1e-10 * la.norm(X, 2)
@@ -126,22 +125,24 @@ class TestLyapunov:
         with pytest.raises(StabilityError):
             solve_lyapunov(np.eye(2), np.eye(2))
 
-    def test_asymmetric_rhs_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            solve_lyapunov(-np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+    def test_factor_shape_mismatch_rejected(self):
+        """B B^T must be m x m: a factor with another row count, or a vector, is refused."""
+        for B in (np.ones((3, 1)), np.ones(2)):
+            with pytest.raises(ValueError, match="shape"):
+                solve_lyapunov(-np.eye(2), B)
 
 
 class TestSylvester:
     def test_double_identity(self, rng):
         C = rng.standard_normal((4, 3))
-        Y = solve_sylvester(-np.eye(4), -np.eye(3), C)
+        Y = solve_sylvester(-np.eye(4), -np.eye(3), C, np.eye(3))
         assert_allclose(Y, C / 2.0, atol=1e-14)
 
     def test_diagonal_closed_form(self):
         A = np.diag([-1.0, -3.0])
         F = np.diag([-2.0, -5.0, -7.0])
         C = np.arange(6, dtype=float).reshape(2, 3) + 1.0
-        Y = solve_sylvester(A, F, C)
+        Y = solve_sylvester(A, F, C, np.eye(3))
         expected = -C / (np.diag(A)[:, None] + np.diag(F)[None, :])
         assert_allclose(Y, expected, atol=1e-14)
 
@@ -152,7 +153,7 @@ class TestSylvester:
             A = make_stable_system(rng, m).A
             F = make_stable_system(rng, r).A
             C = rng.standard_normal((m, r))
-            Y = solve_sylvester(A, F.T, C)
+            Y = solve_sylvester(A, F.T, C, np.eye(r))
             oracle = kron_sylvester(A, F, C)
             rel = la.norm(Y - oracle) / la.norm(oracle)
             assert rel < 1e-10, f"Sylvester deviation {rel:.2e} at ({m}, {r})"
@@ -160,11 +161,14 @@ class TestSylvester:
     def test_overlapping_spectra_raise(self):
         A = np.diag([-1.0, -2.0])
         with pytest.raises(SpectralOverlapError):
-            solve_sylvester(A, -A, np.ones((2, 2)))
+            solve_sylvester(A, -A, np.ones((2, 1)), np.ones((2, 1)))
 
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(ValueError, match="shape"):
-            solve_sylvester(-np.eye(3), -np.eye(2), np.ones((2, 2)))
+    def test_shape_mismatch(self):
+        """L must have m rows, R n rows, and both the same number of columns."""
+        for L, R in ((np.ones((2, 2)), np.eye(2)), (np.ones((3, 1)), np.ones((3, 1))),
+                     (np.ones((3, 2)), np.ones((2, 1)))):
+            with pytest.raises(ValueError, match="shape"):
+                solve_sylvester(-np.eye(3), -np.eye(2), L, R)
 
 
 class TestBlockedKernel:
@@ -193,7 +197,7 @@ class TestBlockedKernel:
         A = complex_pair_matrix(rng, m)
         G = rng.standard_normal((m, 3))
         C = G @ G.T
-        X = solve_lyapunov(A, C, transposed=transposed)
+        X = solve_lyapunov(A, G, transposed=transposed)
         oracle = unblocked_sylvester(A.T, A.T, C) if transposed else unblocked_sylvester(A, A, C)
         assert relative_error(X, oracle) < 1e-10
         assert np.array_equal(X, X.T)
@@ -215,7 +219,7 @@ class TestBlockedKernel:
     def test_rectangular_sylvester_against_unblocked(self, rng, trsyl_calls, m, r):
         A, F = complex_pair_matrix(rng, m), complex_pair_matrix(rng, r)
         C = rng.standard_normal((m, r))
-        Y = solve_sylvester(A, F, C)
+        Y = solve_sylvester(A, F, C, np.eye(r))
         assert relative_error(Y, unblocked_sylvester(A, F, C)) < 1e-10
         assert len(trsyl_calls) > 1 and max(max(shape) for shape in trsyl_calls) <= LEAF
 
@@ -250,7 +254,7 @@ class TestBlockedKernel:
         calls = self.scale_leaf(monkeypatch, leaf)
         A, F = complex_pair_matrix(rng, 150), complex_pair_matrix(rng, 70)
         C = rng.standard_normal((150, 70))
-        Y = solve_sylvester(A, F, C)
+        Y = solve_sylvester(A, F, C, np.eye(70))
         assert len(calls) > leaf
         assert relative_error(Y, unblocked_sylvester(A, F, C)) < 1e-10
 
@@ -262,7 +266,7 @@ class TestBlockedKernel:
         A = complex_pair_matrix(rng, 150)
         G = rng.standard_normal((150, 3))
         C = G @ G.T
-        X = solve_lyapunov(A, C, transposed=transposed)
+        X = solve_lyapunov(A, G, transposed=transposed)
         assert len(calls) == 10
         oracle = unblocked_sylvester(A.T, A.T, C) if transposed else unblocked_sylvester(A, A, C)
         assert relative_error(X, oracle) < 1e-10
@@ -280,7 +284,7 @@ class TestBlockedKernel:
         monkeypatch.setattr(lyapsylv, "dtrsyl", perturbed)
         A = complex_pair_matrix(rng, 150)
         with pytest.raises(SpectralOverlapError, match="trsyl"):
-            solve_sylvester(A, A, rng.standard_normal((150, 150)))
+            solve_sylvester(A, A, rng.standard_normal((150, 150)), np.eye(150))
         calls.clear()
         with pytest.raises(ConvergenceError, match="trsyl"):
             solve_lyapunov(A, np.eye(150))
@@ -305,7 +309,7 @@ class TestBlockedKernel:
         A = complex_pair_matrix(rng, 150)
         F = -A + 1e-15 * np.eye(150)
         with pytest.raises(SpectralOverlapError):
-            solve_sylvester(A, F, rng.standard_normal((150, 150)))
+            solve_sylvester(A, F, rng.standard_normal((150, 150)), np.eye(150))
 
 
 class TestSchurHelpers:

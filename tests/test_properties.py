@@ -1,7 +1,10 @@
 """Seeded property tests: random stable systems against the Kronecker oracles,
-the ground check of ``MsdConfig`` against a graph search, the
-definiteness check of ``assemble`` against dense Cholesky, and the sparse
-first-order operator of grounded networks against its dense matrix.
+the factored Lyapunov and Sylvester solves against the Kronecker and
+unblocked oracles (factors of one, few, many and rank-deficient columns), the
+input of ``real_schur`` left unchanged, the ground check of ``MsdConfig``
+against a graph search, the definiteness check of ``assemble`` against dense
+Cholesky, and the sparse first-order operator of grounded networks against
+its dense matrix.
 
 Hypothesis draws the system shape, the seed of ``make_stable_system`` and the
 reduced dimension; ``derandomize`` fixes the examples, so every run checks
@@ -23,7 +26,7 @@ from scipy.sparse.csgraph import connected_components
 from conftest import make_stable_system
 from second_order import corner_definiteness_check
 from test_bt_quadratic import h2_error_oracle
-from test_lyapsylv import kron_sylvester, relative_error, unblocked_sylvester
+from test_lyapsylv import kron_lyapunov, kron_sylvester, relative_error, unblocked_sylvester
 from sgmor.bt_quadratic import ReducedModel, balance, h2_error, truncate
 from sgmor.errors import DefinitenessError
 from sgmor.galerkin import ParametricSecondOrderSystem, QuadraticOutputSystem, assemble, to_first_order
@@ -101,7 +104,7 @@ def test_sylvester_matches_kronecker(a, f, seed):
     C = np.random.default_rng(seed).standard_normal((A.shape[0], F.shape[0]))
     oracle = kron_sylvester(A, F, C)
     for factors in ({}, {"factors_a": real_schur(A), "factors_f": real_schur(F.T)}):
-        Y = solve_sylvester(A, F.T, C, **factors)
+        Y = solve_sylvester(A, F.T, C, np.eye(F.shape[0]), **factors)
         rel = la.norm(Y - oracle) / la.norm(oracle)
         assert rel < 1e-10, f"Sylvester deviation {rel:.2e} ({'with' if factors else 'without'} factors)"
 
@@ -112,15 +115,84 @@ def test_blocked_solves_match_unblocked(a, r, seed):
     rng = np.random.default_rng(seed)
     F = make_stable_system(rng, r).A
     C = rng.standard_normal((a.m, r))
-    rel = relative_error(solve_sylvester(a.A, F, C), unblocked_sylvester(a.A, F, C))
+    rel = relative_error(solve_sylvester(a.A, F, C, np.eye(r)), unblocked_sylvester(a.A, F, C))
     assert rel < 1e-10, f"Sylvester deviation {rel:.2e} at ({a.m}, {r})"
     # the controllability equation A X + X A^T + B B^T = 0
-    C = a.B @ a.B.T
-    rel = relative_error(solve_lyapunov(a.A, C), unblocked_sylvester(a.A, a.A, C))
+    rel = relative_error(solve_lyapunov(a.A, a.B), unblocked_sylvester(a.A, a.A, a.B @ a.B.T))
     assert rel < 1e-10, f"Lyapunov deviation {rel:.2e} at m={a.m}"
-    # the observability equation A^T X + X A + N = 0
-    rel = relative_error(solve_lyapunov(a.A, a.N, transposed=True), unblocked_sylvester(a.A.T, a.A.T, a.N))
+    # the observability equation A^T X + X A + N = 0, N passed as its Cholesky factor
+    G = la.cholesky(a.N)
+    rel = relative_error(solve_lyapunov(a.A, G, transposed=True), unblocked_sylvester(a.A.T, a.A.T, a.N))
     assert rel < 1e-10, f"adjoint Lyapunov deviation {rel:.2e} at m={a.m}"
+
+
+@st.composite
+def factors(draw, m: int) -> np.ndarray:
+    """An m x k right-hand-side factor: k = 1, 1 < k < m, k > m, or of rank
+    below min(m, k), drawn as a product G H of seeded Gaussian factors."""
+    kind = draw(st.sampled_from(["k = 1", "1 < k < m", "k > m", "rank-deficient"]), label="factor")
+    if kind == "k = 1":
+        k = rank = 1
+    elif kind == "1 < k < m":
+        k = rank = draw(st.integers(2, m - 1), label="k")
+    elif kind == "k > m":
+        k = draw(st.integers(m + 1, 2 * m), label="k")
+        rank = m
+    else:
+        k = draw(st.integers(2, 2 * m), label="k")
+        rank = draw(st.integers(1, min(m, k) - 1), label="rank")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    return rng.standard_normal((m, rank)) @ rng.standard_normal((rank, k))
+
+
+@SEEDED
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 8), transposed=st.booleans(), data=st.data())
+def test_factored_lyapunov_matches_kronecker(seed, m, transposed, data):
+    A = random_system(seed, m, 1).A
+    B = data.draw(factors(m), label="B")
+    X = solve_lyapunov(A, B, transposed=transposed)
+    oracle = kron_lyapunov(A.T if transposed else A, B @ B.T)
+    assert relative_error(X, oracle) < 1e-10, f"factor of shape {B.shape}"
+
+
+@SEEDED
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 8), f=systems, data=st.data())
+def test_factored_sylvester_matches_kronecker(seed, m, f, data):
+    A = random_system(seed, m, 1).A
+    L = data.draw(factors(m), label="L")
+    R = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")).standard_normal((f.m, L.shape[1]))
+    Y = solve_sylvester(A, f.A, L, R)
+    oracle = kron_sylvester(A, f.A.T, L @ R.T)
+    assert relative_error(Y, oracle) < 1e-10, f"factors of shapes {L.shape}, {R.shape}"
+
+
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(a=large_systems, r=st.integers(1, 3 * LEAF), transposed=st.booleans(), data=st.data())
+def test_blocked_factored_solves_match_unblocked(a, r, transposed, data):
+    B = data.draw(factors(a.m), label="B")
+    X = solve_lyapunov(a.A, B, transposed=transposed)
+    A = a.A.T if transposed else a.A
+    rel = relative_error(X, unblocked_sylvester(A, A, B @ B.T))
+    assert rel < 1e-10, f"Lyapunov deviation {rel:.2e} at m={a.m}, factor of shape {B.shape}"
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    F = make_stable_system(rng, r).A
+    R = rng.standard_normal((r, B.shape[1]))
+    rel = relative_error(solve_sylvester(a.A, F, B, R), unblocked_sylvester(a.A, F, B @ R.T))
+    assert rel < 1e-10, f"Sylvester deviation {rel:.2e} at ({a.m}, {r}), factors of shapes {B.shape}, {R.shape}"
+
+
+@SEEDED
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 2 * LEAF), fortran=st.booleans())
+def test_real_schur_leaves_its_input_unchanged(seed, m, fortran):
+    A = np.random.default_rng(seed).standard_normal((m, m))
+    if fortran:
+        A = np.asfortranarray(A)
+    before = A.copy()
+    fac = real_schur(A)
+    # a Fortran-ordered float array is what LAPACK could overwrite in place
+    assert np.array_equal(A, before)
+    assert not np.shares_memory(fac.T, A)
+    assert relative_error(fac.U @ fac.T @ fac.U.T, A) < 1e-12
 
 
 @st.composite
