@@ -58,30 +58,6 @@ def is_symmetric(X: np.ndarray, atol: float) -> bool:
     return bool(np.abs(d, out=d).max(initial=0.0) <= atol)
 
 
-def _quasi_triangular_eigenvalues(T: np.ndarray) -> np.ndarray:
-    """Eigenvalues read off the 1x1 and 2x2 diagonal blocks of a real Schur form."""
-    n = T.shape[0]
-    evs = np.empty(n, dtype=complex)
-    i = 0
-    while i < n:
-        if i + 1 < n and T[i + 1, i] != 0.0:
-            a, b = T[i, i], T[i, i + 1]
-            c, d = T[i + 1, i], T[i + 1, i + 1]
-            re = 0.5 * (a + d)
-            disc = 0.25 * (a - d) ** 2 + b * c
-            if disc < 0.0:
-                im = np.sqrt(-disc)
-                evs[i], evs[i + 1] = re + 1j * im, re - 1j * im
-            else:
-                rt = np.sqrt(disc)
-                evs[i], evs[i + 1] = re + rt, re - rt
-            i += 2
-        else:
-            evs[i] = T[i, i]
-            i += 1
-    return evs
-
-
 @dataclass(frozen=True)
 class SchurFactors:
     """Real Schur decomposition A = U T U^T with the spectrum of A attached."""
@@ -116,12 +92,12 @@ def real_schur(A: np.ndarray) -> SchurFactors:
     if not np.isfinite(T).all():
         raise ValueError("array must not contain infs or NaNs")
     lwork = int(dgees(_no_sort, T, lwork=-1, overwrite_a=True)[-2][0])
-    T, _, _, _, U, _, info = dgees(_no_sort, T, lwork=lwork, overwrite_a=True)
+    T, _, wr, wi, U, _, info = dgees(_no_sort, T, lwork=lwork, overwrite_a=True)
     if info < 0:
         raise ValueError(f"illegal argument {-info} passed to gees")
     if info > 0:
         raise la.LinAlgError("Schur form not found: the QR algorithm did not converge")
-    return SchurFactors(T=T, U=U, eigenvalues=_quasi_triangular_eigenvalues(T))
+    return SchurFactors(T=T, U=U, eigenvalues=wr + 1j * wi)
 
 
 def _symmetrize(X: np.ndarray) -> np.ndarray:

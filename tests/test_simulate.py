@@ -1,5 +1,7 @@
 """Tests for the trapezoidal integrator and the output error bound."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,6 +10,7 @@ from scipy.integrate import trapezoid
 
 from conftest import make_stable_system
 from second_order import dense_first_order
+from sgmor import simulate
 from sgmor.bt_quadratic import balance, h2_error, truncate
 from sgmor.errors import NumericalError
 from sgmor.galerkin import GalerkinSystem, QuadraticOutputSystem, assemble, to_first_order
@@ -184,21 +187,21 @@ class TestSecondOrderPath:
 class TestErrorBound:
     def test_identical_models_hold(self, rng):
         fom = make_stable_system(rng, 6)
-        check = verify_error_bound(fom, fom, h=0.02, T=5.0)
+        [check] = verify_error_bound(fom, [fom], h=0.02, T=5.0)
         assert isinstance(check, BoundCheck)
         assert check.observed == 0.0, f"self-comparison observed {check.observed}"
         assert check.holds
 
     def test_zero_input_degenerate(self, rng):
         fom = make_stable_system(rng, 5)
-        check = verify_error_bound(fom, fom, u=None, h=0.05, T=2.0)
+        [check] = verify_error_bound(fom, [fom], u=None, h=0.05, T=2.0)
         assert check.observed == 0.0 and check.bound == 0.0 and check.holds
 
     def test_bound_value_is_error_norm_times_input_norm(self, rng):
         fom = make_stable_system(rng, 8, n_in=1)
         rom = truncate(balance(fom), fom, 3).system
         h, T = 0.02, 10.0
-        check = verify_error_bound(fom, rom, h=h, T=T)
+        [check] = verify_error_bound(fom, [rom], h=h, T=T)
         t = h * np.arange(int(round(T / h)) + 1)
         u4 = default_input(t) ** 4
         expected = h2_error(fom, rom) * np.sqrt(trapezoid(u4, t))
@@ -207,8 +210,8 @@ class TestErrorBound:
     def test_bound_holds_for_truncated_model(self, rng):
         fom = make_stable_system(rng, 8, n_in=1)
         bal = balance(fom)
-        for r in (2, 4):
-            check = verify_error_bound(fom, truncate(bal, fom, r).system, h=0.02, T=20.0)
+        checks = verify_error_bound(fom, [truncate(bal, fom, r).system for r in (2, 4)], h=0.02, T=20.0)
+        for r, check in zip((2, 4), checks):
             assert check.holds, (
                 f"r={r}: observed {check.observed:.3e} > bound {check.bound:.3e}"
             )
@@ -226,33 +229,30 @@ class TestErrorBound:
             def u(t):
                 return float(np.sum(c * np.exp(-t / tau) * np.sin(omega * t)))
 
-            check = verify_error_bound(fom, rom, u=u, h=0.02, T=20.0)
+            [check] = verify_error_bound(fom, [rom], u=u, h=0.02, T=20.0)
             assert check.holds, (
                 f"trial {trial}: observed {check.observed:.3e} "
                 f"> bound {check.bound:.3e}"
             )
 
-    def test_precomputed_pieces_do_not_change_result(self, rng):
+    def test_batch_matches_single_checks_with_one_fom_run(self, rng, monkeypatch):
         fom = make_stable_system(rng, 7, n_in=1)
-        rom = truncate(balance(fom), fom, 3).system
-        plain = verify_error_bound(fom, rom, h=0.05, T=5.0)
-        fom_traj = integrate(fom, u=default_input, h=0.05, T=5.0)
-        cached = verify_error_bound(fom, rom, h=0.05, T=5.0, fom_trajectory=fom_traj)
-        assert plain == cached, f"{plain} != {cached}"
+        bal = balance(fom)
+        roms = [truncate(bal, fom, r).system for r in (2, 3)]
+        alone = [verify_error_bound(fom, [rom], h=0.05, T=5.0)[0] for rom in roms]
 
-    def test_trajectory_of_another_input_rejected(self, rng):
-        fom = make_stable_system(rng, 6, n_in=1)
-        rom = truncate(balance(fom), fom, 2).system
-        zero_input_run = integrate(fom, u=None, h=0.01, T=20.0)
-        assert not np.any(zero_input_run.u)
-        with pytest.raises(ValueError, match="another input"):
-            verify_error_bound(fom, rom, u=default_input, h=0.01, T=20.0, fom_trajectory=zero_input_run)
+        runs = []
 
-    @pytest.mark.parametrize("h, T", [(0.02, 40.0), (0.02, 20.0), (0.01, 40.0)])
-    def test_trajectory_on_another_grid_rejected(self, rng, h, T):
-        fom = make_stable_system(rng, 6, n_in=1)
-        rom = truncate(balance(fom), fom, 2).system
-        fom_traj = integrate(fom, u=default_input, h=0.01, T=20.0)
-        with pytest.raises(ValueError, match="time grid"):
-            verify_error_bound(fom, rom, h=h, T=T, fom_trajectory=fom_traj)
+        def counted(sys, *args, **kwargs):
+            runs.append(sys.label)
+            return integrate(sys, *args, **kwargs)
 
+        monkeypatch.setattr(simulate, "integrate", counted)
+        batch = verify_error_bound(fom, roms, h=0.05, T=5.0)
+        assert runs == ["fom", "rom", "rom"], f"integrations by label: {runs}"
+        assert len(batch) == len(alone)
+        for got, want in zip(batch, alone):
+            for field in fields(BoundCheck):
+                # repr round-trips a float exactly, so equal reprs are equal bits
+                a, b = repr(getattr(got, field.name)), repr(getattr(want, field.name))
+                assert a == b, f"{field.name}: batch {a} != alone {b}"
