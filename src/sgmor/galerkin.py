@@ -37,6 +37,9 @@ __all__ = [
     "write_matrix_market",
 ]
 
+# states per block of a batched quadratic output evaluation
+OUTPUT_ROWS = 256
+
 
 def _check_symmetric(name: str, mats) -> None:
     for k, m in enumerate(mats):
@@ -102,7 +105,6 @@ class GalerkinSystem:
     K: sp.csr_matrix
     B: np.ndarray
     basis: PcBasis
-    n: int
 
     @property
     def dimension(self) -> int:
@@ -184,8 +186,9 @@ class QuadraticOutputSystem:
     ``A`` is a dense array or, for the first-order form of a Galerkin triple
     (built by ``to_first_order``), a ``FirstOrderOperator`` on that triple;
     ``N`` is a dense array or a sparse matrix.  Whether A is dense is
-    decided in one place, ``galerkin``: ``dense_A``, ``shift_inverse``,
-    time integration and the dissipation matrix all branch on it.
+    decided in one place, ``galerkin``: ``dense_A``, ``shift_inverse`` and
+    the dissipation matrix branch on it.  Time integration steps through
+    ``shift_inverse`` and reads no triple.
     """
 
     A: np.ndarray | FirstOrderOperator
@@ -219,7 +222,7 @@ class QuadraticOutputSystem:
     def galerkin(self) -> GalerkinSystem | None:
         """The second-order triple A is applied through, or None for a dense A.
 
-        With a triple the state is x = [p; p'], and time integration and
+        With a triple the state is x = [p; p'], and ``shift_inverse`` and
         the dissipation matrix read the triple instead of A.
         """
         return self.A.galerkin if isinstance(self.A, FirstOrderOperator) else None
@@ -246,14 +249,17 @@ class QuadraticOutputSystem:
         return real_schur(self.dense_A())
 
     def shift_inverse(self, omega: float):
-        """x -> (omega I - A)^{-1} x, factored once; a singular shift raises NumericalError.
+        """b -> (omega I - A)^{-1} b for a state vector b, factored once; a
+        singular shift raises NumericalError.
 
-        A dense A takes a dense LU of omega I - A.  For a triple,
-        (omega I - A) x = b reads omega x_1 - x_2 = b_1 and
-        omega M x_2 + K x_1 + D x_2 = M b_2, so one sparse LU of
-        omega^2 M + omega D + K solves
-        (omega^2 M + omega D + K) x_1 = M b_2 + (omega M + D) b_1, and
-        x_2 = omega x_1 - b_1.
+        A dense A takes a dense LU of omega I - A and forms the inverse from
+        it once.  For a triple, (omega I - A) x = b reads
+        omega x_1 - x_2 = b_1 and omega M x_2 + K x_1 + D x_2 = M b_2, so with
+        S = omega^2 M + omega D + K both blocks solve with the same matrix:
+        S x_1 = (omega M + D) b_1 + M b_2 and S x_2 = omega M b_2 - K b_1.
+        One sparse LU of S serves both as one two-column solve.  Neither
+        block is recovered from the other through omega, so the solve keeps
+        its digits as omega grows and holds at omega = 0.
         """
         g = self.galerkin
         if g is None:
@@ -263,21 +269,19 @@ class QuadraticOutputSystem:
                 lu, piv = la.lu_factor(omega * np.eye(self.m) - self.A)
             if np.abs(np.diag(lu)).min() == 0.0:
                 raise NumericalError(f"shift {omega} makes omega*I - A singular")
-            return lambda b: la.lu_solve((lu, piv), b)
+            inverse = la.lu_solve((lu, piv), np.eye(self.m))
+            return lambda b: inverse @ b
 
         ns = g.dimension
         try:
             lu = spla.splu((omega * omega * g.M + omega * g.D + g.K).tocsc())
         except RuntimeError as exc:  # splu reports an exactly singular factor this way
             raise NumericalError(f"shift {omega} makes omega*I - A singular") from exc
-        damped = omega * g.M + g.D
+        rhs = sp.bmat([[omega * g.M + g.D, g.M], [-g.K, omega * g.M]], format="csr")
 
         def solve(b: np.ndarray) -> np.ndarray:
-            b1, b2 = b[:ns], b[ns:]
-            x = np.empty(b.shape)
-            x[:ns] = lu.solve(g.M @ b2 + damped @ b1)
-            x[ns:] = omega * x[:ns] - b1
-            return x
+            # the two right-hand sides as the columns of an (ns, 2) Fortran-ordered view
+            return lu.solve((rhs @ b).reshape(2, ns).T).ravel(order="F")
 
         return solve
 
@@ -287,11 +291,19 @@ class QuadraticOutputSystem:
         return gramian_cache(self)
 
     def quadratic_output(self, x: np.ndarray) -> np.ndarray:
-        """y = x^T N x for a single state (m,) or a batch (steps, m)."""
+        """y = x^T N x for a single state (m,) or a batch (steps, m).
+
+        A batch is evaluated OUTPUT_ROWS states at a time, so that no
+        (steps, m) temporary is made.
+        """
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return float(x @ self.N @ x)
-        return np.einsum("ki,ki->k", x @ self.N, x)
+        y = np.empty(x.shape[0])
+        for k in range(0, y.size, OUTPUT_ROWS):
+            rows = x[k : k + OUTPUT_ROWS]
+            y[k : k + OUTPUT_ROWS] = np.einsum("ki,ki->k", rows @ self.N, rows)
+        return y
 
 
 @dataclass(frozen=True)
@@ -387,7 +399,7 @@ def assemble(sys: ParametricSecondOrderSystem, basis: PcBasis) -> GalerkinSystem
         if _definite_lu(shifted) is None:
             raise DefinitenessError("assembled damping block matrix is not positive semi-definite")
 
-    return GalerkinSystem(M=M, D=D, K=K, B=B, basis=basis, n=sys.n)
+    return GalerkinSystem(M=M, D=D, K=K, B=B, basis=basis)
 
 
 def to_first_order(g: GalerkinSystem) -> QuadraticOutputSystem:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -105,10 +104,6 @@ class PcBasis:
     @cached_property
     def _index_pos(self) -> dict:
         return {tuple(alpha): i for i, alpha in enumerate(self.indices)}
-
-    def index_of(self, alpha: Sequence[int]) -> int:
-        """Position of a multi-index within the graded-lexicographic ordering."""
-        return self._index_pos[tuple(int(a) for a in alpha)]
 
     def linear_weight_matrix(self, k: int) -> sp.csr_matrix:
         """Sparse s x s matrix of E[kappa_k phi_i phi_j].

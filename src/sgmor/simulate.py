@@ -3,23 +3,20 @@
 The integrator is the trapezoidal rule, which is A-stable and second order,
 and reproduces the continuous energy balance up to O(h^2): for zero input the
 discrete energy x_k^T N x_k of a dissipative system is non-increasing up to
-roundoff, which is what the dissipation checks rely on.
+roundoff, which is what the dissipation checks rely on.  Every system steps
+through its own shifted solve ``shift_inverse(2/h)``, so this module does not
+know whether A is dense or applied through a second-order triple.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .bt_quadratic import h2_error
-from .errors import NumericalError
-from .galerkin import GalerkinSystem, QuadraticOutputSystem
+from .galerkin import QuadraticOutputSystem
 
 __all__ = [
     "Trajectory",
@@ -28,10 +25,6 @@ __all__ = [
     "BoundCheck",
     "verify_error_bound",
 ]
-
-
-# steps per block of the second-order output evaluation
-OUTPUT_ROWS = 256
 
 
 def default_input(t):
@@ -74,11 +67,12 @@ def integrate(
     """Trapezoidal one-step integration of x' = A x + B u from x(0) = x0.
 
     ``u`` is a callable of time returning a scalar (single input) or a vector
-    of length n_in; None means zero input.  A system converted from a
-    Galerkin triple (``sys.galerkin`` set) is stepped on the sparse
-    second-order form; any other system on the dense propagator
-    (I - h/2 A)^{-1} (I + h/2 A), factored once per call.  Both are the same
-    trapezoidal rule.
+    of length n_in; None means zero input.  With omega = 2/h the step
+    (I - h/2 A) x+ = (I + h/2 A) x + h/2 B (u + u+) reads
+    x+ = (omega I - A)^{-1} (2 omega x + B (u + u+)) - x, since
+    omega I + A = 2 omega I - (omega I - A): one ``sys.shift_inverse(2/h)``
+    factorization per call and one shifted solve per step, for every system.
+    A singular step matrix raises NumericalError.
     """
     if h <= 0 or T <= 0:
         raise ValueError("step size and horizon must be positive")
@@ -91,59 +85,14 @@ def integrate(
         raise ValueError(f"initial state must have shape ({m},)")
 
     ugrid = _input_samples(u, t, sys.n_in)
-    if sys.galerkin is not None:
-        x, y = _step_second_order(sys.galerkin, ugrid, x0, h)
-        return Trajectory(t=t, x=x, y=y, u=ugrid)
-
-    eye = np.eye(m)
-    lhs = eye - 0.5 * h * sys.A
-    with warnings.catch_warnings():
-        # singularity is detected and reported through the diagonal check
-        warnings.simplefilter("ignore", la.LinAlgWarning)
-        lu, piv = la.lu_factor(lhs)
-    if np.abs(np.diag(lu)).min() == 0.0:
-        raise NumericalError(f"I - h/2 A is singular at h={h}")
-    propagator = la.lu_solve((lu, piv), eye + 0.5 * h * sys.A)
-    forcing = la.lu_solve((lu, piv), 0.5 * h * sys.B)
-
+    omega = 2.0 / h
+    solve = sys.shift_inverse(omega)
     x = np.empty((t.size, m))
     x[0] = x0
     for k in range(t.size - 1):
-        x[k + 1] = propagator @ x[k] + forcing @ (ugrid[k] + ugrid[k + 1])
-    y = sys.quadratic_output(x)
-    return Trajectory(t=t, x=x, y=y, u=ugrid)
-
-
-def _step_second_order(g: GalerkinSystem, ugrid: np.ndarray, x0: np.ndarray, h: float):
-    """The trapezoidal rule on x = [p; v] for M p'' + D p' + K p = B u.
-
-    Eliminating p+ = p + h/2 (v + v+) from the first-order step leaves
-    (M + h/2 D + h^2/4 K) v+ = (M - h/2 D - h^2/4 K) v - h K p + h/2 B (u + u+),
-    one sparse solve per step; y = p^T K p + v^T M v, formed OUTPUT_ROWS
-    steps at a time so that no (steps, ns) temporary is made.
-    """
-    ns = g.dimension
-    shift = 0.5 * h * g.D + 0.25 * h * h * g.K
-    try:
-        lu = spla.splu((g.M + shift).tocsc())
-    except RuntimeError as exc:  # splu reports an exactly singular factor this way
-        raise NumericalError(f"M + h/2 D + h^2/4 K is singular at h={h}") from exc
-    explicit = sp.hstack([-h * g.K, g.M - shift], format="csr")
-    # h/2 (u + u+) stays in input space, (steps, n_in); B is applied per step
-    forcing = (0.5 * h) * (ugrid[:-1] + ugrid[1:])
-
-    x = np.empty((ugrid.shape[0], 2 * ns))
-    x[0] = x0
-    for k in range(ugrid.shape[0] - 1):
-        p, v = x[k, :ns], x[k, ns:]
-        v_next = lu.solve(explicit @ x[k] + g.B @ forcing[k])
-        x[k + 1, :ns] = p + 0.5 * h * (v + v_next)
-        x[k + 1, ns:] = v_next
-    y = np.empty(ugrid.shape[0])
-    for k in range(0, y.size, OUTPUT_ROWS):
-        p, v = x[k : k + OUTPUT_ROWS, :ns], x[k : k + OUTPUT_ROWS, ns:]
-        y[k : k + OUTPUT_ROWS] = np.einsum("ki,ki->k", p @ g.K, p) + np.einsum("ki,ki->k", v @ g.M, v)
-    return x, y
+        # B is applied per step, so no (steps, m) forcing array is made
+        x[k + 1] = solve(2.0 * omega * x[k] + sys.B @ (ugrid[k] + ugrid[k + 1])) - x[k]
+    return Trajectory(t=t, x=x, y=sys.quadratic_output(x), u=ugrid)
 
 
 @dataclass(frozen=True)

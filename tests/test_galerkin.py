@@ -174,7 +174,7 @@ class TestFirstOrder:
         eye = sp.identity(2, format="csr")
         g = GalerkinSystem(
             M=sp.csr_matrix(np.diag([1.0, -1.0])), D=0.0 * eye, K=eye,
-            B=np.ones((2, 1)), basis=PcBasis(q=1, d=0), n=2,
+            B=np.ones((2, 1)), basis=PcBasis(q=1, d=0),
         )
         with pytest.raises(DefinitenessError, match="mass block"):
             to_first_order(g)

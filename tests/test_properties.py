@@ -324,8 +324,11 @@ def test_first_order_operator_matches_dense(sys, d, omega, seed):
     assert relative_error(fom.A @ X, A @ X) < 1e-12
     assert relative_error(fom.A.T @ X, A.T @ X) < 1e-12
     b = rng.standard_normal(fom.m)
-    oracle = la.solve(omega * np.eye(fom.m) - A, b)
-    assert relative_error(fom.shift_inverse(omega)(b), oracle) < 1e-10
+    # 200 is 2/h of the benchmark's trapezoid step; 0 is a finite Arnoldi shift
+    for shift in (omega, 0.0, 200.0):
+        oracle = la.solve(shift * np.eye(fom.m) - A, b)
+        err = relative_error(fom.shift_inverse(shift)(b), oracle)
+        assert err < 1e-10, f"shifted solve at omega={shift}: relative error {err:.2e}"
     # A^T N + N A = blkdiag(0, -2 D), with A^T N = (N A)^T applied by the operator
     S = fom.A.T @ fom.N.toarray()
     expected = np.zeros_like(S)

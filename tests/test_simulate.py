@@ -122,7 +122,7 @@ def random_triple(rng, ns, n_in, M=None, D=None, K=None) -> GalerkinSystem:
     K = spd(1.0) if K is None else K
     return GalerkinSystem(
         M=sp.csr_matrix(M), D=sp.csr_matrix(D), K=sp.csr_matrix(K),
-        B=rng.standard_normal((ns, n_in)), basis=PcBasis(q=1, d=0), n=ns,
+        B=rng.standard_normal((ns, n_in)), basis=PcBasis(q=1, d=0),
     )
 
 
@@ -140,12 +140,13 @@ def assert_same_trajectory(sparse_run, dense_run):
         scale = np.abs(want).max()
         assert scale > 0.0
         dev = np.abs(got - want).max() / scale
-        assert dev <= 1e-12, f"{name} differs from the dense propagator by {dev:.2e} relative"
+        assert dev <= 1e-12, f"{name} differs from the dense-A run by {dev:.2e} relative"
 
 
 class TestSecondOrderPath:
-    """Galerkin-derived systems step on the sparse triple; the dense
-    propagator on the same first-order matrices is the reference."""
+    """Galerkin-derived systems step through the shifted solve on the sparse
+    triple; the same stepper on the dense first-order matrices is the
+    reference."""
 
     def test_default_model_default_input(self, fom_d1):
         dense = dense_first_order(fom_d1)
