@@ -7,18 +7,21 @@ H2 Sylvester solve, so a sweep row costs one r x r Schur form.
 
 Each system likewise solves its controllability Gramian P once
 (``QuadraticOutputSystem.gramian``, a ``GramianCache`` with the H2 norm), so
-no caller passes a Gramian beside its system.  ``balance`` factors
-P = Z_P Z_P^T, solves the output-weighted observability Gramian Q, whose
-right-hand side N P N is replaced by N Z_P Z_P^T N and passed as its
-factor N Z_P, factors Q, and the SVD of Z_P^T Z_Q delivers the projection
-bases.  Every right-hand side is passed as a factor (B for P, (B, B_r)
-for the H2 Sylvester equation), so no m x m right-hand side is formed.
+no caller passes a Gramian beside its system.  ``balance`` reads the cache's
+factor P = Z_P Z_P^T, whose first read releases the dense P, solves the
+output-weighted observability Gramian Q, whose right-hand side N P N is
+replaced by N Z_P Z_P^T N and passed as its factor N Z_P, factors Q, and
+the SVD of Z_P^T Z_Q delivers the projection bases.  Every right-hand side
+is passed as a factor (B for P, (B, B_r) for the H2 Sylvester equation), so
+no m x m right-hand side is formed.
 Every H2 quantity needs P alone:
 with B B^T = -(A P + P A^T), the norm sqrt(trace(B^T Q B)) equals
 sqrt(trace(N P N P)), and the squared reduction error is
 trace(N_e P_e N_e P_e) for P_e = [[P, X], [X^T, P_r]] and
 N_e = blkdiag(N, -N_r), where X solves the one Sylvester equation
-A X + X A_r^T + B B_r^T = 0.  Q is solved only to balance.
+A X + X A_r^T + B B_r^T = 0.  P enters through the norms, which are
+taken when P is solved, so no H2 quantity reads P afterwards.  Q is solved
+only to balance.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ import numpy as np
 import scipy.linalg as la
 
 from .errors import ConvergenceError, RankError
-# GramianCache and gramian_cache are defined beside QuadraticOutputSystem.gramian
-# (galerkin cannot import this module) and re-exported with the H2 functions
-from .galerkin import GramianCache, QuadraticOutputSystem, gramian_cache
+# GramianCache, gramian_cache and FACTOR_TOL are defined beside
+# QuadraticOutputSystem.gramian (galerkin cannot import this module) and
+# re-exported with the H2 functions
+from .galerkin import FACTOR_TOL, GramianCache, QuadraticOutputSystem, gramian_cache
 from .lyapsylv import solve_lyapunov, solve_sylvester, symmetric_factor
 from .passivity import check_passivity
 
@@ -51,7 +55,6 @@ __all__ = [
 ]
 
 RANK_RTOL = 1e-13
-FACTOR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -96,8 +99,11 @@ class ReducedModel:
 
 
 def balance(fom: QuadraticOutputSystem) -> BalancedFactorization:
-    """Gramians, symmetric factors, and the balancing SVD of a stable system."""
-    Zp = symmetric_factor(fom.gramian.controllability, tol=FACTOR_TOL)
+    """Gramians, symmetric factors, and the balancing SVD of a stable system.
+
+    Z_P is the system's cached Gramian factor; taking it releases the dense P.
+    """
+    Zp = fom.gramian.factor
     # Q's right-hand side N Z_P Z_P^T N is passed as its factor N Z_P
     Q = solve_lyapunov(fom.A, fom.N @ Zp, factors=fom.schur, transposed=True)
     Zq = symmetric_factor(Q, tol=FACTOR_TOL)

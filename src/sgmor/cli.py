@@ -19,6 +19,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
+from numpy.linalg import LinAlgError
+
 from .arnoldi import reduce_arnoldi
 from .bt_quadratic import balance, sweep, truncate, write_csv, write_report_csv
 from .errors import NumericalError
@@ -323,6 +325,10 @@ def main(argv=None) -> int:
     try:
         cfg = experiment_from_args(args)
         runners[args.command](cfg)
+    except LinAlgError as exc:
+        # a LAPACK failure (eigh, svd, ...); LinAlgError subclasses ValueError
+        print(f"sgmor: numerical failure: {exc}", file=_sys.stderr)
+        return 3
     except (ConfigError, ValueError) as exc:
         print(f"sgmor: config error: {exc}", file=_sys.stderr)
         return 2

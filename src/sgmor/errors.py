@@ -10,7 +10,7 @@ class StabilityError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """A computed solution failed its residual verification."""
+    """An iteration did not converge, or a computed solution failed its residual verification."""
 
 
 class SpectralOverlapError(NumericalError):

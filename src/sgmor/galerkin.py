@@ -7,7 +7,9 @@ form of a Galerkin system keeps its sparse structure: A is applied through
 the (M, D, K) triple and one sparse LU of M, and N = blkdiag(K, M) stays
 sparse.  A first-order system computes its real Schur form and its
 controllability Gramian once, on first use, and every consumer reads them off
-the system; the dense A exists only as the input of the Schur form.
+the system; the dense A exists only as the input of the Schur form.  The
+dense Gramian P lives only until its symmetric factor Z_P is first read
+(by ``balance``): the factor is computed once and P is released.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DefinitenessError, NumericalError, StabilityError
-from .lyapsylv import SchurFactors, is_symmetric, real_schur, solve_lyapunov
+from .lyapsylv import SchurFactors, is_symmetric, real_schur, solve_lyapunov, symmetric_factor
 from .polychaos import PcBasis
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "GalerkinSystem",
     "FirstOrderOperator",
     "QuadraticOutputSystem",
+    "FACTOR_TOL",
     "GramianCache",
     "gramian_cache",
     "assemble",
@@ -39,6 +42,8 @@ __all__ = [
 
 # states per block of a batched quadratic output evaluation
 OUTPUT_ROWS = 256
+# relative eigenvalue cutoff of the symmetric Gramian factors
+FACTOR_TOL = 1e-12
 
 
 def _check_symmetric(name: str, mats) -> None:
@@ -287,7 +292,8 @@ class QuadraticOutputSystem:
 
     @cached_property
     def gramian(self) -> GramianCache:
-        """Controllability Gramian and H2 norm, solved once on the Schur form."""
+        """Controllability Gramian and H2 norm, solved once on the Schur form;
+        the first read of P's factor releases P (see ``GramianCache``)."""
         return gramian_cache(self)
 
     def quadratic_output(self, x: np.ndarray) -> np.ndarray:
@@ -306,12 +312,36 @@ class QuadraticOutputSystem:
         return y
 
 
-@dataclass(frozen=True)
 class GramianCache:
-    """Reusable per-system controllability Gramian and H2 norm."""
+    """Per-system controllability Gramian P, its H2 norm and its symmetric factor.
 
-    controllability: np.ndarray
-    norm_squared: float
+    P is kept only until ``factor`` is first read.  The factor,
+    ``symmetric_factor(P, FACTOR_TOL)``, is computed once and P is released
+    with it, so a later read of ``controllability`` raises.  Only ``balance``
+    reads the factor; the H2 quantities need ``norm_squared`` alone.
+    """
+
+    def __init__(self, controllability: np.ndarray, norm_squared: float):
+        self._controllability = controllability
+        self._factor = None
+        self.norm_squared = norm_squared
+
+    @property
+    def controllability(self) -> np.ndarray:
+        """The dense P; raises once ``factor`` has released it."""
+        if self._controllability is None:
+            raise RuntimeError(
+                "the controllability Gramian was released when its factor was taken; read `factor`"
+            )
+        return self._controllability
+
+    @property
+    def factor(self) -> np.ndarray:
+        """Z_P with Z_P Z_P^T ~= P, computed on first read, which releases P."""
+        if self._factor is None:
+            self._factor = symmetric_factor(self.controllability, tol=FACTOR_TOL)
+            self._controllability = None
+        return self._factor
 
     @property
     def norm(self) -> float:

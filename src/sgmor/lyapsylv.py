@@ -84,7 +84,8 @@ def real_schur(A: np.ndarray) -> SchurFactors:
     with T, so the caller's array is never changed.  The workspace query
     passes the same copy and reads only its dimension, so it copies nothing
     (scipy's ``schur`` copies A for the query and keeps that copy alive
-    through the real call).
+    through the real call).  A QR iteration that does not converge raises
+    ConvergenceError.
     """
     T = np.array(A, dtype=float, order="F")
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
@@ -96,7 +97,7 @@ def real_schur(A: np.ndarray) -> SchurFactors:
     if info < 0:
         raise ValueError(f"illegal argument {-info} passed to gees")
     if info > 0:
-        raise la.LinAlgError("Schur form not found: the QR algorithm did not converge")
+        raise ConvergenceError("Schur form not found: the QR algorithm did not converge")
     return SchurFactors(T=T, U=U, eigenvalues=wr + 1j * wi)
 
 

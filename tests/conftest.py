@@ -1,6 +1,9 @@
-"""Shared helpers: small random systems with a known-good construction."""
+"""Shared helpers: small random systems with a known-good construction, and
+the traced memory peak of a call."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import numpy.linalg as la
@@ -23,6 +26,17 @@ def make_stable_system(
     G = rng.standard_normal((m, m))
     N = G @ G.T + 0.1 * np.eye(m)
     return QuadraticOutputSystem(A=A, B=B, N=N)
+
+
+def traced_peak(fn):
+    """fn() and the peak of the memory allocated during the call, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture

@@ -12,9 +12,10 @@ import numpy.linalg as la
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import make_stable_system
+from conftest import make_stable_system, traced_peak
 from sgmor import bt_quadratic, galerkin, lyapsylv
 from sgmor.bt_quadratic import (
+    FACTOR_TOL,
     BalancedFactorization,
     GramianCache,
     ReductionRow,
@@ -25,8 +26,10 @@ from sgmor.bt_quadratic import (
     write_report_csv,
 )
 from sgmor.errors import RankError, StabilityError
-from sgmor.galerkin import QuadraticOutputSystem
+from sgmor.galerkin import QuadraticOutputSystem, assemble, to_first_order
 from sgmor.lyapsylv import solve_lyapunov, symmetric_factor
+from sgmor.msd import build_msd, default_config
+from sgmor.polychaos import PcBasis
 
 
 def kron_lyapunov(A: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -63,8 +66,7 @@ def h2_error_oracle(fom: QuadraticOutputSystem, rsys: QuadraticOutputSystem) -> 
 def observability(sys: QuadraticOutputSystem) -> np.ndarray:
     """Q from A^T Q + Q A + N Z_P Z_P^T N = 0, the solve ``balance`` makes on the
     system's Schur form with the factor N Z_P of its right-hand side."""
-    Zp = symmetric_factor(sys.gramian.controllability, tol=bt_quadratic.FACTOR_TOL)
-    return solve_lyapunov(sys.A, sys.N @ Zp, factors=sys.schur, transposed=True)
+    return solve_lyapunov(sys.A, sys.N @ sys.gramian.factor, factors=sys.schur, transposed=True)
 
 
 class TestGramianCache:
@@ -72,13 +74,32 @@ class TestGramianCache:
         sys = make_stable_system(rng, 6)
         P_oracle = kron_lyapunov(sys.A, sys.B @ sys.B.T)
         Q_oracle = kron_lyapunov(sys.A.T, sys.N @ P_oracle @ sys.N)
-        assert_allclose(sys.gramian.controllability, P_oracle, rtol=1e-9)
+        P = solve_lyapunov(sys.A, sys.B, factors=sys.schur)
+        assert_allclose(P, P_oracle, rtol=1e-9)
         assert_allclose(observability(sys), Q_oracle, rtol=1e-9)
 
     def test_gramian_is_memoized(self, rng):
         sys = make_stable_system(rng, 4)
         assert isinstance(sys.gramian, GramianCache)
         assert sys.gramian is sys.gramian
+
+    def test_factor_releases_the_gramian(self, rng):
+        """The factor is symmetric_factor(P, FACTOR_TOL) bitwise, taken once;
+        taking it releases P, and a later read of P raises."""
+        sys = make_stable_system(rng, 7)
+        P = sys.gramian.controllability.copy()
+        Zp = sys.gramian.factor
+        assert np.array_equal(Zp, symmetric_factor(P, tol=FACTOR_TOL))
+        assert sys.gramian.factor is Zp
+        with pytest.raises(RuntimeError, match="released"):
+            sys.gramian.controllability
+        assert sys.gramian.norm_squared > 0.0
+
+    def test_second_balance_is_bitwise_identical(self, rng):
+        sys = make_stable_system(rng, 9)
+        first, second = balance(sys), balance(sys)
+        for name in ("sigma", "Zp", "Zq"):
+            assert np.array_equal(getattr(first, name), getattr(second, name)), name
 
     def test_unstable_system_rejected(self):
         sys = QuadraticOutputSystem(A=np.eye(2), B=np.ones((2, 1)), N=np.eye(2))
@@ -90,7 +111,7 @@ class TestGramianCache:
         rom = truncate(balance(sys), sys, 3)
         # the same system without the Schur form and Gramian balancing attached to it
         fom = QuadraticOutputSystem(A=sys.A, B=sys.B, N=sys.N)
-        calls = {"schur": 0, "lyapunov": 0, "sylvester": 0}
+        calls = {"schur": 0, "lyapunov": 0, "sylvester": 0, "factor": 0}
 
         def counted(kind, solve):
             def wrapper(*args, **kwargs):
@@ -105,24 +126,28 @@ class TestGramianCache:
         for module in (galerkin, bt_quadratic):
             monkeypatch.setattr(module, "solve_lyapunov", counted("lyapunov", lyapsylv.solve_lyapunov))
         monkeypatch.setattr(bt_quadratic, "solve_sylvester", counted("sylvester", bt_quadratic.solve_sylvester))
+        # P is factored by the system's Gramian cache, Q in balance
+        for module in (galerkin, bt_quadratic):
+            monkeypatch.setattr(module, "symmetric_factor", counted("factor", lyapsylv.symmetric_factor))
         fom.gramian
-        assert calls == {"schur": 1, "lyapunov": 1, "sylvester": 0}
+        assert calls == {"schur": 1, "lyapunov": 1, "sylvester": 0, "factor": 0}
         calls.update(schur=0, lyapunov=0)
         balance(fom)
-        assert calls == {"schur": 0, "lyapunov": 1, "sylvester": 0}
+        assert calls == {"schur": 0, "lyapunov": 1, "sylvester": 0, "factor": 2}
 
         # the first call solves the reduced model's P on its Schur form, the second reuses both
-        calls.update(lyapunov=0)
+        calls.update(lyapunov=0, factor=0)
         h2_error(fom, rom.system)
-        assert calls == {"schur": 1, "lyapunov": 1, "sylvester": 1}
+        assert calls == {"schur": 1, "lyapunov": 1, "sylvester": 1, "factor": 0}
         h2_error(fom, rom.system)
-        assert calls == {"schur": 1, "lyapunov": 1, "sylvester": 2}
+        assert calls == {"schur": 1, "lyapunov": 1, "sylvester": 2, "factor": 0}
 
         # one Schur form per row, shared by the stability verdict and the H2 error;
-        # one Lyapunov solve per stable row, for its own P, and none for the FOM's
+        # one Lyapunov solve per stable row, for its own P, and none for the FOM's;
+        # no Gramian is factored
         calls.update(schur=0, lyapunov=0, sylvester=0)
         stable = sum(row.stable for row in sweep(fom, rom, range(1, 4)))
-        assert calls == {"schur": 3, "lyapunov": stable, "sylvester": stable}
+        assert calls == {"schur": 3, "lyapunov": stable, "sylvester": stable, "factor": 0}
 
     def test_fom_equation_solved_once(self, rng, monkeypatch):
         """Two H2 errors and a sweep against one full system solve its P equation once."""
@@ -152,7 +177,9 @@ class TestHandExample:
         )
 
     def test_gramians(self, system):
-        assert_allclose(system.gramian.controllability, np.diag([1.0, 0.0]), atol=1e-14)
+        Zp = system.gramian.factor
+        assert Zp.shape == (2, 1)
+        assert_allclose(Zp @ Zp.T, np.diag([1.0, 0.0]), atol=1e-14)
         assert_allclose(observability(system), np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_hankel_values(self, system):
@@ -173,6 +200,20 @@ class TestHandExample:
             truncate(bal, system, 2)
         with pytest.raises(RankError):
             truncate(bal, system, 0)
+
+
+def test_balance_releases_the_dense_gramian():
+    """On the default d = 2 model (m = 960) balance of a fresh FOM, its Schur
+    form and Gramian included, peaks at 5.5 dense m x m arrays, and leaves no
+    m x m array on the system's Gramian cache: the dense P goes once its
+    factor is taken, before Q is solved."""
+    parametric = build_msd(default_config())
+    fom = to_first_order(assemble(parametric, PcBasis(q=parametric.q, d=2)))
+    dense_bytes = fom.m**2 * np.dtype(float).itemsize
+    _, peak = traced_peak(lambda: balance(fom))
+    assert peak <= 5.5 * dense_bytes, f"balance peaked at {peak / dense_bytes:.2f} dense matrices"
+    held = [name for name, value in vars(fom.gramian).items() if np.shape(value) == (fom.m, fom.m)]
+    assert held == [], f"the Gramian cache still holds m x m arrays in {held}"
 
 
 class TestBalance:

@@ -9,9 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy.linalg
+from numpy.linalg import LinAlgError
 from numpy.testing import assert_allclose
 
 import sgmor
+from sgmor import lyapsylv
 from sgmor.arnoldi import reduce_arnoldi
 from sgmor.bt_quadratic import balance, sweep, truncate
 from sgmor.cli import (
@@ -453,6 +456,35 @@ class TestMain:
         config = str(write_config(tmp_path, model=model, reducer="arnoldi"))
         assert main(["reduce", "--config", config]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_schur_failure_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        """A QR iteration that does not converge is a numerical failure, not a config error."""
+        gees = lyapsylv.dgees
+
+        def unconverged(*args, **kwargs):
+            out = gees(*args, **kwargs)
+            # the workspace query passes; the real call reports info > 0
+            return out if kwargs.get("lwork") == -1 else (*out[:-1], 1)
+
+        monkeypatch.setattr(lyapsylv, "dgees", unconverged)
+        config = str(write_config(tmp_path))
+        assert main(["reduce", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert "sgmor: numerical failure: Schur form not found" in err
+        assert "config error" not in err
+
+    def test_lapack_failure_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        """A LinAlgError from LAPACK, a ValueError subclass, is a numerical failure."""
+        def unconverged(*args, **kwargs):
+            raise LinAlgError("SVD did not converge")
+
+        # the balancing SVD; the balanced reduce path makes no other
+        monkeypatch.setattr(scipy.linalg, "svd", unconverged)
+        config = str(write_config(tmp_path))
+        assert main(["reduce", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert "sgmor: numerical failure: SVD did not converge" in err
+        assert "config error" not in err
 
 
 def test_import_leaves_out_unused_scipy_subpackages():

@@ -7,7 +7,6 @@ applied entry by entry, which is exact for the affine weights involved.
 from __future__ import annotations
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ import scipy.io
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+from conftest import traced_peak
 from quadrature import expectation_weighted
 from second_order import dense_first_order, energy
 from sgmor.errors import DefinitenessError
@@ -195,17 +195,6 @@ class TestFirstOrder:
         assert energy(g, np.zeros(ns), np.zeros(ns)) == 0.0
         with pytest.raises(ValueError, match="length"):
             energy(g, np.zeros(3), np.zeros(ns))
-
-
-def traced_peak(fn):
-    """fn() and the peak of the memory allocated during the call, in bytes."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak
 
 
 def test_first_order_form_allocates_no_dense_matrix():
