@@ -104,9 +104,11 @@ def balance(fom: QuadraticOutputSystem) -> BalancedFactorization:
     Z_P is the system's cached Gramian factor; taking it releases the dense P.
     """
     Zp = fom.gramian.factor
-    # Q's right-hand side N Z_P Z_P^T N is passed as its factor N Z_P
-    Q = solve_lyapunov(fom.A, fom.N @ Zp, factors=fom.schur, transposed=True)
-    Zq = symmetric_factor(Q, tol=FACTOR_TOL)
+    # Q's right-hand side N Z_P Z_P^T N is passed as its factor N Z_P; Q goes
+    # straight to symmetric_factor, which consumes it
+    Zq = symmetric_factor(
+        solve_lyapunov(fom.A, fom.N @ Zp, factors=fom.schur, transposed=True), tol=FACTOR_TOL
+    )
     left, sigma, right_t = la.svd(Zp.T @ Zq, full_matrices=False)
     return BalancedFactorization(Zp=Zp, Zq=Zq, sigma=sigma, left=left, right_t=right_t)
 

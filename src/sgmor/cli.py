@@ -108,6 +108,11 @@ class ExperimentConfig:
             raise ConfigError(f"invalid r range [{self.r_min}, {self.r_max}]")
         if not all(math.isfinite(v) and v > 0 for v in (self.sim_h, self.sim_T)):
             raise ConfigError("simulation step and horizon must be finite and positive")
+        # round(T / h) = 0 steps exactly when T / h <= 0.5 (round half to even)
+        if self.sim_T / self.sim_h <= 0.5:
+            raise ConfigError(
+                f"simulation horizon T = {self.sim_T} is shorter than half a step h = {self.sim_h}"
+            )
         if self.sim_input not in ("default", "zero"):
             raise ConfigError(f"input signal must be 'default' or 'zero', got {self.sim_input!r}")
         if any(r < 1 for r in self.verify_r):

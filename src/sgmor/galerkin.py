@@ -7,9 +7,11 @@ form of a Galerkin system keeps its sparse structure: A is applied through
 the (M, D, K) triple and one sparse LU of M, and N = blkdiag(K, M) stays
 sparse.  A first-order system computes its real Schur form and its
 controllability Gramian once, on first use, and every consumer reads them off
-the system; the dense A exists only as the input of the Schur form.  The
+the system; the dense A exists only as the input of the Schur form.  The H2
+norm tr(N P N P) is summed over strips of P, so no m x m N P is formed.  The
 dense Gramian P lives only until its symmetric factor Z_P is first read
-(by ``balance``): the factor is computed once and P is released.
+(by ``balance``): the factor is computed once from P, which it consumes, and
+P is released.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DefinitenessError, NumericalError, StabilityError
-from .lyapsylv import SchurFactors, is_symmetric, real_schur, solve_lyapunov, symmetric_factor
+from .lyapsylv import STRIP, SchurFactors, is_symmetric, real_schur, solve_lyapunov, symmetric_factor
 from .polychaos import PcBasis
 
 __all__ = [
@@ -317,8 +319,10 @@ class GramianCache:
 
     P is kept only until ``factor`` is first read.  The factor,
     ``symmetric_factor(P, FACTOR_TOL)``, is computed once and P is released
-    with it, so a later read of ``controllability`` raises.  Only ``balance``
-    reads the factor; the H2 quantities need ``norm_squared`` alone.
+    with it, so a later read of ``controllability`` raises.  The factor
+    consumes P in place, so a caller that needs P after that keeps a copy.
+    Only ``balance`` reads the factor; the H2 quantities need
+    ``norm_squared`` alone.
     """
 
     def __init__(self, controllability: np.ndarray, norm_squared: float):
@@ -339,8 +343,9 @@ class GramianCache:
     def factor(self) -> np.ndarray:
         """Z_P with Z_P Z_P^T ~= P, computed on first read, which releases P."""
         if self._factor is None:
-            self._factor = symmetric_factor(self.controllability, tol=FACTOR_TOL)
-            self._controllability = None
+            P, self._controllability = self.controllability, None
+            # symmetric_factor consumes P, so the cache lets go of it first
+            self._factor = symmetric_factor(P, tol=FACTOR_TOL)
         return self._factor
 
     @property
@@ -356,9 +361,12 @@ def gramian_cache(sys: QuadraticOutputSystem) -> GramianCache:
             f"{sys.label}: spectral abscissa {fac.abscissa:.3e} >= 0, Gramians undefined"
         )
     P = solve_lyapunov(sys.A, sys.B, factors=fac)
-    NP = sys.N @ P
-    # trace(N P N P) = sum_ij (NP)_ij (NP)_ji, with no temporary
-    norm_sq = float(np.einsum("ij,ji->", NP, NP))
+    # trace(N P N P) = sum_J <N P[:, J], (N[J, :] P)^T>, one strip of STRIP
+    # columns of N P and the matching rows at a time
+    norm_sq = 0.0
+    for j in range(0, sys.m, STRIP):
+        J = slice(j, j + STRIP)
+        norm_sq += float(np.einsum("ij,ji->", sys.N @ P[:, J], sys.N[J] @ P))
     return GramianCache(controllability=P, norm_squared=norm_sq)
 
 

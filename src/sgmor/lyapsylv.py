@@ -4,17 +4,22 @@ Bartels-Stewart (1972): reduce the coefficients to real Schur form and
 solve the quasi-triangular equation by recursive blocking (Jonsson &
 Kagstrom, RECSY, ACM TOMS 2002).  Each split falls on a 2x2-block
 boundary, the parts are solved in the order op(T) requires, and each
-off-diagonal coupling is one GEMM into a workspace allocated once per
-solve; LAPACK's level-2 trsyl runs only on leaf blocks of at most LEAF rows
-and columns.  The Sylvester recursion halves the larger dimension of
+off-diagonal coupling is a GEMM taken one strip at a time through a thin
+workspace of max(m, n) x LEAF doubles, allocated once per solve; LAPACK's
+level-2 trsyl runs only on leaf blocks of at most LEAF rows and columns.
+The Sylvester recursion halves the larger dimension of
 op(T_a) Z + Z op(T_f) = R.  The Lyapunov recursion splits op(T) Z +
 Z op(T)^T = R symmetrically and solves only the blocks on and above the
 diagonal: two half-size Lyapunov equations and one Sylvester equation for
 the off-diagonal block, which is mirrored (136 instead of 256 leaves at
 m = 960).  Both share the transform, scale and back-transform of
-``_bartels_stewart``.  Schur factorizations computed up front can be
-passed to every solve; each solution is verified against its residual
-before it is returned.
+``_bartels_stewart``, which writes the solution in place, so a solve holds
+the Schur pair (T, U), its one m x n result and the workspace.  Schur
+factorizations computed up front can be passed to every solve; each
+solution is verified against its residual before it is returned, and the
+Lyapunov residual is summed over strips of STRIP columns, so no m x m
+residual is formed.  ``symmetric_factor`` consumes its input the same way:
+the eigensolver overwrites it, and the factor defect is taken in strips.
 
 Right-hand sides are passed as factors, as in low-rank ADI (Penzl 2000; Li &
 White 2002): B B^T for a Lyapunov equation and L R^T for a Sylvester
@@ -46,16 +51,24 @@ __all__ = [
 RESIDUAL_RTOL = 1e-10
 # largest block handed to trsyl; above it the flops go to GEMM couplings
 LEAF = 64
-# columns of X one operator application of the Lyapunov residual takes
-RESIDUAL_COLS = 2 * LEAF
+# rows or columns of the strips in which an m x m product is reduced to a
+# norm or a trace, so that no m x m temporary is formed
+STRIP = LEAF
 
 
 def is_symmetric(X: np.ndarray, atol: float) -> bool:
-    """True when X is square and max |X - X^T| <= atol; NaN anywhere gives False."""
+    """True when X is square and max |X - X^T| <= atol; NaN anywhere gives False.
+
+    Rows i:j are compared with columns i:j from the diagonal on, one strip of
+    STRIP rows at a time, so the only temporary is STRIP x m.
+    """
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         return False
-    d = X - X.T
-    return bool(np.abs(d, out=d).max(initial=0.0) <= atol)
+    for i in range(0, X.shape[0], STRIP):
+        d = X[i : i + STRIP, i:] - X[i:, i : i + STRIP].T
+        if not np.abs(d, out=d).max(initial=0.0) <= atol:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -117,6 +130,15 @@ def _symmetrize(X: np.ndarray) -> np.ndarray:
     return X
 
 
+def _strips(rows: int, cols: int, work: np.ndarray):
+    """(J, out) for consecutive strips J of the columns of a rows x cols array,
+    each as wide as ``work`` holds, with ``out`` the rows x |J| workspace view."""
+    width = work.size // rows
+    for j in range(0, cols, width):
+        J = slice(j, min(j + width, cols))
+        yield J, work[: rows * (J.stop - j)].reshape(rows, J.stop - j)
+
+
 def _split(T: np.ndarray) -> int:
     """Midpoint of a quasi-triangular T, moved down past a 2x2 block it would cut."""
     k = T.shape[0] // 2
@@ -142,7 +164,7 @@ def _blocked_trsyl(Ta, Tf, R, trana: str, tranb: str, work: np.ndarray) -> tuple
     upper triangular for "N" and block lower triangular for "T", so the half
     that does not couple into the other is solved first.  Returns the
     product of the leaf scales and the largest leaf info, as trsyl would.
-    ``work`` holds each coupling product.
+    The coupling goes through ``work`` one strip of columns at a time.
     """
     m, n = R.shape
     if max(m, n) <= LEAF:
@@ -160,7 +182,8 @@ def _blocked_trsyl(Ta, Tf, R, trana: str, tranb: str, work: np.ndarray) -> tuple
     scale1, info1 = _blocked_trsyl(Ta[first, first], Tf, Z1, trana, tranb, work)
     if scale1 != 1.0:
         R2 *= scale1
-    R2 -= np.matmul(coupling, Z1, out=work[: R2.size].reshape(R2.shape))
+    for J, out in _strips(*R2.shape, work):
+        R2[:, J] -= np.matmul(coupling, Z1[:, J], out=out)
     scale2, info2 = _blocked_trsyl(Ta[second, second], Tf, R2, trana, tranb, work)
     if scale2 != 1.0:
         Z1 *= scale2
@@ -198,16 +221,18 @@ def _blocked_lyapunov(T, R, trana: str, work: np.ndarray) -> tuple[float, int]:
     if scale1 != 1.0:
         R12 *= scale1
         R2 *= scale1
-    out = work[: R12.size].reshape(R12.shape)
-    R12 -= np.matmul(T12, Z1, out=out) if trana == "N" else np.matmul(Z1, T12, out=out)
+    for J, out in _strips(*R12.shape, work):
+        R12[:, J] -= np.matmul(T12, Z1[:, J], out=out) if trana == "N" else np.matmul(Z1, T12[:, J], out=out)
     scale2, info2 = _blocked_trsyl(T[:k, :k], T[k:, k:], R12, trana, _FLIP[trana], work)
     if scale2 != 1.0:
         Z1 *= scale2
         R2 *= scale2
-    out = work[: R2.size].reshape(R2.shape)
-    G = np.matmul(T12, R12.T, out=out) if trana == "N" else np.matmul(T12.T, R12, out=out)
-    R2 -= G
-    R2 -= G.T
+    # R2 -= G + G^T one strip of rows I of G at a time: G[I, :] comes off rows I
+    # and its transpose, formed in the workspace, off columns I
+    for I, out in _strips(R2.shape[1], R2.shape[0], work):
+        gt = np.matmul(R12, T12[I].T, out=out) if trana == "N" else np.matmul(R12.T, T12[:, I], out=out)
+        R2[I] -= gt.T
+        R2[:, I] -= gt
     scale3, info3 = _blocked_lyapunov(T[second, second], R2, trana, work)
     if scale3 != 1.0:
         Z1 *= scale3
@@ -229,27 +254,27 @@ def _bartels_stewart(fac_a: SchurFactors, fac_f: SchurFactors, L: np.ndarray, R:
     perturbed to keep the equation solvable).
     """
     m, n = fac_a.T.shape[0], fac_f.T.shape[0]
-    # Z and the coupling workspace behind it share one allocation that
-    # lives through the back-transform: splitting it, or freeing it before
-    # the back-transform, fragments the malloc heap and raised the peak
-    # memory of a d = 2 verify run.  A coupling updates at most half the
-    # rows (plus a 2x2 block) of Z or Z^T; the workspace also holds at
-    # least one row of Z for the back-transform.
-    buf = np.empty(m * n + max((max(m, n) // 2 + 1) * min(m, n), n))
-    Z, work = buf[: m * n].reshape(m, n), buf[m * n :]
+    # Every coupling and both back-transform passes go through one thin
+    # workspace of max(m, n) x LEAF doubles, so every strip is at least LEAF
+    # wide and the only m x n array is Z, which is returned.  At d = 2
+    # (m = 960) the Gramian solve then peaks at 3.30 m x m arrays traced,
+    # its Schur form included, against 3.53 with a workspace of half of Z,
+    # and verify-d2 at 114.8 MB resident against 115.2.
+    Z = np.empty((m, n))
+    work = np.empty(max(m, n) * LEAF)
     UL = fac_a.U.T @ L
     UR = UL if R is L and fac_f is fac_a else fac_f.U.T @ R
     np.matmul(UL, UR.T, out=Z)
+    del UL, UR
     scale, info = solve(Z, work)
     Z /= -scale
-    # Z <- Z U_f^T in strips of rows through the workspace, so that the
-    # only new m x n array is Y = U_a Z
-    rows = work.size // n
-    for i in range(0, m, rows):
-        strip = Z[i : i + rows]
-        out = work[: strip.size].reshape(strip.shape)
-        strip[...] = np.matmul(strip, fac_f.U.T, out=out)
-    return fac_a.U @ Z, info
+    # Z <- Z U_f^T by strips of rows I, each formed transposed in the
+    # workspace as U_f Z[I]^T, then Z <- U_a Z by strips of columns
+    for I, out in _strips(n, m, work):
+        Z[I] = np.matmul(fac_f.U, Z[I].T, out=out).T
+    for J, out in _strips(m, n, work):
+        Z[:, J] = np.matmul(fac_a.U, Z[:, J], out=out)
+    return Z, info
 
 
 def _factor(name: str, X, rows: int) -> np.ndarray:
@@ -297,24 +322,42 @@ def solve_lyapunov(
         raise ConvergenceError("trsyl perturbed nearly singular Lyapunov spectrum")
     _symmetrize(X)
 
-    # X is exactly symmetric, so A X + X A^T = (A X) + (A X)^T = 2 sym(A X),
-    # formed in place (the doubling is exact).  A X is applied to a block
-    # of columns at a time, so an operator A solves with few right-hand
-    # sides at once, and B B^T is added one strip of rows at a time.
     op = A.T if transposed else A
-    R = np.empty((m, m))
-    for j in range(0, m, RESIDUAL_COLS):
-        R[:, j : j + RESIDUAL_COLS] = op @ X[:, j : j + RESIDUAL_COLS]
-    _symmetrize(R)
-    R *= 2.0
-    for i in range(0, m, LEAF):
-        R[i : i + LEAF] += B[i : i + LEAF] @ B.T
-    residual = la.norm(R, "fro")
+    residual = _lyapunov_residual(op, X, B)
     if cnorm > 0.0 and residual / cnorm > RESIDUAL_RTOL:
         raise ConvergenceError(
             f"Lyapunov residual {residual / cnorm:.3e} exceeds tolerance {RESIDUAL_RTOL:.1e}"
         )
     return X
+
+
+def _lyapunov_residual(op, X: np.ndarray, B: np.ndarray) -> float:
+    """||op X + X op^T + B B^T||_F for a symmetric X, with no m x m temporary.
+
+    The residual R is symmetric, so only its blocks on and below the diagonal
+    are formed, one strip of columns J at a time from row J.start down:
+    R[:, J] = op X[:, J] + X (op^T E_J) + B B[J]^T, with E_J the identity
+    columns J.  Off-diagonal blocks count twice.  op X[:, J] and op^T E_J are
+    two operator applications to STRIP columns, so an operator op
+    solves with few right-hand sides at once.
+    """
+    m = X.shape[0]
+    total = 0.0
+    for j in range(0, m, STRIP):
+        J = slice(j, min(j + STRIP, m))
+        w = J.stop - j
+        E = np.zeros((m, w))
+        E[J] = np.eye(w)
+        R = X[j:] @ (op.T @ E)
+        R += (op @ X[:, J])[j:]
+        R += B[j:] @ B[J].T
+        total += _sum_squares(R[:w]) + 2.0 * _sum_squares(R[w:])
+    return float(np.sqrt(total))
+
+
+def _sum_squares(a: np.ndarray) -> float:
+    """Squared Frobenius norm of a 2-D array, with no temporary."""
+    return float(np.einsum("ij,ij->", a, a))
 
 
 def solve_sylvester(
@@ -373,29 +416,47 @@ def symmetric_factor(X: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
     Eigendecomposition with truncation: columns are kept for eigenvalues
     above tol * lambda_max(X), so rank-deficient Gramians yield thin factors.
-    Raises DefinitenessError when X is indefinite beyond tol * ||X||_2.
+    Raises DefinitenessError when X is indefinite beyond tol * ||X||_2, and
+    ConvergenceError when ||Z Z^T - X||_F exceeds 10 * tol * ||X||_F.
+
+    X is consumed: the eigensolver runs in place on it and overwrites its
+    upper triangle and diagonal.  A caller that reads X afterwards passes a
+    copy.
     """
     X = np.asarray(X, dtype=float)
-    if not is_symmetric(X, 1e-12 * max(np.abs(X).max(initial=0.0), 1.0)):
+    if not is_symmetric(X, 1e-12 * max(X.max(initial=0.0), -X.min(initial=0.0), 1.0)):
         raise ValueError("matrix must be symmetric")
-    # eigh overwrites its input, a symmetrized copy of X; an exactly
-    # symmetric C-ordered matrix is passed as its Fortran-ordered transpose
-    w, V = la.eigh(_symmetrize(X.copy()).T, overwrite_a=True)
+    m = X.shape[0]
+    diag = X.diagonal().copy()
+    # X^T is Fortran-ordered, so eigh overwrites X itself; it reads the lower
+    # triangle of X^T, the upper one of X, and leaves the strict lower
+    # triangle of X untouched, which with ``diag`` still defines X
+    w, V = la.eigh(X.T, lower=True, overwrite_a=True, check_finite=False)
     norm2 = np.abs(w).max(initial=0.0)
     if w[0] < -tol * norm2:
         raise DefinitenessError(
             f"matrix has eigenvalue {w[0]:.3e} below the PSD tolerance {-tol * norm2:.3e}"
         )
-    cutoff = tol * max(w[-1], 0.0)
-    keep = w > cutoff
-    Z = V[:, keep] * np.sqrt(w[keep])
-    del V  # freed before the m x m defect product, which would otherwise set the peak memory
-    # descending eigenvalue order keeps the dominant directions first
-    Z = Z[:, ::-1]
-    defect = Z @ Z.T
-    defect -= X
-    err = la.norm(defect, "fro")
-    xnorm = la.norm(X, "fro")
+    # w ascends, so the k eigenvalues kept are the last ones; Z takes them in
+    # descending order, which keeps the dominant directions first
+    k = np.count_nonzero(w > tol * max(w[-1], 0.0))
+    Z = V[:, m - k :][:, ::-1] * np.sqrt(w[m - k :][::-1])
+    del V
+
+    # ||Z Z^T - X||_F and ||X||_F from the blocks on and below the diagonal,
+    # one strip of STRIP rows at a time; off-diagonal blocks count twice
+    err_sq = x_sq = 0.0
+    for i in range(0, m, STRIP):
+        j = min(i + STRIP, m)
+        Xd = np.tril(X[i:j, i:j], -1)
+        Xd += Xd.T
+        Xd[np.diag_indices(j - i)] = diag[i:j]
+        D = Z[i:j] @ Z[:j].T
+        D[:, :i] -= X[i:j, :i]
+        D[:, i:] -= Xd
+        err_sq += _sum_squares(D[:, i:]) + 2.0 * _sum_squares(D[:, :i])
+        x_sq += _sum_squares(Xd) + 2.0 * _sum_squares(X[i:j, :i])
+    err, xnorm = np.sqrt(err_sq), np.sqrt(x_sq)
     if xnorm > 0.0 and err > 10.0 * tol * xnorm:
         raise ConvergenceError(
             f"factorization defect {err / xnorm:.3e} exceeds 10*tol={10 * tol:.1e}"

@@ -5,7 +5,10 @@ and reproduces the continuous energy balance up to O(h^2): for zero input the
 discrete energy x_k^T N x_k of a dissipative system is non-increasing up to
 roundoff, which is what the dissipation checks rely on.  Every system steps
 through its own shifted solve ``shift_inverse(2/h)``, so this module does not
-know whether A is dense or applied through a second-order triple.
+know whether A is dense or applied through a second-order triple.  One step
+generator serves both callers: ``integrate`` stores the states it yields, and
+``verify_error_bound`` folds the FOM's states into the output as they come,
+so the FOM run never holds a (steps, m) array.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bt_quadratic import h2_error
-from .galerkin import QuadraticOutputSystem
+from .galerkin import OUTPUT_ROWS, QuadraticOutputSystem
 
 __all__ = [
     "Trajectory",
@@ -57,6 +60,34 @@ def _input_samples(u, t: np.ndarray, n_in: int) -> np.ndarray:
     return samples
 
 
+def _time_grid(h: float, T: float) -> np.ndarray:
+    """Uniform grid 0, h, ..., round(T/h) h; it must hold at least one step."""
+    if h <= 0 or T <= 0:
+        raise ValueError("step size and horizon must be positive")
+    steps = int(round(T / h))
+    if steps < 1:
+        raise ValueError(f"horizon T = {T} is shorter than half a step h = {h}: no step to take")
+    return h * np.arange(steps + 1)
+
+
+def _trapezoid(sys: QuadraticOutputSystem, ugrid: np.ndarray, x0: np.ndarray, h: float):
+    """Yield the trapezoidal states x_0 = x0, x_1, ... for the input samples ``ugrid``.
+
+    With omega = 2/h the step (I - h/2 A) x+ = (I + h/2 A) x + h/2 B (u + u+)
+    reads x+ = (omega I - A)^{-1} (2 omega x + B (u + u+)) - x, since
+    omega I + A = 2 omega I - (omega I - A): one ``sys.shift_inverse(2/h)``
+    factorization per run and one shifted solve per step, for every system.
+    B is applied per step, so no (steps, m) forcing array is made.
+    """
+    omega = 2.0 / h
+    solve = sys.shift_inverse(omega)
+    x = x0
+    yield x
+    for k in range(len(ugrid) - 1):
+        x = solve(2.0 * omega * x + sys.B @ (ugrid[k] + ugrid[k + 1])) - x
+        yield x
+
+
 def integrate(
     sys: QuadraticOutputSystem,
     u=None,
@@ -67,16 +98,11 @@ def integrate(
     """Trapezoidal one-step integration of x' = A x + B u from x(0) = x0.
 
     ``u`` is a callable of time returning a scalar (single input) or a vector
-    of length n_in; None means zero input.  With omega = 2/h the step
-    (I - h/2 A) x+ = (I + h/2 A) x + h/2 B (u + u+) reads
-    x+ = (omega I - A)^{-1} (2 omega x + B (u + u+)) - x, since
-    omega I + A = 2 omega I - (omega I - A): one ``sys.shift_inverse(2/h)``
-    factorization per call and one shifted solve per step, for every system.
-    A singular step matrix raises NumericalError.
+    of length n_in; None means zero input.  See ``_trapezoid`` for the step.
+    A horizon shorter than half a step raises ValueError, a singular step
+    matrix NumericalError.
     """
-    if h <= 0 or T <= 0:
-        raise ValueError("step size and horizon must be positive")
-    t = h * np.arange(int(round(T / h)) + 1)
+    t = _time_grid(h, T)
     m = sys.m
     if x0 is None:
         x0 = np.zeros(m)
@@ -85,13 +111,9 @@ def integrate(
         raise ValueError(f"initial state must have shape ({m},)")
 
     ugrid = _input_samples(u, t, sys.n_in)
-    omega = 2.0 / h
-    solve = sys.shift_inverse(omega)
     x = np.empty((t.size, m))
-    x[0] = x0
-    for k in range(t.size - 1):
-        # B is applied per step, so no (steps, m) forcing array is made
-        x[k + 1] = solve(2.0 * omega * x[k] + sys.B @ (ugrid[k] + ugrid[k + 1])) - x[k]
+    for k, xk in enumerate(_trapezoid(sys, ugrid, x0, h)):
+        x[k] = xk
     return Trajectory(t=t, x=x, y=sys.quadratic_output(x), u=ugrid)
 
 
@@ -114,17 +136,26 @@ def verify_error_bound(
     """Check sup_t |y - y_r| <= ||H - H_r||_H2 * (integral of ||u||^4)^(1/2)
     for each reduced system in ``reduced``, one BoundCheck per system in order.
 
-    The FOM is integrated once; only its t, y and u samples are kept, so its
-    states are freed before the first H2 error is solved.  All systems start
-    from zero states (the bound covers the zero-state response).  The right
-    side uses trapezoidal quadrature of ||u(t)||^4 on the integration grid.
-    ``holds`` allows a relative 1e-6 margin plus an O(h^2) integration slack,
-    since the trajectories themselves are second-order accurate.
+    The FOM is integrated once and its states are never stored: they are
+    folded into y one block of OUTPUT_ROWS states at a time, the blocks
+    ``quadratic_output`` takes, so y equals ``integrate(fom, ...).y``
+    bitwise.  All systems start from zero states (the bound covers the
+    zero-state response).  The right side uses trapezoidal quadrature of
+    ||u(t)||^4 on the integration grid.  ``holds`` allows a relative 1e-6
+    margin plus an O(h^2) integration slack, since the trajectories
+    themselves are second-order accurate.
     """
-    fom_run = integrate(fom, u=u, h=h, T=T)
-    t, y = fom_run.t, fom_run.y
-    f = np.linalg.norm(fom_run.u, axis=1) ** 4
-    del fom_run  # the FOM states; nothing below reads them
+    t = _time_grid(h, T)
+    ugrid = _input_samples(u, t, fom.n_in)
+    y = np.empty(t.size)
+    block = np.empty((OUTPUT_ROWS, fom.m))
+    for k, x in enumerate(_trapezoid(fom, ugrid, np.zeros(fom.m), h)):
+        i = k % OUTPUT_ROWS
+        block[i] = x
+        if i == OUTPUT_ROWS - 1 or k == t.size - 1:
+            y[k - i : k + 1] = fom.quadratic_output(block[: i + 1])
+    del block
+    f = np.linalg.norm(ugrid, axis=1) ** 4
     # scipy.integrate.trapezoid's operation order, without importing scipy.integrate
     u_l4 = float(np.sqrt(np.sum((t[1:] - t[:-1]) * (f[1:] + f[:-1]) / 2.0)))
     y_max = float(np.max(np.abs(y)))

@@ -28,15 +28,16 @@ def make_stable_system(
     return QuadraticOutputSystem(A=A, B=B, N=N)
 
 
-def traced_peak(fn):
-    """fn() and the peak of the memory allocated during the call, in bytes."""
+def traced_peak(fn, shape: tuple[int, ...]):
+    """fn() and the peak of the memory allocated during the call, counted in
+    float64 arrays of ``shape`` (an m x m matrix, a (steps, m) trajectory)."""
     tracemalloc.start()
     try:
         result = fn()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return result, peak
+    return result, peak / (np.prod(shape) * np.dtype(float).itemsize)
 
 
 @pytest.fixture

@@ -447,6 +447,15 @@ class TestMain:
         assert "must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists(), "rejected before any output was written"
 
+    @pytest.mark.parametrize("T", [0.4, 0.5])
+    def test_horizon_without_a_step_is_exit_2(self, tmp_path, capsys, T):
+        """T <= h/2 leaves a one-point grid, which used to verify as sup_error 0 and holds."""
+        simulation = {"h": 1.0, "T": T, "r_values": [2]}
+        config = str(write_config(tmp_path, degree=0, simulation=simulation))
+        assert main(["verify", "--config", config]) == 2
+        assert "shorter than half a step" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists(), "rejected before any output was written"
+
     def test_missing_report_inputs_is_exit_4(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "empty")]) == 4
         assert "I/O error" in capsys.readouterr().err

@@ -19,8 +19,10 @@ from numpy.testing import assert_allclose
 
 from sgmor import lyapsylv
 from sgmor.errors import ConvergenceError, DefinitenessError, SpectralOverlapError, StabilityError
+from sgmor.galerkin import assemble, to_first_order
 from sgmor.lyapsylv import (
     LEAF,
+    RESIDUAL_RTOL,
     SchurFactors,
     is_symmetric,
     real_schur,
@@ -28,6 +30,8 @@ from sgmor.lyapsylv import (
     solve_sylvester,
     symmetric_factor,
 )
+from sgmor.msd import build_msd, default_config
+from sgmor.polychaos import PcBasis
 from conftest import make_stable_system
 
 
@@ -130,6 +134,62 @@ class TestLyapunov:
         for B in (np.ones((3, 1)), np.ones(2)):
             with pytest.raises(ValueError, match="shape"):
                 solve_lyapunov(-np.eye(2), B)
+
+
+def dense_residual(A: np.ndarray, X: np.ndarray, B: np.ndarray) -> float:
+    """||A X + X A^T + B B^T||_F with every product formed in full."""
+    return float(la.norm(A @ X + X @ A.T + B @ B.T))
+
+
+def random_symmetric(rng: np.random.Generator, m: int) -> np.ndarray:
+    G = rng.standard_normal((m, m))
+    return G + G.T
+
+
+class TestLyapunovResidual:
+    """The residual ``solve_lyapunov`` checks, formed in strips, against the
+    dense oracle, and the check itself on either side of RESIDUAL_RTOL."""
+
+    def test_strips_match_dense_oracle(self, rng):
+        m = 3 * LEAF + 5
+        sys = make_stable_system(rng, m)
+        X = random_symmetric(rng, m)
+        for op in (sys.A, sys.A.T):
+            got, want = lyapsylv._lyapunov_residual(op, X, sys.B), dense_residual(op, X, sys.B)
+            assert abs(got - want) <= 1e-12 * want, f"strip residual {got!r} against dense {want!r}"
+
+    def test_strips_match_dense_oracle_on_first_order_operator(self, rng):
+        parametric = build_msd(default_config())
+        fom = to_first_order(assemble(parametric, PcBasis(q=parametric.q, d=1)))
+        A, X = fom.A.toarray(), random_symmetric(rng, fom.m)
+        for op, dense in ((fom.A, A), (fom.A.T, A.T)):
+            got, want = lyapsylv._lyapunov_residual(op, X, fom.B), dense_residual(dense, X, fom.B)
+            assert abs(got - want) <= 1e-12 * want, f"strip residual {got!r} against dense {want!r}"
+
+    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_check_fires_above_the_tolerance(self, rng, monkeypatch, ratio, transposed):
+        """A solution perturbed to ``ratio`` * RESIDUAL_RTOL relative residual
+        passes below the tolerance and raises above it."""
+        m = 2 * LEAF + 3
+        sys = make_stable_system(rng, m)
+        op = sys.A.T if transposed else sys.A
+        E = random_symmetric(rng, m)
+        delta = ratio * RESIDUAL_RTOL * la.norm(sys.B.T @ sys.B) / la.norm(op @ E + E @ op.T)
+        X0 = solve_lyapunov(sys.A, sys.B, transposed=transposed)
+        kernel = lyapsylv._bartels_stewart
+
+        def perturbed(*args):
+            X, info = kernel(*args)
+            return X + delta * E, info
+
+        monkeypatch.setattr(lyapsylv, "_bartels_stewart", perturbed)
+        if ratio > 1.0:
+            with pytest.raises(ConvergenceError, match="Lyapunov residual"):
+                solve_lyapunov(sys.A, sys.B, transposed=transposed)
+        else:
+            X = solve_lyapunov(sys.A, sys.B, transposed=transposed)
+            assert_allclose(X, X0 + delta * E, rtol=0.0, atol=1e-14 * np.abs(X0).max())
 
 
 class TestSylvester:
@@ -345,14 +405,14 @@ class TestSymmetricFactor:
 
     def test_rank_deficient_diagonal(self):
         X = np.diag([4.0, 1.0, 0.0])
-        Z = symmetric_factor(X)
+        Z = symmetric_factor(X.copy())
         assert Z.shape == (3, 2), "zero eigenvalue must be truncated"
         assert_allclose(Z @ Z.T, X, atol=1e-14)
 
     def test_construct_then_recover(self, rng):
         R = rng.standard_normal((8, 3))
         X = R @ R.T
-        Z = symmetric_factor(X)
+        Z = symmetric_factor(X.copy())
         assert Z.shape[1] == 3
         assert_allclose(Z @ Z.T, X, atol=1e-12 * la.norm(X))
 
@@ -361,6 +421,20 @@ class TestSymmetricFactor:
         assert symmetric_factor(X, tol=1e-12).shape[1] == 2
         assert symmetric_factor(X, tol=1e-8).shape[1] == 2
         assert symmetric_factor(X, tol=1e-3).shape[1] == 1
+
+    @pytest.mark.parametrize("dropped", [99, 399])
+    def test_defect_beyond_ten_tol_raises(self, rng, dropped):
+        """Q diag(1, 0.9e-12, ...) Q^T: the dropped eigenvalues leave a defect
+        of 0.9e-12 sqrt(dropped), below 10 tol = 1e-11 for 99 of them and above
+        it for 399."""
+        Q, _ = la.qr(rng.standard_normal((dropped + 1, dropped + 1)))
+        X = (Q * np.r_[1.0, np.full(dropped, 0.9e-12)]) @ Q.T
+        X = 0.5 * (X + X.T)
+        if dropped == 399:
+            with pytest.raises(ConvergenceError, match="factorization defect"):
+                symmetric_factor(X)
+        else:
+            assert symmetric_factor(X).shape == (dropped + 1, 1)
 
     def test_indefinite_rejected(self):
         with pytest.raises(DefinitenessError):

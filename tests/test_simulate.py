@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 from scipy.integrate import trapezoid
 
-from conftest import make_stable_system
+from conftest import make_stable_system, traced_peak
 from second_order import dense_first_order
 from sgmor import simulate
 from sgmor.bt_quadratic import balance, h2_error, truncate
@@ -96,6 +96,12 @@ class TestIntegrate:
             integrate(scalar_decay(), h=0.0)
         with pytest.raises(ValueError, match="positive"):
             integrate(scalar_decay(), T=-1.0)
+
+    @pytest.mark.parametrize("T", [0.4, 0.5])
+    def test_rejects_a_horizon_without_a_step(self, T):
+        """round(T / h) = 0 leaves a one-point grid, on which nothing is integrated."""
+        with pytest.raises(ValueError, match="no step to take"):
+            integrate(scalar_decay(), h=1.0, T=T)
 
     def test_rejects_bad_initial_state(self):
         with pytest.raises(ValueError, match="initial state"):
@@ -243,12 +249,13 @@ class TestErrorBound:
         alone = [verify_error_bound(fom, [rom], h=0.05, T=5.0)[0] for rom in roms]
 
         runs = []
+        stepper = simulate._trapezoid
 
         def counted(sys, *args, **kwargs):
             runs.append(sys.label)
-            return integrate(sys, *args, **kwargs)
+            return stepper(sys, *args, **kwargs)
 
-        monkeypatch.setattr(simulate, "integrate", counted)
+        monkeypatch.setattr(simulate, "_trapezoid", counted)
         batch = verify_error_bound(fom, roms, h=0.05, T=5.0)
         assert runs == ["fom", "rom", "rom"], f"integrations by label: {runs}"
         assert len(batch) == len(alone)
@@ -257,3 +264,21 @@ class TestErrorBound:
                 # repr round-trips a float exactly, so equal reprs are equal bits
                 a, b = repr(getattr(got, field.name)), repr(getattr(want, field.name))
                 assert a == b, f"{field.name}: batch {a} != alone {b}"
+
+    def test_streamed_fom_output_equals_integrate(self, fom_d1, monkeypatch):
+        """The FOM output folded block by block over 2,001 steps is the y of
+        ``integrate`` bitwise: checked against itself, the observed error is 0."""
+        monkeypatch.setattr(simulate, "h2_error", lambda fom, rsys: 0.0)
+        [check] = verify_error_bound(fom_d1, [fom_d1], h=0.01, T=20.0)
+        assert check.observed == 0.0, f"streamed and stored outputs differ by {check.observed:.3e}"
+
+    def test_fom_states_are_not_stored(self, fom_d1):
+        """On the d = 1 model at the CLI default T = 100 (10,001 steps) the check
+        peaks below a quarter of one (steps, m) array of FOM states."""
+        rom = truncate(balance(fom_d1), fom_d1, 10).system
+        h, T = 0.01, 100.0
+        [check], peak = traced_peak(
+            lambda: verify_error_bound(fom_d1, [rom], h=h, T=T), (int(round(T / h)) + 1, fom_d1.m)
+        )
+        assert peak < 0.25, f"verify_error_bound peaked at {peak:.2f} FOM state arrays"
+        assert check.holds
