@@ -1,15 +1,19 @@
 """One-sided block Arnoldi reduction at a single real expansion point.
 
 The projection basis spans the shifted-inverse Krylov space
-span{S^{-1}B, S^{-2}B, ...} with S = omega*I - A, grown column by column so
-any exact reduced dimension r is reachable.  S is factored once by
-``QuadraticOutputSystem.shift_inverse``: a sparse LU of omega^2 M + omega D + K
-for the first-order form of a Galerkin triple, a dense LU otherwise.  Both
+span{S^{-1}B, S^{-2}B, ...} with S = omega*I - A, grown column by column from
+one first-in first-out queue (the columns of B, then each accepted basis
+column in turn), so any exact reduced dimension r is reachable.  S is
+factored once by ``QuadraticOutputSystem.shift_inverse``: a sparse LU of
+omega^2 M + omega D + K for the first-order form of a Galerkin triple, a
+dense LU otherwise.  Both
 projection matrices equal the orthonormal basis (V = W), so reduced systems
 are Galerkin projections and carry no stability guarantee.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 
@@ -26,12 +30,13 @@ REORTH_PASSES = 2
 def arnoldi_basis(fom: QuadraticOutputSystem, r: int, omega: float = 1.0) -> tuple[np.ndarray, dict]:
     """Orthonormal basis (m, r) of the shifted-inverse block Krylov space.
 
-    Candidates are S^{-1} applied to the previous block's surviving columns
-    and orthogonalized in REORTH_PASSES classical Gram-Schmidt passes
-    against the whole basis so far (one block product each); a
-    candidate whose norm drops below 1e-12 of its pre-orthogonalization
-    norm is deflated and its lineage ends.  Deflations are reported in the
-    metadata; exhausting the space before r columns raises.
+    A candidate is S^{-1} applied to the column at the head of the queue,
+    orthogonalized in REORTH_PASSES classical Gram-Schmidt passes against
+    the whole basis so far (one block product each).  A candidate whose
+    norm drops to 1e-12 of its pre-orthogonalization norm or below (a zero
+    candidate included) is deflated and its lineage ends; an accepted one
+    joins the basis and the back of the queue.  Deflations are reported in
+    the metadata; emptying the queue before r columns raises.
     """
     m = fom.m
     if not 1 <= r <= m:
@@ -43,32 +48,21 @@ def arnoldi_basis(fom: QuadraticOutputSystem, r: int, omega: float = 1.0) -> tup
     V = np.empty((m, r))
     k = 0
     deflated = 0
-    frontier = [fom.B[:, j].copy() for j in range(fom.B.shape[1])]
+    queue = deque(fom.B.T.copy())
     while k < r:
-        survivors = []
-        for w in frontier:
-            if k == r:
-                break
-            w = shift_inverse(w)
-            norm_before = np.linalg.norm(w)
-            if norm_before == 0.0:
-                deflated += 1
-                continue
-            for _ in range(REORTH_PASSES):
-                w -= V[:, :k] @ (V[:, :k].T @ w)
-            norm_after = np.linalg.norm(w)
-            if norm_after <= DEFLATION_RTOL * norm_before:
-                deflated += 1
-                continue
-            V[:, k] = w / norm_after
-            survivors.append(V[:, k])
-            k += 1
-        if k < r:
-            if not survivors:
-                raise ConvergenceError(
-                    f"Krylov space exhausted at dimension {k} before reaching {r}"
-                )
-            frontier = survivors
+        if not queue:
+            raise ConvergenceError(f"Krylov space exhausted at dimension {k} before reaching {r}")
+        w = shift_inverse(queue.popleft())
+        norm_before = np.linalg.norm(w)
+        for _ in range(REORTH_PASSES):
+            w -= V[:, :k] @ (V[:, :k].T @ w)
+        norm_after = np.linalg.norm(w)
+        if norm_after <= DEFLATION_RTOL * norm_before:
+            deflated += 1
+            continue
+        V[:, k] = w / norm_after
+        queue.append(V[:, k])
+        k += 1
     meta = {"omega": omega, "deflated": deflated}
     return V, meta
 

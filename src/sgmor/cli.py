@@ -59,6 +59,8 @@ def _dimensions(values) -> tuple[int, ...]:
     return tuple(integer(r, where) for r in _typed(values, list, f"config key '{where}'"))
 
 
+# top-level config-file keys that hold a section, not a field
+SECTIONS = ("model", "r", "simulation")
 # config-file key -> (ExperimentConfig field, converter), per section of the file
 FILE_KEYS = {
     "degree": ("degree", partial(integer, key="degree")),
@@ -144,18 +146,21 @@ def experiment_from_args(args: argparse.Namespace) -> ExperimentConfig:
         else:
             model = config_from_dict(_typed(model_entry, dict, "config key 'model'"))
 
-        # only the keys the file holds; ExperimentConfig keeps the defaults
+        # only the keys the file holds; ExperimentConfig keeps the defaults.
+        # A key nothing reads is refused, so a misspelling is not a default.
         fields = {}
         sections = (
-            (raw, FILE_KEYS),
-            (_typed(raw.get("r", {}), dict, "config key 'r'"), R_KEYS),
-            (_typed(raw.get("simulation", {}), dict, "config key 'simulation'"), SIMULATION_KEYS),
+            ("", {key: value for key, value in raw.items() if key not in SECTIONS}, FILE_KEYS),
+            ("r.", _typed(raw.get("r", {}), dict, "config key 'r'"), R_KEYS),
+            ("simulation.", _typed(raw.get("simulation", {}), dict, "config key 'simulation'"),
+             SIMULATION_KEYS),
         )
-        for section, keys in sections:
+        for prefix, section, keys in sections:
             for key, value in section.items():
-                if key in keys:
-                    name, convert = keys[key]
-                    fields[name] = convert(value)
+                if key not in keys:
+                    raise ConfigError(f"unknown config key '{prefix}{key}'")
+                name, convert = keys[key]
+                fields[name] = convert(value)
         cfg = ExperimentConfig(model=model, **fields)
     except ConfigError:
         raise
@@ -219,9 +224,6 @@ def run_reduce(cfg: ExperimentConfig) -> Path:
         rom, sigma = truncate(bal, fom, cfg.r_max), bal.sigma
         path = out / "reduce_bt.csv"
     else:
-        # the FOM Gramian is solved before the Krylov LU, not by the sweep
-        # after it: this order keeps the peak memory lower
-        fom.gramian
         rom, sigma = reduce_arnoldi(fom, cfg.r_max, omega=cfg.omega), None
         path = out / "reduce_arnoldi.csv"
     write_report_csv(sweep(fom, rom, range(cfg.r_min, cfg.r_max + 1), sigma=sigma), path)

@@ -11,7 +11,8 @@ the system; the dense A exists only as the input of the Schur form.  The H2
 norm tr(N P N P) is summed over strips of P, so no m x m N P is formed.  The
 dense Gramian P lives only until its symmetric factor Z_P is first read
 (by ``balance``): the factor is computed once from P, which it consumes, and
-P is released.
+P is released.  A system holds its output matrix N but does not evaluate
+y = x^T N x; the trapezoidal stepper in ``simulate`` does, once per step.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ __all__ = [
     "write_matrix_market",
 ]
 
-# states per block of a batched quadratic output evaluation
-OUTPUT_ROWS = 256
 # relative eigenvalue cutoff of the symmetric Gramian factors
 FACTOR_TOL = 1e-12
 
@@ -297,21 +296,6 @@ class QuadraticOutputSystem:
         """Controllability Gramian and H2 norm, solved once on the Schur form;
         the first read of P's factor releases P (see ``GramianCache``)."""
         return gramian_cache(self)
-
-    def quadratic_output(self, x: np.ndarray) -> np.ndarray:
-        """y = x^T N x for a single state (m,) or a batch (steps, m).
-
-        A batch is evaluated OUTPUT_ROWS states at a time, so that no
-        (steps, m) temporary is made.
-        """
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return float(x @ self.N @ x)
-        y = np.empty(x.shape[0])
-        for k in range(0, y.size, OUTPUT_ROWS):
-            rows = x[k : k + OUTPUT_ROWS]
-            y[k : k + OUTPUT_ROWS] = np.einsum("ki,ki->k", rows @ self.N, rows)
-        return y
 
 
 class GramianCache:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +35,8 @@ __all__ = [
 DEFAULT_MASSES = (1.0, 1.5, 2.0, 2.5)
 DEFAULT_SPRINGS = ((0, 1, 120.0), (1, 2, 100.0), (2, 3, 90.0), (3, 4, 140.0), (1, 3, 50.0), (4, 0, 110.0))
 DEFAULT_DAMPERS = ((1, 2, 0.05), (2, 3, 0.22), (3, 4, 0.04), (4, 0, 0.55))
+# the keys of a model description that ``config_from_dict`` reads
+MODEL_KEYS = ("masses", "springs", "dampers", "input_spring", "delta")
 
 
 @dataclass(frozen=True)
@@ -141,8 +143,12 @@ def config_from_dict(raw: dict) -> MsdConfig:
     Keys: ``masses`` (list), ``springs`` (list of {"ends": [a, b],
     "stiffness": v}), ``dampers`` (list of {"ends": [a, b], "coefficient": v}
     or {"mass": i, "coefficient": v} for a ground attachment),
-    ``input_spring`` (1-based), ``delta``.
+    ``input_spring`` (1-based, default 1), ``delta`` (default 0.10).  Any
+    other key raises a ValueError naming it.
     """
+    for key in raw:
+        if key not in MODEL_KEYS:
+            raise ValueError(f"unknown model key '{key}'")
 
     def element(entry, value_key, where):
         value = number(entry[value_key], f"{where}.{value_key}")

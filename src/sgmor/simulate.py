@@ -6,9 +6,11 @@ discrete energy x_k^T N x_k of a dissipative system is non-increasing up to
 roundoff, which is what the dissipation checks rely on.  Every system steps
 through its own shifted solve ``shift_inverse(2/h)``, so this module does not
 know whether A is dense or applied through a second-order triple.  One step
-generator serves both callers: ``integrate`` stores the states it yields, and
-``verify_error_bound`` folds the FOM's states into the output as they come,
-so the FOM run never holds a (steps, m) array.
+generator serves both callers and yields each state with its output
+y = x^T N x, the one place the output is evaluated: ``integrate`` stores
+states and outputs, and ``verify_error_bound`` keeps only the FOM's outputs,
+so the FOM run never holds a (steps, m) array and its y equals
+``integrate``'s bitwise.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bt_quadratic import h2_error
-from .galerkin import OUTPUT_ROWS, QuadraticOutputSystem
+from .galerkin import QuadraticOutputSystem
 
 __all__ = [
     "Trajectory",
@@ -37,13 +39,11 @@ def default_input(t):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniform-grid states and quadratic outputs y_k = x_k^T N x_k, with the
-    input samples u_k (steps, n_in) they were integrated with."""
+    """Uniform-grid states and quadratic outputs y_k = x_k^T N x_k."""
 
     t: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    u: np.ndarray
 
     @property
     def energy(self) -> np.ndarray:
@@ -71,7 +71,8 @@ def _time_grid(h: float, T: float) -> np.ndarray:
 
 
 def _trapezoid(sys: QuadraticOutputSystem, ugrid: np.ndarray, x0: np.ndarray, h: float):
-    """Yield the trapezoidal states x_0 = x0, x_1, ... for the input samples ``ugrid``.
+    """Yield (x_k, y_k) for the trapezoidal states x_0 = x0, x_1, ... of the
+    input samples ``ugrid``, with y_k = x_k^T N x_k.
 
     With omega = 2/h the step (I - h/2 A) x+ = (I + h/2 A) x + h/2 B (u + u+)
     reads x+ = (omega I - A)^{-1} (2 omega x + B (u + u+)) - x, since
@@ -82,10 +83,10 @@ def _trapezoid(sys: QuadraticOutputSystem, ugrid: np.ndarray, x0: np.ndarray, h:
     omega = 2.0 / h
     solve = sys.shift_inverse(omega)
     x = x0
-    yield x
+    yield x, float(x @ (sys.N @ x))
     for k in range(len(ugrid) - 1):
         x = solve(2.0 * omega * x + sys.B @ (ugrid[k] + ugrid[k + 1])) - x
-        yield x
+        yield x, float(x @ (sys.N @ x))
 
 
 def integrate(
@@ -112,9 +113,11 @@ def integrate(
 
     ugrid = _input_samples(u, t, sys.n_in)
     x = np.empty((t.size, m))
-    for k, xk in enumerate(_trapezoid(sys, ugrid, x0, h)):
+    y = np.empty(t.size)
+    for k, (xk, yk) in enumerate(_trapezoid(sys, ugrid, x0, h)):
         x[k] = xk
-    return Trajectory(t=t, x=x, y=sys.quadratic_output(x), u=ugrid)
+        y[k] = yk
+    return Trajectory(t=t, x=x, y=y)
 
 
 @dataclass(frozen=True)
@@ -136,9 +139,8 @@ def verify_error_bound(
     """Check sup_t |y - y_r| <= ||H - H_r||_H2 * (integral of ||u||^4)^(1/2)
     for each reduced system in ``reduced``, one BoundCheck per system in order.
 
-    The FOM is integrated once and its states are never stored: they are
-    folded into y one block of OUTPUT_ROWS states at a time, the blocks
-    ``quadratic_output`` takes, so y equals ``integrate(fom, ...).y``
+    The FOM is integrated once and only its outputs are kept; they come from
+    the same generator as ``integrate``'s, so y equals ``integrate(fom, ...).y``
     bitwise.  All systems start from zero states (the bound covers the
     zero-state response).  The right side uses trapezoidal quadrature of
     ||u(t)||^4 on the integration grid.  ``holds`` allows a relative 1e-6
@@ -147,14 +149,8 @@ def verify_error_bound(
     """
     t = _time_grid(h, T)
     ugrid = _input_samples(u, t, fom.n_in)
-    y = np.empty(t.size)
-    block = np.empty((OUTPUT_ROWS, fom.m))
-    for k, x in enumerate(_trapezoid(fom, ugrid, np.zeros(fom.m), h)):
-        i = k % OUTPUT_ROWS
-        block[i] = x
-        if i == OUTPUT_ROWS - 1 or k == t.size - 1:
-            y[k - i : k + 1] = fom.quadratic_output(block[: i + 1])
-    del block
+    steps = _trapezoid(fom, ugrid, np.zeros(fom.m), h)
+    y = np.fromiter((yk for _, yk in steps), dtype=float, count=t.size)
     f = np.linalg.norm(ugrid, axis=1) ** 4
     # scipy.integrate.trapezoid's operation order, without importing scipy.integrate
     u_l4 = float(np.sqrt(np.sum((t[1:] - t[:-1]) * (f[1:] + f[:-1]) / 2.0)))

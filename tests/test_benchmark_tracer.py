@@ -4,23 +4,33 @@
 by name, so a rename or deletion in ``sgmor`` breaks a traced benchmark run.
 Its ``ATTRS`` table reads arguments of those functions by parameter name
 (``a["A"]``), so a renamed parameter breaks it too.  Both tables are read
-from the file without changing it.
+from the file without changing it.  A traced run of each benchmark command
+on a small model checks the result reads of ``ATTRS`` as well.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
-def wrapped_table() -> dict:
+def tracing_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WRAPPED
+    return module
+
+
+def wrapped_table() -> dict:
+    return tracing_module().WRAPPED
 
 
 def test_wrapped_entries_resolve_to_callables():
@@ -77,3 +87,33 @@ def test_attrs_read_parameters_of_the_wrapped_functions():
         params = inspect.signature(resolve(span_name)).parameters
         missing += [f"{span_name}: {key}" for key in sorted(keys - set(params))]
     assert not missing, f"ATTRS reads arguments the wrapped functions do not take: {missing}"
+
+
+
+def test_traced_commands_record_every_attribute(tmp_path):
+    """Balanced-truncation ``reduce``, Arnoldi ``reduce`` and ``verify`` on the
+    default model at d = 1 (m = 120), each run by the tracer script in a child
+    process, exit 0.  Every call of a function with an ``ATTRS`` entry carries
+    its attributes, and the three commands call each such function."""
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({
+        "degree": 1,
+        "r": {"max": 20},
+        "simulation": {"h": 0.05, "T": 5.0, "r_values": [4, 8]},
+    }))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    names = set(tracing_module().ATTRS)
+    called = set()
+    for args in (["reduce"], ["reduce", "--reducer", "arnoldi"], ["verify"]):
+        spans = tmp_path / "spans.json"
+        proc = subprocess.run(
+            [sys.executable, str(TRACING), str(spans), *args, "--config", str(config),
+             "--out", str(tmp_path / "out")],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, f"{args} exited {proc.returncode}: {proc.stderr[-2000:]}"
+        for span in json.loads(spans.read_text())["spans"]:
+            if span["name"] in names:
+                called.add(span["name"])
+                assert "attrs" in span, f"{args}: span {span['name']} has no attributes"
+    assert called == names, f"never called: {sorted(names - called)}"

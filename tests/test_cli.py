@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -30,6 +31,8 @@ from sgmor.errors import RankError
 from sgmor.galerkin import assemble, to_first_order
 from sgmor.msd import build_msd, config_from_dict, default_config
 from sgmor.polychaos import PcBasis
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # one mass, one grounded spring, one grounded damper: 3 parameters, so the
 # degree-1 chaos basis has 4 members and the first-order system dimension 8
@@ -405,6 +408,32 @@ class TestMain:
         path = write_config(tmp_path, **overrides(value))
         assert main(["report", "--config", str(path)]) == 2
         assert f"config key '{key}' must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"dt": 0.5}, "unknown config key 'dt'"),
+        ({"r": {"max": 4, "minimum": 2}}, "unknown config key 'r.minimum'"),
+        ({"simulation": {"dt": 0.5, "T": 5.0}}, "unknown config key 'simulation.dt'"),
+        ({"model": {**SMALL_MODEL, "input_sprng": 1}}, "unknown model key 'input_sprng'"),
+    ])
+    def test_unknown_key_is_exit_2(self, tmp_path, capsys, overrides, message):
+        """A misspelled key is refused, not replaced by the default it was meant to override."""
+        path = write_config(tmp_path, **overrides)
+        assert main(["reduce", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists(), "rejected before any output was written"
+
+    def test_benchmark_configs_hold_only_known_keys(self, tmp_path, monkeypatch):
+        """The configs the benchmark writes for each of its workloads parse."""
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        # dataclasses look their module up in sys.modules while it executes
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        for workload in workloads.WORKLOADS.values():
+            for seed in (0, 1):
+                path = tmp_path / f"{workload.name}-{seed}.json"
+                workloads.write_config(workload, seed, path)
+                experiment_from_args(ns(config=str(path)))
 
     @pytest.mark.parametrize("content", [None, "{not json", "[1]"])
     def test_bad_model_file_is_exit_2(self, tmp_path, capsys, content):

@@ -107,6 +107,16 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="initial state"):
             integrate(scalar_decay(), x0=np.zeros(2))
 
+    def test_output_is_the_quadratic_form_of_each_state(self, rng):
+        """On indefinite N, where x^T N x cancels, each y_k is x_k^T N x_k bitwise."""
+        m = 6
+        N = rng.standard_normal((m, m))
+        sys = QuadraticOutputSystem(A=make_stable_system(rng, m).A, B=np.ones((m, 1)), N=N + N.T)
+        assert np.linalg.eigvalsh(sys.N).min() < 0.0 < np.linalg.eigvalsh(sys.N).max()
+        traj = integrate(sys, u=default_input, x0=rng.standard_normal(m), h=0.05, T=5.0)
+        for k, x in enumerate(traj.x):
+            assert traj.y[k] == x @ (sys.N @ x), f"step {k}"
+
     def test_singular_propagator_reported(self):
         # h * 200 / 2 = 1 makes I - h/2 A exactly singular
         sys = QuadraticOutputSystem(
@@ -180,6 +190,12 @@ class TestSecondOrderPath:
             integrate(fom, u=u, x0=x0, h=0.02, T=5.0),
             integrate(dense, u=u, x0=x0, h=0.02, T=5.0),
         )
+
+    def test_output_is_the_quadratic_form_of_each_state(self, fom_d1):
+        """On the sparse N of the d = 1 triple each y_k is x_k^T N x_k bitwise."""
+        traj = integrate(fom_d1, u=default_input, h=0.05, T=5.0)
+        for k, x in enumerate(traj.x):
+            assert traj.y[k] == x @ (fom_d1.N @ x), f"step {k}"
 
     def test_singular_step_matrix_reported(self, rng):
         # K = 0 and D = -(2/h) M make M + h/2 D + h^2/4 K exactly zero
@@ -266,7 +282,7 @@ class TestErrorBound:
                 assert a == b, f"{field.name}: batch {a} != alone {b}"
 
     def test_streamed_fom_output_equals_integrate(self, fom_d1, monkeypatch):
-        """The FOM output folded block by block over 2,001 steps is the y of
+        """The FOM output kept step by step over 2,001 steps is the y of
         ``integrate`` bitwise: checked against itself, the observed error is 0."""
         monkeypatch.setattr(simulate, "h2_error", lambda fom, rsys: 0.0)
         [check] = verify_error_bound(fom_d1, [fom_d1], h=0.01, T=20.0)
