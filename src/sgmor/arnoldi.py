@@ -20,6 +20,7 @@ import numpy as np
 from .bt_quadratic import ReducedModel, project
 from .errors import ConvergenceError
 from .galerkin import QuadraticOutputSystem
+from .lyapsylv import gemm
 
 __all__ = ["arnoldi_basis", "reduce_arnoldi"]
 
@@ -45,7 +46,8 @@ def arnoldi_basis(fom: QuadraticOutputSystem, r: int, omega: float = 1.0) -> tup
         raise ValueError("expansion point must be finite")
     shift_inverse = fom.shift_inverse(omega)
 
-    V = np.empty((m, r))
+    # Fortran order keeps V[:, :k] contiguous, so dgemm takes it without a copy
+    V = np.empty((m, r), order="F")
     k = 0
     deflated = 0
     queue = deque(fom.B.T.copy())
@@ -55,7 +57,7 @@ def arnoldi_basis(fom: QuadraticOutputSystem, r: int, omega: float = 1.0) -> tup
         w = shift_inverse(queue.popleft())
         norm_before = np.linalg.norm(w)
         for _ in range(REORTH_PASSES):
-            w -= V[:, :k] @ (V[:, :k].T @ w)
+            w -= gemm(V[:, :k], gemm(V[:, :k].T, w))
         norm_after = np.linalg.norm(w)
         if norm_after <= DEFLATION_RTOL * norm_before:
             deflated += 1

@@ -1,9 +1,10 @@
 """Balanced truncation for linear systems with a quadratic output.
 
-Each system is reduced to real Schur form once (``QuadraticOutputSystem.schur``)
-and every spectral question reads that form: the stability verdict of a
-reduced model, the Lyapunov solves for P and Q, and both coefficients of the
-H2 Sylvester solve, so a sweep row costs one r x r Schur form.
+Each system is reduced to real Schur form at most once
+(``QuadraticOutputSystem.schur``), and the Lyapunov solves for P and Q and
+both coefficients of the H2 Sylvester solve read that form.  The stability
+verdict of a reduced model needs only its eigenvalues, so an unstable sweep
+row takes no Schur form and a stable row one r x r form.
 
 Each system likewise solves its controllability Gramian P once
 (``QuadraticOutputSystem.gramian``, a ``GramianCache`` with the H2 norm), so
@@ -36,7 +37,7 @@ from .errors import ConvergenceError, RankError
 # QuadraticOutputSystem.gramian (galerkin cannot import this module) and
 # re-exported with the H2 functions
 from .galerkin import FACTOR_TOL, GramianCache, QuadraticOutputSystem, gramian_cache
-from .lyapsylv import solve_lyapunov, solve_sylvester, symmetric_factor
+from .lyapsylv import gemm, solve_lyapunov, solve_sylvester, symmetric_factor
 from .passivity import check_passivity
 
 __all__ = [
@@ -86,8 +87,12 @@ class ReducedModel:
 
     @property
     def is_stable(self) -> bool:
-        # abscissa >= -1e-12 counts as unstable, matching the sweep omission rule
-        return self.system.schur.abscissa < -1e-12
+        """Spectral abscissa of A_r below -1e-12 (the sweep omission rule).
+
+        The verdict reads the eigenvalues alone, so an unstable model takes
+        no Schur form; a stable one gets its form from ``h2_error``.
+        """
+        return float(la.eigvals(self.system.A).real.max()) < -1e-12
 
     def leading(self, r: int) -> ReducedModel:
         """The model on the first r basis columns: leading blocks of A, B, N, V, W."""
@@ -107,9 +112,9 @@ def balance(fom: QuadraticOutputSystem) -> BalancedFactorization:
     # Q's right-hand side N Z_P Z_P^T N is passed as its factor N Z_P; Q goes
     # straight to symmetric_factor, which consumes it
     Zq = symmetric_factor(
-        solve_lyapunov(fom.A, fom.N @ Zp, factors=fom.schur, transposed=True), tol=FACTOR_TOL
+        solve_lyapunov(fom.A, gemm(fom.N, Zp), factors=fom.schur, transposed=True), tol=FACTOR_TOL
     )
-    left, sigma, right_t = la.svd(Zp.T @ Zq, full_matrices=False)
+    left, sigma, right_t = la.svd(gemm(Zp.T, Zq), full_matrices=False)
     return BalancedFactorization(Zp=Zp, Zq=Zq, sigma=sigma, left=left, right_t=right_t)
 
 
@@ -119,8 +124,10 @@ def project(fom: QuadraticOutputSystem, V: np.ndarray, W: np.ndarray) -> Quadrat
     A and N are applied to the basis only, so a ``FirstOrderOperator`` and
     a sparse N are never densified.
     """
-    N_r = V.T @ (fom.N @ V)
-    return QuadraticOutputSystem(A=W.T @ (fom.A @ V), B=W.T @ fom.B, N=0.5 * (N_r + N_r.T), label="rom")
+    N_r = gemm(V.T, gemm(fom.N, V))
+    return QuadraticOutputSystem(
+        A=gemm(W.T, gemm(fom.A, V)), B=gemm(W.T, fom.B), N=0.5 * (N_r + N_r.T), label="rom"
+    )
 
 
 def truncate(bal: BalancedFactorization, fom: QuadraticOutputSystem, r: int) -> ReducedModel:
@@ -135,8 +142,8 @@ def truncate(bal: BalancedFactorization, fom: QuadraticOutputSystem, r: int) -> 
     if not 1 <= r <= rank:
         raise RankError(f"reduced dimension {r} outside 1..{rank} (numerical rank)")
     scale = 1.0 / np.sqrt(bal.sigma[:r])
-    V = (bal.Zp @ bal.left[:, :r]) * scale
-    W = (bal.Zq @ bal.right_t[:r, :].T) * scale
+    V = gemm(bal.Zp, bal.left[:, :r]) * scale
+    W = gemm(bal.Zq, bal.right_t[:r, :].T) * scale
     return ReducedModel(r=r, system=project(fom, V, W), V=V, W=W)
 
 
@@ -154,7 +161,7 @@ def h2_error(fom: QuadraticOutputSystem, rsys: QuadraticOutputSystem) -> float:
     rom_norm_sq = rsys.gramian.norm_squared
 
     X = solve_sylvester(fom.A, rsys.A, fom.B, rsys.B, factors_a=fom.schur, factors_f=rsys.schur)
-    cross = float(np.sum((fom.N @ X) * (X @ rsys.N)))
+    cross = float(np.sum(gemm(fom.N, X) * gemm(X, rsys.N)))
     value = fom_norm_sq + rom_norm_sq - 2.0 * cross
     scale = abs(fom_norm_sq) + abs(rom_norm_sq)
     if value < -1e-10 * scale:

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DefinitenessError, NumericalError, StabilityError
-from .lyapsylv import STRIP, SchurFactors, is_symmetric, real_schur, solve_lyapunov, symmetric_factor
+from .lyapsylv import STRIP, SchurFactors, gemm, is_symmetric, real_schur, solve_lyapunov, symmetric_factor
 from .polychaos import PcBasis
 
 __all__ = [
@@ -350,7 +350,7 @@ def gramian_cache(sys: QuadraticOutputSystem) -> GramianCache:
     norm_sq = 0.0
     for j in range(0, sys.m, STRIP):
         J = slice(j, j + STRIP)
-        norm_sq += float(np.einsum("ij,ji->", sys.N @ P[:, J], sys.N[J] @ P))
+        norm_sq += float(np.einsum("ij,ji->", gemm(sys.N, P[:, J]), gemm(sys.N[J], P)))
     return GramianCache(controllability=P, norm_squared=norm_sq)
 
 

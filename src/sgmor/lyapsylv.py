@@ -26,6 +26,18 @@ White 2002): B B^T for a Lyapunov equation and L R^T for a Sylvester
 equation.  The transform to Schur coordinates is then (U_a^T L)(U_f^T R)^T,
 O(m n k) flops for k columns in place of two m x m products, and no m x m
 right-hand side is ever formed.
+
+One BLAS: every dense matrix product of the package goes through ``gemm``,
+which runs on scipy's BLAS (``scipy.linalg.blas.dgemm``), the library that
+also carries the LAPACK calls (gees, trsyl, eigh, svd).  numpy links its own
+OpenBLAS build, and ``@`` on two dense arrays runs there; mixing the two
+wakes two pools of BLAS worker threads, which on a machine with few cores
+compete for the same cores, and makes both allocate their packing buffers.
+``@`` is left for sparse and operator operands, whose kernels call no BLAS,
+for vector dot products, and for the matrix-vector products of each
+trapezoid step (``simulate``) on a reduced model: OpenBLAS runs those on the
+calling thread below 9,216 matrix entries (r < 96), and through f2py each
+would cost 2-5 us more, three times per step.
 """
 
 from __future__ import annotations
@@ -35,6 +47,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
+from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dgees, dtrsyl
 
 from .errors import ConvergenceError, DefinitenessError, SpectralOverlapError, StabilityError
@@ -54,6 +67,45 @@ LEAF = 64
 # rows or columns of the strips in which an m x m product is reduced to a
 # norm or a trace, so that no m x m temporary is formed
 STRIP = LEAF
+
+
+def gemm(a, b, out: np.ndarray | None = None):
+    """a @ b, with a product of two dense arrays on scipy's BLAS (``dgemm``).
+
+    An operand with unit stride along its rows (C-ordered, or a strip of a
+    C-ordered array) is passed as its transpose, so f2py copies no contiguous
+    operand and copies a strided one along its unit stride.  A 1-D operand
+    is a row on the left and a column on the right, as for ``@``.  ``out``,
+    a C- or Fortran-contiguous float array of the 2-D result's shape, is
+    written in place and returned; a C-ordered ``out`` is filled as
+    out^T = b^T a^T.  A sparse matrix or an operator such as
+    ``FirstOrderOperator`` is applied with its own ``@``, which calls no BLAS.
+    """
+    if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
+        return a @ b
+    if a.ndim == 1 or b.ndim == 1:
+        c = gemm(a[None, :] if a.ndim == 1 else a, b[:, None] if b.ndim == 1 else b)
+        # [()] turns the 0-d result of two vectors into a scalar, as ``@`` does
+        return c.reshape(a.shape[:-1] + b.shape[1:])[()]
+    if out is not None and not out.flags.f_contiguous:
+        if not out.flags.c_contiguous:
+            raise ValueError("out must be C- or Fortran-contiguous")
+        gemm(b.T, a.T, out.T)
+        return out
+    trans_a, a = _fortran_like(a)
+    trans_b, b = _fortran_like(b)
+    if out is None:
+        return dgemm(1.0, a, b, trans_a=trans_a, trans_b=trans_b)
+    return dgemm(1.0, a, b, c=out, trans_a=trans_a, trans_b=trans_b, overwrite_c=1)
+
+
+def _fortran_like(a: np.ndarray) -> tuple[int, np.ndarray]:
+    """(trans, a or a^T), whichever has unit stride down its columns, as
+    dgemm's Fortran interface wants; f2py copies a strided one column by
+    column, which is fast only along that unit stride."""
+    if not a.flags.f_contiguous and a.strides[1] == a.itemsize:
+        return 1, a.T
+    return 0, a
 
 
 def is_symmetric(X: np.ndarray, atol: float) -> bool:
@@ -132,11 +184,16 @@ def _symmetrize(X: np.ndarray) -> np.ndarray:
 
 def _strips(rows: int, cols: int, work: np.ndarray):
     """(J, out) for consecutive strips J of the columns of a rows x cols array,
-    each as wide as ``work`` holds, with ``out`` the rows x |J| workspace view."""
+    each as wide as ``work`` holds, with ``out`` the rows x |J| workspace view.
+
+    ``out`` is Fortran-ordered, so ``gemm`` writes it as the long side of
+    dgemm's result (rows x |J|); as its transpose, |J| x rows, the same
+    product takes up to twice as long on two threads.
+    """
     width = work.size // rows
     for j in range(0, cols, width):
         J = slice(j, min(j + width, cols))
-        yield J, work[: rows * (J.stop - j)].reshape(rows, J.stop - j)
+        yield J, work[: rows * (J.stop - j)].reshape((rows, J.stop - j), order="F")
 
 
 def _split(T: np.ndarray) -> int:
@@ -183,7 +240,7 @@ def _blocked_trsyl(Ta, Tf, R, trana: str, tranb: str, work: np.ndarray) -> tuple
     if scale1 != 1.0:
         R2 *= scale1
     for J, out in _strips(*R2.shape, work):
-        R2[:, J] -= np.matmul(coupling, Z1[:, J], out=out)
+        R2[:, J] -= gemm(coupling, Z1[:, J], out)
     scale2, info2 = _blocked_trsyl(Ta[second, second], Tf, R2, trana, tranb, work)
     if scale2 != 1.0:
         Z1 *= scale2
@@ -222,7 +279,7 @@ def _blocked_lyapunov(T, R, trana: str, work: np.ndarray) -> tuple[float, int]:
         R12 *= scale1
         R2 *= scale1
     for J, out in _strips(*R12.shape, work):
-        R12[:, J] -= np.matmul(T12, Z1[:, J], out=out) if trana == "N" else np.matmul(Z1, T12[:, J], out=out)
+        R12[:, J] -= gemm(T12, Z1[:, J], out) if trana == "N" else gemm(Z1, T12[:, J], out)
     scale2, info2 = _blocked_trsyl(T[:k, :k], T[k:, k:], R12, trana, _FLIP[trana], work)
     if scale2 != 1.0:
         Z1 *= scale2
@@ -230,7 +287,7 @@ def _blocked_lyapunov(T, R, trana: str, work: np.ndarray) -> tuple[float, int]:
     # R2 -= G + G^T one strip of rows I of G at a time: G[I, :] comes off rows I
     # and its transpose, formed in the workspace, off columns I
     for I, out in _strips(R2.shape[1], R2.shape[0], work):
-        gt = np.matmul(R12, T12[I].T, out=out) if trana == "N" else np.matmul(R12.T, T12[:, I], out=out)
+        gt = gemm(R12, T12[I].T, out) if trana == "N" else gemm(R12.T, T12[:, I], out)
         R2[I] -= gt.T
         R2[:, I] -= gt
     scale3, info3 = _blocked_lyapunov(T[second, second], R2, trana, work)
@@ -262,18 +319,18 @@ def _bartels_stewart(fac_a: SchurFactors, fac_f: SchurFactors, L: np.ndarray, R:
     # and verify-d2 at 114.8 MB resident against 115.2.
     Z = np.empty((m, n))
     work = np.empty(max(m, n) * LEAF)
-    UL = fac_a.U.T @ L
-    UR = UL if R is L and fac_f is fac_a else fac_f.U.T @ R
-    np.matmul(UL, UR.T, out=Z)
+    UL = gemm(fac_a.U.T, L)
+    UR = UL if R is L and fac_f is fac_a else gemm(fac_f.U.T, R)
+    gemm(UL, UR.T, Z)
     del UL, UR
     scale, info = solve(Z, work)
     Z /= -scale
     # Z <- Z U_f^T by strips of rows I, each formed transposed in the
     # workspace as U_f Z[I]^T, then Z <- U_a Z by strips of columns
     for I, out in _strips(n, m, work):
-        Z[I] = np.matmul(fac_f.U, Z[I].T, out=out).T
+        Z[I] = gemm(fac_f.U, Z[I].T, out).T
     for J, out in _strips(m, n, work):
-        Z[:, J] = np.matmul(fac_a.U, Z[:, J], out=out)
+        Z[:, J] = gemm(fac_a.U, Z[:, J], out)
     return Z, info
 
 
@@ -310,7 +367,7 @@ def solve_lyapunov(
     m = A.shape[0]
     B = _factor("B", B, m)
     # ||B B^T||_F = ||B^T B||_F, a k x k product
-    cnorm = la.norm(B.T @ B, "fro")
+    cnorm = np.sqrt(_sum_squares(gemm(B.T, B)))
 
     fac = factors if factors is not None else real_schur(A)
     if fac.abscissa >= 0.0:
@@ -348,15 +405,20 @@ def _lyapunov_residual(op, X: np.ndarray, B: np.ndarray) -> float:
         w = J.stop - j
         E = np.zeros((m, w))
         E[J] = np.eye(w)
-        R = X[j:] @ (op.T @ E)
-        R += (op @ X[:, J])[j:]
-        R += B[j:] @ B[J].T
+        R = gemm(X[j:], gemm(op.T, E))
+        R += gemm(op, X[:, J])[j:]
+        R += gemm(B[j:], B[J].T)
         total += _sum_squares(R[:w]) + 2.0 * _sum_squares(R[w:])
     return float(np.sqrt(total))
 
 
 def _sum_squares(a: np.ndarray) -> float:
-    """Squared Frobenius norm of a 2-D array, with no temporary."""
+    """Squared Frobenius norm of a 2-D array, with no temporary.
+
+    It calls no BLAS: a norm of ``np.linalg`` (which ``scipy.linalg.norm``
+    hands a 2-D array) is a dot product on numpy's BLAS, threaded above
+    10,000 entries.
+    """
     return float(np.einsum("ij,ij->", a, a))
 
 
@@ -399,11 +461,11 @@ def solve_sylvester(
     if info == 1:
         raise SpectralOverlapError("trsyl perturbed nearly common eigenvalues")
 
-    C = L @ R.T
-    denom = max(la.norm(C, "fro"), 1.0)
-    C += A @ Y
-    C += Y @ F.T
-    residual = la.norm(C, "fro")
+    C = gemm(L, R.T)
+    denom = max(np.sqrt(_sum_squares(C)), 1.0)
+    C += gemm(A, Y)
+    C += gemm(Y, F.T)
+    residual = np.sqrt(_sum_squares(C))
     if residual / denom > RESIDUAL_RTOL:
         raise ConvergenceError(
             f"Sylvester residual {residual / denom:.3e} exceeds tolerance {RESIDUAL_RTOL:.1e}"
@@ -438,9 +500,10 @@ def symmetric_factor(X: np.ndarray, tol: float = 1e-12) -> np.ndarray:
             f"matrix has eigenvalue {w[0]:.3e} below the PSD tolerance {-tol * norm2:.3e}"
         )
     # w ascends, so the k eigenvalues kept are the last ones; Z takes them in
-    # descending order, which keeps the dominant directions first
+    # descending order, which keeps the dominant directions first.  Z is
+    # C-ordered, so the row strips Z[i:j] and Z[:j] below reach dgemm uncopied
     k = np.count_nonzero(w > tol * max(w[-1], 0.0))
-    Z = V[:, m - k :][:, ::-1] * np.sqrt(w[m - k :][::-1])
+    Z = np.multiply(V[:, m - k :][:, ::-1], np.sqrt(w[m - k :][::-1]), order="C")
     del V
 
     # ||Z Z^T - X||_F and ||X||_F from the blocks on and below the diagonal,
@@ -451,7 +514,7 @@ def symmetric_factor(X: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         Xd = np.tril(X[i:j, i:j], -1)
         Xd += Xd.T
         Xd[np.diag_indices(j - i)] = diag[i:j]
-        D = Z[i:j] @ Z[:j].T
+        D = gemm(Z[i:j], Z[:j].T)
         D[:, :i] -= X[i:j, :i]
         D[:, i:] -= Xd
         err_sq += _sum_squares(D[:, i:]) + 2.0 * _sum_squares(D[:, :i])

@@ -144,13 +144,21 @@ def config_from_dict(raw: dict) -> MsdConfig:
     "stiffness": v}), ``dampers`` (list of {"ends": [a, b], "coefficient": v}
     or {"mass": i, "coefficient": v} for a ground attachment),
     ``input_spring`` (1-based, default 1), ``delta`` (default 0.10).  Any
-    other key raises a ValueError naming it.
+    other key, at the top or inside a spring or damper, raises a ValueError
+    naming it, and so does an element that gives both ``ends`` and ``mass``.
     """
     for key in raw:
         if key not in MODEL_KEYS:
             raise ValueError(f"unknown model key '{key}'")
 
     def element(entry, value_key, where):
+        if not isinstance(entry, dict):
+            raise ValueError(f"config key '{where}' must be an object")
+        for key in entry:
+            if key not in ("ends", "mass", value_key):
+                raise ValueError(f"unknown model key '{where}.{key}'")
+        if "ends" in entry and "mass" in entry:
+            raise ValueError(f"model key '{where}' gives both 'ends' and 'mass'; give one of them")
         value = number(entry[value_key], f"{where}.{value_key}")
         if "ends" in entry:
             a, b = entry["ends"]

@@ -15,9 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 
 from .galerkin import QuadraticOutputSystem
+from .lyapsylv import gemm
 
 __all__ = [
     "dissipation_matrix",
@@ -43,7 +45,7 @@ def dissipation_matrix(sys: QuadraticOutputSystem) -> np.ndarray | sp.csr_matrix
     if g is not None:
         zero = sp.csr_matrix((g.dimension, g.dimension))
         return sp.block_diag((zero, -2.0 * g.D), format="csr")
-    S = sys.N @ sys.A
+    S = gemm(sys.N, sys.A)
     return S + S.T
 
 
@@ -52,8 +54,8 @@ def _dissipation_eigenvalues(sys: QuadraticOutputSystem) -> np.ndarray:
     -2 eig(D), one ns x ns eigensolve instead of an m x m one."""
     g = sys.galerkin
     if g is None:
-        return np.linalg.eigvalsh(dissipation_matrix(sys))
-    damping = -2.0 * np.linalg.eigvalsh(g.D.toarray())
+        return la.eigvalsh(dissipation_matrix(sys), driver="evd")
+    damping = -2.0 * la.eigvalsh(g.D.toarray(), driver="evd")
     return np.sort(np.concatenate([np.zeros(g.dimension), damping]))
 
 

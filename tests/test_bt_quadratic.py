@@ -18,6 +18,7 @@ from sgmor.bt_quadratic import (
     FACTOR_TOL,
     BalancedFactorization,
     GramianCache,
+    ReducedModel,
     ReductionRow,
     balance,
     h2_error,
@@ -142,12 +143,12 @@ class TestGramianCache:
         h2_error(fom, rom.system)
         assert calls == {"schur": 1, "lyapunov": 1, "sylvester": 2, "factor": 0}
 
-        # one Schur form per row, shared by the stability verdict and the H2 error;
-        # one Lyapunov solve per stable row, for its own P, and none for the FOM's;
-        # no Gramian is factored
+        # the stability verdict reads eigenvalues alone, so only a stable row takes
+        # a Schur form, for its H2 error; one Lyapunov solve per stable row, for its
+        # own P, and none for the FOM's; no Gramian is factored
         calls.update(schur=0, lyapunov=0, sylvester=0)
         stable = sum(row.stable for row in sweep(fom, rom, range(1, 4)))
-        assert calls == {"schur": 3, "lyapunov": stable, "sylvester": stable, "factor": 0}
+        assert calls == {"schur": stable, "lyapunov": stable, "sylvester": stable, "factor": 0}
 
     def test_fom_equation_solved_once(self, rng, monkeypatch):
         """Two H2 errors and a sweep against one full system solve its P equation once."""
@@ -304,6 +305,16 @@ class TestReducedModel:
         assert rom.is_stable
         assert rom.r == 4
         assert rom.system.N.shape == (4, 4)
+
+    def test_unstable_verdict_takes_no_schur_form(self):
+        """A model with an eigenvalue at or above -1e-12 is unstable, read off its
+        eigenvalues alone; only a stable model goes on to its Schur form."""
+        for shift, stable in ((1.0, False), (-1e-13, False), (-1e-6, True)):
+            A = np.array([[-2.0, 5.0], [0.0, shift]])
+            system = QuadraticOutputSystem(A=A, B=np.ones((2, 1)), N=np.eye(2))
+            rom = ReducedModel(r=2, system=system, V=np.eye(2), W=np.eye(2))
+            assert rom.is_stable is stable, shift
+            assert "schur" not in vars(system), "the verdict computed a Schur form"
 
     def test_projected_matrices(self, rng):
         sys = make_stable_system(rng, 8)

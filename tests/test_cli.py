@@ -414,12 +414,22 @@ class TestMain:
         ({"r": {"max": 4, "minimum": 2}}, "unknown config key 'r.minimum'"),
         ({"simulation": {"dt": 0.5, "T": 5.0}}, "unknown config key 'simulation.dt'"),
         ({"model": {**SMALL_MODEL, "input_sprng": 1}}, "unknown model key 'input_sprng'"),
+        ({"model": {**SMALL_MODEL, "springs": [{"ends": [0, 1], "stiffness": 4.0, "damping": 9.0}]}},
+         "unknown model key 'springs[0].damping'"),
     ])
     def test_unknown_key_is_exit_2(self, tmp_path, capsys, overrides, message):
         """A misspelled key is refused, not replaced by the default it was meant to override."""
         path = write_config(tmp_path, **overrides)
         assert main(["reduce", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists(), "rejected before any output was written"
+
+    def test_element_with_mass_and_ends_is_exit_2(self, tmp_path, capsys):
+        """A damper that names both a ground mass and two ends is refused, not read as its ends."""
+        damper = {"mass": 1, "ends": [0, 1], "coefficient": 0.5}
+        path = write_config(tmp_path, model={**SMALL_MODEL, "dampers": [damper]})
+        assert main(["reduce", "--config", str(path)]) == 2
+        assert "model key 'dampers[0]' gives both 'ends' and 'mass'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists(), "rejected before any output was written"
 
     def test_benchmark_configs_hold_only_known_keys(self, tmp_path, monkeypatch):

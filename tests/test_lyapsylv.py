@@ -11,10 +11,14 @@ and a general Sylvester C as (C, I).
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import numpy.linalg as la
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from sgmor import lyapsylv
@@ -466,3 +470,86 @@ class TestIsSymmetric:
         before = X.copy()
         is_symmetric(X, atol=1.0)
         assert np.array_equal(X, before)
+
+
+def gemm_relative_error(value, a, b) -> float:
+    """max |value - a @ b| relative to max |a @ b|."""
+    expected = np.asarray(a @ b)
+    scale = max(np.max(np.abs(expected), initial=0.0), 1e-300)
+    return float(np.max(np.abs(value - expected), initial=0.0) / scale)
+
+
+class TestGemm:
+    """``gemm`` is ``@`` on scipy's BLAS, for every operand layout the package passes."""
+
+    @staticmethod
+    def layouts(rng, rows, cols):
+        """The same kind of rows x cols operand as a C-ordered, a Fortran-ordered,
+        a column strip of a wider C-ordered and a row strip of a taller
+        Fortran-ordered array."""
+        c = rng.standard_normal((rows, cols))
+        wide = rng.standard_normal((rows, cols + 7))
+        tall = np.asfortranarray(rng.standard_normal((rows + 5, cols)))
+        return {"C": c, "F": np.asfortranarray(c), "column strip": wide[:, 3 : 3 + cols],
+                "row strip": tall[2 : 2 + rows]}
+
+    def test_every_layout_pair_matches_matmul(self, rng):
+        left = self.layouts(rng, 9, 70)
+        right = self.layouts(rng, 70, 11)
+        for (name_a, a), (name_b, b) in ((p, q) for p in left.items() for q in right.items()):
+            assert gemm_relative_error(lyapsylv.gemm(a, b), a, b) <= 1e-13, (name_a, name_b)
+
+    def test_vector_operands_match_matmul(self, rng):
+        A = rng.standard_normal((8, 6))
+        x, y = rng.standard_normal(6), rng.standard_normal(8)
+        assert lyapsylv.gemm(A, x).shape == (8,)
+        assert gemm_relative_error(lyapsylv.gemm(A, x), A, x) <= 1e-13
+        assert lyapsylv.gemm(y, A).shape == (6,)
+        assert gemm_relative_error(lyapsylv.gemm(y, A), y, A) <= 1e-13
+        dot = lyapsylv.gemm(x, x)
+        assert np.ndim(dot) == 0
+        assert abs(dot - x @ x) <= 1e-13 * abs(x @ x)
+
+    def test_zero_width_operand(self, rng):
+        """The first reorthogonalization of an Arnoldi basis projects on no columns."""
+        V = np.empty((12, 4))
+        w = rng.standard_normal(12)
+        coefficients = lyapsylv.gemm(V[:, :0].T, w)
+        assert coefficients.shape == (0,)
+        assert np.array_equal(lyapsylv.gemm(V[:, :0], coefficients), np.zeros(12))
+        assert lyapsylv.gemm(np.empty((3, 0)), np.empty((0, 5))).shape == (3, 5)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_out_is_written_in_place(self, rng, order):
+        a, b = rng.standard_normal((7, 65)), rng.standard_normal((13, 65))[:, ::-1].T
+        work = np.full(7 * 13 + 5, np.nan)
+        out = work[: 7 * 13].reshape((7, 13), order=order)
+        result = lyapsylv.gemm(a, b, out)
+        assert result is out
+        assert np.shares_memory(out, work)
+        assert gemm_relative_error(work[: 7 * 13].reshape((7, 13), order=order), a, b) <= 1e-13
+        assert np.isnan(work[7 * 13 :]).all(), "nothing past out was written"
+
+    def test_strided_out_is_refused(self, rng):
+        with pytest.raises(ValueError, match="contiguous"):
+            lyapsylv.gemm(np.ones((3, 2)), np.ones((2, 4)), np.empty((3, 8))[:, ::2])
+
+    def test_sparse_and_operator_operands_keep_their_own_product(self, rng):
+        N = sp.random(20, 20, density=0.2, random_state=1, format="csr")
+        X = rng.standard_normal((20, 3))
+        assert np.array_equal(lyapsylv.gemm(N, X), N @ X)
+        assert np.array_equal(lyapsylv.gemm(X.T, N), X.T @ N)
+
+
+def test_no_numpy_blas_or_lapack_in_the_package():
+    """Dense products and eigensolves run on scipy's BLAS and LAPACK: the package
+    calls neither ``np.matmul`` nor numpy's eigen or singular value solvers."""
+    package = Path(lyapsylv.__file__).parent
+    pattern = re.compile(r"np\.matmul|np\.dot\b|np\.linalg\.(eig\w*|svd)")
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not found, found

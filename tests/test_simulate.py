@@ -103,6 +103,20 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="no step to take"):
             integrate(scalar_decay(), h=1.0, T=T)
 
+    def test_input_samples_equal_the_callable(self, rng):
+        sys = make_stable_system(rng, 5, n_in=2)
+        h, T = 0.05, 2.0
+        t = h * np.arange(int(round(T / h)) + 1)
+
+        def u(tk):
+            return np.array([np.sin(tk), np.cos(3.0 * tk)])
+
+        sampled = integrate(sys, u=np.array([u(tk) for tk in t]), h=h, T=T)
+        called = integrate(sys, u=u, h=h, T=T)
+        assert np.array_equal(sampled.x, called.x) and np.array_equal(sampled.y, called.y)
+        with pytest.raises(ValueError, match="input samples have shape"):
+            integrate(sys, u=np.zeros((t.size - 1, 2)), h=h, T=T)
+
     def test_rejects_bad_initial_state(self):
         with pytest.raises(ValueError, match="initial state"):
             integrate(scalar_decay(), x0=np.zeros(2))
@@ -257,6 +271,22 @@ class TestErrorBound:
                 f"trial {trial}: observed {check.observed:.3e} "
                 f"> bound {check.bound:.3e}"
             )
+
+    def test_input_is_sampled_once_for_every_run(self, rng):
+        """The FOM run and every reduced run share one set of input samples."""
+        fom = make_stable_system(rng, 7, n_in=1)
+        bal = balance(fom)
+        roms = [truncate(bal, fom, r).system for r in (2, 3)]
+        times = []
+
+        def u(t):
+            times.append(t)
+            return default_input(t)
+
+        h, T = 0.05, 5.0
+        checks = verify_error_bound(fom, roms, u=u, h=h, T=T)
+        assert len(times) == int(round(T / h)) + 1
+        assert checks == verify_error_bound(fom, roms, h=h, T=T)
 
     def test_batch_matches_single_checks_with_one_fom_run(self, rng, monkeypatch):
         fom = make_stable_system(rng, 7, n_in=1)
