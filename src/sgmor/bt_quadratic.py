@@ -33,10 +33,10 @@ import numpy as np
 import scipy.linalg as la
 
 from .errors import ConvergenceError, RankError
-# GramianCache, gramian_cache and FACTOR_TOL are defined beside
+# GramianCache and gramian_cache are defined beside
 # QuadraticOutputSystem.gramian (galerkin cannot import this module) and
 # re-exported with the H2 functions
-from .galerkin import FACTOR_TOL, GramianCache, QuadraticOutputSystem, gramian_cache
+from .galerkin import GramianCache, QuadraticOutputSystem, gramian_cache
 from .lyapsylv import gemm, solve_lyapunov, solve_sylvester, symmetric_factor
 from .passivity import check_passivity
 
@@ -111,9 +111,7 @@ def balance(fom: QuadraticOutputSystem) -> BalancedFactorization:
     Zp = fom.gramian.factor
     # Q's right-hand side N Z_P Z_P^T N is passed as its factor N Z_P; Q goes
     # straight to symmetric_factor, which consumes it
-    Zq = symmetric_factor(
-        solve_lyapunov(fom.A, gemm(fom.N, Zp), factors=fom.schur, transposed=True), tol=FACTOR_TOL
-    )
+    Zq = symmetric_factor(solve_lyapunov(fom.A, gemm(fom.N, Zp), factors=fom.schur, transposed=True))
     left, sigma, right_t = la.svd(gemm(Zp.T, Zq), full_matrices=False)
     return BalancedFactorization(Zp=Zp, Zq=Zq, sigma=sigma, left=left, right_t=right_t)
 

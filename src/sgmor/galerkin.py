@@ -35,17 +35,12 @@ __all__ = [
     "GalerkinSystem",
     "FirstOrderOperator",
     "QuadraticOutputSystem",
-    "FACTOR_TOL",
     "GramianCache",
     "gramian_cache",
     "assemble",
     "to_first_order",
     "write_matrix_market",
 ]
-
-# relative eigenvalue cutoff of the symmetric Gramian factors
-FACTOR_TOL = 1e-12
-
 
 def _check_symmetric(name: str, mats) -> None:
     for k, m in enumerate(mats):
@@ -133,8 +128,9 @@ class FirstOrderOperator:
     A is applied through the sparse (M, D, K) and one sparse LU of M:
     A X = [X_2; -M^{-1}(K X_1 + D X_2)] and, as M, D and K are symmetric,
     A^T X = [-K M^{-1} X_2; X_1 - D M^{-1} X_2].  ``shape``, ``T`` and ``@``
-    are what the solvers use; ``toarray`` builds the dense matrix, the input
-    of the Schur form and of test oracles.
+    are what the solvers use; ``toarray`` builds the dense A (never A^T:
+    a system refuses a transposed operator), the input of the Schur form and
+    of test oracles.
     """
 
     def __init__(self, galerkin: GalerkinSystem, mass_lu: spla.SuperLU, transposed: bool = False):
@@ -171,7 +167,7 @@ class FirstOrderOperator:
         return out
 
     def toarray(self) -> np.ndarray:
-        """The dense A (A^T for a transposed operator)."""
+        """The dense A."""
         g, ns = self.galerkin, self.galerkin.dimension
         A = np.zeros((2 * ns, 2 * ns))
         idx = np.arange(ns)
@@ -179,7 +175,7 @@ class FirstOrderOperator:
         A[ns:, :ns] = self._mass_lu.solve(g.K.toarray())
         A[ns:, ns:] = self._mass_lu.solve(g.D.toarray())
         np.negative(A[ns:], out=A[ns:])
-        return A.T if self._transposed else A
+        return A
 
 
 @dataclass(frozen=True)
@@ -302,7 +298,7 @@ class GramianCache:
     """Per-system controllability Gramian P, its H2 norm and its symmetric factor.
 
     P is kept only until ``factor`` is first read.  The factor,
-    ``symmetric_factor(P, FACTOR_TOL)``, is computed once and P is released
+    ``symmetric_factor(P)``, is computed once and P is released
     with it, so a later read of ``controllability`` raises.  The factor
     consumes P in place, so a caller that needs P after that keeps a copy.
     Only ``balance`` reads the factor; the H2 quantities need
@@ -329,7 +325,7 @@ class GramianCache:
         if self._factor is None:
             P, self._controllability = self.controllability, None
             # symmetric_factor consumes P, so the cache lets go of it first
-            self._factor = symmetric_factor(P, tol=FACTOR_TOL)
+            self._factor = symmetric_factor(P)
         return self._factor
 
     @property

@@ -137,13 +137,22 @@ def number(value, key: str) -> float:
     raise ValueError(f"config key '{key}' must be a number, got {json.dumps(value)}")
 
 
+def _array(value, key: str) -> list:
+    """A config value that must be a JSON array; an object or a string, which
+    would iterate too, raises a ValueError naming ``key``."""
+    if isinstance(value, list):
+        return value
+    raise ValueError(f"config key '{key}' must be an array, got {json.dumps(value)}")
+
+
 def config_from_dict(raw: dict) -> MsdConfig:
     """Build an MsdConfig from a parsed model description.
 
     Keys: ``masses`` (list), ``springs`` (list of {"ends": [a, b],
     "stiffness": v}), ``dampers`` (list of {"ends": [a, b], "coefficient": v}
     or {"mass": i, "coefficient": v} for a ground attachment),
-    ``input_spring`` (1-based, default 1), ``delta`` (default 0.10).  Any
+    ``input_spring`` (1-based, default 1), ``delta`` (default 0.10).  A
+    list given as an object or a string raises a ValueError naming it.  Any
     other key, at the top or inside a spring or damper, raises a ValueError
     naming it, and so does an element that gives both ``ends`` and ``mass``.
     """
@@ -161,14 +170,15 @@ def config_from_dict(raw: dict) -> MsdConfig:
             raise ValueError(f"model key '{where}' gives both 'ends' and 'mass'; give one of them")
         value = number(entry[value_key], f"{where}.{value_key}")
         if "ends" in entry:
-            a, b = entry["ends"]
+            a, b = _array(entry["ends"], f"{where}.ends")
             return integer(a, f"{where}.ends"), integer(b, f"{where}.ends"), value
         return integer(entry["mass"], f"{where}.mass"), 0, value
 
+    masses, springs, dampers = (_array(raw[key], key) for key in ("masses", "springs", "dampers"))
     return MsdConfig(
-        masses=tuple(number(m, f"masses[{i}]") for i, m in enumerate(raw["masses"])),
-        springs=tuple(element(e, "stiffness", f"springs[{i}]") for i, e in enumerate(raw["springs"])),
-        dampers=tuple(element(e, "coefficient", f"dampers[{i}]") for i, e in enumerate(raw["dampers"])),
+        masses=tuple(number(m, f"masses[{i}]") for i, m in enumerate(masses)),
+        springs=tuple(element(e, "stiffness", f"springs[{i}]") for i, e in enumerate(springs)),
+        dampers=tuple(element(e, "coefficient", f"dampers[{i}]") for i, e in enumerate(dampers)),
         input_spring=integer(raw.get("input_spring", 1), "input_spring"),
         delta=number(raw.get("delta", 0.10), "delta"),
     )

@@ -63,7 +63,6 @@ def _dissipation_eigenvalues(sys: QuadraticOutputSystem) -> np.ndarray:
 class DissipationReport:
     lambda_max: float
     passive: bool
-    tolerance: float
 
 
 def check_passivity(sys: QuadraticOutputSystem) -> DissipationReport:
@@ -77,7 +76,7 @@ def check_passivity(sys: QuadraticOutputSystem) -> DissipationReport:
     lam = float(eigs[-1])
     spectral_norm = float(max(abs(eigs[0]), abs(eigs[-1])))
     tol = PASSIVITY_RTOL * spectral_norm
-    return DissipationReport(lambda_max=lam, passive=lam <= tol, tolerance=tol)
+    return DissipationReport(lambda_max=lam, passive=lam <= tol)
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,10 @@ and reproduces the continuous energy balance up to O(h^2): for zero input the
 discrete energy x_k^T N x_k of a dissipative system is non-increasing up to
 roundoff, which is what the dissipation checks rely on.  Every system steps
 through its own shifted solve ``shift_inverse(2/h)``, so this module does not
-know whether A is dense or applied through a second-order triple.  One step
-generator serves both callers and yields each state with its output
-y = x^T N x, the one place the output is evaluated: ``integrate`` stores
-states and outputs, and ``verify_error_bound`` keeps only the FOM's outputs,
-so the FOM run never holds a (steps, m) array and its y equals
-``integrate``'s bitwise.
+know whether A is dense or applied through a second-order triple.
+``integrate`` is the one trapezoid loop.  It keeps only the output
+y = x^T N x of each step, never the states, so no run holds a (steps, m)
+array; ``verify_error_bound`` runs the FOM and every reduced model through it.
 """
 
 from __future__ import annotations
@@ -39,10 +37,9 @@ def default_input(t):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniform-grid states and quadratic outputs y_k = x_k^T N x_k."""
+    """Uniform grid and quadratic outputs y_k = x_k^T N x_k."""
 
     t: np.ndarray
-    x: np.ndarray
     y: np.ndarray
 
     @property
@@ -76,25 +73,6 @@ def _time_grid(h: float, T: float) -> np.ndarray:
     return h * np.arange(steps + 1)
 
 
-def _trapezoid(sys: QuadraticOutputSystem, ugrid: np.ndarray, x0: np.ndarray, h: float):
-    """Yield (x_k, y_k) for the trapezoidal states x_0 = x0, x_1, ... of the
-    input samples ``ugrid``, with y_k = x_k^T N x_k.
-
-    With omega = 2/h the step (I - h/2 A) x+ = (I + h/2 A) x + h/2 B (u + u+)
-    reads x+ = (omega I - A)^{-1} (2 omega x + B (u + u+)) - x, since
-    omega I + A = 2 omega I - (omega I - A): one ``sys.shift_inverse(2/h)``
-    factorization per run and one shifted solve per step, for every system.
-    B is applied per step, so no (steps, m) forcing array is made.
-    """
-    omega = 2.0 / h
-    solve = sys.shift_inverse(omega)
-    x = x0
-    yield x, float(x @ (sys.N @ x))
-    for k in range(len(ugrid) - 1):
-        x = solve(2.0 * omega * x + sys.B @ (ugrid[k] + ugrid[k + 1])) - x
-        yield x, float(x @ (sys.N @ x))
-
-
 def integrate(
     sys: QuadraticOutputSystem,
     u=None,
@@ -102,30 +80,35 @@ def integrate(
     h: float = 0.01,
     T: float = 100.0,
 ) -> Trajectory:
-    """Trapezoidal one-step integration of x' = A x + B u from x(0) = x0.
+    """Trapezoidal one-step integration of x' = A x + B u from x(0) = x0,
+    keeping the output y_k = x_k^T N x_k of each step and no state.
 
     ``u`` is a callable of time returning a scalar (single input) or a vector
     of length n_in, or its samples at the grid points 0, h, ..., as a
-    (steps + 1, n_in) array; None means zero input.  See ``_trapezoid`` for
-    the step.
+    (steps + 1, n_in) array; None means zero input.
+    With omega = 2/h the step (I - h/2 A) x+ = (I + h/2 A) x + h/2 B (u + u+)
+    reads x+ = (omega I - A)^{-1} (2 omega x + B (u + u+)) - x, since
+    omega I + A = 2 omega I - (omega I - A): one ``sys.shift_inverse(2/h)``
+    factorization per run and one shifted solve per step, for every system.
+    B is applied per step, so no (steps, m) forcing array is made.
     A horizon shorter than half a step raises ValueError, a singular step
     matrix NumericalError.
     """
     t = _time_grid(h, T)
     m = sys.m
-    if x0 is None:
-        x0 = np.zeros(m)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (m,):
+    x = np.zeros(m) if x0 is None else np.asarray(x0, dtype=float)
+    if x.shape != (m,):
         raise ValueError(f"initial state must have shape ({m},)")
 
     ugrid = _input_samples(u, t, sys.n_in)
-    x = np.empty((t.size, m))
+    omega = 2.0 / h
+    solve = sys.shift_inverse(omega)
     y = np.empty(t.size)
-    for k, (xk, yk) in enumerate(_trapezoid(sys, ugrid, x0, h)):
-        x[k] = xk
-        y[k] = yk
-    return Trajectory(t=t, x=x, y=y)
+    y[0] = x @ (sys.N @ x)
+    for k in range(t.size - 1):
+        x = solve(2.0 * omega * x + sys.B @ (ugrid[k] + ugrid[k + 1])) - x
+        y[k + 1] = x @ (sys.N @ x)
+    return Trajectory(t=t, y=y)
 
 
 @dataclass(frozen=True)
@@ -147,19 +130,16 @@ def verify_error_bound(
     """Check sup_t |y - y_r| <= ||H - H_r||_H2 * (integral of ||u||^4)^(1/2)
     for each reduced system in ``reduced``, one BoundCheck per system in order.
 
-    The FOM is integrated once and only its outputs are kept; they come from
-    the same generator as ``integrate``'s, so y equals ``integrate(fom, ...).y``
-    bitwise.  ``u`` is sampled on the grid once, and every reduced run is
-    handed those samples.  All systems start from zero states (the bound
-    covers the zero-state response).  The right side uses trapezoidal
-    quadrature of ||u(t)||^4 on the integration grid.  ``holds`` allows a relative 1e-6
-    margin plus an O(h^2) integration slack, since the trajectories
-    themselves are second-order accurate.
+    ``u`` is sampled on the grid once, and the FOM run and every reduced run
+    are handed those samples; the FOM is integrated once.  All systems start
+    from zero states (the bound covers the zero-state response).  The right
+    side uses trapezoidal quadrature of ||u(t)||^4 on the integration grid.
+    ``holds`` allows a relative 1e-6 margin plus an O(h^2) integration
+    slack, since the trajectories themselves are second-order accurate.
     """
     t = _time_grid(h, T)
     ugrid = _input_samples(u, t, fom.n_in)
-    steps = _trapezoid(fom, ugrid, np.zeros(fom.m), h)
-    y = np.fromiter((yk for _, yk in steps), dtype=float, count=t.size)
+    y = integrate(fom, u=ugrid, h=h, T=T).y
     f = np.linalg.norm(ugrid, axis=1) ** 4
     # scipy.integrate.trapezoid's operation order, without importing scipy.integrate
     u_l4 = float(np.sqrt(np.sum((t[1:] - t[:-1]) * (f[1:] + f[:-1]) / 2.0)))

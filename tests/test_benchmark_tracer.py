@@ -94,7 +94,9 @@ def test_traced_commands_record_every_attribute(tmp_path):
     """Balanced-truncation ``reduce``, Arnoldi ``reduce`` and ``verify`` on the
     default model at d = 1 (m = 120), each run by the tracer script in a child
     process, exit 0.  Every call of a function with an ``ATTRS`` entry carries
-    its attributes, and the three commands call each such function."""
+    its attributes, and the three commands call each such function.  The
+    ``verify`` run integrates the FOM once and each of the two reduced models
+    once, all through ``integrate``, which is what the tracer times."""
     config = tmp_path / "experiment.json"
     config.write_text(json.dumps({
         "degree": 1,
@@ -112,8 +114,13 @@ def test_traced_commands_record_every_attribute(tmp_path):
             cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, f"{args} exited {proc.returncode}: {proc.stderr[-2000:]}"
+        labels = []
         for span in json.loads(spans.read_text())["spans"]:
             if span["name"] in names:
                 called.add(span["name"])
                 assert "attrs" in span, f"{args}: span {span['name']} has no attributes"
+            if span["name"] == "simulate.integrate":
+                labels.append(span["attrs"]["label"])
+        if args == ["verify"]:
+            assert sorted(labels) == ["fom", "rom", "rom"], f"verify integrations by label: {labels}"
     assert called == names, f"never called: {sorted(names - called)}"

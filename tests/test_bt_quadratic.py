@@ -15,7 +15,6 @@ from numpy.testing import assert_allclose
 from conftest import make_stable_system, traced_peak
 from sgmor import bt_quadratic, galerkin, lyapsylv
 from sgmor.bt_quadratic import (
-    FACTOR_TOL,
     BalancedFactorization,
     GramianCache,
     ReducedModel,
@@ -85,12 +84,12 @@ class TestGramianCache:
         assert sys.gramian is sys.gramian
 
     def test_factor_releases_the_gramian(self, rng):
-        """The factor is symmetric_factor(P, FACTOR_TOL) bitwise, taken once;
+        """The factor is symmetric_factor(P) bitwise, taken once;
         taking it releases P, and a later read of P raises."""
         sys = make_stable_system(rng, 7)
         P = sys.gramian.controllability.copy()
         Zp = sys.gramian.factor
-        assert np.array_equal(Zp, symmetric_factor(P, tol=FACTOR_TOL))
+        assert np.array_equal(Zp, symmetric_factor(P))
         assert sys.gramian.factor is Zp
         with pytest.raises(RuntimeError, match="released"):
             sys.gramian.controllability

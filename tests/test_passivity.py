@@ -15,6 +15,7 @@ from sgmor.msd import build_msd, default_config
 from sgmor.passivity import check_passivity, dissipation_matrix, shifted_dissipation_certificate
 from sgmor.polychaos import PcBasis
 from sgmor.simulate import integrate
+from trapezoid import trapezoid_states
 
 
 class TestDissipationMatrix:
@@ -171,7 +172,8 @@ class TestCertificate:
         lam = shifted_dissipation_certificate(rom).lambda_max
         x0 = rng.standard_normal(3)
         traj = integrate(rom, u=None, x0=x0, h=0.01, T=20.0)
-        mid = 0.5 * (traj.x[:-1] + traj.x[1:])
+        states = trapezoid_states(rom, None, x0, h=0.01, T=20.0)
+        mid = 0.5 * (states[:-1] + states[1:])
         rate = np.diff(traj.y) / 0.01
         bound = lam * np.einsum("ki,ki->k", mid, mid)
         scale = max(np.abs(traj.y).max(), 1.0)

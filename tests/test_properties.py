@@ -3,8 +3,8 @@ the factored Lyapunov and Sylvester solves against the Kronecker and
 unblocked oracles (factors of one, few, many and rank-deficient columns), the
 input of ``real_schur`` left unchanged, the ground check of ``MsdConfig``
 against a graph search, the definiteness check of ``assemble`` against dense
-Cholesky, and the sparse first-order operator of grounded networks against
-its dense matrix.
+Cholesky, the sparse first-order operator of grounded networks against
+its dense matrix, and invalid model descriptions against the CLI's exit 2.
 
 Hypothesis draws the system shape, the seed of ``make_stable_system`` and the
 reduced dimension; ``derandomize`` fixes the examples, so every run checks
@@ -15,10 +15,16 @@ Kronecker systems are too large.
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
+import json
+import math
+
 import numpy as np
 import numpy.linalg as la
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
@@ -28,10 +34,11 @@ from second_order import corner_definiteness_check
 from test_bt_quadratic import h2_error_oracle
 from test_lyapsylv import kron_lyapunov, kron_sylvester, relative_error, unblocked_sylvester
 from sgmor.bt_quadratic import ReducedModel, balance, h2_error, truncate
+from sgmor.cli import main
 from sgmor.errors import DefinitenessError
 from sgmor.galerkin import ParametricSecondOrderSystem, QuadraticOutputSystem, assemble, to_first_order
 from sgmor.lyapsylv import LEAF, real_schur, solve_lyapunov, solve_sylvester
-from sgmor.msd import MsdConfig, build_msd
+from sgmor.msd import MsdConfig, build_msd, default_config
 from sgmor.polychaos import PcBasis
 
 SEEDED = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -335,3 +342,119 @@ def test_first_order_operator_matches_dense(sys, d, omega, seed):
     expected[g.dimension:, g.dimension:] = -2.0 * g.D.toarray()
     scale = max(abs(g.K).max(), abs(g.D).max())
     assert np.abs(S + S.T - expected).max() <= 1e-12 * scale
+
+
+def model_description(cfg: MsdConfig) -> dict:
+    """The JSON model description of ``cfg``; a grounded damper takes the
+    {"mass": i} form, so both element forms are present."""
+
+    def element(a, b, value, value_key):
+        return {"mass": a, value_key: value} if b == 0 else {"ends": [a, b], value_key: value}
+
+    return {
+        "masses": list(cfg.masses),
+        "springs": [{"ends": [a, b], "stiffness": v} for a, b, v in cfg.springs],
+        "dampers": [element(a, b, v, "coefficient") for a, b, v in cfg.dampers],
+        "input_spring": cfg.input_spring,
+        "delta": cfg.delta,
+    }
+
+
+VALID_MODEL = model_description(default_config())
+# a JSON value of each type but the expected one; an integer slot also
+# refuses a non-integral number
+NOT_A_NUMBER = ["1.0", "", True, None, [1.0], {"value": 1.0}]
+NOT_AN_INTEGER = NOT_A_NUMBER + [1.5, -0.5]
+NOT_AN_ARRAY = ["ab", "", True, None, 2.0, {}, {"k": 1.0}]
+NOT_AN_OBJECT = ["ab", True, None, 2.0, [], [1.0]]
+
+
+@st.composite
+def invalid_models(draw) -> dict:
+    """The default model description with one mutation that makes it invalid:
+    a non-positive or non-finite mass or value; an element between the ground
+    and itself, between a mass and itself or to an endpoint out of range; an
+    ``input_spring`` out of range or not grounded; or a JSON value of the
+    wrong type anywhere in the description."""
+    model = copy.deepcopy(VALID_MODEL)
+    n, springs, dampers = len(model["masses"]), model["springs"], model["dampers"]
+    kind = draw(st.sampled_from(["value", "element", "input_spring", "type"]), label="mutation")
+    if kind == "value":
+        bad = draw(st.one_of(st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf, -math.inf])))
+        where = draw(st.sampled_from(["masses", "springs", "dampers"]))
+        i = draw(st.integers(0, len(model[where]) - 1))
+        if where == "masses":
+            model["masses"][i] = bad
+        else:
+            model[where][i]["stiffness" if where == "springs" else "coefficient"] = bad
+    elif kind == "element":
+        where = draw(st.sampled_from(["springs", "dampers"]))
+        entry = model[where][draw(st.integers(0, len(model[where]) - 1))]
+        outside = st.one_of(st.integers(max_value=-1), st.integers(min_value=n + 1))
+        a = draw(st.integers(0, n))
+        b = draw(st.one_of(st.just(a), outside))
+        if where == "dampers" and draw(st.booleans()):
+            # the grounded form: mass 0 is the ground itself
+            entry.pop("ends", None)
+            entry["mass"] = 0 if b == a else b
+        else:
+            entry.pop("mass", None)
+            entry["ends"] = [a, b] if draw(st.booleans()) else [b, a]
+    elif kind == "input_spring":
+        loose = [k + 1 for k, s in enumerate(springs) if 0 not in s["ends"]]
+        model["input_spring"] = draw(st.one_of(
+            st.integers(max_value=0), st.integers(min_value=len(springs) + 1), st.sampled_from(loose)
+        ))
+    else:
+        slots = [((key,), NOT_AN_ARRAY) for key in ("masses", "springs", "dampers")]
+        slots += [(("masses", i), NOT_A_NUMBER) for i in range(n)]
+        slots += [(("input_spring",), NOT_AN_INTEGER), (("delta",), NOT_A_NUMBER)]
+        for key, value_key, elements in (("springs", "stiffness", springs), ("dampers", "coefficient", dampers)):
+            for i, entry in enumerate(elements):
+                slots += [((key, i), NOT_AN_OBJECT), ((key, i, value_key), NOT_A_NUMBER)]
+                if "ends" in entry:
+                    slots += [((key, i, "ends"), NOT_AN_ARRAY)]
+                    slots += [((key, i, "ends", j), NOT_AN_INTEGER) for j in range(2)]
+                else:
+                    slots += [((key, i, "mass"), NOT_AN_INTEGER)]
+        path, wrong = draw(st.sampled_from(slots))
+        parent = model
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = draw(st.sampled_from(wrong))
+    return model
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("invalid-models")
+
+
+def run_assemble(config_dir, model: dict) -> tuple[int, str]:
+    """Exit code and stderr of an in-process ``sgmor assemble`` on ``model``."""
+    path = config_dir / "experiment.json"
+    path.write_text(json.dumps({"degree": 0, "model": model}))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["assemble", "--config", str(path), "--out", str(config_dir / "out")])
+    return code, stderr.getvalue()
+
+
+def test_valid_model_description_assembles(config_dir):
+    """The description the mutations start from is valid."""
+    assert run_assemble(config_dir, VALID_MODEL) == (0, "")
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(model=invalid_models())
+# an object or a string iterates like an empty array: both once read as no dampers
+@example(model={**VALID_MODEL, "dampers": {}})
+@example(model={**VALID_MODEL, "dampers": ""})
+def test_invalid_model_is_a_config_error(config_dir, model):
+    """Every invalid model exits 2 with a config error, and no exception escapes."""
+    (config_dir / "out").mkdir(exist_ok=True)
+    for old in (config_dir / "out").iterdir():
+        old.unlink()
+    code, stderr = run_assemble(config_dir, model)
+    assert (code, stderr.startswith("sgmor: config error")) == (2, True), f"exit {code}: {stderr}"
+    assert not any((config_dir / "out").iterdir()), "an invalid model wrote output"

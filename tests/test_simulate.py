@@ -18,11 +18,11 @@ from sgmor.msd import build_msd, default_config
 from sgmor.polychaos import PcBasis
 from sgmor.simulate import (
     BoundCheck,
-    Trajectory,
     default_input,
     integrate,
     verify_error_bound,
 )
+from trapezoid import quadratic_outputs, trapezoid_states
 
 
 def scalar_decay():
@@ -36,20 +36,21 @@ class TestIntegrate:
     def test_zero_input_zero_state_stays_zero(self, rng):
         sys = make_stable_system(rng, 6)
         traj = integrate(sys, h=0.05, T=2.0)
-        assert not np.any(traj.x), "zero input from the origin must stay there"
-        assert not np.any(traj.y)
+        # N is positive definite, so y = 0 only at the origin
+        assert not np.any(traj.y), "zero input from the origin must stay there"
 
     def test_grid_and_shapes(self, rng):
         sys = make_stable_system(rng, 5)
         traj = integrate(sys, u=default_input, h=0.25, T=2.0)
         assert traj.t.shape == (9,)
         assert_allclose(traj.t, 0.25 * np.arange(9))
-        assert traj.x.shape == (9, 5)
         assert traj.y.shape == (9,)
+        assert [f.name for f in fields(traj)] == ["t", "y"], "a trajectory keeps no states"
 
     def test_scalar_exponential_decay(self):
+        # x stays positive, so x = sqrt(y)
         traj = integrate(scalar_decay(), x0=np.array([1.0]), h=0.01, T=1.0)
-        err = abs(traj.x[-1, 0] - np.exp(-1.0))
+        err = abs(np.sqrt(traj.y[-1]) - np.exp(-1.0))
         assert err < 1e-4, f"x(1) error {err:.2e} exceeds 1e-4"
         assert abs(traj.y[-1] - np.exp(-2.0)) < 1e-4
 
@@ -57,7 +58,7 @@ class TestIntegrate:
         errs = []
         for h in (0.02, 0.01, 0.005):
             traj = integrate(scalar_decay(), x0=np.array([1.0]), h=h, T=1.0)
-            errs.append(abs(traj.x[-1, 0] - np.exp(-1.0)))
+            errs.append(abs(np.sqrt(traj.y[-1]) - np.exp(-1.0)))
         for coarse, fine in zip(errs, errs[1:]):
             ratio = coarse / fine
             assert 3.5 < ratio < 4.5, f"halving h gave error ratio {ratio:.2f}, want ~4"
@@ -65,14 +66,16 @@ class TestIntegrate:
     def test_constant_input_step_response(self):
         # x' = -x + 1 from 0 tends to 1 - exp(-t)
         traj = integrate(scalar_decay(), u=lambda t: 1.0, h=0.005, T=1.0)
-        err = abs(traj.x[-1, 0] - (1.0 - np.exp(-1.0)))
+        err = abs(np.sqrt(traj.y[-1]) - (1.0 - np.exp(-1.0)))
         assert err < 1e-5, f"step response error {err:.2e}"
 
     def test_vector_input_superposition(self):
-        sys = QuadraticOutputSystem(A=-np.eye(2), B=np.eye(2), N=np.eye(2))
-        traj = integrate(sys, u=lambda t: np.array([1.0, 2.0]), h=0.005, T=1.0)
+        # N = e_i e_i^T reads y = x_i^2, and each x_i stays positive
         expected = np.array([1.0, 2.0]) * (1.0 - np.exp(-1.0))
-        assert_allclose(traj.x[-1], expected, atol=1e-5)
+        for i in range(2):
+            sys = QuadraticOutputSystem(A=-np.eye(2), B=np.eye(2), N=np.diag(np.eye(2)[i]))
+            traj = integrate(sys, u=lambda t: np.array([1.0, 2.0]), h=0.005, T=1.0)
+            assert_allclose(np.sqrt(traj.y[-1]), expected[i], atol=1e-5)
 
     def test_energy_is_half_output(self, rng):
         sys = make_stable_system(rng, 4)
@@ -113,7 +116,7 @@ class TestIntegrate:
 
         sampled = integrate(sys, u=np.array([u(tk) for tk in t]), h=h, T=T)
         called = integrate(sys, u=u, h=h, T=T)
-        assert np.array_equal(sampled.x, called.x) and np.array_equal(sampled.y, called.y)
+        assert np.array_equal(sampled.y, called.y)
         with pytest.raises(ValueError, match="input samples have shape"):
             integrate(sys, u=np.zeros((t.size - 1, 2)), h=h, T=T)
 
@@ -122,14 +125,15 @@ class TestIntegrate:
             integrate(scalar_decay(), x0=np.zeros(2))
 
     def test_output_is_the_quadratic_form_of_each_state(self, rng):
-        """On indefinite N, where x^T N x cancels, each y_k is x_k^T N x_k bitwise."""
+        """On indefinite N, where x^T N x cancels, each y_k is x_k^T N x_k of
+        the dense reference states (see ``assert_same_outputs``)."""
         m = 6
         N = rng.standard_normal((m, m))
         sys = QuadraticOutputSystem(A=make_stable_system(rng, m).A, B=np.ones((m, 1)), N=N + N.T)
         assert np.linalg.eigvalsh(sys.N).min() < 0.0 < np.linalg.eigvalsh(sys.N).max()
-        traj = integrate(sys, u=default_input, x0=rng.standard_normal(m), h=0.05, T=5.0)
-        for k, x in enumerate(traj.x):
-            assert traj.y[k] == x @ (sys.N @ x), f"step {k}"
+        x0 = rng.standard_normal(m)
+        traj = integrate(sys, u=default_input, x0=x0, h=0.05, T=5.0)
+        assert_same_outputs(traj.y, sys, trapezoid_states(sys, default_input, x0, h=0.05, T=5.0))
 
     def test_singular_propagator_reported(self):
         # h * 200 / 2 = 1 makes I - h/2 A exactly singular
@@ -163,14 +167,21 @@ def fom_d1():
 
 
 def assert_same_trajectory(sparse_run, dense_run):
-    """States and outputs agree within 1e-12 of their largest magnitude."""
+    """Outputs agree within 1e-12 of their largest magnitude."""
     assert_allclose(sparse_run.t, dense_run.t, rtol=0.0, atol=0.0)
-    for name in ("x", "y"):
-        got, want = getattr(sparse_run, name), getattr(dense_run, name)
-        scale = np.abs(want).max()
-        assert scale > 0.0
-        dev = np.abs(got - want).max() / scale
-        assert dev <= 1e-12, f"{name} differs from the dense-A run by {dev:.2e} relative"
+    scale = np.abs(dense_run.y).max()
+    assert scale > 0.0
+    dev = np.abs(sparse_run.y - dense_run.y).max() / scale
+    assert dev <= 1e-12, f"y differs from the dense-A run by {dev:.2e} relative"
+
+
+def assert_same_outputs(y, sys, states):
+    """y_k equals x_k^T N x_k of the reference states within 1e-12 of
+    max_k |x_k|^T |N| |x_k|, the size of a cancelling quadratic form."""
+    scale = quadratic_outputs(abs(sys.N), np.abs(states)).max()
+    assert scale > 0.0
+    dev = np.abs(y - quadratic_outputs(sys.N, states)).max() / scale
+    assert dev <= 1e-12, f"y differs from the reference states' output by {dev:.2e} relative"
 
 
 class TestSecondOrderPath:
@@ -190,7 +201,7 @@ class TestSecondOrderPath:
         dense = dense_first_order(fom_d1)
         sparse_run = integrate(fom_d1, x0=x0, h=0.01, T=20.0)
         assert_same_trajectory(sparse_run, integrate(dense, x0=x0, h=0.01, T=20.0))
-        assert_allclose(sparse_run.x[0], x0, rtol=0.0, atol=0.0)
+        assert sparse_run.y[0] == x0 @ (fom_d1.N @ x0), "the run starts at x0"
 
     def test_two_inputs(self, rng):
         fom = to_first_order(random_triple(rng, 6, 2))
@@ -206,10 +217,11 @@ class TestSecondOrderPath:
         )
 
     def test_output_is_the_quadratic_form_of_each_state(self, fom_d1):
-        """On the sparse N of the d = 1 triple each y_k is x_k^T N x_k bitwise."""
+        """On the sparse N of the d = 1 triple each y_k is x_k^T N x_k of the
+        dense reference states."""
         traj = integrate(fom_d1, u=default_input, h=0.05, T=5.0)
-        for k, x in enumerate(traj.x):
-            assert traj.y[k] == x @ (fom_d1.N @ x), f"step {k}"
+        states = trapezoid_states(dense_first_order(fom_d1), default_input, np.zeros(fom_d1.m), h=0.05, T=5.0)
+        assert_same_outputs(traj.y, fom_d1, states)
 
     def test_singular_step_matrix_reported(self, rng):
         # K = 0 and D = -(2/h) M make M + h/2 D + h^2/4 K exactly zero
@@ -295,13 +307,12 @@ class TestErrorBound:
         alone = [verify_error_bound(fom, [rom], h=0.05, T=5.0)[0] for rom in roms]
 
         runs = []
-        stepper = simulate._trapezoid
 
         def counted(sys, *args, **kwargs):
             runs.append(sys.label)
-            return stepper(sys, *args, **kwargs)
+            return integrate(sys, *args, **kwargs)
 
-        monkeypatch.setattr(simulate, "_trapezoid", counted)
+        monkeypatch.setattr(simulate, "integrate", counted)
         batch = verify_error_bound(fom, roms, h=0.05, T=5.0)
         assert runs == ["fom", "rom", "rom"], f"integrations by label: {runs}"
         assert len(batch) == len(alone)
@@ -311,16 +322,10 @@ class TestErrorBound:
                 a, b = repr(getattr(got, field.name)), repr(getattr(want, field.name))
                 assert a == b, f"{field.name}: batch {a} != alone {b}"
 
-    def test_streamed_fom_output_equals_integrate(self, fom_d1, monkeypatch):
-        """The FOM output kept step by step over 2,001 steps is the y of
-        ``integrate`` bitwise: checked against itself, the observed error is 0."""
-        monkeypatch.setattr(simulate, "h2_error", lambda fom, rsys: 0.0)
-        [check] = verify_error_bound(fom_d1, [fom_d1], h=0.01, T=20.0)
-        assert check.observed == 0.0, f"streamed and stored outputs differ by {check.observed:.3e}"
-
     def test_fom_states_are_not_stored(self, fom_d1):
         """On the d = 1 model at the CLI default T = 100 (10,001 steps) the check
-        peaks below a quarter of one (steps, m) array of FOM states."""
+        peaks below a quarter of one (steps, m) array of FOM states: ``integrate``
+        stores none."""
         rom = truncate(balance(fom_d1), fom_d1, 10).system
         h, T = 0.01, 100.0
         [check], peak = traced_peak(
