@@ -10,6 +10,7 @@ from .bt_quadratic import (
     truncate,
 )
 from .errors import (
+    ConfigError,
     ConvergenceError,
     DefinitenessError,
     NumericalError,
@@ -39,6 +40,7 @@ __all__ = [
     "gramian_cache",
     "h2_error",
     "truncate",
+    "ConfigError",
     "ConvergenceError",
     "DefinitenessError",
     "NumericalError",

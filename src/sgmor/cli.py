@@ -4,8 +4,8 @@ Subcommands: ``assemble`` (Galerkin matrices plus a summary record),
 ``reduce`` (r-sweep of balanced truncation or Arnoldi with error and
 passivity columns), ``verify`` (time-domain error-bound and certificate
 checks), and ``report`` (merge of the emitted CSVs into one table keyed by
-reduced dimension).  All numeric CSV fields carry 17 significant digits so
-repeated runs are byte-identical.
+reduced dimension).  All numeric CSV fields carry 17 significant digits, so
+repeated runs at a fixed BLAS thread count are byte-identical.
 """
 
 from __future__ import annotations
@@ -15,17 +15,17 @@ import csv
 import json
 import math
 import sys as _sys
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from pathlib import Path
 
 from numpy.linalg import LinAlgError
 
 from .arnoldi import reduce_arnoldi
 from .bt_quadratic import balance, sweep, truncate, write_csv, write_report_csv
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .galerkin import assemble, to_first_order, write_matrix_market
-from .msd import MsdConfig, build_msd, config_from_dict, default_config, integer, number
+from .jsonconfig import JSON_NAMES, read, read_object
+from .msd import MsdConfig, build_msd, config_from_dict, default_config
 from .passivity import shifted_dissipation_certificate
 from .polychaos import PcBasis
 from .simulate import default_input, verify_error_bound
@@ -42,45 +42,20 @@ __all__ = [
 
 REDUCERS = ("balanced-truncation", "arnoldi")
 
-JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
-
-
-def _typed(value, expected: type, where: str):
-    """``value`` if it has the expected JSON type, else a ConfigError naming ``where``."""
-    if not isinstance(value, expected):
-        raise ConfigError(
-            f"{where} must be {JSON_TYPES[expected]}, got {JSON_TYPES.get(type(value), 'a number')}"
-        )
-    return value
-
-
-def _dimensions(values) -> tuple[int, ...]:
-    where = "simulation.r_values"
-    return tuple(integer(r, where) for r in _typed(values, list, f"config key '{where}'"))
-
-
-# top-level config-file keys that hold a section, not a field
-SECTIONS = ("model", "r", "simulation")
-# config-file key -> (ExperimentConfig field, converter), per section of the file
-FILE_KEYS = {
-    "degree": ("degree", partial(integer, key="degree")),
-    "reducer": ("reducer", str),
-    "omega": ("omega", partial(number, key="omega")),
-    "out": ("out", str),
+# ExperimentConfig field -> (config path, JSON kind, command-line flag or None);
+# a field that neither the file nor a flag sets keeps its default
+SETTINGS = {
+    "degree": ("degree", int, "degree"),
+    "reducer": ("reducer", str, "reducer"),
+    "omega": ("omega", float, "omega"),
+    "out": ("out", str, "out"),
+    "r_min": ("r.min", int, None),
+    "r_max": ("r.max", int, "rmax"),
+    "sim_h": ("simulation.h", float, None),
+    "sim_T": ("simulation.T", float, None),
+    "sim_input": ("simulation.input", str, None),
+    "verify_r": ("simulation.r_values", tuple[int, ...], None),
 }
-R_KEYS = {"min": ("r_min", partial(integer, key="r.min")), "max": ("r_max", partial(integer, key="r.max"))}
-SIMULATION_KEYS = {
-    "h": ("sim_h", partial(number, key="simulation.h")),
-    "T": ("sim_T", partial(number, key="simulation.T")),
-    "input": ("sim_input", str),
-    "r_values": ("verify_r", _dimensions),
-}
-# command-line flag -> the ExperimentConfig field it overrides
-FLAG_FIELDS = {"degree": "degree", "reducer": "reducer", "omega": "omega", "rmax": "r_max", "out": "out"}
-
-
-class ConfigError(Exception):
-    """Invalid or inconsistent experiment configuration."""
 
 
 @dataclass(frozen=True)
@@ -101,79 +76,77 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.degree < 0:
-            raise ConfigError(f"degree must be >= 0, got {self.degree}")
+            raise ConfigError(f"config key 'degree' must be >= 0, got {self.degree}")
         if self.reducer not in REDUCERS:
-            raise ConfigError(f"reducer must be one of {REDUCERS}, got {self.reducer!r}")
+            raise ConfigError(f"config key 'reducer' must be one of {REDUCERS}, got {self.reducer!r}")
         if not math.isfinite(self.omega):
-            raise ConfigError(f"expansion point must be finite, got omega = {self.omega}")
+            raise ConfigError(f"config key 'omega': expansion point must be finite, got {self.omega}")
         if self.r_min < 1 or self.r_max < self.r_min:
-            raise ConfigError(f"invalid r range [{self.r_min}, {self.r_max}]")
+            raise ConfigError(f"invalid r range ['r.min', 'r.max'] = [{self.r_min}, {self.r_max}]")
         if not all(math.isfinite(v) and v > 0 for v in (self.sim_h, self.sim_T)):
-            raise ConfigError("simulation step and horizon must be finite and positive")
+            raise ConfigError("'simulation.h' and 'simulation.T' must be finite and positive")
         # round(T / h) = 0 steps exactly when T / h <= 0.5 (round half to even)
         if self.sim_T / self.sim_h <= 0.5:
             raise ConfigError(
-                f"simulation horizon T = {self.sim_T} is shorter than half a step h = {self.sim_h}"
+                f"'simulation.T' = {self.sim_T} is shorter than half a step 'simulation.h' = {self.sim_h}"
             )
         if self.sim_input not in ("default", "zero"):
-            raise ConfigError(f"input signal must be 'default' or 'zero', got {self.sim_input!r}")
+            raise ConfigError(
+                f"input signal 'simulation.input' must be 'default' or 'zero', got {self.sim_input!r}"
+            )
         if any(r < 1 for r in self.verify_r):
-            raise ConfigError("verification dimensions must be >= 1")
+            raise ConfigError("verification dimensions 'simulation.r_values' must be >= 1")
 
 
-def _load_json(path: str | Path) -> dict:
+def _load_json(path: str | Path, what: str) -> dict:
+    """The JSON object in the file at ``path``; ``what`` names the file in errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be an object, got {JSON_NAMES[type(raw)]}")
+    return raw
+
+
+def _file_settings(raw: dict) -> dict:
+    """The ExperimentConfig fields that the config file sets, each read by its SETTINGS row."""
+    keys = {"": {"model"}}  # section of the file ("" for the top level) -> the keys it may hold
+    for path, _, _ in SETTINGS.values():
+        section, _, key = path.rpartition(".")
+        keys.setdefault(section, set()).add(key)
+        keys[""].add(section or key)
+    objects = {s: read_object(raw.get(s, {}) if s else raw, s, known) for s, known in keys.items()}
+    fields = {}
+    for field, (path, kind, _) in SETTINGS.items():
+        section, _, key = path.rpartition(".")
+        if key in objects[section]:
+            fields[field] = read(objects[section][key], kind, path)
+    return fields
 
 
 def experiment_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """Merge config file (if any) and command-line flags into one config."""
-    raw = _typed(_load_json(args.config), dict, "the config file") if args.config else {}
-    try:
-        model_entry = raw.get("model")
-        if model_entry is None:
-            model = default_config()
-        elif isinstance(model_entry, str):
-            path = Path(model_entry)
-            if not path.is_absolute() and args.config:
-                path = Path(args.config).parent / path
-            model = config_from_dict(_typed(_load_json(path), dict, f"the model file {path}"))
-        else:
-            model = config_from_dict(_typed(model_entry, dict, "config key 'model'"))
-
-        # only the keys the file holds; ExperimentConfig keeps the defaults.
-        # A key nothing reads is refused, so a misspelling is not a default.
-        fields = {}
-        sections = (
-            ("", {key: value for key, value in raw.items() if key not in SECTIONS}, FILE_KEYS),
-            ("r.", _typed(raw.get("r", {}), dict, "config key 'r'"), R_KEYS),
-            ("simulation.", _typed(raw.get("simulation", {}), dict, "config key 'simulation'"),
-             SIMULATION_KEYS),
-        )
-        for prefix, section, keys in sections:
-            for key, value in section.items():
-                if key not in keys:
-                    raise ConfigError(f"unknown config key '{prefix}{key}'")
-                name, convert = keys[key]
-                fields[name] = convert(value)
-        cfg = ExperimentConfig(model=model, **fields)
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from exc
-
+    raw = _load_json(args.config, "the config file") if args.config else {}
+    fields = _file_settings(raw)
+    model_entry = raw.get("model")
+    if model_entry is None:
+        model = default_config()
+    elif isinstance(model_entry, str):
+        path = Path(model_entry)
+        if not path.is_absolute() and args.config:
+            path = Path(args.config).parent / path
+        model = config_from_dict(_load_json(path, f"the model file {path}"))
+    else:
+        model = config_from_dict(read(model_entry, dict, "model"))
     # a subcommand registers only the flags it reads
-    overrides = {
-        name: getattr(args, flag)
-        for flag, name in FLAG_FIELDS.items()
-        if getattr(args, flag, None) is not None
-    }
-    return replace(cfg, **overrides)
+    for field, (_, _, flag) in SETTINGS.items():
+        if flag and getattr(args, flag, None) is not None:
+            fields[field] = getattr(args, flag)
+    return ExperimentConfig(model=model, **fields)
 
 
 def _assemble_fom(cfg: ExperimentConfig):
@@ -218,7 +191,7 @@ def run_reduce(cfg: ExperimentConfig) -> Path:
     galerkin = _assemble_fom(cfg)
     fom = to_first_order(galerkin)
     if cfg.r_max > fom.m:
-        raise ConfigError(f"r_max {cfg.r_max} exceeds the state dimension {fom.m}")
+        raise ConfigError(f"'r.max' = {cfg.r_max} exceeds the state dimension {fom.m}")
     if cfg.reducer == "balanced-truncation":
         bal = balance(fom)
         rom, sigma = truncate(bal, fom, cfg.r_max), bal.sigma
@@ -243,7 +216,8 @@ def run_verify(cfg: ExperimentConfig) -> Path:
     bal = balance(fom)
     if any(r > bal.numerical_rank for r in cfg.verify_r):
         raise ConfigError(
-            f"verification dimensions {cfg.verify_r} exceed the numerical rank {bal.numerical_rank}"
+            f"verification dimensions 'simulation.r_values' = {cfg.verify_r} "
+            f"exceed the numerical rank {bal.numerical_rank}"
         )
     u = default_input if cfg.sim_input == "default" else None
     roms = [truncate(bal, fom, r).system for r in cfg.verify_r]
@@ -336,7 +310,7 @@ def main(argv=None) -> int:
         # a LAPACK failure (eigh, svd, ...); LinAlgError subclasses ValueError
         print(f"sgmor: numerical failure: {exc}", file=_sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and RankError included
         print(f"sgmor: config error: {exc}", file=_sys.stderr)
         return 2
     except NumericalError as exc:

@@ -1,4 +1,4 @@
-"""Exception types raised by the numerical routines."""
+"""Exception types raised by the numerical routines and the config readers."""
 
 
 class NumericalError(RuntimeError):
@@ -23,3 +23,7 @@ class DefinitenessError(NumericalError):
 
 class RankError(ValueError):
     """Requested reduced dimension exceeds the numerical rank available."""
+
+
+class ConfigError(ValueError):
+    """Invalid or inconsistent experiment or model configuration."""

@@ -11,20 +11,19 @@ through the lowest ground spring.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .galerkin import ParametricSecondOrderSystem
+from .jsonconfig import read, read_object
 
 __all__ = [
     "MsdConfig",
     "default_config",
     "config_from_dict",
-    "integer",
-    "number",
     "build_msd",
 ]
 
@@ -35,8 +34,6 @@ __all__ = [
 DEFAULT_MASSES = (1.0, 1.5, 2.0, 2.5)
 DEFAULT_SPRINGS = ((0, 1, 120.0), (1, 2, 100.0), (2, 3, 90.0), (3, 4, 140.0), (1, 3, 50.0), (4, 0, 110.0))
 DEFAULT_DAMPERS = ((1, 2, 0.05), (2, 3, 0.22), (3, 4, 0.04), (4, 0, 0.55))
-# the keys of a model description that ``config_from_dict`` reads
-MODEL_KEYS = ("masses", "springs", "dampers", "input_spring", "delta")
 
 
 @dataclass(frozen=True)
@@ -47,7 +44,9 @@ class MsdConfig:
     indices 1..n and 0 for the ground.  ``input_spring`` is the 1-based index
     of the grounded spring through which the excitation enters.  ``delta`` is
     the relative half-width of the uniform parameter variation.  Every mass
-    needs a chain of springs to the ground; without one K is singular.
+    needs a chain of springs to the ground; without one K is singular.  A
+    value out of range raises a ConfigError (a ValueError) naming the key
+    path of the model description that holds it, such as ``springs[0]``.
     """
 
     masses: tuple[float, ...] = DEFAULT_MASSES
@@ -59,29 +58,34 @@ class MsdConfig:
     def __post_init__(self):
         n = len(self.masses)
         if n == 0:
-            raise ValueError("at least one mass is required")
-        for v in self.masses:
+            raise ConfigError("model key 'masses' holds no mass; at least one mass is required")
+        for i, v in enumerate(self.masses):
             if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"nominal masses must be positive and finite, got {v}")
-        for kind, elems in (("spring", self.springs), ("damper", self.dampers)):
-            for a, b, v in elems:
+                raise ConfigError(f"model key 'masses[{i}]': masses must be positive and finite, got {v}")
+        elements = (("spring", "stiffness", self.springs), ("damper", "coefficient", self.dampers))
+        for kind, value_key, elems in elements:
+            for i, (a, b, v) in enumerate(elems):
+                key = f"{kind}s[{i}]"
                 if not (math.isfinite(v) and v > 0):
-                    raise ValueError(f"nominal {kind} values must be positive and finite, got {v}")
+                    raise ConfigError(
+                        f"model key '{key}.{value_key}': nominal {kind} values must be positive "
+                        f"and finite, got {v}"
+                    )
                 if not (0 <= a <= n and 0 <= b <= n):
-                    raise ValueError(f"{kind} endpoint out of range: ({a}, {b})")
+                    raise ConfigError(f"model key '{key}': {kind} endpoint out of range: ({a}, {b})")
                 if a == b:
-                    raise ValueError(f"{kind} must connect two distinct endpoints, got ({a}, {b})")
+                    raise ConfigError(f"model key '{key}': {kind} needs distinct endpoints, got ({a}, {b})")
         if not 0 <= self.delta < 1:
-            raise ValueError(f"relative variation delta must lie in [0, 1), got {self.delta}")
+            raise ConfigError(f"model key 'delta' must lie in [0, 1), got {self.delta}")
         if not 1 <= self.input_spring <= len(self.springs):
-            raise ValueError(f"input_spring must index a spring (1..{len(self.springs)})")
+            raise ConfigError(f"model key 'input_spring' must index a spring (1..{len(self.springs)})")
         a, b, _ = self.springs[self.input_spring - 1]
         if a != 0 and b != 0:
-            raise ValueError("the input spring must have one ground endpoint")
+            raise ConfigError("model key 'input_spring': the input spring must have one ground endpoint")
         loose = _ungrounded(n, self.springs)
         if loose:
-            raise ValueError(
-                f"mass {loose[0]} has no spring path to the ground (endpoint 0), "
+            raise ConfigError(
+                f"model key 'springs': mass {loose[0]} has no spring path to the ground (endpoint 0), "
                 "so the stiffness matrix is singular"
             )
 
@@ -113,74 +117,40 @@ def default_config() -> MsdConfig:
     return MsdConfig()
 
 
-def integer(value, key: str) -> int:
-    """A config value that must be an integer: an integral JSON number.
-
-    Non-integral numbers, booleans (JSON true is not 1) and every other type
-    raise a ValueError naming ``key``; nothing is truncated.
-    """
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"config key '{key}' must be an integer, got {json.dumps(value)}")
-
-
-def number(value, key: str) -> float:
-    """A config value that must be a real number: any JSON number.
-
-    Booleans (JSON true is not 1.0), strings and every other type raise a
-    ValueError naming ``key``.
-    """
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"config key '{key}' must be a number, got {json.dumps(value)}")
-
-
-def _array(value, key: str) -> list:
-    """A config value that must be a JSON array; an object or a string, which
-    would iterate too, raises a ValueError naming ``key``."""
-    if isinstance(value, list):
-        return value
-    raise ValueError(f"config key '{key}' must be an array, got {json.dumps(value)}")
-
-
 def config_from_dict(raw: dict) -> MsdConfig:
     """Build an MsdConfig from a parsed model description.
 
-    Keys: ``masses`` (list), ``springs`` (list of {"ends": [a, b],
-    "stiffness": v}), ``dampers`` (list of {"ends": [a, b], "coefficient": v}
-    or {"mass": i, "coefficient": v} for a ground attachment),
-    ``input_spring`` (1-based, default 1), ``delta`` (default 0.10).  A
-    list given as an object or a string raises a ValueError naming it.  Any
-    other key, at the top or inside a spring or damper, raises a ValueError
-    naming it, and so does an element that gives both ``ends`` and ``mass``.
+    Keys: ``masses`` (array of numbers), ``springs`` (array of {"ends": [a,
+    b], "stiffness": v}), ``dampers`` (array of {"ends": [a, b],
+    "coefficient": v} or {"mass": i, "coefficient": v} for a ground
+    attachment), ``input_spring`` (1-based, default 1), ``delta`` (default
+    0.10).  Each element gives its value key and exactly one of ``ends`` and
+    ``mass``.  A missing, unknown or mistyped key raises a ConfigError naming
+    its key path, such as ``springs[0].ends``.
     """
-    for key in raw:
-        if key not in MODEL_KEYS:
-            raise ValueError(f"unknown model key '{key}'")
+    required = ("masses", "springs", "dampers")
+    raw = read_object(raw, "", (*required, "input_spring", "delta"), required, noun="model")
 
-    def element(entry, value_key, where):
-        if not isinstance(entry, dict):
-            raise ValueError(f"config key '{where}' must be an object")
-        for key in entry:
-            if key not in ("ends", "mass", value_key):
-                raise ValueError(f"unknown model key '{where}.{key}'")
-        if "ends" in entry and "mass" in entry:
-            raise ValueError(f"model key '{where}' gives both 'ends' and 'mass'; give one of them")
-        value = number(entry[value_key], f"{where}.{value_key}")
-        if "ends" in entry:
-            a, b = _array(entry["ends"], f"{where}.ends")
-            return integer(a, f"{where}.ends"), integer(b, f"{where}.ends"), value
-        return integer(entry["mass"], f"{where}.mass"), 0, value
+    def elements(key, value_key):
+        for i, entry in enumerate(read(raw[key], list, key)):
+            where = f"{key}[{i}]"
+            entry = read_object(entry, where, ("ends", "mass", value_key), (value_key,), noun="model")
+            if ("ends" in entry) == ("mass" in entry):
+                given = "both" if "ends" in entry else "neither of"
+                raise ConfigError(f"model key '{where}' gives {given} 'ends' and 'mass'; give one")
+            value = read(entry[value_key], float, f"{where}.{value_key}")
+            if "ends" in entry:
+                yield (*read(entry["ends"], tuple[int, int], f"{where}.ends"), value)
+            else:
+                yield read(entry["mass"], int, f"{where}.mass"), 0, value
 
-    masses, springs, dampers = (_array(raw[key], key) for key in ("masses", "springs", "dampers"))
+    masses = read(raw["masses"], list, "masses")
     return MsdConfig(
-        masses=tuple(number(m, f"masses[{i}]") for i, m in enumerate(masses)),
-        springs=tuple(element(e, "stiffness", f"springs[{i}]") for i, e in enumerate(springs)),
-        dampers=tuple(element(e, "coefficient", f"dampers[{i}]") for i, e in enumerate(dampers)),
-        input_spring=integer(raw.get("input_spring", 1), "input_spring"),
-        delta=number(raw.get("delta", 0.10), "delta"),
+        masses=tuple(read(v, float, f"masses[{i}]") for i, v in enumerate(masses)),
+        springs=tuple(elements("springs", "stiffness")),
+        dampers=tuple(elements("dampers", "coefficient")),
+        input_spring=read(raw.get("input_spring", 1), int, "input_spring"),
+        delta=read(raw.get("delta", 0.10), float, "delta"),
     )
 
 

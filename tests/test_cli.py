@@ -152,7 +152,7 @@ class TestConfigParsing:
 
     def test_invalid_model_entry(self, tmp_path):
         path = write_config(tmp_path, model={"springs": []})
-        with pytest.raises(ConfigError, match="invalid configuration"):
+        with pytest.raises(ConfigError, match="missing model key 'masses'"):
             experiment_from_args(ns(config=str(path)))
 
     def test_bad_reducer_in_file(self, tmp_path):
@@ -369,12 +369,21 @@ class TestMain:
         ({"simulation": {"r_values": 7}}, "config key 'simulation.r_values' must be an array, got a number"),
         ({"model": [1]}, "config key 'model' must be an object, got an array"),
         ([1, 2], "the config file must be an object, got an array"),
+        # a string key takes JSON strings only; str() would write "out": 5 into ./5
+        ({"out": 5}, "config key 'out' must be a string, got a number 5"),
+        ({"out": ["x"]}, "config key 'out' must be a string, got an array"),
+        ({"reducer": None}, "config key 'reducer' must be a string, got null"),
+        ({"simulation": {"input": 0}}, "config key 'simulation.input' must be a string, got a number 0"),
+        # float() of an integer beyond the double range raises OverflowError
+        ({"omega": 10**400}, "config key 'omega' must be a number in the double range"),
     ])
-    def test_wrong_json_type_names_the_key(self, tmp_path, capsys, raw, message):
+    def test_wrong_json_type_names_the_key(self, tmp_path, capsys, monkeypatch, raw, message):
         path = tmp_path / "typed.json"
         path.write_text(json.dumps(raw))
-        assert main(["report", "--config", str(path)]) == 2
+        monkeypatch.chdir(tmp_path)
+        assert main(["assemble", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["typed.json"], "rejected before any output was written"
 
     @pytest.mark.parametrize("value", [1.5, True])
     @pytest.mark.parametrize("key, overrides", [
@@ -421,6 +430,23 @@ class TestMain:
         """A misspelled key is refused, not replaced by the default it was meant to override."""
         path = write_config(tmp_path, **overrides)
         assert main(["reduce", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists(), "rejected before any output was written"
+
+    @pytest.mark.parametrize("model, message", [
+        ({**SMALL_MODEL, "springs": [{"ends": [0, 1, 2], "stiffness": 4.0}]},
+         "config key 'springs[0].ends' must hold 2 entries, got 3"),
+        ({**SMALL_MODEL, "springs": [{"ends": [1], "stiffness": 4.0}]},
+         "config key 'springs[0].ends' must hold 2 entries, got 1"),
+        ({**SMALL_MODEL, "springs": [{"ends": [0, 1]}]}, "missing model key 'springs[0].stiffness'"),
+        ({**SMALL_MODEL, "dampers": [{"coefficient": 0.5}]},
+         "model key 'dampers[0]' gives neither of 'ends' and 'mass'"),
+        ({key: value for key, value in SMALL_MODEL.items() if key != "masses"}, "missing model key 'masses'"),
+    ])
+    def test_malformed_model_names_the_key(self, tmp_path, capsys, model, message):
+        """A malformed element or a missing key is refused with its key path."""
+        path = write_config(tmp_path, model=model)
+        assert main(["assemble", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists(), "rejected before any output was written"
 

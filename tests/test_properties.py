@@ -369,27 +369,36 @@ NOT_AN_ARRAY = ["ab", "", True, None, 2.0, {}, {"k": 1.0}]
 NOT_AN_OBJECT = ["ab", True, None, 2.0, [], [1.0]]
 
 
+VALUE_KEYS = {"springs": "stiffness", "dampers": "coefficient"}
+
+
 @st.composite
-def invalid_models(draw) -> dict:
-    """The default model description with one mutation that makes it invalid:
-    a non-positive or non-finite mass or value; an element between the ground
+def invalid_models(draw) -> tuple[dict, str]:
+    """The default model description with one mutation that makes it invalid,
+    and the key path that the error must name.  The mutations: a
+    non-positive or non-finite mass or value; an element between the ground
     and itself, between a mass and itself or to an endpoint out of range; an
-    ``input_spring`` out of range or not grounded; or a JSON value of the
-    wrong type anywhere in the description."""
+    ``input_spring`` out of range or not grounded; a JSON value of the wrong
+    type anywhere in the description; ``ends`` of 0, 1 or 3 entries; or a
+    required key left out: ``masses``, ``springs`` or ``dampers``, an
+    element's value key, or both ``ends`` and ``mass`` of an element."""
     model = copy.deepcopy(VALID_MODEL)
     n, springs, dampers = len(model["masses"]), model["springs"], model["dampers"]
-    kind = draw(st.sampled_from(["value", "element", "input_spring", "type"]), label="mutation")
+    kind = draw(st.sampled_from(["value", "element", "input_spring", "type", "ends", "missing"]), label="mutation")
+    # the element a mutation of one spring or damper changes
+    where = draw(st.sampled_from(["springs", "dampers"]))
+    i = draw(st.integers(0, len(model[where]) - 1))
+    entry, element = model[where][i], f"{where}[{i}]"
     if kind == "value":
         bad = draw(st.one_of(st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf, -math.inf])))
-        where = draw(st.sampled_from(["masses", "springs", "dampers"]))
-        i = draw(st.integers(0, len(model[where]) - 1))
-        if where == "masses":
-            model["masses"][i] = bad
+        if draw(st.booleans()):
+            k = draw(st.integers(0, n - 1))
+            model["masses"][k] = bad
+            path = f"masses[{k}]"
         else:
-            model[where][i]["stiffness" if where == "springs" else "coefficient"] = bad
+            entry[VALUE_KEYS[where]] = bad
+            path = f"{element}.{VALUE_KEYS[where]}"
     elif kind == "element":
-        where = draw(st.sampled_from(["springs", "dampers"]))
-        entry = model[where][draw(st.integers(0, len(model[where]) - 1))]
         outside = st.one_of(st.integers(max_value=-1), st.integers(min_value=n + 1))
         a = draw(st.integers(0, n))
         b = draw(st.one_of(st.just(a), outside))
@@ -400,29 +409,51 @@ def invalid_models(draw) -> dict:
         else:
             entry.pop("mass", None)
             entry["ends"] = [a, b] if draw(st.booleans()) else [b, a]
+        path = element
     elif kind == "input_spring":
         loose = [k + 1 for k, s in enumerate(springs) if 0 not in s["ends"]]
         model["input_spring"] = draw(st.one_of(
             st.integers(max_value=0), st.integers(min_value=len(springs) + 1), st.sampled_from(loose)
         ))
-    else:
-        slots = [((key,), NOT_AN_ARRAY) for key in ("masses", "springs", "dampers")]
-        slots += [(("masses", i), NOT_A_NUMBER) for i in range(n)]
-        slots += [(("input_spring",), NOT_AN_INTEGER), (("delta",), NOT_A_NUMBER)]
-        for key, value_key, elements in (("springs", "stiffness", springs), ("dampers", "coefficient", dampers)):
-            for i, entry in enumerate(elements):
-                slots += [((key, i), NOT_AN_OBJECT), ((key, i, value_key), NOT_A_NUMBER)]
-                if "ends" in entry:
-                    slots += [((key, i, "ends"), NOT_AN_ARRAY)]
-                    slots += [((key, i, "ends", j), NOT_AN_INTEGER) for j in range(2)]
+        path = "input_spring"
+    elif kind == "type":
+        # (steps to the value, wrong values, the key path that names it)
+        slots = [((key,), NOT_AN_ARRAY, key) for key in ("masses", "springs", "dampers")]
+        slots += [(("masses", k), NOT_A_NUMBER, f"masses[{k}]") for k in range(n)]
+        slots += [(("input_spring",), NOT_AN_INTEGER, "input_spring"), (("delta",), NOT_A_NUMBER, "delta")]
+        for key, elements in (("springs", springs), ("dampers", dampers)):
+            for k, e in enumerate(elements):
+                name, value_key = f"{key}[{k}]", VALUE_KEYS[key]
+                slots += [((key, k), NOT_AN_OBJECT, name)]
+                slots += [((key, k, value_key), NOT_A_NUMBER, f"{name}.{value_key}")]
+                if "ends" in e:
+                    # an entry of ends is named by ends
+                    slots += [((key, k, "ends"), NOT_AN_ARRAY, f"{name}.ends")]
+                    slots += [((key, k, "ends", j), NOT_AN_INTEGER, f"{name}.ends") for j in range(2)]
                 else:
-                    slots += [((key, i, "mass"), NOT_AN_INTEGER)]
-        path, wrong = draw(st.sampled_from(slots))
+                    slots += [((key, k, "mass"), NOT_AN_INTEGER, f"{name}.mass")]
+        steps, wrong, path = draw(st.sampled_from(slots))
         parent = model
-        for step in path[:-1]:
+        for step in steps[:-1]:
             parent = parent[step]
-        parent[path[-1]] = draw(st.sampled_from(wrong))
-    return model
+        parent[steps[-1]] = draw(st.sampled_from(wrong))
+    elif kind == "ends":
+        entry.pop("mass", None)
+        entry["ends"] = [draw(st.integers(0, n)) for _ in range(draw(st.sampled_from([0, 1, 3])))]
+        path = f"{element}.ends"
+    else:
+        missing = draw(st.sampled_from(["masses", "springs", "dampers", "value key", "ends and mass"]))
+        if missing == "value key":
+            del entry[VALUE_KEYS[where]]
+            path = f"{element}.{VALUE_KEYS[where]}"
+        elif missing == "ends and mass":
+            entry.pop("ends", None)
+            entry.pop("mass", None)
+            path = element
+        else:
+            del model[missing]
+            path = missing
+    return model, path
 
 
 @pytest.fixture(scope="module")
@@ -446,15 +477,18 @@ def test_valid_model_description_assembles(config_dir):
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(model=invalid_models())
+@given(case=invalid_models())
 # an object or a string iterates like an empty array: both once read as no dampers
-@example(model={**VALID_MODEL, "dampers": {}})
-@example(model={**VALID_MODEL, "dampers": ""})
-def test_invalid_model_is_a_config_error(config_dir, model):
-    """Every invalid model exits 2 with a config error, and no exception escapes."""
+@example(case=({**VALID_MODEL, "dampers": {}}, "dampers"))
+@example(case=({**VALID_MODEL, "dampers": ""}, "dampers"))
+def test_invalid_model_is_a_config_error(config_dir, case):
+    """Every invalid model exits 2 with a config error that names the mutated
+    key path, and no exception escapes."""
+    model, path = case
     (config_dir / "out").mkdir(exist_ok=True)
     for old in (config_dir / "out").iterdir():
         old.unlink()
     code, stderr = run_assemble(config_dir, model)
     assert (code, stderr.startswith("sgmor: config error")) == (2, True), f"exit {code}: {stderr}"
+    assert f"'{path}'" in stderr, f"the error does not name '{path}': {stderr}"
     assert not any((config_dir / "out").iterdir()), "an invalid model wrote output"
