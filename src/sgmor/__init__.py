@@ -3,6 +3,7 @@
 from .arnoldi import reduce_arnoldi
 from .bt_quadratic import (
     BalancedFactorization,
+    GramianRecord,
     ReducedModel,
     balance,
     gramian_cache,
@@ -26,7 +27,7 @@ from .galerkin import (
     to_first_order,
 )
 from .msd import MsdConfig, build_msd, default_config
-from .passivity import check_passivity, dissipation_matrix, shifted_dissipation_certificate
+from .passivity import check_passivity, shifted_dissipation_certificate
 from .polychaos import PcBasis, basis_size, multi_indices
 from .simulate import Trajectory, default_input, integrate, verify_error_bound
 
@@ -35,6 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "reduce_arnoldi",
     "BalancedFactorization",
+    "GramianRecord",
     "ReducedModel",
     "balance",
     "gramian_cache",
@@ -56,7 +58,6 @@ __all__ = [
     "build_msd",
     "default_config",
     "check_passivity",
-    "dissipation_matrix",
     "shifted_dissipation_certificate",
     "PcBasis",
     "basis_size",

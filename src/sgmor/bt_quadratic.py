@@ -1,21 +1,22 @@
 """Balanced truncation for linear systems with a quadratic output.
 
-Each system is reduced to real Schur form at most once
-(``QuadraticOutputSystem.schur``), and the Lyapunov solves for P and Q and
-both coefficients of the H2 Sylvester solve read that form.  The stability
-verdict of a reduced model needs only its eigenvalues, so an unstable sweep
-row takes no Schur form and a stable row one r x r form.
+Every quantity the reduction needs from a system comes from one real Schur
+form and one controllability Gramian P.  ``gramian_cache`` takes both once
+and returns the frozen ``GramianRecord`` (the system, its Schur form and
+||H||^2 = trace(N P N P)) together with P, which the caller owns: ``balance``
+factors P = Z_P Z_P^T, which consumes it, before it solves the
+output-weighted observability Gramian Q, and every other caller drops P at
+once.  The Lyapunov solves for P and Q and both coefficients of the H2
+Sylvester solve read the Schur forms on the records, and the H2 functions
+read the full system off its record, so no system caches anything.  The
+stability verdict of a reduced model needs only its eigenvalues, so an
+unstable sweep row takes no Schur form and a stable row one r x r form.
 
-Each system likewise solves its controllability Gramian P once
-(``QuadraticOutputSystem.gramian``, a ``GramianCache`` with the H2 norm), so
-no caller passes a Gramian beside its system.  ``balance`` reads the cache's
-factor P = Z_P Z_P^T, whose first read releases the dense P, solves the
-output-weighted observability Gramian Q, whose right-hand side N P N is
-replaced by N Z_P Z_P^T N and passed as its factor N Z_P, factors Q, and
-the SVD of Z_P^T Z_Q delivers the projection bases.  Every right-hand side
-is passed as a factor (B for P, (B, B_r) for the H2 Sylvester equation), so
-no m x m right-hand side is formed.
-Every H2 quantity needs P alone:
+Q's right-hand side N P N is replaced by N Z_P Z_P^T N and passed as its
+factor N Z_P; Q is factored, and the SVD of Z_P^T Z_Q delivers the
+projection bases.  Every right-hand side is passed as a factor (B for P,
+(B, B_r) for the H2 Sylvester equation), so no m x m right-hand side is
+formed.  Every H2 quantity needs P alone:
 with B B^T = -(A P + P A^T), the norm sqrt(trace(B^T Q B)) equals
 sqrt(trace(N P N P)), and the squared reduction error is
 trace(N_e P_e N_e P_e) for P_e = [[P, X], [X^T, P_r]] and
@@ -32,16 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .errors import ConvergenceError, RankError
-# GramianCache and gramian_cache are defined beside
-# QuadraticOutputSystem.gramian (galerkin cannot import this module) and
-# re-exported with the H2 functions
-from .galerkin import GramianCache, QuadraticOutputSystem, gramian_cache
-from .lyapsylv import gemm, solve_lyapunov, solve_sylvester, symmetric_factor
+from .errors import ConvergenceError, RankError, StabilityError
+from .galerkin import QuadraticOutputSystem
+from .lyapsylv import STRIP, SchurFactors, gemm, real_schur, solve_lyapunov, solve_sylvester, symmetric_factor
 from .passivity import check_passivity
 
 __all__ = [
-    "GramianCache",
+    "GramianRecord",
     "gramian_cache",
     "BalancedFactorization",
     "ReducedModel",
@@ -59,9 +57,47 @@ RANK_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
-class BalancedFactorization:
-    """Gramian factors and the SVD data of Z_P^T Z_Q (descending singular values)."""
+class GramianRecord:
+    """A stable system with its real Schur form and squared H2 norm trace(N P N P)."""
 
+    system: QuadraticOutputSystem
+    schur: SchurFactors
+    norm_squared: float
+
+    @property
+    def norm(self) -> float:
+        return float(np.sqrt(max(self.norm_squared, 0.0)))
+
+
+def gramian_cache(sys: QuadraticOutputSystem) -> tuple[GramianRecord, np.ndarray]:
+    """The record of a stable system and its controllability Gramian P.
+
+    The Schur form of the dense A is taken here, P is solved on it, and the
+    H2 norm is summed over strips of P, so no m x m N P is formed.  The
+    caller owns P; one that does not factor it drops it at once.  A system
+    whose spectral abscissa is not negative raises StabilityError.
+    """
+    fac = real_schur(sys.dense_A())
+    if fac.abscissa >= 0.0:
+        raise StabilityError(
+            f"{sys.label}: spectral abscissa {fac.abscissa:.3e} >= 0, Gramians undefined"
+        )
+    P = solve_lyapunov(sys.A, sys.B, factors=fac)
+    # trace(N P N P) = sum_J <N P[:, J], (N[J, :] P)^T>, one strip of STRIP
+    # columns of N P and the matching rows at a time
+    norm_sq = 0.0
+    for j in range(0, sys.m, STRIP):
+        J = slice(j, j + STRIP)
+        norm_sq += float(np.einsum("ij,ji->", gemm(sys.N, P[:, J]), gemm(sys.N[J], P)))
+    return GramianRecord(system=sys, schur=fac, norm_squared=norm_sq), P
+
+
+@dataclass(frozen=True)
+class BalancedFactorization:
+    """The record of the balanced system, its Gramian factors and the SVD data
+    of Z_P^T Z_Q (descending singular values)."""
+
+    ref: GramianRecord
     Zp: np.ndarray
     Zq: np.ndarray
     sigma: np.ndarray
@@ -90,7 +126,8 @@ class ReducedModel:
         """Spectral abscissa of A_r below -1e-12 (the sweep omission rule).
 
         The verdict reads the eigenvalues alone, so an unstable model takes
-        no Schur form; a stable one gets its form from ``h2_error``.
+        no Schur form; a stable one gets its form from the ``gramian_cache``
+        call of ``h2_error``.
         """
         return float(la.eigvals(self.system.A).real.max()) < -1e-12
 
@@ -104,16 +141,19 @@ class ReducedModel:
 
 
 def balance(fom: QuadraticOutputSystem) -> BalancedFactorization:
-    """Gramians, symmetric factors, and the balancing SVD of a stable system.
+    """Record, Gramians, symmetric factors, and the balancing SVD of a stable system.
 
-    Z_P is the system's cached Gramian factor; taking it releases the dense P.
+    P is factored as soon as it is solved; the factor consumes it, and no
+    name holds P while Q is solved.
     """
-    Zp = fom.gramian.factor
+    ref, P = gramian_cache(fom)
+    Zp = symmetric_factor(P)
+    del P
     # Q's right-hand side N Z_P Z_P^T N is passed as its factor N Z_P; Q goes
     # straight to symmetric_factor, which consumes it
-    Zq = symmetric_factor(solve_lyapunov(fom.A, gemm(fom.N, Zp), factors=fom.schur, transposed=True))
+    Zq = symmetric_factor(solve_lyapunov(fom.A, gemm(fom.N, Zp), factors=ref.schur, transposed=True))
     left, sigma, right_t = la.svd(gemm(Zp.T, Zq), full_matrices=False)
-    return BalancedFactorization(Zp=Zp, Zq=Zq, sigma=sigma, left=left, right_t=right_t)
+    return BalancedFactorization(ref=ref, Zp=Zp, Zq=Zq, sigma=sigma, left=left, right_t=right_t)
 
 
 def project(fom: QuadraticOutputSystem, V: np.ndarray, W: np.ndarray) -> QuadraticOutputSystem:
@@ -128,8 +168,8 @@ def project(fom: QuadraticOutputSystem, V: np.ndarray, W: np.ndarray) -> Quadrat
     )
 
 
-def truncate(bal: BalancedFactorization, fom: QuadraticOutputSystem, r: int) -> ReducedModel:
-    """Project the full system onto the r dominant balanced directions.
+def truncate(bal: BalancedFactorization, r: int) -> ReducedModel:
+    """Project the balanced system onto its r dominant balanced directions.
 
     V = Z_P U_1 S_1^{-1/2}, W = Z_Q V_1 S_1^{-1/2}; see ``project`` for the
     reduced matrices.  ``r`` may not exceed the numerical rank of the
@@ -142,26 +182,26 @@ def truncate(bal: BalancedFactorization, fom: QuadraticOutputSystem, r: int) -> 
     scale = 1.0 / np.sqrt(bal.sigma[:r])
     V = gemm(bal.Zp, bal.left[:, :r]) * scale
     W = gemm(bal.Zq, bal.right_t[:r, :].T) * scale
-    return ReducedModel(r=r, system=project(fom, V, W), V=V, W=W)
+    return ReducedModel(r=r, system=project(bal.ref.system, V, W), V=V, W=W)
 
 
-def h2_error(fom: QuadraticOutputSystem, rsys: QuadraticOutputSystem) -> float:
-    """H2 norm of the error system between a full and a reduced model.
+def h2_error(ref: GramianRecord, rsys: QuadraticOutputSystem) -> float:
+    """H2 norm of the error system between a recorded full and a reduced model.
 
     Evaluates sqrt(||H||^2 + ||H_r||^2 - 2 trace(N X N_r X^T)), where the
-    norms come from each system's own ``gramian`` and X solves
-    A X + X A_r^T + B B_r^T = 0.  The trace argument is a difference
-    of like-sized terms, so its magnitude below 1e-10 of the term scale is
-    pure cancellation noise; that dead zone maps to 0.  Anything more
-    negative signals inaccurate Gramians and raises.
+    reduced model's Schur form and norm come from one ``gramian_cache`` call
+    and X solves A X + X A_r^T + B B_r^T = 0 on both Schur forms.  The trace
+    argument is a difference of like-sized terms, so its magnitude below
+    1e-10 of the term scale is pure cancellation noise; that dead zone maps
+    to 0.  Anything more negative signals inaccurate Gramians and raises.
     """
-    fom_norm_sq = fom.gramian.norm_squared
-    rom_norm_sq = rsys.gramian.norm_squared
+    fom = ref.system
+    reduced = gramian_cache(rsys)[0]
 
-    X = solve_sylvester(fom.A, rsys.A, fom.B, rsys.B, factors_a=fom.schur, factors_f=rsys.schur)
+    X = solve_sylvester(fom.A, rsys.A, fom.B, rsys.B, factors_a=ref.schur, factors_f=reduced.schur)
     cross = float(np.sum(gemm(fom.N, X) * gemm(X, rsys.N)))
-    value = fom_norm_sq + rom_norm_sq - 2.0 * cross
-    scale = abs(fom_norm_sq) + abs(rom_norm_sq)
+    value = ref.norm_squared + reduced.norm_squared - 2.0 * cross
+    scale = abs(ref.norm_squared) + abs(reduced.norm_squared)
     if value < -1e-10 * scale:
         raise ConvergenceError(
             f"error-norm trace argument {value:.3e} is negative beyond tolerance"
@@ -184,12 +224,13 @@ class ReductionRow:
 
 
 def sweep(
-    fom: QuadraticOutputSystem,
+    ref: GramianRecord,
     rom: ReducedModel,
     r_values,
     sigma: np.ndarray | None = None,
 ) -> list[ReductionRow]:
-    """One row per r from the leading r x r block of ``rom``.
+    """One row per r from the leading r x r block of ``rom``, with its H2
+    error against the recorded full system ``ref``.
 
     Both reducers build nested bases (the balanced V = Z_P U_1 S_1^{-1/2} and
     the Krylov columns keep their leading columns as r grows), so the
@@ -197,14 +238,14 @@ def sweep(
     ``sigma`` holds the balancing singular values, if the reducer has them.
     Unstable rows carry no error.
     """
-    norm = fom.gramian.norm
+    norm = ref.norm
     rows = []
     for r in r_values:
         sub = rom.leading(r)
         stable = sub.is_stable
         err = rel = None
         if stable:
-            err = h2_error(fom, sub.system)
+            err = h2_error(ref, sub.system)
             rel = err / norm if norm > 0 else None
         rows.append(
             ReductionRow(

@@ -21,7 +21,7 @@ from pathlib import Path
 from numpy.linalg import LinAlgError
 
 from .arnoldi import reduce_arnoldi
-from .bt_quadratic import balance, sweep, truncate, write_csv, write_report_csv
+from .bt_quadratic import balance, gramian_cache, sweep, truncate, write_csv, write_report_csv
 from .errors import ConfigError, NumericalError
 from .galerkin import assemble, to_first_order, write_matrix_market
 from .jsonconfig import JSON_NAMES, read, read_object
@@ -94,8 +94,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"input signal 'simulation.input' must be 'default' or 'zero', got {self.sim_input!r}"
             )
-        if any(r < 1 for r in self.verify_r):
-            raise ConfigError("verification dimensions 'simulation.r_values' must be >= 1")
+        # an empty list would balance and integrate the FOM for no row
+        if not self.verify_r or min(self.verify_r) < 1:
+            raise ConfigError(
+                f"verification dimensions 'simulation.r_values' must be a non-empty list of "
+                f"integers >= 1, got {list(self.verify_r)}"
+            )
 
 
 def _load_json(path: str | Path, what: str) -> dict:
@@ -154,6 +158,13 @@ def _assemble_fom(cfg: ExperimentConfig):
     return assemble(sys, PcBasis(q=sys.q, d=cfg.degree))
 
 
+def _first_order_fom(cfg: ExperimentConfig):
+    """The output directory, created, and the first-order FOM of the configured model."""
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out, to_first_order(_assemble_fom(cfg))
+
+
 def run_assemble(cfg: ExperimentConfig) -> dict:
     """Write Galerkin matrices (Matrix Market) and a summary record."""
     out = Path(cfg.out)
@@ -186,20 +197,19 @@ def run_assemble(cfg: ExperimentConfig) -> dict:
 
 def run_reduce(cfg: ExperimentConfig) -> Path:
     """Sweep the configured reducer over the r range and write the CSV."""
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    galerkin = _assemble_fom(cfg)
-    fom = to_first_order(galerkin)
+    out, fom = _first_order_fom(cfg)
     if cfg.r_max > fom.m:
         raise ConfigError(f"'r.max' = {cfg.r_max} exceeds the state dimension {fom.m}")
     if cfg.reducer == "balanced-truncation":
         bal = balance(fom)
-        rom, sigma = truncate(bal, fom, cfg.r_max), bal.sigma
+        ref, rom, sigma = bal.ref, truncate(bal, cfg.r_max), bal.sigma
         path = out / "reduce_bt.csv"
     else:
         rom, sigma = reduce_arnoldi(fom, cfg.r_max, omega=cfg.omega), None
+        # the sweep needs the FOM's Schur form and norm, not its Gramian
+        ref = gramian_cache(fom)[0]
         path = out / "reduce_arnoldi.csv"
-    write_report_csv(sweep(fom, rom, range(cfg.r_min, cfg.r_max + 1), sigma=sigma), path)
+    write_report_csv(sweep(ref, rom, range(cfg.r_min, cfg.r_max + 1), sigma=sigma), path)
     return path
 
 
@@ -209,10 +219,7 @@ def run_verify(cfg: ExperimentConfig) -> Path:
     One row per verification dimension plus a sentinel row for the full
     system (r equal to the full state dimension), which must be passive.
     """
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    galerkin = _assemble_fom(cfg)
-    fom = to_first_order(galerkin)
+    out, fom = _first_order_fom(cfg)
     bal = balance(fom)
     if any(r > bal.numerical_rank for r in cfg.verify_r):
         raise ConfigError(
@@ -220,8 +227,8 @@ def run_verify(cfg: ExperimentConfig) -> Path:
             f"exceed the numerical rank {bal.numerical_rank}"
         )
     u = default_input if cfg.sim_input == "default" else None
-    roms = [truncate(bal, fom, r).system for r in cfg.verify_r]
-    checks = verify_error_bound(fom, roms, u=u, h=cfg.sim_h, T=cfg.sim_T)
+    roms = [truncate(bal, r).system for r in cfg.verify_r]
+    checks = verify_error_bound(bal.ref, roms, u=u, h=cfg.sim_h, T=cfg.sim_T)
 
     rows = []
     for r, rom, check in zip(cfg.verify_r, roms, checks):

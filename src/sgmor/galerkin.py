@@ -5,29 +5,25 @@ states, its internal-energy matrix, and the equivalent explicit first-order
 system whose quadratic output realizes the internal energy.  The first-order
 form of a Galerkin system keeps its sparse structure: A is applied through
 the (M, D, K) triple and one sparse LU of M, and N = blkdiag(K, M) stays
-sparse.  A first-order system computes its real Schur form and its
-controllability Gramian once, on first use, and every consumer reads them off
-the system; the dense A exists only as the input of the Schur form.  The H2
-norm tr(N P N P) is summed over strips of P, so no m x m N P is formed.  The
-dense Gramian P lives only until its symmetric factor Z_P is first read
-(by ``balance``): the factor is computed once from P, which it consumes, and
-P is released.  A system holds its output matrix N but does not evaluate
-y = x^T N x; the trapezoidal stepper in ``simulate`` does, once per step.
+sparse.  A system is a plain container of A, B and N: it computes and
+caches nothing.  Its real Schur form, Gramians and H2 norm are solved in
+``bt_quadratic``; the dense A exists only as the input of that Schur form.
+A system holds its output matrix N but does not evaluate y = x^T N x; the
+trapezoidal stepper in ``simulate`` does, once per step.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DefinitenessError, NumericalError, StabilityError
-from .lyapsylv import STRIP, SchurFactors, gemm, is_symmetric, real_schur, solve_lyapunov, symmetric_factor
+from .errors import DefinitenessError, NumericalError
+from .lyapsylv import is_symmetric
 from .polychaos import PcBasis
 
 __all__ = [
@@ -35,8 +31,6 @@ __all__ = [
     "GalerkinSystem",
     "FirstOrderOperator",
     "QuadraticOutputSystem",
-    "GramianCache",
-    "gramian_cache",
     "assemble",
     "to_first_order",
     "write_matrix_market",
@@ -189,7 +183,7 @@ class QuadraticOutputSystem:
     (built by ``to_first_order``), a ``FirstOrderOperator`` on that triple;
     ``N`` is a dense array or a sparse matrix.  Whether A is dense is
     decided in one place, ``galerkin``: ``dense_A``, ``shift_inverse`` and
-    the dissipation matrix branch on it.  Time integration steps through
+    the dissipation eigenvalues branch on it.  Time integration steps through
     ``shift_inverse`` and reads no triple.
     """
 
@@ -225,7 +219,7 @@ class QuadraticOutputSystem:
         """The second-order triple A is applied through, or None for a dense A.
 
         With a triple the state is x = [p; p'], and ``shift_inverse`` and
-        the dissipation matrix read the triple instead of A.
+        the dissipation eigenvalues read the triple instead of A.
         """
         return self.A.galerkin if isinstance(self.A, FirstOrderOperator) else None
 
@@ -241,14 +235,6 @@ class QuadraticOutputSystem:
     def dense_A(self) -> np.ndarray:
         """A as a dense array; built anew for the first-order form of a triple."""
         return self.A if self.galerkin is None else self.A.toarray()
-
-    @cached_property
-    def schur(self) -> SchurFactors:
-        """Real Schur form of A, computed once; every spectral question reads it.
-
-        The dense A of a triple is built here and dropped after the call.
-        """
-        return real_schur(self.dense_A())
 
     def shift_inverse(self, omega: float):
         """b -> (omega I - A)^{-1} b for a state vector b, factored once; a
@@ -286,68 +272,6 @@ class QuadraticOutputSystem:
             return lu.solve((rhs @ b).reshape(2, ns).T).ravel(order="F")
 
         return solve
-
-    @cached_property
-    def gramian(self) -> GramianCache:
-        """Controllability Gramian and H2 norm, solved once on the Schur form;
-        the first read of P's factor releases P (see ``GramianCache``)."""
-        return gramian_cache(self)
-
-
-class GramianCache:
-    """Per-system controllability Gramian P, its H2 norm and its symmetric factor.
-
-    P is kept only until ``factor`` is first read.  The factor,
-    ``symmetric_factor(P)``, is computed once and P is released
-    with it, so a later read of ``controllability`` raises.  The factor
-    consumes P in place, so a caller that needs P after that keeps a copy.
-    Only ``balance`` reads the factor; the H2 quantities need
-    ``norm_squared`` alone.
-    """
-
-    def __init__(self, controllability: np.ndarray, norm_squared: float):
-        self._controllability = controllability
-        self._factor = None
-        self.norm_squared = norm_squared
-
-    @property
-    def controllability(self) -> np.ndarray:
-        """The dense P; raises once ``factor`` has released it."""
-        if self._controllability is None:
-            raise RuntimeError(
-                "the controllability Gramian was released when its factor was taken; read `factor`"
-            )
-        return self._controllability
-
-    @property
-    def factor(self) -> np.ndarray:
-        """Z_P with Z_P Z_P^T ~= P, computed on first read, which releases P."""
-        if self._factor is None:
-            P, self._controllability = self.controllability, None
-            # symmetric_factor consumes P, so the cache lets go of it first
-            self._factor = symmetric_factor(P)
-        return self._factor
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(max(self.norm_squared, 0.0)))
-
-
-def gramian_cache(sys: QuadraticOutputSystem) -> GramianCache:
-    """Controllability Gramian and H2 norm of a stable system, on its Schur form."""
-    fac = sys.schur
-    if fac.abscissa >= 0.0:
-        raise StabilityError(
-            f"{sys.label}: spectral abscissa {fac.abscissa:.3e} >= 0, Gramians undefined"
-        )
-    P = solve_lyapunov(sys.A, sys.B, factors=fac)
-    # trace(N P N P) = sum_J <N P[:, J], (N[J, :] P)^T>, one strip of STRIP
-    # columns of N P and the matching rows at a time
-    norm_sq = 0.0
-    for j in range(0, sys.m, STRIP):
-        J = slice(j, j + STRIP)
-        norm_sq += float(np.einsum("ij,ji->", gemm(sys.N, P[:, J]), gemm(sys.N[J], P)))
-    return GramianCache(controllability=P, norm_squared=norm_sq)
 
 
 def _definite_lu(mat: sp.spmatrix) -> spla.SuperLU | None:

@@ -4,10 +4,11 @@ For the energy N the matrix T = A^T N + N A governs the internal dissipation:
 d/dt (x^T N x) = x^T T x + input terms.  A system is passive with respect to
 the energy supply when T is negative semidefinite.  The reduced systems lose
 that property in general; lambda_max(T) measures by how much, and shifting the
-dissipation inequality by lambda_max(T) I restores a certificate.  T is
-formed from the one product S = N A as S + S^T, which is exactly symmetric.
-The first-order form of a Galerkin triple has T = blkdiag(0, -2 D) by
-construction, and its spectrum is read off D.
+dissipation inequality by lambda_max(T) I restores a certificate.  Only the
+spectrum of T is computed: a dense T is formed from the one product S = N A
+as S + S^T, which is exactly symmetric, and the first-order form of a
+Galerkin triple has T = blkdiag(0, -2 D) by construction, so its spectrum
+is read off D.
 """
 
 from __future__ import annotations
@@ -16,13 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
 
 from .galerkin import QuadraticOutputSystem
 from .lyapsylv import gemm
 
 __all__ = [
-    "dissipation_matrix",
     "DissipationReport",
     "DissipationCertificate",
     "check_passivity",
@@ -32,29 +31,20 @@ __all__ = [
 PASSIVITY_RTOL = 1e-10
 
 
-def dissipation_matrix(sys: QuadraticOutputSystem) -> np.ndarray | sp.csr_matrix:
-    """T = A^T N + N A, formed as S + S^T with S = N A.
+def _dissipation_eigenvalues(sys: QuadraticOutputSystem) -> np.ndarray:
+    """Ascending eigenvalues of T = A^T N + N A.
 
-    N is exactly symmetric (``QuadraticOutputSystem`` symmetrizes it), so
-    A^T N = (N A)^T: one matrix product instead of two, and the sum of S
-    and its transpose is exactly symmetric, as ``eigvalsh`` assumes.  For
-    the first-order form of a Galerkin triple, A^T N + N A =
-    blkdiag(0, -2 D) exactly, returned sparse.
+    A dense A forms T as S + S^T with S = N A: N is exactly symmetric
+    (``QuadraticOutputSystem`` symmetrizes it), so A^T N = (N A)^T, one
+    matrix product instead of two, and the sum is exactly symmetric, as
+    ``eigvalsh`` assumes.  For a Galerkin triple T = blkdiag(0, -2 D), so
+    the eigenvalues are ns zeros and -2 eig(D), one ns x ns eigensolve
+    instead of an m x m one.
     """
     g = sys.galerkin
-    if g is not None:
-        zero = sp.csr_matrix((g.dimension, g.dimension))
-        return sp.block_diag((zero, -2.0 * g.D), format="csr")
-    S = gemm(sys.N, sys.A)
-    return S + S.T
-
-
-def _dissipation_eigenvalues(sys: QuadraticOutputSystem) -> np.ndarray:
-    """Ascending eigenvalues of T; for a Galerkin triple ns zeros and
-    -2 eig(D), one ns x ns eigensolve instead of an m x m one."""
-    g = sys.galerkin
     if g is None:
-        return la.eigvalsh(dissipation_matrix(sys), driver="evd")
+        S = gemm(sys.N, sys.A)
+        return la.eigvalsh(S + S.T, driver="evd")
     damping = -2.0 * la.eigvalsh(g.D.toarray(), driver="evd")
     return np.sort(np.concatenate([np.zeros(g.dimension), damping]))
 

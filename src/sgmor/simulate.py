@@ -8,7 +8,8 @@ through its own shifted solve ``shift_inverse(2/h)``, so this module does not
 know whether A is dense or applied through a second-order triple.
 ``integrate`` is the one trapezoid loop.  It keeps only the output
 y = x^T N x of each step, never the states, so no run holds a (steps, m)
-array; ``verify_error_bound`` runs the FOM and every reduced model through it.
+array; ``verify_error_bound`` runs the FOM and every reduced model through it,
+given as the FOM's ``GramianRecord``, which ``h2_error`` reads.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bt_quadratic import h2_error
+from .bt_quadratic import GramianRecord, h2_error
 from .galerkin import QuadraticOutputSystem
 
 __all__ = [
@@ -121,14 +122,15 @@ class BoundCheck:
 
 
 def verify_error_bound(
-    fom: QuadraticOutputSystem,
+    ref: GramianRecord,
     reduced: Iterable[QuadraticOutputSystem],
     u=default_input,
     h: float = 0.01,
     T: float = 100.0,
 ) -> list[BoundCheck]:
     """Check sup_t |y - y_r| <= ||H - H_r||_H2 * (integral of ||u||^4)^(1/2)
-    for each reduced system in ``reduced``, one BoundCheck per system in order.
+    for each reduced system in ``reduced`` against the recorded full system
+    ``ref``, one BoundCheck per system in order.
 
     ``u`` is sampled on the grid once, and the FOM run and every reduced run
     are handed those samples; the FOM is integrated once.  All systems start
@@ -137,6 +139,7 @@ def verify_error_bound(
     ``holds`` allows a relative 1e-6 margin plus an O(h^2) integration
     slack, since the trajectories themselves are second-order accurate.
     """
+    fom = ref.system
     t = _time_grid(h, T)
     ugrid = _input_samples(u, t, fom.n_in)
     y = integrate(fom, u=ugrid, h=h, T=T).y
@@ -149,7 +152,7 @@ def verify_error_bound(
     for rsys in reduced:
         y_r = integrate(rsys, u=ugrid, h=h, T=T).y
         observed = float(np.max(np.abs(y - y_r)))
-        bound = h2_error(fom, rsys) * u_l4
+        bound = h2_error(ref, rsys) * u_l4
         slack = h * h * max(bound, y_max, float(np.max(np.abs(y_r))))
         holds = observed <= bound * (1.0 + 1e-6) + slack
         checks.append(BoundCheck(observed=observed, bound=bound, holds=holds))

@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 import sgmor
 from sgmor import lyapsylv
 from sgmor.arnoldi import reduce_arnoldi
-from sgmor.bt_quadratic import balance, sweep, truncate
+from sgmor.bt_quadratic import balance, gramian_cache, h2_error, sweep, truncate
 from sgmor.cli import (
     ConfigError,
     ExperimentConfig,
@@ -30,6 +30,7 @@ from sgmor.cli import (
 from sgmor.errors import RankError
 from sgmor.galerkin import assemble, to_first_order
 from sgmor.msd import build_msd, config_from_dict, default_config
+from sgmor.passivity import check_passivity
 from sgmor.polychaos import PcBasis
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -163,12 +164,12 @@ class TestConfigParsing:
 
 def bt_sweep(fom, r_values):
     bal = balance(fom)
-    return sweep(fom, truncate(bal, fom, max(r_values)), r_values, sigma=bal.sigma), bal
+    return sweep(bal.ref, truncate(bal, max(r_values)), r_values, sigma=bal.sigma), bal
 
 
 # reducer name -> r-dimensional model of small_fom built directly
 SINGLE_RUNS = {
-    "balanced-truncation": lambda fom, r: truncate(balance(fom), fom, r),
+    "balanced-truncation": lambda fom, r: truncate(balance(fom), r),
     "arnoldi": reduce_arnoldi,
 }
 
@@ -183,7 +184,7 @@ class TestSweeps:
         for row in rows:
             assert row.stable, f"r={row.r} unexpectedly unstable"
             assert row.h2_abs is not None and row.h2_abs >= 0.0
-            assert_allclose(row.h2_rel, row.h2_abs / small_fom.gramian.norm, rtol=1e-12)
+            assert_allclose(row.h2_rel, row.h2_abs / bal.ref.norm, rtol=1e-12)
 
     def test_bt_errors_non_increasing(self, small_fom):
         rows, _ = bt_sweep(small_fom, range(1, 5))
@@ -194,24 +195,27 @@ class TestSweeps:
     def test_leading_block_matches_single_runs(self, small_fom, reducer):
         r_max = 4
         single = SINGLE_RUNS[reducer]
-        rows = sweep(small_fom, single(small_fom, r_max), range(1, r_max + 1))
+        ref = gramian_cache(small_fom)[0]
+        rows = sweep(ref, single(small_fom, r_max), range(1, r_max + 1))
         assert [row.r for row in rows] == list(range(1, r_max + 1))
         for row in rows:
-            direct = sweep(small_fom, single(small_fom, row.r), [row.r])[0]
-            assert row.stable == direct.stable, f"{reducer} r={row.r}: stable flags differ"
+            # the direct model at r, evaluated without the sweep and its leading blocks
+            direct = single(small_fom, row.r)
+            assert row.stable == direct.is_stable, f"{reducer} r={row.r}: stable flags differ"
             assert_allclose(
-                [row.lambda_max, row.h2_abs], [direct.lambda_max, direct.h2_abs], rtol=1e-8,
+                [row.lambda_max, row.h2_abs],
+                [check_passivity(direct.system).lambda_max, h2_error(ref, direct.system)], rtol=1e-8,
                 err_msg=f"{reducer} r={row.r}: leading block disagrees with a direct reduction",
             )
             assert row.sigma is None
         with pytest.raises(RankError):
-            sweep(small_fom, single(small_fom, r_max), [r_max + 1])
+            sweep(ref, single(small_fom, r_max), [r_max + 1])
 
     def test_empty_r_values(self, small_fom):
         bal = balance(small_fom)
         arnoldi = reduce_arnoldi(small_fom, 2)
-        assert sweep(small_fom, arnoldi, []) == []
-        assert sweep(small_fom, truncate(bal, small_fom, 2), [], sigma=bal.sigma) == []
+        assert sweep(bal.ref, arnoldi, []) == []
+        assert sweep(bal.ref, truncate(bal, 2), [], sigma=bal.sigma) == []
 
 
 class TestRunAssemble:
@@ -376,6 +380,8 @@ class TestMain:
         ({"simulation": {"input": 0}}, "config key 'simulation.input' must be a string, got a number 0"),
         # float() of an integer beyond the double range raises OverflowError
         ({"omega": 10**400}, "config key 'omega' must be a number in the double range"),
+        # no verification dimension leaves verify a FOM run whose output nothing reads
+        ({"simulation": {"r_values": []}}, "'simulation.r_values' must be a non-empty list"),
     ])
     def test_wrong_json_type_names_the_key(self, tmp_path, capsys, monkeypatch, raw, message):
         path = tmp_path / "typed.json"

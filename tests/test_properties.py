@@ -4,7 +4,9 @@ unblocked oracles (factors of one, few, many and rank-deficient columns), the
 input of ``real_schur`` left unchanged, the ground check of ``MsdConfig``
 against a graph search, the definiteness check of ``assemble`` against dense
 Cholesky, the sparse first-order operator of grounded networks against
-its dense matrix, and invalid model descriptions against the CLI's exit 2.
+its dense matrix, invalid model descriptions against the CLI's exit 2, and
+the sweep rows of both reducers, read off the leading blocks of one model,
+against models reduced to each r directly.
 
 Hypothesis draws the system shape, the seed of ``make_stable_system`` and the
 reduced dimension; ``derandomize`` fixes the examples, so every run checks
@@ -33,12 +35,14 @@ from conftest import make_stable_system
 from second_order import corner_definiteness_check
 from test_bt_quadratic import h2_error_oracle
 from test_lyapsylv import kron_lyapunov, kron_sylvester, relative_error, unblocked_sylvester
-from sgmor.bt_quadratic import ReducedModel, balance, h2_error, truncate
+from sgmor.arnoldi import reduce_arnoldi
+from sgmor.bt_quadratic import ReducedModel, balance, gramian_cache, h2_error, sweep, truncate
 from sgmor.cli import main
 from sgmor.errors import DefinitenessError
 from sgmor.galerkin import ParametricSecondOrderSystem, QuadraticOutputSystem, assemble, to_first_order
 from sgmor.lyapsylv import LEAF, real_schur, solve_lyapunov, solve_sylvester
 from sgmor.msd import MsdConfig, build_msd, default_config
+from sgmor.passivity import check_passivity
 from sgmor.polychaos import PcBasis
 
 SEEDED = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -80,14 +84,14 @@ def eigvals_verdict(sys: QuadraticOutputSystem) -> bool:
 def test_h2_error_matches_block_oracle(sys, data):
     bal = balance(sys)
     r = data.draw(st.integers(1, bal.numerical_rank), label="r")
-    rom = truncate(bal, sys, r)
-    value = h2_error(sys, rom.system)
+    rom = truncate(bal, r)
+    value = h2_error(bal.ref, rom.system)
     oracle = h2_error_oracle(sys, rom.system)
-    if value >= RESOLVED * sys.gramian.norm:
+    if value >= RESOLVED * bal.ref.norm:
         assert abs(value - oracle) <= 1e-8 * oracle, f"r={r}: {value!r} vs oracle {oracle!r}"
     else:
         # the squares agree within the dead zone plus an equal share of noise
-        scale = sys.gramian.norm_squared + rom.system.gramian.norm_squared
+        scale = bal.ref.norm_squared + gramian_cache(rom.system)[0].norm_squared
         assert abs(value**2 - oracle**2) <= 2 * DEAD_ZONE * scale, f"r={r}: {value!r} vs oracle {oracle!r}"
 
 
@@ -95,13 +99,52 @@ def test_h2_error_matches_block_oracle(sys, data):
 @given(sys=systems, data=st.data())
 def test_stability_verdict_matches_eigensolve(sys, data):
     bal = balance(sys)
-    rom = truncate(bal, sys, data.draw(st.integers(1, bal.numerical_rank), label="r"))
+    rom = truncate(bal, data.draw(st.integers(1, bal.numerical_rank), label="r"))
     assert rom.is_stable == eigvals_verdict(rom.system)
     # a shift of up to 4 moves the spectrum (abscissa in [-2.5, -1]) across the axis
     shift = data.draw(st.floats(0.0, 4.0), label="shift")
     shifted = QuadraticOutputSystem(A=sys.A + shift * np.eye(sys.m), B=sys.B, N=sys.N)
     model = ReducedModel(r=sys.m, system=shifted, V=np.eye(sys.m), W=np.eye(sys.m))
     assert model.is_stable == eigvals_verdict(shifted)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 10), n_in=st.integers(1, 3),
+       balanced=st.booleans(), data=st.data())
+def test_sweep_rows_match_direct_reductions(seed, m, n_in, balanced, data):
+    """The leading-block rule: each row that ``sweep`` takes from the leading
+    r x r block of the model at the largest r equals the row of a model
+    reduced to r directly, for balanced truncation and for Arnoldi."""
+    sys = random_system(seed, m, n_in)
+    if balanced:
+        bal = balance(sys)
+        ref, sigma = bal.ref, bal.sigma
+        r_max = data.draw(st.integers(1, bal.numerical_rank), label="r_max")
+
+        def reduce(r):
+            return truncate(bal, r)
+    else:
+        ref, sigma = gramian_cache(sys)[0], None
+        r_max = data.draw(st.integers(1, m), label="r_max")
+        omega = data.draw(st.floats(0.1, 10.0), label="omega")
+
+        def reduce(r):
+            return reduce_arnoldi(sys, r, omega=omega)
+
+    rows = sweep(ref, reduce(r_max), range(1, r_max + 1), sigma=sigma)
+    assert [row.r for row in rows] == list(range(1, r_max + 1))
+    for row in rows:
+        # the direct model at r, evaluated without the sweep
+        direct = reduce(row.r)
+        assert row.sigma == (None if sigma is None else sigma[row.r - 1])
+        assert row.stable == direct.is_stable, f"r={row.r}: stable"
+        lam = check_passivity(direct.system).lambda_max
+        assert abs(row.lambda_max - lam) <= 1e-8 * max(abs(lam), 1.0), f"r={row.r}: lambda_max"
+        if row.stable:
+            err = h2_error(ref, direct.system)
+            assert abs(row.h2_abs - err) <= 1e-6 * ref.norm, f"r={row.r}: h2_abs"
+        else:
+            assert row.h2_abs is None
 
 
 @SEEDED

@@ -11,7 +11,7 @@ from scipy.integrate import trapezoid
 from conftest import make_stable_system, traced_peak
 from second_order import dense_first_order
 from sgmor import simulate
-from sgmor.bt_quadratic import balance, h2_error, truncate
+from sgmor.bt_quadratic import balance, gramian_cache, h2_error, truncate
 from sgmor.errors import NumericalError
 from sgmor.galerkin import GalerkinSystem, QuadraticOutputSystem, assemble, to_first_order
 from sgmor.msd import build_msd, default_config
@@ -236,30 +236,31 @@ class TestSecondOrderPath:
 class TestErrorBound:
     def test_identical_models_hold(self, rng):
         fom = make_stable_system(rng, 6)
-        [check] = verify_error_bound(fom, [fom], h=0.02, T=5.0)
+        [check] = verify_error_bound(gramian_cache(fom)[0], [fom], h=0.02, T=5.0)
         assert isinstance(check, BoundCheck)
         assert check.observed == 0.0, f"self-comparison observed {check.observed}"
         assert check.holds
 
     def test_zero_input_degenerate(self, rng):
         fom = make_stable_system(rng, 5)
-        [check] = verify_error_bound(fom, [fom], u=None, h=0.05, T=2.0)
+        [check] = verify_error_bound(gramian_cache(fom)[0], [fom], u=None, h=0.05, T=2.0)
         assert check.observed == 0.0 and check.bound == 0.0 and check.holds
 
     def test_bound_value_is_error_norm_times_input_norm(self, rng):
         fom = make_stable_system(rng, 8, n_in=1)
-        rom = truncate(balance(fom), fom, 3).system
+        bal = balance(fom)
+        rom = truncate(bal, 3).system
         h, T = 0.02, 10.0
-        [check] = verify_error_bound(fom, [rom], h=h, T=T)
+        [check] = verify_error_bound(bal.ref, [rom], h=h, T=T)
         t = h * np.arange(int(round(T / h)) + 1)
         u4 = default_input(t) ** 4
-        expected = h2_error(fom, rom) * np.sqrt(trapezoid(u4, t))
+        expected = h2_error(bal.ref, rom) * np.sqrt(trapezoid(u4, t))
         assert_allclose(check.bound, expected, rtol=1e-12)
 
     def test_bound_holds_for_truncated_model(self, rng):
         fom = make_stable_system(rng, 8, n_in=1)
         bal = balance(fom)
-        checks = verify_error_bound(fom, [truncate(bal, fom, r).system for r in (2, 4)], h=0.02, T=20.0)
+        checks = verify_error_bound(bal.ref, [truncate(bal, r).system for r in (2, 4)], h=0.02, T=20.0)
         for r, check in zip((2, 4), checks):
             assert check.holds, (
                 f"r={r}: observed {check.observed:.3e} > bound {check.bound:.3e}"
@@ -269,7 +270,7 @@ class TestErrorBound:
         # the H2-type bound must dominate sup|y - ybar| for any L4 input
         fom = make_stable_system(rng, 8, n_in=1)
         bal = balance(fom)
-        rom = truncate(bal, fom, 3).system
+        rom = truncate(bal, 3).system
         for trial in range(10):
             c = rng.standard_normal(3)
             tau = rng.uniform(2.0, 10.0, size=3)
@@ -278,7 +279,7 @@ class TestErrorBound:
             def u(t):
                 return float(np.sum(c * np.exp(-t / tau) * np.sin(omega * t)))
 
-            [check] = verify_error_bound(fom, [rom], u=u, h=0.02, T=20.0)
+            [check] = verify_error_bound(bal.ref, [rom], u=u, h=0.02, T=20.0)
             assert check.holds, (
                 f"trial {trial}: observed {check.observed:.3e} "
                 f"> bound {check.bound:.3e}"
@@ -288,7 +289,7 @@ class TestErrorBound:
         """The FOM run and every reduced run share one set of input samples."""
         fom = make_stable_system(rng, 7, n_in=1)
         bal = balance(fom)
-        roms = [truncate(bal, fom, r).system for r in (2, 3)]
+        roms = [truncate(bal, r).system for r in (2, 3)]
         times = []
 
         def u(t):
@@ -296,15 +297,15 @@ class TestErrorBound:
             return default_input(t)
 
         h, T = 0.05, 5.0
-        checks = verify_error_bound(fom, roms, u=u, h=h, T=T)
+        checks = verify_error_bound(bal.ref, roms, u=u, h=h, T=T)
         assert len(times) == int(round(T / h)) + 1
-        assert checks == verify_error_bound(fom, roms, h=h, T=T)
+        assert checks == verify_error_bound(bal.ref, roms, h=h, T=T)
 
     def test_batch_matches_single_checks_with_one_fom_run(self, rng, monkeypatch):
         fom = make_stable_system(rng, 7, n_in=1)
         bal = balance(fom)
-        roms = [truncate(bal, fom, r).system for r in (2, 3)]
-        alone = [verify_error_bound(fom, [rom], h=0.05, T=5.0)[0] for rom in roms]
+        roms = [truncate(bal, r).system for r in (2, 3)]
+        alone = [verify_error_bound(bal.ref, [rom], h=0.05, T=5.0)[0] for rom in roms]
 
         runs = []
 
@@ -313,7 +314,7 @@ class TestErrorBound:
             return integrate(sys, *args, **kwargs)
 
         monkeypatch.setattr(simulate, "integrate", counted)
-        batch = verify_error_bound(fom, roms, h=0.05, T=5.0)
+        batch = verify_error_bound(bal.ref, roms, h=0.05, T=5.0)
         assert runs == ["fom", "rom", "rom"], f"integrations by label: {runs}"
         assert len(batch) == len(alone)
         for got, want in zip(batch, alone):
@@ -326,10 +327,11 @@ class TestErrorBound:
         """On the d = 1 model at the CLI default T = 100 (10,001 steps) the check
         peaks below a quarter of one (steps, m) array of FOM states: ``integrate``
         stores none."""
-        rom = truncate(balance(fom_d1), fom_d1, 10).system
+        bal = balance(fom_d1)
+        rom = truncate(bal, 10).system
         h, T = 0.01, 100.0
         [check], peak = traced_peak(
-            lambda: verify_error_bound(fom_d1, [rom], h=h, T=T), (int(round(T / h)) + 1, fom_d1.m)
+            lambda: verify_error_bound(bal.ref, [rom], h=h, T=T), (int(round(T / h)) + 1, fom_d1.m)
         )
         assert peak < 0.25, f"verify_error_bound peaked at {peak:.2f} FOM state arrays"
         assert check.holds
