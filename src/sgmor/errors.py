@@ -14,7 +14,8 @@ class ConvergenceError(NumericalError):
 
 
 class SpectralOverlapError(NumericalError):
-    """Sylvester operands have (numerically) overlapping mirrored spectra."""
+    """Sylvester operands, or the coefficient of a Lyapunov equation (the Sylvester
+    equation with F = A), have (numerically) overlapping mirrored spectra."""
 
 
 class DefinitenessError(NumericalError):

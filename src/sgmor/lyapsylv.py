@@ -12,13 +12,16 @@ op(T_a) Z + Z op(T_f) = R.  The Lyapunov recursion splits op(T) Z +
 Z op(T)^T = R symmetrically and solves only the blocks on and above the
 diagonal: two half-size Lyapunov equations and one Sylvester equation for
 the off-diagonal block, which is mirrored (136 instead of 256 leaves at
-m = 960).  Both share the transform, scale and back-transform of
+m = 960).  Both share the transform and back-transform of
 ``_bartels_stewart``, which writes the solution in place, so a solve holds
-the Schur pair (T, U), its one m x n result and the workspace.  Schur
-factorizations computed up front can be passed to every solve; each
-solution is verified against its residual before it is returned, and the
-Lyapunov residual is summed over strips of STRIP columns, so no m x m
-residual is formed.  ``symmetric_factor`` consumes its input the same way:
+the Schur pair (T, U), its one m x n result and the workspace.  Each leaf
+divides out the scale trsyl solves for and raises SpectralOverlapError when
+trsyl had to perturb nearly common eigenvalues (info = 1), so a recursion
+returns the solution or raises.  Schur factorizations computed up front can
+be passed to every solve; each solution is verified against its residual
+before it is returned, a NaN residual failing the check, and the Lyapunov
+residual is summed over strips of STRIP columns, so no m x m residual is
+formed.  ``symmetric_factor`` consumes its input the same way:
 the eigensolver overwrites it, and the factor defect is taken in strips.
 
 Right-hand sides are passed as factors, as in low-rank ADI (Penzl 2000; Li &
@@ -205,30 +208,37 @@ def _split(T: np.ndarray) -> int:
 _FLIP = {"N": "T", "T": "N"}
 
 
-def _leaf(Ta, Tf, R, trana: str, tranb: str) -> tuple[np.ndarray, float, int]:
-    """One trsyl call on a leaf block: Z, scale and info of op(Ta) Z + Z op(Tf) = scale * R."""
+def _leaf(Ta, Tf, R, trana: str, tranb: str) -> None:
+    """Overwrite a leaf block R with Z solving op(Ta) Z + Z op(Tf) = R: one trsyl call.
+
+    trsyl solves for scale * R with scale <= 1 to avoid overflow; Z is divided
+    by it here, so no caller sees a scale.  info = 1 (trsyl perturbed nearly
+    common eigenvalues of op(Ta) and -op(Tf)) raises SpectralOverlapError.
+    """
     z, scale, info = dtrsyl(Ta, Tf, R, trana=trana, tranb=tranb, isgn=1)
     if info < 0:
         raise ValueError(f"illegal argument {-info} passed to trsyl")
-    return z, scale, info
+    if info == 1:
+        raise SpectralOverlapError("trsyl perturbed nearly common eigenvalues")
+    np.divide(z, scale, out=R)
 
 
-def _blocked_trsyl(Ta, Tf, R, trana: str, tranb: str, work: np.ndarray) -> tuple[float, int]:
-    """Overwrite R with Z solving op(Ta) Z + Z op(Tf) = scale * R.
+def _blocked_trsyl(Ta, Tf, R, trana: str, tranb: str, work: np.ndarray) -> None:
+    """Overwrite R with Z solving op(Ta) Z + Z op(Tf) = R.
 
     The rows of R are split at a block boundary of Ta; a wider R is solved
     as its transpose, op(Tf)^T Z^T + Z^T op(Ta)^T = R^T.  op(Ta) is block
     upper triangular for "N" and block lower triangular for "T", so the half
-    that does not couple into the other is solved first.  Returns the
-    product of the leaf scales and the largest leaf info, as trsyl would.
-    The coupling goes through ``work`` one strip of columns at a time.
+    that does not couple into the other is solved first.  The coupling goes
+    through ``work`` one strip of columns at a time.
     """
     m, n = R.shape
     if max(m, n) <= LEAF:
-        R[...], scale, info = _leaf(Ta, Tf, R, trana, tranb)
-        return scale, info
+        _leaf(Ta, Tf, R, trana, tranb)
+        return
     if n > m:
-        return _blocked_trsyl(Tf, Ta, R.T, _FLIP[tranb], _FLIP[trana], work)
+        _blocked_trsyl(Tf, Ta, R.T, _FLIP[tranb], _FLIP[trana], work)
+        return
 
     k = _split(Ta)
     if trana == "N":
@@ -236,19 +246,14 @@ def _blocked_trsyl(Ta, Tf, R, trana: str, tranb: str, work: np.ndarray) -> tuple
     else:
         first, second, coupling = slice(0, k), slice(k, m), Ta[:k, k:].T
     Z1, R2 = R[first], R[second]
-    scale1, info1 = _blocked_trsyl(Ta[first, first], Tf, Z1, trana, tranb, work)
-    if scale1 != 1.0:
-        R2 *= scale1
+    _blocked_trsyl(Ta[first, first], Tf, Z1, trana, tranb, work)
     for J, out in _strips(*R2.shape, work):
         R2[:, J] -= gemm(coupling, Z1[:, J], out)
-    scale2, info2 = _blocked_trsyl(Ta[second, second], Tf, R2, trana, tranb, work)
-    if scale2 != 1.0:
-        Z1 *= scale2
-    return scale1 * scale2, max(info1, info2)
+    _blocked_trsyl(Ta[second, second], Tf, R2, trana, tranb, work)
 
 
-def _blocked_lyapunov(T, R, trana: str, work: np.ndarray) -> tuple[float, int]:
-    """Overwrite the symmetric R with Z solving op(T) Z + Z op(T)^T = scale * R.
+def _blocked_lyapunov(T, R, trana: str, work: np.ndarray) -> None:
+    """Overwrite the symmetric R with Z solving op(T) Z + Z op(T)^T = R.
 
     Only the blocks on and above the diagonal are solved.  For op = N, with
     T split at a block boundary k, in this order:
@@ -261,54 +266,41 @@ def _blocked_lyapunov(T, R, trana: str, work: np.ndarray) -> tuple[float, int]:
     first, coupling Z11 T12, and G = T12^T Z12 into block 22.  A diagonal
     leaf's right-hand side is symmetric only to roundoff, so each leaf
     solution is symmetrized; without that the rounding of the leaves adds
-    up to an indefinite part of the Gramian.  Returns the product of the
-    leaf scales and the largest leaf info; ``work`` holds each coupling
+    up to an indefinite part of the Gramian.  ``work`` holds each coupling
     product.
     """
     m = R.shape[0]
     if m <= LEAF:
-        z, scale, info = _leaf(T, T, R, trana, _FLIP[trana])
-        R[...] = 0.5 * (z + z.T)
-        return scale, info
+        _leaf(T, T, R, trana, _FLIP[trana])
+        R[...] = 0.5 * (R + R.T)
+        return
 
     k = _split(T)
     first, second = (slice(k, m), slice(0, k)) if trana == "N" else (slice(0, k), slice(k, m))
     Z1, R2, R12, T12 = R[first, first], R[second, second], R[:k, k:], T[:k, k:]
-    scale1, info1 = _blocked_lyapunov(T[first, first], Z1, trana, work)
-    if scale1 != 1.0:
-        R12 *= scale1
-        R2 *= scale1
+    _blocked_lyapunov(T[first, first], Z1, trana, work)
     for J, out in _strips(*R12.shape, work):
         R12[:, J] -= gemm(T12, Z1[:, J], out) if trana == "N" else gemm(Z1, T12[:, J], out)
-    scale2, info2 = _blocked_trsyl(T[:k, :k], T[k:, k:], R12, trana, _FLIP[trana], work)
-    if scale2 != 1.0:
-        Z1 *= scale2
-        R2 *= scale2
+    _blocked_trsyl(T[:k, :k], T[k:, k:], R12, trana, _FLIP[trana], work)
     # R2 -= G + G^T one strip of rows I of G at a time: G[I, :] comes off rows I
     # and its transpose, formed in the workspace, off columns I
     for I, out in _strips(R2.shape[1], R2.shape[0], work):
         gt = gemm(R12, T12[I].T, out) if trana == "N" else gemm(R12.T, T12[:, I], out)
         R2[I] -= gt.T
         R2[:, I] -= gt
-    scale3, info3 = _blocked_lyapunov(T[second, second], R2, trana, work)
-    if scale3 != 1.0:
-        Z1 *= scale3
-        R12 *= scale3
+    _blocked_lyapunov(T[second, second], R2, trana, work)
     R[k:, :k] = R12.T
-    return scale1 * scale2 * scale3, max(info1, info2, info3)
 
 
 def _bartels_stewart(fac_a: SchurFactors, fac_f: SchurFactors, L: np.ndarray, R: np.ndarray, solve):
-    """Transform, solve on the Schur forms, scale and back-transform: Y = U_a Z U_f^T.
+    """Transform, solve on the Schur forms and back-transform: Y = U_a Z U_f^T.
 
     The right-hand side L R^T is transformed as (U_a^T L)(U_f^T R)^T, one
     product with U_a^T L when R is L and the factorizations are one.
     ``solve(R, work)`` is ``_blocked_trsyl`` or ``_blocked_lyapunov`` on
     T_a and T_f: it overwrites R with the Z of the quasi-triangular
-    equation for right-hand side scale * R and returns (scale, info).  Z is
-    divided by -scale, so Y solves the equation with right-hand side
-    -L R^T.  Returns Y and the largest trsyl info (1: the spectra were
-    perturbed to keep the equation solvable).
+    equation, or raises.  Z is negated in place, so the returned Y solves
+    the equation with right-hand side -L R^T.
     """
     m, n = fac_a.T.shape[0], fac_f.T.shape[0]
     # Every coupling and both back-transform passes go through one thin
@@ -323,15 +315,15 @@ def _bartels_stewart(fac_a: SchurFactors, fac_f: SchurFactors, L: np.ndarray, R:
     UR = UL if R is L and fac_f is fac_a else gemm(fac_f.U.T, R)
     gemm(UL, UR.T, Z)
     del UL, UR
-    scale, info = solve(Z, work)
-    Z /= -scale
+    solve(Z, work)
+    np.negative(Z, out=Z)
     # Z <- Z U_f^T by strips of rows I, each formed transposed in the
     # workspace as U_f Z[I]^T, then Z <- U_a Z by strips of columns
     for I, out in _strips(n, m, work):
         Z[I] = gemm(fac_f.U, Z[I].T, out).T
     for J, out in _strips(m, n, work):
         Z[:, J] = gemm(fac_a.U, Z[:, J], out)
-    return Z, info
+    return Z
 
 
 def _factor(name: str, X, rows: int) -> np.ndarray:
@@ -355,9 +347,10 @@ def solve_lyapunov(
     stability of A keeps the spectra of A and -A apart, so no gap check is
     needed.  With ``transposed`` the adjoint equation A^T X + X A + B B^T = 0
     is solved instead, reusing the same factorization.  The result is
-    symmetrized; a StabilityError is raised for unstable A and a
-    ConvergenceError if the residual, relative to ||B B^T||_F, exceeds
-    RESIDUAL_RTOL.
+    symmetrized; a StabilityError is raised for unstable A, a
+    SpectralOverlapError if trsyl perturbed the nearly common eigenvalues of
+    A and -A^T on a leaf (info = 1), and a ConvergenceError if the residual,
+    relative to ||B B^T||_F, exceeds RESIDUAL_RTOL or is NaN.
 
     A is a dense array or, when ``factors`` are given, any operator with
     ``shape``, ``T`` and ``@`` (the residual only applies it).
@@ -374,14 +367,12 @@ def solve_lyapunov(
         raise StabilityError(f"coefficient matrix has spectral abscissa {fac.abscissa:.3e} >= 0")
 
     trana = "T" if transposed else "N"
-    X, info = _bartels_stewart(fac, fac, B, B, lambda Z, work: _blocked_lyapunov(fac.T, Z, trana, work))
-    if info == 1:
-        raise ConvergenceError("trsyl perturbed nearly singular Lyapunov spectrum")
+    X = _bartels_stewart(fac, fac, B, B, lambda Z, work: _blocked_lyapunov(fac.T, Z, trana, work))
     _symmetrize(X)
 
     op = A.T if transposed else A
     residual = _lyapunov_residual(op, X, B)
-    if cnorm > 0.0 and residual / cnorm > RESIDUAL_RTOL:
+    if not residual <= RESIDUAL_RTOL * cnorm:
         raise ConvergenceError(
             f"Lyapunov residual {residual / cnorm:.3e} exceeds tolerance {RESIDUAL_RTOL:.1e}"
         )
@@ -436,7 +427,10 @@ def solve_sylvester(
     is passed as (C, I).  Schur factorizations of A and F can be passed in
     ``factors_a`` and ``factors_f`` when the caller already holds them; with
     ``factors_a``, A may be any operator with ``shape`` and ``@`` (the
-    residual only applies it).
+    residual only applies it).  Nearly common eigenvalues of A and -F raise
+    SpectralOverlapError, whether the gap check up front or trsyl on a leaf
+    (info = 1) finds them; a residual relative to max(||L R^T||_F, 1) above
+    RESIDUAL_RTOL, or NaN, raises ConvergenceError.
     """
     if factors_a is None:
         A = np.asarray(A, dtype=float)
@@ -455,18 +449,16 @@ def solve_sylvester(
             f"spectra of A and -F nearly intersect (gap {gaps.min():.3e})"
         )
 
-    Y, info = _bartels_stewart(
+    Y = _bartels_stewart(
         fac_a, fac_f, L, R, lambda Z, work: _blocked_trsyl(fac_a.T, fac_f.T, Z, "N", "T", work)
     )
-    if info == 1:
-        raise SpectralOverlapError("trsyl perturbed nearly common eigenvalues")
 
     C = gemm(L, R.T)
     denom = max(np.sqrt(_sum_squares(C)), 1.0)
     C += gemm(A, Y)
     C += gemm(Y, F.T)
     residual = np.sqrt(_sum_squares(C))
-    if residual / denom > RESIDUAL_RTOL:
+    if not residual <= RESIDUAL_RTOL * denom:
         raise ConvergenceError(
             f"Sylvester residual {residual / denom:.3e} exceeds tolerance {RESIDUAL_RTOL:.1e}"
         )
@@ -479,7 +471,8 @@ def symmetric_factor(X: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     Eigendecomposition with truncation: columns are kept for eigenvalues
     above tol * lambda_max(X), so rank-deficient Gramians yield thin factors.
     Raises DefinitenessError when X is indefinite beyond tol * ||X||_2, and
-    ConvergenceError when ||Z Z^T - X||_F exceeds 10 * tol * ||X||_F.
+    ConvergenceError when ||Z Z^T - X||_F exceeds 10 * tol * ||X||_F or is
+    NaN.
 
     X is consumed: the eigensolver runs in place on it and overwrites its
     upper triangle and diagonal.  A caller that reads X afterwards passes a
@@ -520,7 +513,7 @@ def symmetric_factor(X: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         err_sq += _sum_squares(D[:, i:]) + 2.0 * _sum_squares(D[:, :i])
         x_sq += _sum_squares(Xd) + 2.0 * _sum_squares(X[i:j, :i])
     err, xnorm = np.sqrt(err_sq), np.sqrt(x_sq)
-    if xnorm > 0.0 and err > 10.0 * tol * xnorm:
+    if not err <= 10.0 * tol * xnorm:
         raise ConvergenceError(
             f"factorization defect {err / xnorm:.3e} exceeds 10*tol={10 * tol:.1e}"
         )

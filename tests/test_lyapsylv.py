@@ -170,11 +170,11 @@ class TestLyapunovResidual:
             got, want = lyapsylv._lyapunov_residual(op, X, fom.B), dense_residual(dense, X, fom.B)
             assert abs(got - want) <= 1e-12 * want, f"strip residual {got!r} against dense {want!r}"
 
-    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    @pytest.mark.parametrize("ratio", [0.5, 2.0, np.nan])
     @pytest.mark.parametrize("transposed", [False, True])
     def test_check_fires_above_the_tolerance(self, rng, monkeypatch, ratio, transposed):
         """A solution perturbed to ``ratio`` * RESIDUAL_RTOL relative residual
-        passes below the tolerance and raises above it."""
+        passes below the tolerance and raises above it or at NaN."""
         m = 2 * LEAF + 3
         sys = make_stable_system(rng, m)
         op = sys.A.T if transposed else sys.A
@@ -184,16 +184,23 @@ class TestLyapunovResidual:
         kernel = lyapsylv._bartels_stewart
 
         def perturbed(*args):
-            X, info = kernel(*args)
-            return X + delta * E, info
+            return kernel(*args) + delta * E
 
         monkeypatch.setattr(lyapsylv, "_bartels_stewart", perturbed)
-        if ratio > 1.0:
-            with pytest.raises(ConvergenceError, match="Lyapunov residual"):
-                solve_lyapunov(sys.A, sys.B, transposed=transposed)
-        else:
+        if ratio < 1.0:
             X = solve_lyapunov(sys.A, sys.B, transposed=transposed)
             assert_allclose(X, X0 + delta * E, rtol=0.0, atol=1e-14 * np.abs(X0).max())
+        else:
+            with pytest.raises(ConvergenceError, match="Lyapunov residual"):
+                solve_lyapunov(sys.A, sys.B, transposed=transposed)
+
+    def test_nan_in_the_factor_raises(self, rng):
+        """One NaN entry of B makes X all NaN; the residual check must refuse it."""
+        sys = make_stable_system(rng, 2 * LEAF + 3)
+        B = sys.B.copy()
+        B[1, 0] = np.nan
+        with pytest.raises(ConvergenceError, match="Lyapunov residual"):
+            solve_lyapunov(sys.A, B)
 
 
 class TestSylvester:
@@ -226,6 +233,38 @@ class TestSylvester:
         A = np.diag([-1.0, -2.0])
         with pytest.raises(SpectralOverlapError):
             solve_sylvester(A, -A, np.ones((2, 1)), np.ones((2, 1)))
+
+    def test_nan_in_the_factor_raises(self, rng):
+        """One NaN entry of L makes Y all NaN; the residual check must refuse it."""
+        A, F = make_stable_system(rng, 2 * LEAF + 3).A, make_stable_system(rng, 7).A
+        L, R = rng.standard_normal((A.shape[0], 2)), rng.standard_normal((7, 2))
+        L[2, 1] = np.nan
+        with pytest.raises(ConvergenceError, match="Sylvester residual"):
+            solve_sylvester(A, F, L, R)
+
+    @pytest.mark.parametrize("ratio", [0.5, 2.0, np.nan])
+    def test_check_fires_above_the_tolerance(self, rng, monkeypatch, ratio):
+        """An m x r solution perturbed to ``ratio`` * RESIDUAL_RTOL relative
+        residual passes below the tolerance and raises above it or at NaN."""
+        m, r = 2 * LEAF + 3, 7
+        A, F = make_stable_system(rng, m).A, make_stable_system(rng, r).A
+        L, R = rng.standard_normal((m, 2)), rng.standard_normal((r, 2))
+        E = rng.standard_normal((m, r))
+        denom = max(la.norm(L @ R.T), 1.0)
+        delta = ratio * RESIDUAL_RTOL * denom / la.norm(A @ E + E @ F.T)
+        Y0 = solve_sylvester(A, F, L, R)
+        kernel = lyapsylv._bartels_stewart
+
+        def perturbed(*args):
+            return kernel(*args) + delta * E
+
+        monkeypatch.setattr(lyapsylv, "_bartels_stewart", perturbed)
+        if ratio < 1.0:
+            Y = solve_sylvester(A, F, L, R)
+            assert_allclose(Y, Y0 + delta * E, rtol=0.0, atol=1e-14 * np.abs(Y0).max())
+        else:
+            with pytest.raises(ConvergenceError, match="Sylvester residual"):
+                solve_sylvester(A, F, L, R)
 
     def test_shape_mismatch(self):
         """L must have m rows, R n rows, and both the same number of columns."""
@@ -293,8 +332,7 @@ class TestBlockedKernel:
         T = real_schur(complex_pair_matrix(rng, 150)).T
         S = rng.standard_normal((150, 150))
         R = S + S.T
-        scale, info = lyapsylv._blocked_lyapunov(T, R, trana, np.empty(76 * 150))
-        assert (scale, info) == (1.0, 0)
+        assert lyapsylv._blocked_lyapunov(T, R, trana, np.empty(76 * 150)) is None
         assert np.array_equal(R, R.T)
 
     @staticmethod
@@ -337,7 +375,7 @@ class TestBlockedKernel:
         assert np.array_equal(X, X.T)
 
     def test_leaf_info_raises(self, rng, monkeypatch):
-        """info = 1 from one leaf reaches the caller's error."""
+        """info = 1 from one leaf raises at once, from either solver."""
         calls = []
 
         def perturbed(a, b, c, **kwargs):
@@ -349,9 +387,11 @@ class TestBlockedKernel:
         A = complex_pair_matrix(rng, 150)
         with pytest.raises(SpectralOverlapError, match="trsyl"):
             solve_sylvester(A, A, rng.standard_normal((150, 150)), np.eye(150))
+        assert len(calls) == 2
         calls.clear()
-        with pytest.raises(ConvergenceError, match="trsyl"):
+        with pytest.raises(SpectralOverlapError, match="trsyl"):
             solve_lyapunov(A, np.eye(150))
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("leaf", [0, 1, 9])
     @pytest.mark.parametrize("transposed", [False, True])
@@ -365,9 +405,9 @@ class TestBlockedKernel:
             return z, scale, 1 if len(calls) - 1 == leaf else info
 
         monkeypatch.setattr(lyapsylv, "dtrsyl", perturbed)
-        with pytest.raises(ConvergenceError, match="trsyl"):
+        with pytest.raises(SpectralOverlapError, match="trsyl"):
             solve_lyapunov(complex_pair_matrix(rng, 150), np.eye(150), transposed=transposed)
-        assert len(calls) == 10
+        assert len(calls) == leaf + 1
 
     def test_near_overlap_raises(self, rng):
         A = complex_pair_matrix(rng, 150)
