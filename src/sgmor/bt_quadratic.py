@@ -35,7 +35,8 @@ import scipy.linalg as la
 
 from .errors import ConvergenceError, RankError, StabilityError
 from .galerkin import QuadraticOutputSystem
-from .lyapsylv import STRIP, SchurFactors, gemm, real_schur, solve_lyapunov, solve_sylvester, symmetric_factor
+from .lyapsylv import STRIP, SchurFactors, gemm, is_stable, real_schur, solve_lyapunov, solve_sylvester
+from .lyapsylv import stability_margin, symmetric_factor
 from .passivity import check_passivity
 
 __all__ = [
@@ -75,12 +76,13 @@ def gramian_cache(sys: QuadraticOutputSystem) -> tuple[GramianRecord, np.ndarray
     The Schur form of the dense A is taken here, P is solved on it, and the
     H2 norm is summed over strips of P, so no m x m N P is formed.  The
     caller owns P; one that does not factor it drops it at once.  A system
-    whose spectral abscissa is not negative raises StabilityError.
+    that ``lyapsylv.is_stable`` does not pass raises StabilityError.
     """
     fac = real_schur(sys.dense_A())
-    if fac.abscissa >= 0.0:
+    if not is_stable(fac.eigenvalues):
         raise StabilityError(
-            f"{sys.label}: spectral abscissa {fac.abscissa:.3e} >= 0, Gramians undefined"
+            f"{sys.label}: spectral abscissa {fac.abscissa:.3e} is not below the stability "
+            f"margin {stability_margin(fac.eigenvalues):.3e}, Gramians undefined"
         )
     P = solve_lyapunov(sys.A, sys.B, factors=fac)
     # trace(N P N P) = sum_J <N P[:, J], (N[J, :] P)^T>, one strip of STRIP
@@ -123,13 +125,13 @@ class ReducedModel:
 
     @property
     def is_stable(self) -> bool:
-        """Spectral abscissa of A_r below -1e-12 (the sweep omission rule).
+        """``lyapsylv.is_stable`` of A_r (the sweep omission rule).
 
         The verdict reads the eigenvalues alone, so an unstable model takes
         no Schur form; a stable one gets its form from the ``gramian_cache``
         call of ``h2_error``.
         """
-        return float(la.eigvals(self.system.A).real.max()) < -1e-12
+        return is_stable(la.eigvals(self.system.A))
 
     def leading(self, r: int) -> ReducedModel:
         """The model on the first r basis columns: leading blocks of A, B, N, V, W."""

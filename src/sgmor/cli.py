@@ -23,7 +23,7 @@ from numpy.linalg import LinAlgError
 from .arnoldi import reduce_arnoldi
 from .bt_quadratic import balance, gramian_cache, sweep, truncate, write_csv, write_report_csv
 from .errors import ConfigError, NumericalError
-from .galerkin import assemble, to_first_order, write_matrix_market
+from .galerkin import assemble, to_first_order
 from .jsonconfig import JSON_NAMES, read, read_object
 from .msd import MsdConfig, build_msd, config_from_dict, default_config
 from .passivity import shifted_dissipation_certificate
@@ -167,13 +167,19 @@ def _first_order_fom(cfg: ExperimentConfig):
 
 def run_assemble(cfg: ExperimentConfig) -> dict:
     """Write Galerkin matrices (Matrix Market) and a summary record."""
+    # imported here: scipy.io takes about 21 ms to import, and every command
+    # imports this module
+    import scipy.io
+    import scipy.sparse as sp
+
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     galerkin = _assemble_fom(cfg)
-    write_matrix_market(out / "galerkin_M.mtx", galerkin.M, symmetry="symmetric")
-    write_matrix_market(out / "galerkin_D.mtx", galerkin.D, symmetry="symmetric")
-    write_matrix_market(out / "galerkin_K.mtx", galerkin.K, symmetry="symmetric")
-    write_matrix_market(out / "galerkin_B.mtx", galerkin.B, symmetry="general")
+    for name in ("M", "D", "K"):
+        mat = getattr(galerkin, name)
+        scipy.io.mmwrite(out / f"galerkin_{name}.mtx", mat, symmetry="symmetric", precision=17)
+    # a coordinate file for B too, not the dense array format
+    scipy.io.mmwrite(out / "galerkin_B.mtx", sp.coo_matrix(galerkin.B), precision=17)
     nnz = galerkin.nnz_percentages()
     summary = {
         "degree": cfg.degree,

@@ -6,8 +6,10 @@ system whose quadratic output realizes the internal energy.  The first-order
 form of a Galerkin system keeps its sparse structure: A is applied through
 the (M, D, K) triple and one sparse LU of M, and N = blkdiag(K, M) stays
 sparse.  A system is a plain container of A, B and N: it computes and
-caches nothing.  Its real Schur form, Gramians and H2 norm are solved in
-``bt_quadratic``; the dense A exists only as the input of that Schur form.
+caches nothing.  The module imports no solver and writes no file: a
+system's real Schur form, Gramians and H2 norm are solved in
+``bt_quadratic``, and ``cli`` writes the assembled matrices; the dense A
+exists only as the input of that Schur form.
 A system holds its output matrix N but does not evaluate y = x^T N x; the
 trapezoidal stepper in ``simulate`` does, once per step.
 """
@@ -23,7 +25,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DefinitenessError, NumericalError
-from .lyapsylv import is_symmetric
 from .polychaos import PcBasis
 
 __all__ = [
@@ -33,13 +34,7 @@ __all__ = [
     "QuadraticOutputSystem",
     "assemble",
     "to_first_order",
-    "write_matrix_market",
 ]
-
-def _check_symmetric(name: str, mats) -> None:
-    for k, m in enumerate(mats):
-        if not np.array_equal(m, m.T):
-            raise ValueError(f"{name} term {k} is not symmetric")
 
 
 @dataclass(frozen=True)
@@ -69,7 +64,8 @@ class ParametricSecondOrderSystem:
             for k, m in enumerate(mats):
                 if m.shape != (n, n):
                     raise ValueError(f"{name} term {k} has shape {m.shape}, expected {(n, n)}")
-            _check_symmetric(name, mats)
+                if not np.array_equal(m, m.T):
+                    raise ValueError(f"{name} term {k} is not symmetric")
         if self.B.shape[0] != n:
             raise ValueError(f"B has {self.B.shape[0]} rows, expected {n}")
 
@@ -196,16 +192,11 @@ class QuadraticOutputSystem:
         if not isinstance(self.A, FirstOrderOperator):
             object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
         object.__setattr__(self, "B", np.atleast_2d(np.asarray(self.B, dtype=float)))
-        sparse = sp.issparse(self.N)
-        N = sp.csr_matrix(self.N, dtype=float) if sparse else np.asarray(self.N, dtype=float)
+        N = sp.csr_matrix(self.N, dtype=float) if sp.issparse(self.N) else np.asarray(self.N, dtype=float)
         m = self.A.shape[0]
         if self.A.shape != (m, m) or N.shape != (m, m) or self.B.shape[0] != m:
             raise ValueError("inconsistent system dimensions")
-        if sparse:
-            symmetric = abs(N - N.T).max() <= 1e-12 * max(1.0, abs(N).max())
-        else:
-            symmetric = is_symmetric(N, 1e-12 * max(1.0, np.abs(N).max()))
-        if not symmetric:
+        if not abs(N - N.T).max() <= 1e-12 * max(1.0, abs(N).max()):  # NaN fails too
             raise ValueError("output matrix N must be symmetric")
         object.__setattr__(self, "N", 0.5 * (N + N.T))
         if isinstance(self.A, FirstOrderOperator) and self.A._transposed:
@@ -315,15 +306,10 @@ def assemble(sys: ParametricSecondOrderSystem, basis: PcBasis) -> GalerkinSystem
     s = basis.size
 
     def project(terms):
-        out = None
+        out = sp.csr_matrix((s * sys.n, s * sys.n))
         for k, term in enumerate(terms):
-            if not term.any():
-                continue
-            g = basis.linear_weight_matrix(k)
-            piece = sp.kron(g, sp.csr_matrix(term), format="csr")
-            out = piece if out is None else out + piece
-        if out is None:
-            out = sp.csr_matrix((s * sys.n, s * sys.n))
+            if term.any():
+                out += sp.kron(basis.linear_weight_matrix(k), sp.csr_matrix(term), format="csr")
         out.eliminate_zeros()
         return out
 
@@ -361,24 +347,3 @@ def to_first_order(g: GalerkinSystem) -> QuadraticOutputSystem:
     N = sp.block_diag((g.K, g.M), format="csr")
     return QuadraticOutputSystem(A=FirstOrderOperator(g, lu), B=B, N=N)
 
-
-def write_matrix_market(path, mat, symmetry: str = "general") -> None:
-    """Write a matrix in Matrix Market coordinate format (1-based, 17 digits).
-
-    ``symmetry='symmetric'`` stores the lower triangle only and emits the
-    header ``%%MatrixMarket matrix coordinate real symmetric``.
-    """
-    if symmetry not in ("general", "symmetric"):
-        raise ValueError(f"unsupported symmetry {symmetry!r}")
-    coo = sp.coo_matrix(mat)
-    coo.eliminate_zeros()
-    rows, cols, vals = coo.row, coo.col, coo.data
-    if symmetry == "symmetric":
-        keep = rows >= cols
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    order = np.lexsort((rows, cols))  # column-major, the customary layout
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"%%MatrixMarket matrix coordinate real {symmetry}\n")
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {len(vals)}\n")
-        for k in order:
-            fh.write(f"{rows[k] + 1} {cols[k] + 1} {vals[k]:.17g}\n")

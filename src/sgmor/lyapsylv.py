@@ -57,6 +57,7 @@ from .errors import ConvergenceError, DefinitenessError, SpectralOverlapError, S
 
 __all__ = [
     "SchurFactors",
+    "is_stable",
     "is_symmetric",
     "real_schur",
     "solve_lyapunov",
@@ -65,6 +66,9 @@ __all__ = [
 ]
 
 RESIDUAL_RTOL = 1e-10
+# a matrix is stable when its spectral abscissa lies below -STABILITY_RTOL
+# times max(1, spectral radius)
+STABILITY_RTOL = 1e-12
 # largest block handed to trsyl; above it the flops go to GEMM couplings
 LEAF = 64
 # rows or columns of the strips in which an m x m product is reduced to a
@@ -124,6 +128,21 @@ def is_symmetric(X: np.ndarray, atol: float) -> bool:
         if not np.abs(d, out=d).max(initial=0.0) <= atol:
             return False
     return True
+
+
+def stability_margin(eigenvalues: np.ndarray) -> float:
+    """-STABILITY_RTOL * max(1, spectral radius): the abscissa a stable spectrum lies below."""
+    return -STABILITY_RTOL * max(1.0, float(np.abs(eigenvalues).max()))
+
+
+def is_stable(eigenvalues: np.ndarray) -> bool:
+    """The one stability rule: spectral abscissa below ``stability_margin``.
+
+    The real part of an undamped mode is rounding noise of either sign, of
+    the order of the spectral radius times the unit roundoff, so a zero
+    threshold would pass or refuse it by chance; a NaN eigenvalue fails.
+    """
+    return bool(eigenvalues.real.max() < stability_margin(eigenvalues))
 
 
 @dataclass(frozen=True)
@@ -363,8 +382,11 @@ def solve_lyapunov(
     cnorm = np.sqrt(_sum_squares(gemm(B.T, B)))
 
     fac = factors if factors is not None else real_schur(A)
-    if fac.abscissa >= 0.0:
-        raise StabilityError(f"coefficient matrix has spectral abscissa {fac.abscissa:.3e} >= 0")
+    if not is_stable(fac.eigenvalues):
+        raise StabilityError(
+            f"coefficient matrix has spectral abscissa {fac.abscissa:.3e}, "
+            f"not below the stability margin {stability_margin(fac.eigenvalues):.3e}"
+        )
 
     trana = "T" if transposed else "N"
     X = _bartels_stewart(fac, fac, B, B, lambda Z, work: _blocked_lyapunov(fac.T, Z, trana, work))
@@ -470,7 +492,9 @@ def symmetric_factor(X: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
     Eigendecomposition with truncation: columns are kept for eigenvalues
     above tol * lambda_max(X), so rank-deficient Gramians yield thin factors.
-    Raises DefinitenessError when X is indefinite beyond tol * ||X||_2, and
+    Raises DefinitenessError when an eigenvalue lies below
+    -10 * tol * ||X||_F, the defect budget below, since every dropped
+    eigenvalue, a negative one too, counts in that defect; and
     ConvergenceError when ||Z Z^T - X||_F exceeds 10 * tol * ||X||_F or is
     NaN.
 
@@ -487,10 +511,10 @@ def symmetric_factor(X: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     # triangle of X^T, the upper one of X, and leaves the strict lower
     # triangle of X untouched, which with ``diag`` still defines X
     w, V = la.eigh(X.T, lower=True, overwrite_a=True, check_finite=False)
-    norm2 = np.abs(w).max(initial=0.0)
-    if w[0] < -tol * norm2:
+    budget = 10.0 * tol * np.sqrt(np.einsum("i,i->", w, w))  # ||X||_F from the eigenvalues
+    if w[0] < -budget:
         raise DefinitenessError(
-            f"matrix has eigenvalue {w[0]:.3e} below the PSD tolerance {-tol * norm2:.3e}"
+            f"matrix has eigenvalue {w[0]:.3e} below the PSD tolerance {-budget:.3e}"
         )
     # w ascends, so the k eigenvalues kept are the last ones; Z takes them in
     # descending order, which keeps the dominant directions first.  Z is

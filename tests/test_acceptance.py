@@ -15,6 +15,7 @@ import numpy.linalg as npla
 import pytest
 
 from conftest import make_stable_system
+from kronecker import kron_lyapunov, kron_sylvester
 from second_order import dense_first_order
 from sgmor.arnoldi import reduce_arnoldi
 from sgmor.bt_quadratic import balance, h2_error, sweep, truncate
@@ -25,18 +26,6 @@ from sgmor.polychaos import PcBasis
 from sgmor.simulate import integrate, verify_error_bound
 
 Q = 14  # parameters of the default benchmark: 4 masses, 6 springs, 4 dampers
-
-
-def kron_lyapunov(A, C):
-    m = A.shape[0]
-    lhs = np.kron(np.eye(m), A) + np.kron(A, np.eye(m))
-    return npla.solve(lhs, -C.reshape(-1)).reshape(m, m)
-
-
-def kron_sylvester(A, F, C):
-    m, r = A.shape[0], F.shape[0]
-    lhs = np.kron(np.eye(r), A) + np.kron(F.T, np.eye(m))
-    return npla.solve(lhs, -C.reshape(-1, order="F")).reshape(m, r, order="F")
 
 
 @pytest.fixture(scope="module")

@@ -12,11 +12,11 @@ import re
 from pathlib import Path
 
 import numpy as np
-import numpy.linalg as la
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_stable_system, traced_peak
+from kronecker import kron_lyapunov
 from sgmor import bt_quadratic, galerkin, lyapsylv
 from sgmor.bt_quadratic import (
     BalancedFactorization,
@@ -33,15 +33,9 @@ from sgmor.bt_quadratic import (
 from sgmor.errors import RankError, StabilityError
 from sgmor.galerkin import QuadraticOutputSystem, assemble, to_first_order
 from sgmor.lyapsylv import solve_lyapunov, symmetric_factor
-from sgmor.msd import build_msd, default_config
+from sgmor.msd import build_msd, config_from_dict, default_config
 from sgmor.polychaos import PcBasis
 from sgmor.simulate import verify_error_bound
-
-
-def kron_lyapunov(A: np.ndarray, C: np.ndarray) -> np.ndarray:
-    m = A.shape[0]
-    lhs = np.kron(np.eye(m), A) + np.kron(A, np.eye(m))
-    return la.solve(lhs, -C.reshape(-1)).reshape(m, m)
 
 
 def h2_norm_oracle(sys: QuadraticOutputSystem) -> float:
@@ -120,11 +114,13 @@ class TestGramianCache:
             assert set(vars(sys)) == fields, f"{sys.label} holds {sorted(set(vars(sys)) - fields)}"
 
     def test_galerkin_imports_no_solver(self):
-        """A system is a plain container: galerkin.py names no Schur, Lyapunov,
-        Sylvester or factor routine and caches nothing."""
+        """A system is a plain container: galerkin.py imports nothing from the
+        solvers, names no Schur, Lyapunov, Sylvester or factor routine and
+        caches nothing."""
         path = Path(galerkin.__file__)
         pattern = re.compile(
-            r"\b(real_schur|SchurFactors|solve_lyapunov|solve_sylvester|symmetric_factor|cached_property)\b"
+            r"\.lyapsylv\b"
+            r"|\b(real_schur|SchurFactors|solve_lyapunov|solve_sylvester|symmetric_factor|cached_property)\b"
         )
         found = [
             f"{path.name}:{number}: {line.strip()}"
@@ -269,6 +265,25 @@ class TestBalance:
         assert bal.numerical_rank == 0
         assert bal.ref.norm == 0.0
 
+    def test_undamped_mode_is_unstable(self):
+        """Mass 2 has no damper, so the abscissa is rounding noise (-8.2e-32
+        at degree 0): it is refused as unstable, not solved into a failure."""
+        model = config_from_dict({
+            "masses": [1.8228524390729564, 0.3333333333333333],
+            "springs": [
+                {"ends": [0, 2], "stiffness": 6.544483014223415},
+                {"ends": [0, 2], "stiffness": 5.315492747759582},
+                {"ends": [0, 1], "stiffness": 4.926220699579985},
+                {"ends": [0, 1], "stiffness": 7.031072162757902},
+            ],
+            "dampers": [{"ends": [0, 1], "coefficient": 4.478440043643203}],
+            "input_spring": 1,
+            "delta": 0.3664646687558597,
+        })
+        fom = to_first_order(assemble(build_msd(model), PcBasis(q=model.q, d=0)))
+        with pytest.raises(StabilityError, match="stability margin"):
+            balance(fom)
+
 
 class TestH2Norm:
     def test_scalar_chain(self):
@@ -338,14 +353,15 @@ class TestReducedModel:
         assert rom.system.N.shape == (4, 4)
 
     def test_unstable_verdict_takes_no_schur_form(self, monkeypatch):
-        """A model with an eigenvalue at or above -1e-12 is unstable, read off its
-        eigenvalues alone; only a stable model goes on to its Schur form."""
+        """A model whose abscissa is not below -1e-12 * max(1, spectral radius)
+        (-2e-12 here) is unstable, read off its eigenvalues alone; only a
+        stable model goes on to its Schur form."""
         def refuse(A):
             raise AssertionError("the verdict computed a Schur form")
 
         for module in (bt_quadratic, lyapsylv):
             monkeypatch.setattr(module, "real_schur", refuse)
-        for shift, stable in ((1.0, False), (-1e-13, False), (-1e-6, True)):
+        for shift, stable in ((1.0, False), (-1e-13, False), (-1.5e-12, False), (-1e-6, True)):
             A = np.array([[-2.0, 5.0], [0.0, shift]])
             system = QuadraticOutputSystem(A=A, B=np.ones((2, 1)), N=np.eye(2))
             rom = ReducedModel(r=2, system=system, V=np.eye(2), W=np.eye(2))

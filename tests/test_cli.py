@@ -9,7 +9,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.io
 import scipy.linalg
 from numpy.linalg import LinAlgError
 from numpy.testing import assert_allclose
@@ -29,7 +31,7 @@ from sgmor.cli import (
 )
 from sgmor.errors import RankError
 from sgmor.galerkin import assemble, to_first_order
-from sgmor.msd import build_msd, config_from_dict, default_config
+from sgmor.msd import DEFAULT_DAMPERS, DEFAULT_MASSES, DEFAULT_SPRINGS, build_msd, config_from_dict, default_config
 from sgmor.passivity import check_passivity
 from sgmor.polychaos import PcBasis
 
@@ -223,8 +225,14 @@ class TestRunAssemble:
         cfg = experiment_from_args(ns(config=str(write_config(tmp_path))))
         summary = run_assemble(cfg)
         out = tmp_path / "out"
-        for name in ("galerkin_M", "galerkin_D", "galerkin_K", "galerkin_B"):
-            assert (out / f"{name}.mtx").exists(), f"missing {name}.mtx"
+        galerkin = assemble(build_msd(cfg.model), PcBasis(q=3, d=1))
+        for name in ("M", "D", "K", "B"):
+            path = out / f"galerkin_{name}.mtx"
+            symmetry = "general" if name == "B" else "symmetric"
+            assert path.read_text().startswith(f"%%MatrixMarket matrix coordinate real {symmetry}\n")
+            back = scipy.io.mmread(path).toarray()
+            expected = getattr(galerkin, name)
+            assert np.array_equal(back, expected if name == "B" else expected.toarray()), name
         on_disk = json.loads((out / "summary.json").read_text())
         assert on_disk == summary
         assert summary["degree"] == 1
@@ -531,6 +539,23 @@ class TestMain:
         assert main(["report", "--out", str(tmp_path / "empty")]) == 4
         assert "I/O error" in capsys.readouterr().err
 
+    def test_default_model_without_variation_runs(self, tmp_path):
+        """delta = 0 leaves Q with an eigenvalue of -1e-12 relative, rounding
+        that balancing tolerates."""
+        model = {
+            "masses": list(DEFAULT_MASSES),
+            "springs": [{"ends": [a, b], "stiffness": v} for a, b, v in DEFAULT_SPRINGS],
+            "dampers": [{"ends": [a, b], "coefficient": v} for a, b, v in DEFAULT_DAMPERS],
+            "input_spring": 6,
+            "delta": 0.0,
+        }
+        config = str(write_config(
+            tmp_path, model=model, r={"min": 1, "max": 3},
+            simulation={"h": 0.01, "T": 2.0, "r_values": [3]},
+        ))
+        assert main(["reduce", "--config", config]) == 0
+        assert main(["verify", "--config", config]) == 0
+
     def test_numerical_failure_is_exit_3(self, tmp_path, capsys):
         model = dict(SMALL_MODEL, delta=0.0)
         config = str(write_config(tmp_path, model=model, reducer="arnoldi"))
@@ -568,8 +593,9 @@ class TestMain:
 
 
 def test_import_leaves_out_unused_scipy_subpackages():
-    """Importing the command line loads neither scipy.integrate nor what it pulls in."""
-    unused = ("scipy.integrate", "scipy.optimize", "scipy.special")
+    """Importing the command line loads neither scipy.integrate nor what it pulls
+    in, nor scipy.io, which only ``assemble`` imports."""
+    unused = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.io")
     code = f"import sys, sgmor.cli; print(*(m for m in {unused!r} if m in sys.modules))"
     src = str(Path(sgmor.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -10,7 +10,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.io
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
@@ -25,7 +24,6 @@ from sgmor.galerkin import (
     QuadraticOutputSystem,
     assemble,
     to_first_order,
-    write_matrix_market,
 )
 from sgmor.lyapsylv import real_schur
 from sgmor.msd import build_msd, default_config
@@ -237,34 +235,18 @@ class TestQuadraticOutputSystem:
         with pytest.raises(ValueError, match="dimensions"):
             QuadraticOutputSystem(A=-np.eye(3), B=np.ones((2, 1)), N=np.eye(3))
 
+    @pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix])
+    def test_nan_output_matrix_rejected(self, form):
+        N = np.eye(2)
+        N[0, 1] = np.nan
+        with pytest.raises(ValueError, match="symmetric"):
+            QuadraticOutputSystem(A=-np.eye(2), B=np.ones((2, 1)), N=form(N))
 
-class TestMatrixMarket:
-    def test_general_round_trip(self, tmp_path, rng):
-        mat = sp.random(17, 11, density=0.2, random_state=np.random.RandomState(3))
-        path = tmp_path / "general.mtx"
-        write_matrix_market(path, mat, symmetry="general")
-        back = scipy.io.mmread(path)
-        assert_allclose(back.toarray(), mat.toarray(), rtol=0.0, atol=0.0)
 
-    def test_symmetric_round_trip(self, tmp_path, rng):
-        dense = rng.standard_normal((6, 6))
-        dense = dense + dense.T
-        dense[np.abs(dense) < 0.8] = 0.0
-        path = tmp_path / "sym.mtx"
-        write_matrix_market(path, sp.csr_matrix(dense), symmetry="symmetric")
-        with open(path) as fh:
-            header = fh.readline()
-        assert header.strip() == "%%MatrixMarket matrix coordinate real symmetric"
-        back = scipy.io.mmread(path)
-        assert_allclose(back.toarray(), dense, rtol=0.0, atol=0.0)
+def test_asymmetric_term_rejected():
+    sys = two_mass_example()
+    bad = sys.K_terms[0].copy()
+    bad[0, 1] += 1e-3
+    with pytest.raises(ValueError, match="K term 0 is not symmetric"):
+        dataclasses.replace(sys, K_terms=(bad, *sys.K_terms[1:]))
 
-    def test_dense_input_accepted(self, tmp_path):
-        mat = np.array([[1.5, 0.0], [0.0, -2.25]])
-        path = tmp_path / "dense.mtx"
-        write_matrix_market(path, mat)
-        back = scipy.io.mmread(path)
-        assert_allclose(back.toarray(), mat)
-
-    def test_unknown_symmetry_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="symmetry"):
-            write_matrix_market(tmp_path / "x.mtx", np.eye(2), symmetry="hermitian")

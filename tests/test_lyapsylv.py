@@ -37,18 +37,7 @@ from sgmor.lyapsylv import (
 from sgmor.msd import build_msd, default_config
 from sgmor.polychaos import PcBasis
 from conftest import make_stable_system
-
-
-def kron_lyapunov(A: np.ndarray, C: np.ndarray) -> np.ndarray:
-    m = A.shape[0]
-    lhs = np.kron(np.eye(m), A) + np.kron(A, np.eye(m))
-    return la.solve(lhs, -C.reshape(-1)).reshape(m, m)
-
-
-def kron_sylvester(A: np.ndarray, F: np.ndarray, C: np.ndarray) -> np.ndarray:
-    m, r = A.shape[0], F.shape[0]
-    lhs = np.kron(np.eye(r), A) + np.kron(F.T, np.eye(m))
-    return la.solve(lhs, -C.reshape(-1, order="F")).reshape(m, r, order="F")
+from kronecker import kron_lyapunov, kron_sylvester
 
 
 def unblocked_sylvester(A: np.ndarray, F: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -483,6 +472,16 @@ class TestSymmetricFactor:
     def test_indefinite_rejected(self):
         with pytest.raises(DefinitenessError):
             symmetric_factor(np.diag([1.0, -0.5]))
+
+    def test_negative_eigenvalue_within_defect_budget_factors(self, rng):
+        """An eigenvalue of -5e-12 lies below -tol * ||X||_2 = -1e-12 but within
+        the defect budget 10 * tol * ||X||_F = 1.1e-11 that dropping it costs."""
+        Q, _ = la.qr(rng.standard_normal((3, 3)))
+        X = (Q * [1.0, 0.5, -5e-12]) @ Q.T
+        X = 0.5 * (X + X.T)
+        Z = symmetric_factor(X.copy())
+        assert Z.shape == (3, 2)
+        assert la.norm(Z @ Z.T - X) <= 1e-10 * la.norm(X)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
