@@ -6,7 +6,10 @@ and returns the frozen ``GramianRecord`` (the system, its Schur form and
 ||H||^2 = trace(N P N P)) together with P, which the caller owns: ``balance``
 factors P = Z_P Z_P^T, which consumes it, before it solves the
 output-weighted observability Gramian Q, and every other caller drops P at
-once.  The Lyapunov solves for P and Q and both coefficients of the H2
+once.  While P and Q are factored, ``balance`` holds the record's T in
+LAPACK packed storage, since the eigensolver never reads it, and restores it
+bitwise for the Q solve and for the record it returns.  The Lyapunov solves
+for P and Q and both coefficients of the H2
 Sylvester solve read the Schur forms on the records, and the H2 functions
 read the full system off its record, so no system caches anything.  The
 stability verdict of a reduced model needs only its eigenvalues, so an
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
+from scipy.linalg.lapack import dtpttr, dtrttp
 
 from .errors import ConvergenceError, RankError, StabilityError
 from .galerkin import QuadraticOutputSystem
@@ -142,20 +146,66 @@ class ReducedModel:
         return ReducedModel(r=r, system=rom, V=self.V[:, :r], W=self.W[:, :r])
 
 
+@dataclass(frozen=True)
+class _PackedRecord:
+    """A ``GramianRecord`` whose Schur form keeps T as LAPACK packed upper
+    storage (m (m + 1) / 2 doubles) and its subdiagonal: about half of T."""
+
+    system: QuadraticOutputSystem
+    norm_squared: float
+    U: np.ndarray
+    eigenvalues: np.ndarray
+    upper: np.ndarray
+    subdiagonal: np.ndarray
+
+    @classmethod
+    def of(cls, ref: GramianRecord) -> _PackedRecord:
+        fac = ref.schur
+        upper, info = dtrttp(fac.T)
+        if info != 0:
+            raise ValueError(f"illegal argument {-info} passed to trttp")
+        return cls(ref.system, ref.norm_squared, fac.U, fac.eigenvalues, upper, fac.T.diagonal(-1).copy())
+
+    def unpack(self) -> GramianRecord:
+        """The record with T restored bitwise.  tpttr returns T zero-filled
+        below its upper triangle (f2py fills every array it allocates), and
+        gees left zeros below the subdiagonal, which alone is put back."""
+        m = self.U.shape[0]
+        T, info = dtpttr(m, self.upper)
+        if info != 0:
+            raise ValueError(f"illegal argument {-info} passed to tpttr")
+        below = np.arange(1, m)
+        T[below, below - 1] = self.subdiagonal
+        schur = SchurFactors(T=T, U=self.U, eigenvalues=self.eigenvalues)
+        return GramianRecord(system=self.system, schur=schur, norm_squared=self.norm_squared)
+
+
 def balance(fom: QuadraticOutputSystem) -> BalancedFactorization:
     """Record, Gramians, symmetric factors, and the balancing SVD of a stable system.
 
     P is factored as soon as it is solved; the factor consumes it, and no
-    name holds P while Q is solved.
+    name holds P while Q is solved.  The eigensolver that factors a Gramian
+    never reads the Schur form, so T is held packed while P and Q are
+    factored, and only then: it is restored bitwise for the Q solve and for
+    the record returned.  The peak, at the factor of Q, is the packed T, U,
+    Q and its eigenvectors, inside which Z_Q is built.
     """
     ref, P = gramian_cache(fom)
+    packed = _PackedRecord.of(ref)
+    del ref
     Zp = symmetric_factor(P)
     del P
     # Q's right-hand side N Z_P Z_P^T N is passed as its factor N Z_P; Q goes
     # straight to symmetric_factor, which consumes it
-    Zq = symmetric_factor(solve_lyapunov(fom.A, gemm(fom.N, Zp), factors=ref.schur, transposed=True))
+    ref = packed.unpack()
+    del packed
+    Q = solve_lyapunov(fom.A, gemm(fom.N, Zp), factors=ref.schur, transposed=True)
+    packed = _PackedRecord.of(ref)
+    del ref
+    Zq = symmetric_factor(Q)
+    del Q
     left, sigma, right_t = la.svd(gemm(Zp.T, Zq), full_matrices=False)
-    return BalancedFactorization(ref=ref, Zp=Zp, Zq=Zq, sigma=sigma, left=left, right_t=right_t)
+    return BalancedFactorization(ref=packed.unpack(), Zp=Zp, Zq=Zq, sigma=sigma, left=left, right_t=right_t)
 
 
 def project(fom: QuadraticOutputSystem, V: np.ndarray, W: np.ndarray) -> QuadraticOutputSystem:

@@ -22,7 +22,9 @@ be passed to every solve; each solution is verified against its residual
 before it is returned, a NaN residual failing the check, and the Lyapunov
 residual is summed over strips of STRIP columns, so no m x m residual is
 formed.  ``symmetric_factor`` consumes its input the same way:
-the eigensolver overwrites it, and the factor defect is taken in strips.
+the eigensolver (LAPACK syevr) overwrites it, the factor is built inside the
+eigenvector array syevr returns and handed back Fortran-ordered in that
+buffer, shrunk to m x k, and the factor defect is taken in column strips.
 
 Right-hand sides are passed as factors, as in low-rank ADI (Penzl 2000; Li &
 White 2002): B B^T for a Lyapunov equation and L R^T for a Sylvester
@@ -32,7 +34,7 @@ right-hand side is ever formed.
 
 One BLAS: every dense matrix product of the package goes through ``gemm``,
 which runs on scipy's BLAS (``scipy.linalg.blas.dgemm``), the library that
-also carries the LAPACK calls (gees, trsyl, eigh, svd).  numpy links its own
+also carries the LAPACK calls (gees, trsyl, syevr, svd).  numpy links its own
 OpenBLAS build, and ``@`` on two dense arrays runs there; mixing the two
 wakes two pools of BLAS worker threads, which on a machine with few cores
 compete for the same cores, and makes both allocate their packing buffers.
@@ -49,9 +51,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as la
 from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dgees, dtrsyl
+from scipy.linalg.lapack import dgees, dsyevr, dsyevr_lwork, dtrsyl
 
 from .errors import ConvergenceError, DefinitenessError, SpectralOverlapError, StabilityError
 
@@ -500,45 +501,82 @@ def symmetric_factor(X: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
     X is consumed: the eigensolver runs in place on it and overwrites its
     upper triangle and diagonal.  A caller that reads X afterwards passes a
-    copy.
+    copy.  Z is Fortran-ordered and built inside the eigenvector array
+    LAPACK syevr returns, which is then shrunk to the m x k of Z, so the
+    factor costs no m x k copy beside the eigenvectors.
     """
     X = np.asarray(X, dtype=float)
     if not is_symmetric(X, 1e-12 * max(X.max(initial=0.0), -X.min(initial=0.0), 1.0)):
         raise ValueError("matrix must be symmetric")
     m = X.shape[0]
     diag = X.diagonal().copy()
-    # X^T is Fortran-ordered, so eigh overwrites X itself; it reads the lower
+    # X^T is Fortran-ordered, so syevr overwrites X itself; it reads the lower
     # triangle of X^T, the upper one of X, and leaves the strict lower
-    # triangle of X untouched, which with ``diag`` still defines X
-    w, V = la.eigh(X.T, lower=True, overwrite_a=True, check_finite=False)
+    # triangle of X untouched, which with ``diag`` still defines X.  The
+    # workspace is the size syevr asks for, as scipy's ``eigh`` passes it.
+    lwork, liwork, info = dsyevr_lwork(m, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal argument {-info} passed to syevr's workspace query")
+    w, V, _, _, info = dsyevr(X.T, lower=1, overwrite_a=1, lwork=int(lwork), liwork=int(liwork))
+    if info < 0:
+        raise ValueError(f"illegal argument {-info} passed to syevr")
+    if info > 0:
+        raise ConvergenceError("symmetric eigensolver syevr failed")
     budget = 10.0 * tol * np.sqrt(np.einsum("i,i->", w, w))  # ||X||_F from the eigenvalues
     if w[0] < -budget:
         raise DefinitenessError(
             f"matrix has eigenvalue {w[0]:.3e} below the PSD tolerance {-budget:.3e}"
         )
     # w ascends, so the k eigenvalues kept are the last ones; Z takes them in
-    # descending order, which keeps the dominant directions first.  Z is
-    # C-ordered, so the row strips Z[i:j] and Z[:j] below reach dgemm uncopied
+    # descending order, which keeps the dominant directions first
     k = np.count_nonzero(w > tol * max(w[-1], 0.0))
-    Z = np.multiply(V[:, m - k :][:, ::-1], np.sqrt(w[m - k :][::-1]), order="C")
+    Z = _descending_factor(V, w, k)
     del V
 
     # ||Z Z^T - X||_F and ||X||_F from the blocks on and below the diagonal,
-    # one strip of STRIP rows at a time; off-diagonal blocks count twice
+    # one strip of STRIP columns J at a time: D = Z Z[J]^T over the full
+    # height, since rows j: of the Fortran-ordered Z would reach dgemm as a
+    # copy, and from row j down D is compared with X's strict lower triangle
+    # and ``diag``; blocks below the diagonal count twice
     err_sq = x_sq = 0.0
-    for i in range(0, m, STRIP):
-        j = min(i + STRIP, m)
-        Xd = np.tril(X[i:j, i:j], -1)
+    for j in range(0, m, STRIP):
+        J = slice(j, min(j + STRIP, m))
+        Xd = np.tril(X[J, J], -1)
         Xd += Xd.T
-        Xd[np.diag_indices(j - i)] = diag[i:j]
-        D = gemm(Z[i:j], Z[:j].T)
-        D[:, :i] -= X[i:j, :i]
-        D[:, i:] -= Xd
-        err_sq += _sum_squares(D[:, i:]) + 2.0 * _sum_squares(D[:, :i])
-        x_sq += _sum_squares(Xd) + 2.0 * _sum_squares(X[i:j, :i])
+        Xd[np.diag_indices(J.stop - j)] = diag[J]
+        D = gemm(Z, Z[J].T)
+        D[J] -= Xd
+        D[J.stop :] -= X[J.stop :, J]
+        err_sq += _sum_squares(D[J]) + 2.0 * _sum_squares(D[J.stop :])
+        x_sq += _sum_squares(Xd) + 2.0 * _sum_squares(X[J.stop :, J])
     err, xnorm = np.sqrt(err_sq), np.sqrt(x_sq)
     if not err <= 10.0 * tol * xnorm:
         raise ConvergenceError(
             f"factorization defect {err / xnorm:.3e} exceeds 10*tol={10 * tol:.1e}"
         )
     return Z
+
+
+def _descending_factor(V: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
+    """V[:, m-k:][:, ::-1] * sqrt(w[m-k:][::-1]), bitwise, built inside V.
+
+    Column m-1-j moves to column j for each j < k; where both lie in the
+    kept block the two are swapped.  The k columns are scaled in place, and
+    V, which must own its Fortran-ordered buffer, is shrunk to its first
+    m k doubles, which releases the rest.  V is the result: no view of it
+    may survive the shrink.
+    """
+    if not (V.flags.owndata and V.flags.f_contiguous):
+        raise ValueError("the eigenvector array must own a Fortran-ordered buffer")
+    m = V.shape[0]
+    for j in range(k):
+        s = m - 1 - j
+        if s >= k:
+            V[:, j] = V[:, s]
+        elif j < s:
+            V[:, [j, s]] = V[:, [s, j]]
+    kept = V[:, :k]
+    np.multiply(kept, np.sqrt(w[m - k :][::-1]), out=kept)
+    del kept
+    V.resize((m, k), refcheck=False)
+    return V

@@ -26,6 +26,7 @@ import math
 import numpy as np
 import numpy.linalg as la
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
@@ -41,7 +42,7 @@ from sgmor.bt_quadratic import ReducedModel, balance, gramian_cache, h2_error, s
 from sgmor.cli import main
 from sgmor.errors import DefinitenessError
 from sgmor.galerkin import ParametricSecondOrderSystem, QuadraticOutputSystem, assemble, to_first_order
-from sgmor.lyapsylv import LEAF, is_stable, real_schur, solve_lyapunov, solve_sylvester
+from sgmor.lyapsylv import LEAF, is_stable, real_schur, solve_lyapunov, solve_sylvester, symmetric_factor
 from sgmor.msd import MsdConfig, build_msd, default_config
 from sgmor.passivity import check_passivity
 from sgmor.polychaos import PcBasis
@@ -244,6 +245,43 @@ def test_real_schur_leaves_its_input_unchanged(seed, m, fortran):
     assert np.array_equal(A, before)
     assert not np.shares_memory(fac.T, A)
     assert relative_error(fac.U @ fac.T @ fac.U.T, A) < 1e-12
+
+
+@st.composite
+def psd_of_rank(draw) -> tuple[np.ndarray, int]:
+    """(X, k): a bitwise symmetric PSD matrix of rank k = 1, k < m/2, k > m/2
+    or k = m, up to 2 LEAF + 5 rows so the defect strips reach past two
+    strips, with its k eigenvalues in [1e-3, 1] times a scale and the rest 0."""
+    m = draw(st.integers(3, 2 * LEAF + 5), label="m")
+    kind = draw(st.sampled_from(["k = 1", "k < m/2", "k > m/2", "k = m"]), label="rank")
+    k = {
+        "k = 1": 1,
+        "k < m/2": draw(st.integers(1, (m - 1) // 2), label="k"),
+        "k > m/2": draw(st.integers(m // 2 + 1, m - 1), label="k"),
+        "k = m": m,
+    }[kind]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    Q = la.qr(rng.standard_normal((m, m)))[0]
+    eigenvalues = np.zeros(m)
+    eigenvalues[:k] = 10.0 ** draw(st.floats(-3.0, 3.0), label="scale") * rng.uniform(1e-3, 1.0, k)
+    X = (Q * eigenvalues) @ Q.T
+    return 0.5 * (X + X.T), k
+
+
+@settings(derandomize=True, database=None, max_examples=24, deadline=None)
+@given(case=psd_of_rank())
+def test_symmetric_factor_is_built_in_the_eigenvector_array(case):
+    """Z is the k descending scaled eigenvectors of a full eigensolve, bitwise,
+    in a Fortran-ordered array that owns exactly its m k doubles, and its
+    defect stays within the budget 10 tol ||X||_F."""
+    X, k = case
+    m = X.shape[0]
+    w, V = scipy.linalg.eigh(X.copy())
+    Z = symmetric_factor(X.copy())
+    assert Z.shape == (m, k)
+    assert Z.flags.owndata and Z.flags.f_contiguous and Z.nbytes == m * k * Z.itemsize
+    assert np.array_equal(Z, np.multiply(V[:, m - k :][:, ::-1], np.sqrt(w[m - k :][::-1])))
+    assert la.norm(Z @ Z.T - X) <= 10.0 * 1e-12 * la.norm(X)
 
 
 @st.composite
