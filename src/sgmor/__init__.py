@@ -29,7 +29,7 @@ from .galerkin import (
 from .msd import MsdConfig, build_msd, default_config
 from .passivity import check_passivity, shifted_dissipation_certificate
 from .polychaos import PcBasis, basis_size, multi_indices
-from .simulate import Trajectory, default_input, integrate, verify_error_bound
+from .simulate import default_input, integrate, verify_error_bound
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "PcBasis",
     "basis_size",
     "multi_indices",
-    "Trajectory",
     "default_input",
     "integrate",
     "verify_error_bound",

@@ -6,9 +6,10 @@ and returns the frozen ``GramianRecord`` (the system, its Schur form and
 ||H||^2 = trace(N P N P)) together with P, which the caller owns: ``balance``
 factors P = Z_P Z_P^T, which consumes it, before it solves the
 output-weighted observability Gramian Q, and every other caller drops P at
-once.  While P and Q are factored, ``balance`` holds the record's T in
-LAPACK packed storage, since the eigensolver never reads it, and restores it
-bitwise for the Q solve and for the record it returns.  The Lyapunov solves
+once.  While P and Q are factored, ``balance`` holds T in LAPACK packed
+storage, since the eigensolver never reads it, keeps U, the eigenvalues and
+||H||^2 as they are, restores T bitwise for the Q solve, and builds the one
+record it returns at the end.  The Lyapunov solves
 for P and Q and both coefficients of the H2
 Sylvester solve read the Schur forms on the records, and the H2 functions
 read the full system off its record, so no system caches anything.  The
@@ -85,7 +86,7 @@ def gramian_cache(sys: QuadraticOutputSystem) -> tuple[GramianRecord, np.ndarray
     fac = real_schur(sys.dense_A())
     if not is_stable(fac.eigenvalues):
         raise StabilityError(
-            f"{sys.label}: spectral abscissa {fac.abscissa:.3e} is not below the stability "
+            f"{sys.label}: spectral abscissa {fac.eigenvalues.real.max():.3e} is not below the stability "
             f"margin {stability_margin(fac.eigenvalues):.3e}, Gramians undefined"
         )
     P = solve_lyapunov(sys.A, sys.B, factors=fac)
@@ -146,38 +147,26 @@ class ReducedModel:
         return ReducedModel(r=r, system=rom, V=self.V[:, :r], W=self.W[:, :r])
 
 
-@dataclass(frozen=True)
-class _PackedRecord:
-    """A ``GramianRecord`` whose Schur form keeps T as LAPACK packed upper
-    storage (m (m + 1) / 2 doubles) and its subdiagonal: about half of T."""
+def _pack(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T as LAPACK packed upper storage (m (m + 1) / 2 doubles) and its
+    subdiagonal: about half of T."""
+    upper, info = dtrttp(T)
+    if info != 0:
+        raise ValueError(f"illegal argument {-info} passed to trttp")
+    return upper, T.diagonal(-1).copy()
 
-    system: QuadraticOutputSystem
-    norm_squared: float
-    U: np.ndarray
-    eigenvalues: np.ndarray
-    upper: np.ndarray
-    subdiagonal: np.ndarray
 
-    @classmethod
-    def of(cls, ref: GramianRecord) -> _PackedRecord:
-        fac = ref.schur
-        upper, info = dtrttp(fac.T)
-        if info != 0:
-            raise ValueError(f"illegal argument {-info} passed to trttp")
-        return cls(ref.system, ref.norm_squared, fac.U, fac.eigenvalues, upper, fac.T.diagonal(-1).copy())
-
-    def unpack(self) -> GramianRecord:
-        """The record with T restored bitwise.  tpttr returns T zero-filled
-        below its upper triangle (f2py fills every array it allocates), and
-        gees left zeros below the subdiagonal, which alone is put back."""
-        m = self.U.shape[0]
-        T, info = dtpttr(m, self.upper)
-        if info != 0:
-            raise ValueError(f"illegal argument {-info} passed to tpttr")
-        below = np.arange(1, m)
-        T[below, below - 1] = self.subdiagonal
-        schur = SchurFactors(T=T, U=self.U, eigenvalues=self.eigenvalues)
-        return GramianRecord(system=self.system, schur=schur, norm_squared=self.norm_squared)
+def _unpack(upper: np.ndarray, subdiagonal: np.ndarray) -> np.ndarray:
+    """T restored bitwise.  tpttr returns T zero-filled below its upper
+    triangle (f2py fills every array it allocates), and gees left zeros
+    below the subdiagonal, which alone is put back."""
+    m = subdiagonal.size + 1
+    T, info = dtpttr(m, upper)
+    if info != 0:
+        raise ValueError(f"illegal argument {-info} passed to tpttr")
+    below = np.arange(1, m)
+    T[below, below - 1] = subdiagonal
+    return T
 
 
 def balance(fom: QuadraticOutputSystem) -> BalancedFactorization:
@@ -187,25 +176,29 @@ def balance(fom: QuadraticOutputSystem) -> BalancedFactorization:
     name holds P while Q is solved.  The eigensolver that factors a Gramian
     never reads the Schur form, so T is held packed while P and Q are
     factored, and only then: it is restored bitwise for the Q solve and for
-    the record returned.  The peak, at the factor of Q, is the packed T, U,
-    Q and its eigenvectors, inside which Z_Q is built.
+    the record returned, which is built once, at the end.  The peak, at the
+    factor of Q, is the packed T, U, Q and its eigenvectors, inside which
+    Z_Q is built.
     """
     ref, P = gramian_cache(fom)
-    packed = _PackedRecord.of(ref)
+    U, eigenvalues, norm_squared = ref.schur.U, ref.schur.eigenvalues, ref.norm_squared
+    packed = _pack(ref.schur.T)
     del ref
     Zp = symmetric_factor(P)
     del P
     # Q's right-hand side N Z_P Z_P^T N is passed as its factor N Z_P; Q goes
     # straight to symmetric_factor, which consumes it
-    ref = packed.unpack()
+    schur = SchurFactors(T=_unpack(*packed), U=U, eigenvalues=eigenvalues)
     del packed
-    Q = solve_lyapunov(fom.A, gemm(fom.N, Zp), factors=ref.schur, transposed=True)
-    packed = _PackedRecord.of(ref)
-    del ref
+    Q = solve_lyapunov(fom.A, gemm(fom.N, Zp), factors=schur, transposed=True)
+    packed = _pack(schur.T)
+    del schur
     Zq = symmetric_factor(Q)
     del Q
     left, sigma, right_t = la.svd(gemm(Zp.T, Zq), full_matrices=False)
-    return BalancedFactorization(ref=packed.unpack(), Zp=Zp, Zq=Zq, sigma=sigma, left=left, right_t=right_t)
+    schur = SchurFactors(T=_unpack(*packed), U=U, eigenvalues=eigenvalues)
+    ref = GramianRecord(system=fom, schur=schur, norm_squared=norm_squared)
+    return BalancedFactorization(ref=ref, Zp=Zp, Zq=Zq, sigma=sigma, left=left, right_t=right_t)
 
 
 def project(fom: QuadraticOutputSystem, V: np.ndarray, W: np.ndarray) -> QuadraticOutputSystem:

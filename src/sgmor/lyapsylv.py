@@ -48,7 +48,6 @@ would cost 2-5 us more, three times per step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg.blas import dgemm
@@ -153,11 +152,6 @@ class SchurFactors:
     T: np.ndarray
     U: np.ndarray
     eigenvalues: np.ndarray
-
-    @cached_property
-    def abscissa(self) -> float:
-        """Largest real part of the spectrum."""
-        return float(self.eigenvalues.real.max())
 
 
 def _no_sort(wr, wi):
@@ -385,7 +379,7 @@ def solve_lyapunov(
     fac = factors if factors is not None else real_schur(A)
     if not is_stable(fac.eigenvalues):
         raise StabilityError(
-            f"coefficient matrix has spectral abscissa {fac.abscissa:.3e}, "
+            f"coefficient matrix has spectral abscissa {fac.eigenvalues.real.max():.3e}, "
             f"not below the stability margin {stability_margin(fac.eigenvalues):.3e}"
         )
 

@@ -43,10 +43,7 @@ def multi_indices(q: int, d: int) -> np.ndarray:
     sorted by total degree first, lexicographically within each degree.  The
     zero multi-index comes first.
     """
-    if q < 1:
-        raise ValueError(f"parameter count must be >= 1, got {q}")
-    if d < 0:
-        raise ValueError(f"total degree must be >= 0, got {d}")
+    size = basis_size(q, d)
 
     def emit(dims: int, budget: int):
         if dims == 1:
@@ -59,7 +56,7 @@ def multi_indices(q: int, d: int) -> np.ndarray:
 
     indices = sorted(emit(q, d), key=lambda a: (sum(a), a))
     out = np.array(indices, dtype=np.int64)
-    assert out.shape == (basis_size(q, d), q)
+    assert out.shape == (size, q)
     return out
 
 

@@ -6,9 +6,10 @@ discrete energy x_k^T N x_k of a dissipative system is non-increasing up to
 roundoff, which is what the dissipation checks rely on.  Every system steps
 through its own shifted solve ``shift_inverse(2/h)``, so this module does not
 know whether A is dense or applied through a second-order triple.
-``integrate`` is the one trapezoid loop.  It keeps only the output
-y = x^T N x of each step, never the states, so no run holds a (steps, m)
-array; ``verify_error_bound`` runs the FOM and every reduced model through it,
+``integrate`` is the one trapezoid loop.  It returns y, the output
+y = x^T N x of each step, and keeps no state, so no run holds a (steps, m)
+array; the grid is h * arange(steps + 1) and the internal energy is y / 2.
+``verify_error_bound`` runs the FOM and every reduced model through it,
 given as the FOM's ``GramianRecord``, which ``h2_error`` reads.
 """
 
@@ -23,7 +24,6 @@ from .bt_quadratic import GramianRecord, h2_error
 from .galerkin import QuadraticOutputSystem
 
 __all__ = [
-    "Trajectory",
     "default_input",
     "integrate",
     "BoundCheck",
@@ -34,19 +34,6 @@ __all__ = [
 def default_input(t):
     """Square-integrable excitation exp(-t/10) sin(2 t)."""
     return np.exp(-t / 10.0) * np.sin(2.0 * t)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Uniform grid and quadratic outputs y_k = x_k^T N x_k."""
-
-    t: np.ndarray
-    y: np.ndarray
-
-    @property
-    def energy(self) -> np.ndarray:
-        """Output with the 1/2 factor of the internal-energy reading."""
-        return 0.5 * self.y
 
 
 def _input_samples(u, t: np.ndarray, n_in: int) -> np.ndarray:
@@ -80,9 +67,9 @@ def integrate(
     x0: np.ndarray | None = None,
     h: float = 0.01,
     T: float = 100.0,
-) -> Trajectory:
-    """Trapezoidal one-step integration of x' = A x + B u from x(0) = x0,
-    keeping the output y_k = x_k^T N x_k of each step and no state.
+) -> np.ndarray:
+    """Trapezoidal one-step integration of x' = A x + B u from x(0) = x0:
+    the outputs y_k = x_k^T N x_k at t_k = k h, k = 0..steps, and no state.
 
     ``u`` is a callable of time returning a scalar (single input) or a vector
     of length n_in, or its samples at the grid points 0, h, ..., as a
@@ -109,7 +96,7 @@ def integrate(
     for k in range(t.size - 1):
         x = solve(2.0 * omega * x + sys.B @ (ugrid[k] + ugrid[k + 1])) - x
         y[k + 1] = x @ (sys.N @ x)
-    return Trajectory(t=t, y=y)
+    return y
 
 
 @dataclass(frozen=True)
@@ -142,7 +129,7 @@ def verify_error_bound(
     fom = ref.system
     t = _time_grid(h, T)
     ugrid = _input_samples(u, t, fom.n_in)
-    y = integrate(fom, u=ugrid, h=h, T=T).y
+    y = integrate(fom, u=ugrid, h=h, T=T)
     f = np.linalg.norm(ugrid, axis=1) ** 4
     # scipy.integrate.trapezoid's operation order, without importing scipy.integrate
     u_l4 = float(np.sqrt(np.sum((t[1:] - t[:-1]) * (f[1:] + f[:-1]) / 2.0)))
@@ -150,7 +137,7 @@ def verify_error_bound(
 
     checks = []
     for rsys in reduced:
-        y_r = integrate(rsys, u=ugrid, h=h, T=T).y
+        y_r = integrate(rsys, u=ugrid, h=h, T=T)
         observed = float(np.max(np.abs(y - y_r)))
         bound = h2_error(ref, rsys) * u_l4
         slack = h * h * max(bound, y_max, float(np.max(np.abs(y_r))))

@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 
 from conftest import make_stable_system, traced_peak
 from kronecker import kron_lyapunov
-from sgmor import bt_quadratic, galerkin, lyapsylv
+from sgmor import bt_quadratic, galerkin, lyapsylv, simulate
 from sgmor.bt_quadratic import (
     BalancedFactorization,
     GramianRecord,
@@ -126,6 +126,17 @@ class TestGramianCache:
             f"{path.name}:{number}: {line.strip()}"
             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if pattern.search(line)
+        ]
+        assert not found, found
+
+    def test_solvers_and_records_cache_nothing(self):
+        """No solver, reduction record or integrator keeps a hidden cache:
+        lyapsylv.py, bt_quadratic.py and simulate.py name no cached_property."""
+        found = [
+            f"{path.name}:{number}: {line.strip()}"
+            for path in (Path(module.__file__) for module in (lyapsylv, bt_quadratic, simulate))
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if re.search(r"\bcached_property\b", line)
         ]
         assert not found, found
 
@@ -351,7 +362,7 @@ class TestReducedModel:
         sys = make_stable_system(rng, 8)
         bal = balance(sys)
         rom = truncate(bal, 4)
-        assert record(rom.system).schur.abscissa < 0
+        assert record(rom.system).schur.eigenvalues.real.max() < 0
         assert rom.is_stable
         assert rom.r == 4
         assert rom.system.N.shape == (4, 4)

@@ -48,6 +48,16 @@ SMALL_MODEL = {
 }
 
 
+def load_perfbench(name, monkeypatch):
+    """perfbench/<name>.py as a module, read without changing it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while it executes
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def write_config(tmp_path, **overrides):
     raw = {
         "model": SMALL_MODEL,
@@ -474,16 +484,34 @@ class TestMain:
 
     def test_benchmark_configs_hold_only_known_keys(self, tmp_path, monkeypatch):
         """The configs the benchmark writes for each of its workloads parse."""
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        # dataclasses look their module up in sys.modules while it executes
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        spec.loader.exec_module(workloads)
+        workloads = load_perfbench("workloads", monkeypatch)
         for workload in workloads.WORKLOADS.values():
             for seed in (0, 1):
                 path = tmp_path / f"{workload.name}-{seed}.json"
                 workloads.write_config(workload, seed, path)
                 experiment_from_args(ns(config=str(path)))
+
+    def test_benchmark_output_invariants_hold(self, tmp_path, monkeypatch):
+        """The benchmark's own output checks (perfbench/checks.py, without the
+        reference comparison) pass on balanced-truncation and Arnoldi
+        ``reduce`` and on ``verify`` of its nominal model at d = 1, so a broken
+        CSV format fails here and not only in a benchmark run.  The reducer
+        sits in the config, where the checks read it."""
+        workloads = load_perfbench("workloads", monkeypatch)
+        checks = load_perfbench("checks", monkeypatch)
+        runs = (
+            ("reduce", {"reducer": "balanced-truncation", "r": {"min": 1, "max": 20}}),
+            ("reduce", {"reducer": "arnoldi", "r": {"min": 1, "max": 20}}),
+            ("verify", {"reducer": "balanced-truncation",
+                        "simulation": {"h": 0.05, "T": 5.0, "r_values": [4, 8]}}),
+        )
+        for i, (command, experiment) in enumerate(runs):
+            config = {"model": workloads.NOMINAL_MODEL, "degree": 1, **experiment}
+            path = tmp_path / f"experiment-{i}.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / f"out-{i}"
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
+            assert checks.check_outputs(command, config, out, reference=False) == [], (command, experiment)
 
     @pytest.mark.parametrize("content", [None, "{not json", "[1]"])
     def test_bad_model_file_is_exit_2(self, tmp_path, capsys, content):

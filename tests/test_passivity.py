@@ -191,12 +191,12 @@ class TestCertificate:
         rom = truncate(bal, 3).system
         lam = shifted_dissipation_certificate(rom).lambda_max
         x0 = rng.standard_normal(3)
-        traj = integrate(rom, u=None, x0=x0, h=0.01, T=20.0)
+        y = integrate(rom, u=None, x0=x0, h=0.01, T=20.0)
         states = trapezoid_states(rom, None, x0, h=0.01, T=20.0)
         mid = 0.5 * (states[:-1] + states[1:])
-        rate = np.diff(traj.y) / 0.01
+        rate = np.diff(y) / 0.01
         bound = lam * np.einsum("ki,ki->k", mid, mid)
-        scale = max(np.abs(traj.y).max(), 1.0)
+        scale = max(np.abs(y).max(), 1.0)
         assert np.all(rate <= bound + 1e-8 * scale), (
             f"max violation {(rate - bound).max():.2e}"
         )

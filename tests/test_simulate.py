@@ -35,38 +35,36 @@ def scalar_decay():
 class TestIntegrate:
     def test_zero_input_zero_state_stays_zero(self, rng):
         sys = make_stable_system(rng, 6)
-        traj = integrate(sys, h=0.05, T=2.0)
+        y = integrate(sys, h=0.05, T=2.0)
         # N is positive definite, so y = 0 only at the origin
-        assert not np.any(traj.y), "zero input from the origin must stay there"
+        assert not np.any(y), "zero input from the origin must stay there"
 
     def test_grid_and_shapes(self, rng):
+        """One output per grid point 0, h, ..., T and no state."""
         sys = make_stable_system(rng, 5)
-        traj = integrate(sys, u=default_input, h=0.25, T=2.0)
-        assert traj.t.shape == (9,)
-        assert_allclose(traj.t, 0.25 * np.arange(9))
-        assert traj.y.shape == (9,)
-        assert [f.name for f in fields(traj)] == ["t", "y"], "a trajectory keeps no states"
+        y = integrate(sys, u=default_input, h=0.25, T=2.0)
+        assert y.shape == (9,)
 
     def test_scalar_exponential_decay(self):
         # x stays positive, so x = sqrt(y)
-        traj = integrate(scalar_decay(), x0=np.array([1.0]), h=0.01, T=1.0)
-        err = abs(np.sqrt(traj.y[-1]) - np.exp(-1.0))
+        y = integrate(scalar_decay(), x0=np.array([1.0]), h=0.01, T=1.0)
+        err = abs(np.sqrt(y[-1]) - np.exp(-1.0))
         assert err < 1e-4, f"x(1) error {err:.2e} exceeds 1e-4"
-        assert abs(traj.y[-1] - np.exp(-2.0)) < 1e-4
+        assert abs(y[-1] - np.exp(-2.0)) < 1e-4
 
     def test_second_order_convergence(self):
         errs = []
         for h in (0.02, 0.01, 0.005):
-            traj = integrate(scalar_decay(), x0=np.array([1.0]), h=h, T=1.0)
-            errs.append(abs(np.sqrt(traj.y[-1]) - np.exp(-1.0)))
+            y = integrate(scalar_decay(), x0=np.array([1.0]), h=h, T=1.0)
+            errs.append(abs(np.sqrt(y[-1]) - np.exp(-1.0)))
         for coarse, fine in zip(errs, errs[1:]):
             ratio = coarse / fine
             assert 3.5 < ratio < 4.5, f"halving h gave error ratio {ratio:.2f}, want ~4"
 
     def test_constant_input_step_response(self):
         # x' = -x + 1 from 0 tends to 1 - exp(-t)
-        traj = integrate(scalar_decay(), u=lambda t: 1.0, h=0.005, T=1.0)
-        err = abs(np.sqrt(traj.y[-1]) - (1.0 - np.exp(-1.0)))
+        y = integrate(scalar_decay(), u=lambda t: 1.0, h=0.005, T=1.0)
+        err = abs(np.sqrt(y[-1]) - (1.0 - np.exp(-1.0)))
         assert err < 1e-5, f"step response error {err:.2e}"
 
     def test_vector_input_superposition(self):
@@ -74,23 +72,17 @@ class TestIntegrate:
         expected = np.array([1.0, 2.0]) * (1.0 - np.exp(-1.0))
         for i in range(2):
             sys = QuadraticOutputSystem(A=-np.eye(2), B=np.eye(2), N=np.diag(np.eye(2)[i]))
-            traj = integrate(sys, u=lambda t: np.array([1.0, 2.0]), h=0.005, T=1.0)
-            assert_allclose(np.sqrt(traj.y[-1]), expected[i], atol=1e-5)
-
-    def test_energy_is_half_output(self, rng):
-        sys = make_stable_system(rng, 4)
-        x0 = rng.standard_normal(4)
-        traj = integrate(sys, x0=x0, h=0.1, T=1.0)
-        assert_allclose(traj.energy, 0.5 * traj.y, atol=0.0)
+            y = integrate(sys, u=lambda t: np.array([1.0, 2.0]), h=0.005, T=1.0)
+            assert_allclose(np.sqrt(y[-1]), expected[i], atol=1e-5)
 
     def test_dissipative_energy_non_increasing(self, rng):
         # A^T + A = -I <= 0 with N = I, so x^T x must decay along the flow
         S = rng.standard_normal((6, 6))
         A = 0.5 * (S - S.T) - 0.5 * np.eye(6)
         sys = QuadraticOutputSystem(A=A, B=np.eye(6)[:, :1], N=np.eye(6))
-        traj = integrate(sys, x0=rng.standard_normal(6), h=0.01, T=10.0)
-        jumps = np.diff(traj.y)
-        assert np.all(jumps <= 1e-12 * traj.y[0]), (
+        y = integrate(sys, x0=rng.standard_normal(6), h=0.01, T=10.0)
+        jumps = np.diff(y)
+        assert np.all(jumps <= 1e-12 * y[0]), (
             f"energy increased by {jumps.max():.2e}"
         )
 
@@ -116,7 +108,7 @@ class TestIntegrate:
 
         sampled = integrate(sys, u=np.array([u(tk) for tk in t]), h=h, T=T)
         called = integrate(sys, u=u, h=h, T=T)
-        assert np.array_equal(sampled.y, called.y)
+        assert np.array_equal(sampled, called)
         with pytest.raises(ValueError, match="input samples have shape"):
             integrate(sys, u=np.zeros((t.size - 1, 2)), h=h, T=T)
 
@@ -132,8 +124,8 @@ class TestIntegrate:
         sys = QuadraticOutputSystem(A=make_stable_system(rng, m).A, B=np.ones((m, 1)), N=N + N.T)
         assert np.linalg.eigvalsh(sys.N).min() < 0.0 < np.linalg.eigvalsh(sys.N).max()
         x0 = rng.standard_normal(m)
-        traj = integrate(sys, u=default_input, x0=x0, h=0.05, T=5.0)
-        assert_same_outputs(traj.y, sys, trapezoid_states(sys, default_input, x0, h=0.05, T=5.0))
+        y = integrate(sys, u=default_input, x0=x0, h=0.05, T=5.0)
+        assert_same_outputs(y, sys, trapezoid_states(sys, default_input, x0, h=0.05, T=5.0))
 
     def test_singular_propagator_reported(self):
         # h * 200 / 2 = 1 makes I - h/2 A exactly singular
@@ -167,11 +159,11 @@ def fom_d1():
 
 
 def assert_same_trajectory(sparse_run, dense_run):
-    """Outputs agree within 1e-12 of their largest magnitude."""
-    assert_allclose(sparse_run.t, dense_run.t, rtol=0.0, atol=0.0)
-    scale = np.abs(dense_run.y).max()
+    """Outputs on the same grid agree within 1e-12 of their largest magnitude."""
+    assert sparse_run.shape == dense_run.shape
+    scale = np.abs(dense_run).max()
     assert scale > 0.0
-    dev = np.abs(sparse_run.y - dense_run.y).max() / scale
+    dev = np.abs(sparse_run - dense_run).max() / scale
     assert dev <= 1e-12, f"y differs from the dense-A run by {dev:.2e} relative"
 
 
@@ -201,7 +193,7 @@ class TestSecondOrderPath:
         dense = dense_first_order(fom_d1)
         sparse_run = integrate(fom_d1, x0=x0, h=0.01, T=20.0)
         assert_same_trajectory(sparse_run, integrate(dense, x0=x0, h=0.01, T=20.0))
-        assert sparse_run.y[0] == x0 @ (fom_d1.N @ x0), "the run starts at x0"
+        assert sparse_run[0] == x0 @ (fom_d1.N @ x0), "the run starts at x0"
 
     def test_two_inputs(self, rng):
         fom = to_first_order(random_triple(rng, 6, 2))
@@ -219,9 +211,9 @@ class TestSecondOrderPath:
     def test_output_is_the_quadratic_form_of_each_state(self, fom_d1):
         """On the sparse N of the d = 1 triple each y_k is x_k^T N x_k of the
         dense reference states."""
-        traj = integrate(fom_d1, u=default_input, h=0.05, T=5.0)
+        y = integrate(fom_d1, u=default_input, h=0.05, T=5.0)
         states = trapezoid_states(dense_first_order(fom_d1), default_input, np.zeros(fom_d1.m), h=0.05, T=5.0)
-        assert_same_outputs(traj.y, fom_d1, states)
+        assert_same_outputs(y, fom_d1, states)
 
     def test_singular_step_matrix_reported(self, rng):
         # K = 0 and D = -(2/h) M make M + h/2 D + h^2/4 K exactly zero
