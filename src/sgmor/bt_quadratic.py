@@ -6,15 +6,14 @@ and returns the frozen ``GramianRecord`` (the system, its Schur form and
 ||H||^2 = trace(N P N P)) together with P, which the caller owns: ``balance``
 factors P = Z_P Z_P^T, which consumes it, before it solves the
 output-weighted observability Gramian Q, and every other caller drops P at
-once.  While P and Q are factored, ``balance`` holds T in LAPACK packed
-storage, since the eigensolver never reads it, keeps U, the eigenvalues and
-||H||^2 as they are, restores T bitwise for the Q solve, and builds the one
-record it returns at the end.  The Lyapunov solves
-for P and Q and both coefficients of the H2
-Sylvester solve read the Schur forms on the records, and the H2 functions
-read the full system off its record, so no system caches anything.  The
-stability verdict of a reduced model needs only its eigenvalues, so an
-unstable sweep row takes no Schur form and a stable row one r x r form.
+once.  The Schur form holds T as the blocks the Bartels-Stewart recursion
+reads, about half an m x m array, so ``balance`` keeps the record as it
+is through both factorizations.  The Lyapunov solves for P and Q and both
+coefficients of the H2 Sylvester solve read the Schur forms on the
+records, and the H2 functions read the full system off its record, so no
+system caches anything.  The stability verdict of a reduced model needs
+only its eigenvalues, so an unstable sweep row takes no Schur form and a
+stable row one r x r form.
 
 Q's right-hand side N P N is replaced by N Z_P Z_P^T N and passed as its
 factor N Z_P; Q is factored, and the SVD of Z_P^T Z_Q delivers the
@@ -36,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-from scipy.linalg.lapack import dtpttr, dtrttp
 
 from .errors import ConvergenceError, RankError, StabilityError
 from .galerkin import QuadraticOutputSystem
@@ -78,12 +76,13 @@ class GramianRecord:
 def gramian_cache(sys: QuadraticOutputSystem) -> tuple[GramianRecord, np.ndarray]:
     """The record of a stable system and its controllability Gramian P.
 
-    The Schur form of the dense A is taken here, P is solved on it, and the
-    H2 norm is summed over strips of P, so no m x m N P is formed.  The
-    caller owns P; one that does not factor it drops it at once.  A system
-    that ``lyapsylv.is_stable`` does not pass raises StabilityError.
+    The Schur form of A is taken here (an operator A builds a dense A, which
+    gees overwrites), P is solved on it, and the H2 norm is summed over
+    strips of P, so no m x m N P is formed.  The caller owns P; one that
+    does not factor it drops it at once.  A system that
+    ``lyapsylv.is_stable`` does not pass raises StabilityError.
     """
-    fac = real_schur(sys.dense_A())
+    fac = real_schur(sys.A)
     if not is_stable(fac.eigenvalues):
         raise StabilityError(
             f"{sys.label}: spectral abscissa {fac.eigenvalues.real.max():.3e} is not below the stability "
@@ -147,57 +146,23 @@ class ReducedModel:
         return ReducedModel(r=r, system=rom, V=self.V[:, :r], W=self.W[:, :r])
 
 
-def _pack(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """T as LAPACK packed upper storage (m (m + 1) / 2 doubles) and its
-    subdiagonal: about half of T."""
-    upper, info = dtrttp(T)
-    if info != 0:
-        raise ValueError(f"illegal argument {-info} passed to trttp")
-    return upper, T.diagonal(-1).copy()
-
-
-def _unpack(upper: np.ndarray, subdiagonal: np.ndarray) -> np.ndarray:
-    """T restored bitwise.  tpttr returns T zero-filled below its upper
-    triangle (f2py fills every array it allocates), and gees left zeros
-    below the subdiagonal, which alone is put back."""
-    m = subdiagonal.size + 1
-    T, info = dtpttr(m, upper)
-    if info != 0:
-        raise ValueError(f"illegal argument {-info} passed to tpttr")
-    below = np.arange(1, m)
-    T[below, below - 1] = subdiagonal
-    return T
-
-
 def balance(fom: QuadraticOutputSystem) -> BalancedFactorization:
     """Record, Gramians, symmetric factors, and the balancing SVD of a stable system.
 
     P is factored as soon as it is solved; the factor consumes it, and no
-    name holds P while Q is solved.  The eigensolver that factors a Gramian
-    never reads the Schur form, so T is held packed while P and Q are
-    factored, and only then: it is restored bitwise for the Q solve and for
-    the record returned, which is built once, at the end.  The peak, at the
-    factor of Q, is the packed T, U, Q and its eigenvectors, inside which
-    Z_Q is built.
+    name holds P while Q is solved on the record's Schur form.  The peak, at
+    the factor of Q, is the Schur form (T in its blocks, about half an
+    array, and U), Q and its eigenvectors, inside which Z_Q is built.
     """
     ref, P = gramian_cache(fom)
-    U, eigenvalues, norm_squared = ref.schur.U, ref.schur.eigenvalues, ref.norm_squared
-    packed = _pack(ref.schur.T)
-    del ref
     Zp = symmetric_factor(P)
     del P
     # Q's right-hand side N Z_P Z_P^T N is passed as its factor N Z_P; Q goes
     # straight to symmetric_factor, which consumes it
-    schur = SchurFactors(T=_unpack(*packed), U=U, eigenvalues=eigenvalues)
-    del packed
-    Q = solve_lyapunov(fom.A, gemm(fom.N, Zp), factors=schur, transposed=True)
-    packed = _pack(schur.T)
-    del schur
+    Q = solve_lyapunov(fom.A, gemm(fom.N, Zp), factors=ref.schur, transposed=True)
     Zq = symmetric_factor(Q)
     del Q
     left, sigma, right_t = la.svd(gemm(Zp.T, Zq), full_matrices=False)
-    schur = SchurFactors(T=_unpack(*packed), U=U, eigenvalues=eigenvalues)
-    ref = GramianRecord(system=fom, schur=schur, norm_squared=norm_squared)
     return BalancedFactorization(ref=ref, Zp=Zp, Zq=Zq, sigma=sigma, left=left, right_t=right_t)
 
 

@@ -118,9 +118,10 @@ class FirstOrderOperator:
     A is applied through the sparse (M, D, K) and one sparse LU of M:
     A X = [X_2; -M^{-1}(K X_1 + D X_2)] and, as M, D and K are symmetric,
     A^T X = [-K M^{-1} X_2; X_1 - D M^{-1} X_2].  ``shape``, ``T`` and ``@``
-    are what the solvers use; ``toarray`` builds the dense A (never A^T:
-    a system refuses a transposed operator), the input of the Schur form and
-    of test oracles.
+    are what the solvers use; ``toarray`` builds a fresh dense A,
+    Fortran-ordered, which the Schur form's gees overwrites in place; test
+    oracles read it too.  It refuses the transposed operator, as a system
+    does, so no Schur form of A is taken for one of A^T.
     """
 
     def __init__(self, galerkin: GalerkinSystem, mass_lu: spla.SuperLU, transposed: bool = False):
@@ -157,9 +158,11 @@ class FirstOrderOperator:
         return out
 
     def toarray(self) -> np.ndarray:
-        """The dense A."""
+        """The dense A, Fortran-ordered, as LAPACK overwrites it in place."""
+        if self._transposed:
+            raise ValueError("toarray builds A, not A^T")
         g, ns = self.galerkin, self.galerkin.dimension
-        A = np.zeros((2 * ns, 2 * ns))
+        A = np.zeros((2 * ns, 2 * ns), order="F")
         idx = np.arange(ns)
         A[idx, ns + idx] = 1.0
         A[ns:, :ns] = self._mass_lu.solve(g.K.toarray())
@@ -177,10 +180,11 @@ class QuadraticOutputSystem:
 
     ``A`` is a dense array or, for the first-order form of a Galerkin triple
     (built by ``to_first_order``), a ``FirstOrderOperator`` on that triple;
-    ``N`` is a dense array or a sparse matrix.  Whether A is dense is
-    decided in one place, ``galerkin``: ``dense_A``, ``shift_inverse`` and
-    the dissipation eigenvalues branch on it.  Time integration steps through
-    ``shift_inverse`` and reads no triple.
+    ``N`` is a dense array or a sparse matrix.  ``shift_inverse`` and the
+    dissipation eigenvalues branch on whether a triple is held; the Schur
+    form takes either A and makes dense whatever has ``toarray``
+    (``FirstOrderOperator.toarray`` for a triple).  Time integration steps
+    through ``shift_inverse`` and reads no triple.
     """
 
     A: np.ndarray | FirstOrderOperator
@@ -222,10 +226,6 @@ class QuadraticOutputSystem:
     @property
     def n_in(self) -> int:
         return self.B.shape[1]
-
-    def dense_A(self) -> np.ndarray:
-        """A as a dense array; built anew for the first-order form of a triple."""
-        return self.A if self.galerkin is None else self.A.toarray()
 
     def shift_inverse(self, omega: float):
         """b -> (omega I - A)^{-1} b for a state vector b, factored once; a

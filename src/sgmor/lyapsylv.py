@@ -12,9 +12,12 @@ op(T_a) Z + Z op(T_f) = R.  The Lyapunov recursion splits op(T) Z +
 Z op(T)^T = R symmetrically and solves only the blocks on and above the
 diagonal: two half-size Lyapunov equations and one Sylvester equation for
 the off-diagonal block, which is mirrored (136 instead of 256 leaves at
-m = 960).  Both share the transform and back-transform of
-``_bartels_stewart``, which writes the solution in place, so a solve holds
-the Schur pair (T, U), its one m x n result and the workspace.  Each leaf
+m = 960).  A Schur form holds T as the blocks these recursions read,
+``QuasiTriangular``: each split's coupling T12 one contiguous array and each
+leaf one full array, about half of T in all.  Both recursions share the
+transform and back-transform of ``_bartels_stewart``, which writes the
+solution in place, so a solve holds the Schur pair (T, U), its one m x n
+result and the workspace.  Each leaf
 divides out the scale trsyl solves for and raises SpectralOverlapError when
 trsyl had to perturb nearly common eigenvalues (info = 1), so a recursion
 returns the solution or raises.  Schur factorizations computed up front can
@@ -56,6 +59,7 @@ from scipy.linalg.lapack import dgees, dsyevr, dsyevr_lwork, dtrsyl
 from .errors import ConvergenceError, DefinitenessError, SpectralOverlapError, StabilityError
 
 __all__ = [
+    "QuasiTriangular",
     "SchurFactors",
     "is_stable",
     "is_symmetric",
@@ -145,11 +149,55 @@ def is_stable(eigenvalues: np.ndarray) -> bool:
     return bool(eigenvalues.real.max() < stability_margin(eigenvalues))
 
 
+@dataclass(frozen=True, eq=False)
+class QuasiTriangular:
+    """An upper quasi-triangular m x m T held as the blocks the recursion reads.
+
+    T of at most LEAF rows is one Fortran-ordered array, ``leaf``.  A larger
+    T is split at k = ``_split(T)``, which never cuts a 2x2 block, into
+    T11 = T[:k, :k] and T22 = T[k:, k:], held the same way, and the coupling
+    T12 = T[:k, k:], one Fortran-ordered array; the zero block T[k:, :k] is
+    not stored.  The blocks hold at most m (m + 1) / 2 + m LEAF doubles
+    (0.53 m^2 at m = 960).  A coupling reaches dgemm, and a leaf trsyl, as a
+    contiguous array, which f2py passes without the copy it makes of a
+    strided view of a full T.
+    """
+
+    m: int
+    leaf: np.ndarray | None = None
+    k: int = 0
+    T11: QuasiTriangular | None = None
+    T12: np.ndarray | None = None
+    T22: QuasiTriangular | None = None
+
+    @classmethod
+    def of(cls, T: np.ndarray) -> QuasiTriangular:
+        """The blocks of an upper quasi-triangular array T, each copied out of it."""
+        m = T.shape[0]
+        if m <= LEAF:
+            return cls(m, leaf=np.array(T, order="F"))
+        k = _split(T)
+        T11, T22 = cls.of(T[:k, :k]), cls.of(T[k:, k:])
+        return cls(m, k=k, T11=T11, T12=np.array(T[:k, k:], order="F"), T22=T22)
+
+    def toarray(self) -> np.ndarray:
+        """T as one Fortran-ordered m x m array, zero below its blocks."""
+        if self.leaf is not None:
+            return self.leaf.copy(order="F")
+        k = self.k
+        T = np.zeros((self.m, self.m), order="F")
+        T[:k, :k] = self.T11.toarray()
+        T[:k, k:] = self.T12
+        T[k:, k:] = self.T22.toarray()
+        return T
+
+
 @dataclass(frozen=True)
 class SchurFactors:
-    """Real Schur decomposition A = U T U^T with the spectrum of A attached."""
+    """Real Schur decomposition A = U T U^T with the spectrum of A attached;
+    T is held as its ``QuasiTriangular`` blocks."""
 
-    T: np.ndarray
+    T: QuasiTriangular
     U: np.ndarray
     eigenvalues: np.ndarray
 
@@ -159,17 +207,25 @@ def _no_sort(wr, wi):
     return 0
 
 
-def real_schur(A: np.ndarray) -> SchurFactors:
-    """Compute the real Schur form of a square matrix.
+def real_schur(A) -> SchurFactors:
+    """Compute the real Schur form of a square matrix or operator.
 
-    LAPACK gees runs on one Fortran-ordered copy of A, which it overwrites
-    with T, so the caller's array is never changed.  The workspace query
-    passes the same copy and reads only its dimension, so it copies nothing
-    (scipy's ``schur`` copies A for the query and keeps that copy alive
-    through the real call).  A QR iteration that does not converge raises
+    LAPACK gees overwrites a Fortran-ordered dense A with T.  An array is
+    copied first, so the caller's array is never changed.  Whatever has
+    ``toarray`` is made dense with it: the FOM's ``FirstOrderOperator``
+    builds a fresh Fortran-ordered A, which gees overwrites without a copy
+    (a sparse matrix gives a C-ordered one, copied once more).  The
+    workspace query passes the same array and reads only its dimension, so
+    it copies nothing (scipy's ``schur`` copies A for the query and keeps
+    that copy alive through the real call).  T is returned as its
+    ``QuasiTriangular`` blocks, about half an m x m array, and the dense T
+    is dropped.  A QR iteration that does not converge raises
     ConvergenceError.
     """
-    T = np.array(A, dtype=float, order="F")
+    if hasattr(A, "toarray"):
+        T = np.asarray(A.toarray(), dtype=float, order="F")
+    else:
+        T = np.array(A, dtype=float, order="F")
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {T.shape}")
     if not np.isfinite(T).all():
@@ -180,7 +236,7 @@ def real_schur(A: np.ndarray) -> SchurFactors:
         raise ValueError(f"illegal argument {-info} passed to gees")
     if info > 0:
         raise ConvergenceError("Schur form not found: the QR algorithm did not converge")
-    return SchurFactors(T=T, U=U, eigenvalues=wr + 1j * wi)
+    return SchurFactors(T=QuasiTriangular.of(T), U=U, eigenvalues=wr + 1j * wi)
 
 
 def _symmetrize(X: np.ndarray) -> np.ndarray:
@@ -237,40 +293,42 @@ def _leaf(Ta, Tf, R, trana: str, tranb: str) -> None:
     np.divide(z, scale, out=R)
 
 
-def _blocked_trsyl(Ta, Tf, R, trana: str, tranb: str, work: np.ndarray) -> None:
+def _blocked_trsyl(
+    Ta: QuasiTriangular, Tf: QuasiTriangular, R, trana: str, tranb: str, work: np.ndarray
+) -> None:
     """Overwrite R with Z solving op(Ta) Z + Z op(Tf) = R.
 
-    The rows of R are split at a block boundary of Ta; a wider R is solved
-    as its transpose, op(Tf)^T Z^T + Z^T op(Ta)^T = R^T.  op(Ta) is block
-    upper triangular for "N" and block lower triangular for "T", so the half
-    that does not couple into the other is solved first.  The coupling goes
+    The rows of R are split at Ta's split k; a wider R is solved as its
+    transpose, op(Tf)^T Z^T + Z^T op(Ta)^T = R^T.  op(Ta) is block upper
+    triangular for "N" and block lower triangular for "T", so the half that
+    does not couple into the other is solved first.  The coupling T12 goes
     through ``work`` one strip of columns at a time.
     """
     m, n = R.shape
     if max(m, n) <= LEAF:
-        _leaf(Ta, Tf, R, trana, tranb)
+        _leaf(Ta.leaf, Tf.leaf, R, trana, tranb)
         return
     if n > m:
         _blocked_trsyl(Tf, Ta, R.T, _FLIP[tranb], _FLIP[trana], work)
         return
 
-    k = _split(Ta)
+    k = Ta.k
     if trana == "N":
-        first, second, coupling = slice(k, m), slice(0, k), Ta[:k, k:]
+        first, second, coupling, T1, T2 = slice(k, m), slice(0, k), Ta.T12, Ta.T22, Ta.T11
     else:
-        first, second, coupling = slice(0, k), slice(k, m), Ta[:k, k:].T
+        first, second, coupling, T1, T2 = slice(0, k), slice(k, m), Ta.T12.T, Ta.T11, Ta.T22
     Z1, R2 = R[first], R[second]
-    _blocked_trsyl(Ta[first, first], Tf, Z1, trana, tranb, work)
+    _blocked_trsyl(T1, Tf, Z1, trana, tranb, work)
     for J, out in _strips(*R2.shape, work):
         R2[:, J] -= gemm(coupling, Z1[:, J], out)
-    _blocked_trsyl(Ta[second, second], Tf, R2, trana, tranb, work)
+    _blocked_trsyl(T2, Tf, R2, trana, tranb, work)
 
 
-def _blocked_lyapunov(T, R, trana: str, work: np.ndarray) -> None:
+def _blocked_lyapunov(T: QuasiTriangular, R, trana: str, work: np.ndarray) -> None:
     """Overwrite the symmetric R with Z solving op(T) Z + Z op(T)^T = R.
 
     Only the blocks on and above the diagonal are solved.  For op = N, with
-    T split at a block boundary k, in this order:
+    T split at its block boundary k, in this order:
 
         T22 Z22 + Z22 T22^T = R22                   (recursion)
         T11 Z12 + Z12 T22^T = R12 - T12 Z22         (``_blocked_trsyl``)
@@ -285,24 +343,31 @@ def _blocked_lyapunov(T, R, trana: str, work: np.ndarray) -> None:
     """
     m = R.shape[0]
     if m <= LEAF:
-        _leaf(T, T, R, trana, _FLIP[trana])
+        _leaf(T.leaf, T.leaf, R, trana, _FLIP[trana])
         R[...] = 0.5 * (R + R.T)
         return
 
-    k = _split(T)
-    first, second = (slice(k, m), slice(0, k)) if trana == "N" else (slice(0, k), slice(k, m))
-    Z1, R2, R12, T12 = R[first, first], R[second, second], R[:k, k:], T[:k, k:]
-    _blocked_lyapunov(T[first, first], Z1, trana, work)
+    k, T12 = T.k, T.T12
+    if trana == "N":
+        first, second, T1, T2 = slice(k, m), slice(0, k), T.T22, T.T11
+    else:
+        first, second, T1, T2 = slice(0, k), slice(k, m), T.T11, T.T22
+    Z1, R2, R12 = R[first, first], R[second, second], R[:k, k:]
+    _blocked_lyapunov(T1, Z1, trana, work)
     for J, out in _strips(*R12.shape, work):
         R12[:, J] -= gemm(T12, Z1[:, J], out) if trana == "N" else gemm(Z1, T12[:, J], out)
-    _blocked_trsyl(T[:k, :k], T[k:, k:], R12, trana, _FLIP[trana], work)
+    _blocked_trsyl(T.T11, T.T22, R12, trana, _FLIP[trana], work)
     # R2 -= G + G^T one strip of rows I of G at a time: G[I, :] comes off rows I
-    # and its transpose, formed in the workspace, off columns I
+    # and its transpose, formed in the workspace, off columns I.  Z12^T is
+    # copied once into the Fortran-ordered operand dgemm takes; f2py would
+    # copy the strided view R12 once per strip.
+    Z12T = np.asfortranarray(R12.T)
     for I, out in _strips(R2.shape[1], R2.shape[0], work):
-        gt = gemm(R12, T12[I].T, out) if trana == "N" else gemm(R12.T, T12[:, I], out)
+        gt = gemm(Z12T.T, T12[I].T, out) if trana == "N" else gemm(Z12T, T12[:, I], out)
         R2[I] -= gt.T
         R2[:, I] -= gt
-    _blocked_lyapunov(T[second, second], R2, trana, work)
+    del Z12T
+    _blocked_lyapunov(T2, R2, trana, work)
     R[k:, :k] = R12.T
 
 
@@ -316,13 +381,12 @@ def _bartels_stewart(fac_a: SchurFactors, fac_f: SchurFactors, L: np.ndarray, R:
     equation, or raises.  Z is negated in place, so the returned Y solves
     the equation with right-hand side -L R^T.
     """
-    m, n = fac_a.T.shape[0], fac_f.T.shape[0]
+    m, n = fac_a.T.m, fac_f.T.m
     # Every coupling and both back-transform passes go through one thin
     # workspace of max(m, n) x LEAF doubles, so every strip is at least LEAF
     # wide and the only m x n array is Z, which is returned.  At d = 2
-    # (m = 960) the Gramian solve then peaks at 3.30 m x m arrays traced,
-    # its Schur form included, against 3.53 with a workspace of half of Z,
-    # and verify-d2 at 114.8 MB resident against 115.2.
+    # (m = 960) the Gramian of the FOM then peaks at 2.92 m x m arrays
+    # traced, its Schur form included (the blocks of T, U and Z).
     Z = np.empty((m, n))
     work = np.empty(max(m, n) * LEAF)
     UL = gemm(fac_a.U.T, L)

@@ -1,5 +1,6 @@
-"""Shared helpers: small random systems with a known-good construction, and
-the traced memory peak of a call."""
+"""Shared helpers: small random systems with a known-good construction, the
+arrays held by the blocks of a Schur form's T, and the traced memory peak
+of a call."""
 
 from __future__ import annotations
 
@@ -26,6 +27,21 @@ def make_stable_system(
     G = rng.standard_normal((m, m))
     N = G @ G.T + 0.1 * np.eye(m)
     return QuadraticOutputSystem(A=A, B=B, N=N)
+
+
+def stored_blocks(T):
+    """The arrays held by a ``lyapsylv.QuasiTriangular``: every leaf and T12."""
+    if T.leaf is not None:
+        yield T.leaf
+        return
+    yield from stored_blocks(T.T11)
+    yield T.T12
+    yield from stored_blocks(T.T22)
+
+
+def stored_doubles(T) -> int:
+    """Number of doubles held by the blocks of a ``lyapsylv.QuasiTriangular``."""
+    return sum(block.size for block in stored_blocks(T))
 
 
 def traced_peak(fn, shape: tuple[int, ...]):

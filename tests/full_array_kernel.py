@@ -1,0 +1,55 @@
+"""The Bartels-Stewart recursion on a full quasi-triangular array.
+
+``sgmor.lyapsylv`` holds T as its ``QuasiTriangular`` blocks and its
+kernels read (k, T11, T12, T22) from them.  These are the same recursions
+reading the same blocks as slices of one full T, with the same leaf, split,
+strips and products, so a solve on the blocks must equal a solve here
+bitwise.
+"""
+
+from __future__ import annotations
+
+from sgmor.lyapsylv import _FLIP, LEAF, _leaf, _split, _strips, gemm
+
+
+def blocked_trsyl(Ta, Tf, R, trana: str, tranb: str, work) -> None:
+    """Overwrite R with Z solving op(Ta) Z + Z op(Tf) = R, Ta and Tf full arrays."""
+    m, n = R.shape
+    if max(m, n) <= LEAF:
+        _leaf(Ta, Tf, R, trana, tranb)
+        return
+    if n > m:
+        blocked_trsyl(Tf, Ta, R.T, _FLIP[tranb], _FLIP[trana], work)
+        return
+    k = _split(Ta)
+    if trana == "N":
+        first, second, coupling = slice(k, m), slice(0, k), Ta[:k, k:]
+    else:
+        first, second, coupling = slice(0, k), slice(k, m), Ta[:k, k:].T
+    Z1, R2 = R[first], R[second]
+    blocked_trsyl(Ta[first, first], Tf, Z1, trana, tranb, work)
+    for J, out in _strips(*R2.shape, work):
+        R2[:, J] -= gemm(coupling, Z1[:, J], out)
+    blocked_trsyl(Ta[second, second], Tf, R2, trana, tranb, work)
+
+
+def blocked_lyapunov(T, R, trana: str, work) -> None:
+    """Overwrite the symmetric R with Z solving op(T) Z + Z op(T)^T = R, T a full array."""
+    m = R.shape[0]
+    if m <= LEAF:
+        _leaf(T, T, R, trana, _FLIP[trana])
+        R[...] = 0.5 * (R + R.T)
+        return
+    k = _split(T)
+    first, second = (slice(k, m), slice(0, k)) if trana == "N" else (slice(0, k), slice(k, m))
+    Z1, R2, R12, T12 = R[first, first], R[second, second], R[:k, k:], T[:k, k:]
+    blocked_lyapunov(T[first, first], Z1, trana, work)
+    for J, out in _strips(*R12.shape, work):
+        R12[:, J] -= gemm(T12, Z1[:, J], out) if trana == "N" else gemm(Z1, T12[:, J], out)
+    blocked_trsyl(T[:k, :k], T[k:, k:], R12, trana, _FLIP[trana], work)
+    for I, out in _strips(R2.shape[1], R2.shape[0], work):
+        gt = gemm(R12, T12[I].T, out) if trana == "N" else gemm(R12.T, T12[:, I], out)
+        R2[I] -= gt.T
+        R2[:, I] -= gt
+    blocked_lyapunov(T[second, second], R2, trana, work)
+    R[k:, :k] = R12.T

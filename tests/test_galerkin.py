@@ -169,6 +169,14 @@ class TestFirstOrder:
         with pytest.raises(ValueError, match="second-order triple"):
             dataclasses.replace(fom, A=fom.A.T)
 
+    def test_transposed_operator_has_no_dense_array(self):
+        """toarray builds A alone, so the Schur form of A^T is refused, not
+        taken of A."""
+        fom = to_first_order(assemble(two_mass_example(), PcBasis(q=2, d=1)))
+        for call in (fom.A.T.toarray, lambda: real_schur(fom.A.T)):
+            with pytest.raises(ValueError, match=r"not A\^T"):
+                call()
+
     def test_indefinite_mass_rejected(self, rng):
         eye = sp.identity(2, format="csr")
         g = GalerkinSystem(
@@ -210,18 +218,20 @@ def test_first_order_form_allocates_no_dense_matrix():
 
 
 def test_schur_form_and_gramian_peak_memory():
-    """On the default d = 2 model (m = 960) the Schur form peaks at 3.5 dense
-    m x m arrays (the dense A, the copy gees overwrites with T, and U) and the
-    controllability Gramian, its Schur form included, at 3.5: T, U and P,
-    which the solve writes in place, plus strips of at most STRIP columns for
-    the kernel's couplings, the residual and the H2 trace."""
+    """On the default d = 2 model (m = 960) the Schur form of the FOM's
+    operator peaks at 2.7 dense m x m arrays (2.58 measured: the dense A that
+    gees overwrites with T, U, and the blocks of T, about half an array, as
+    they are copied out of it) and the controllability Gramian, its Schur
+    form included, at 3.0 (2.92 measured): the blocks of T, U and P, which
+    the solve writes in place, plus strips of at most STRIP columns for the
+    kernel's couplings, the residual and the H2 trace."""
     parametric = build_msd(default_config())
     fom = to_first_order(assemble(parametric, PcBasis(q=parametric.q, d=2)))
     dense = (fom.m, fom.m)
-    _, peak = traced_peak(lambda: real_schur(fom.dense_A()), dense)
-    assert peak <= 3.5, f"real_schur peaked at {peak:.2f} dense matrices"
+    _, peak = traced_peak(lambda: real_schur(fom.A), dense)
+    assert peak <= 2.7, f"real_schur peaked at {peak:.2f} dense matrices"
     _, peak = traced_peak(lambda: gramian_cache(fom), dense)
-    assert peak <= 3.5, f"the Gramian peaked at {peak:.2f} dense matrices"
+    assert peak <= 3.0, f"the Gramian peaked at {peak:.2f} dense matrices"
 
 
 class TestQuadraticOutputSystem:

@@ -279,7 +279,7 @@ class TestBlockedKernel:
         return shapes
 
     def test_all_2x2_blocks_straddle_the_midpoint(self, rng):
-        T = real_schur(complex_pair_matrix(rng, 150)).T
+        T = real_schur(complex_pair_matrix(rng, 150)).T.toarray()
         assert np.all(np.diag(T, -1)[::2] != 0.0) and np.all(np.diag(T, -1)[1::2] == 0.0)
         assert T[75, 74] != 0.0, "the midpoint 75 must cut a 2x2 block"
 
@@ -300,7 +300,7 @@ class TestBlockedKernel:
     def test_lyapunov_solves_the_upper_block_triangle(self, rng, trsyl_calls, m, transposed):
         """One leaf per block on and above the diagonal: d(d+1)/2 calls, not d^2."""
         A = complex_pair_matrix(rng, m)
-        sizes = diagonal_leaves(real_schur(A).T)
+        sizes = diagonal_leaves(real_schur(A).T.toarray())
         solve_lyapunov(A, np.eye(m), transposed=transposed)
         d = len(sizes)
         assert d > 2 and len(trsyl_calls) == d * (d + 1) // 2
@@ -414,7 +414,7 @@ class TestSchurHelpers:
         A = rng.standard_normal((6, 6))
         fac = real_schur(A)
         assert isinstance(fac, SchurFactors)
-        assert_allclose(fac.U @ fac.T @ fac.U.T, A, atol=1e-12 * la.norm(A))
+        assert_allclose(fac.U @ fac.T.toarray() @ fac.U.T, A, atol=1e-12 * la.norm(A))
         assert_allclose(np.sort(fac.eigenvalues), np.sort(la.eigvals(A)), atol=1e-10)
 
     def test_non_square_rejected(self):

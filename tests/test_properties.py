@@ -1,7 +1,10 @@
 """Seeded property tests: random stable systems against the Kronecker oracles,
 the factored Lyapunov and Sylvester solves against the Kronecker and
 unblocked oracles (factors of one, few, many and rank-deficient columns), the
-input of ``real_schur`` left unchanged, the ground check of ``MsdConfig``
+Bartels-Stewart kernels on the blocks of a quasi-triangular T against the
+same recursion on the full array, bitwise, the input of ``real_schur`` left
+unchanged and its Schur form of the FOM's operator against that of the
+operator's array, the ground check of ``MsdConfig``
 against a graph search, the definiteness check of ``assemble`` against dense
 Cholesky, the sparse first-order operator of grounded networks against
 its dense matrix, invalid model descriptions against the CLI's exit 2, and
@@ -32,7 +35,8 @@ from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from conftest import make_stable_system
+import full_array_kernel
+from conftest import make_stable_system, stored_blocks, stored_doubles
 from second_order import corner_definiteness_check
 from kronecker import kron_lyapunov, kron_sylvester
 from test_bt_quadratic import h2_error_oracle
@@ -42,7 +46,9 @@ from sgmor.bt_quadratic import ReducedModel, balance, gramian_cache, h2_error, s
 from sgmor.cli import main
 from sgmor.errors import DefinitenessError
 from sgmor.galerkin import ParametricSecondOrderSystem, QuadraticOutputSystem, assemble, to_first_order
-from sgmor.lyapsylv import LEAF, is_stable, real_schur, solve_lyapunov, solve_sylvester, symmetric_factor
+from sgmor import lyapsylv
+from sgmor.lyapsylv import LEAF, QuasiTriangular, is_stable, real_schur, solve_lyapunov, solve_sylvester
+from sgmor.lyapsylv import symmetric_factor
 from sgmor.msd import MsdConfig, build_msd, default_config
 from sgmor.passivity import check_passivity
 from sgmor.polychaos import PcBasis
@@ -243,8 +249,83 @@ def test_real_schur_leaves_its_input_unchanged(seed, m, fortran):
     fac = real_schur(A)
     # a Fortran-ordered float array is what LAPACK could overwrite in place
     assert np.array_equal(A, before)
-    assert not np.shares_memory(fac.T, A)
-    assert relative_error(fac.U @ fac.T @ fac.U.T, A) < 1e-12
+    # gees leaves an input already in Schur form (m = 1, say) as it is, so
+    # only the memory check tells a copy from the caller's array
+    assert not any(np.shares_memory(block, A) for block in stored_blocks(fac.T))
+    assert not np.shares_memory(fac.U, A)
+    T = fac.T.toarray()
+    assert relative_error(fac.U @ T @ fac.U.T, A) < 1e-12
+
+
+def schur_canonical(rng: np.random.Generator, m: int, density: float, straddle: bool) -> np.ndarray:
+    """A stable m x m T in real Schur form, Fortran-ordered as gees returns it.
+
+    A 2x2 block [[a, b], [-c, a]] (b, c > 0, a < 0) starts at each free row
+    with probability ``density``.  With ``straddle`` one block sits on each
+    midpoint that the recursion splits at, so every split moves down past a
+    block.
+    """
+    forced = set()
+
+    def force(lo: int, hi: int) -> None:
+        if hi - lo > LEAF:
+            k = lo + (hi - lo) // 2
+            forced.add(k - 1)
+            force(lo, k + 1)
+            force(k + 1, hi)
+
+    if straddle:
+        force(0, m)
+    T = np.triu(rng.standard_normal((m, m)), 1) / np.sqrt(m)
+    T[np.diag_indices(m)] = -rng.uniform(0.5, 2.0, m)
+    i = 0
+    while i < m - 1:
+        if i in forced or (i + 1 not in forced and rng.random() < density):
+            a, b, c = -rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+            T[i : i + 2, i : i + 2] = [[a, b], [-c, a]]
+            i += 2
+        else:
+            i += 1
+    return np.asfortranarray(T)
+
+
+@st.composite
+def schur_forms(draw) -> np.ndarray:
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    m = draw(st.integers(1, 3 * LEAF), label="m")
+    density = draw(st.sampled_from([0.0, 0.3, 1.0]), label="2x2 density")
+    return schur_canonical(rng, m, density, straddle=draw(st.booleans(), label="straddle"))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(Ta=schur_forms(), Tf=schur_forms(), seed=st.integers(0, 2**32 - 1))
+def test_block_form_solves_as_the_full_array(Ta, Tf, seed):
+    """The kernels on ``QuasiTriangular`` blocks equal the same recursion on
+    the full arrays bitwise, and the blocks hold T bitwise in at most
+    m (m + 1) / 2 + m LEAF doubles."""
+    rng = np.random.default_rng(seed)
+    forms = [(T, QuasiTriangular.of(T)) for T in (Ta, Tf)]
+    for T, blocks in forms:
+        m = T.shape[0]
+        assert np.array_equal(blocks.toarray(), T) and blocks.toarray().flags.f_contiguous
+        assert stored_doubles(blocks) <= m * (m + 1) // 2 + m * LEAF
+        S = rng.standard_normal((m, m))
+        for trana in "NT":
+            expected, got = S + S.T, S + S.T
+            full_array_kernel.blocked_lyapunov(T, expected, trana, np.empty(m * LEAF))
+            lyapsylv._blocked_lyapunov(blocks, got, trana, np.empty(m * LEAF))
+            assert np.array_equal(got, expected), f"Lyapunov op = {trana}, m = {m}"
+    # both orders, so one of them takes the n > m transpose path unless m = n
+    for (A, A_blocks), (F, F_blocks) in (forms, forms[::-1]):
+        m, n = A.shape[0], F.shape[0]
+        R = rng.standard_normal((m, n))
+        for trana in "NT":
+            for tranb in "NT":
+                expected, got = R.copy(), R.copy()
+                work = np.empty(max(m, n) * LEAF)
+                full_array_kernel.blocked_trsyl(A, F, expected, trana, tranb, work)
+                lyapsylv._blocked_trsyl(A_blocks, F_blocks, got, trana, tranb, work)
+                assert np.array_equal(got, expected), f"Sylvester op = ({trana}, {tranb}), {m} x {n}"
 
 
 @st.composite
@@ -424,6 +505,23 @@ def test_first_order_operator_matches_dense(sys, d, omega, seed):
     expected[g.dimension:, g.dimension:] = -2.0 * g.D.toarray()
     scale = max(abs(g.K).max(), abs(g.D).max())
     assert np.abs(S + S.T - expected).max() <= 1e-12 * scale
+
+
+@SEEDED
+@given(sys=grounded_msd_systems, d=st.integers(0, 2))
+def test_real_schur_of_an_operator_equals_that_of_its_array(sys, d):
+    """The FOM's operator hands gees a fresh dense A to overwrite; its Schur
+    form equals, bitwise, the one of that array, which is copied and left
+    unchanged."""
+    fom = to_first_order(assemble(sys, PcBasis(q=sys.q, d=d)))
+    A = fom.A.toarray()
+    assert A.flags.f_contiguous
+    before = A.copy()
+    from_array, from_operator = real_schur(A), real_schur(fom.A)
+    assert np.array_equal(A, before)
+    assert np.array_equal(from_operator.T.toarray(), from_array.T.toarray())
+    assert np.array_equal(from_operator.U, from_array.U)
+    assert np.array_equal(from_operator.eigenvalues, from_array.eigenvalues)
 
 
 def model_description(cfg: MsdConfig) -> dict:

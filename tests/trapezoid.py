@@ -18,7 +18,7 @@ def trapezoid_states(sys: QuadraticOutputSystem, u, x0: np.ndarray, h: float, T:
     """(steps + 1, m) states on the grid 0, h, ..., round(T/h) h; ``u`` is a
     callable of time or None for zero input."""
     steps = int(round(T / h))
-    A = sys.dense_A()
+    A = sys.A.toarray() if hasattr(sys.A, "toarray") else sys.A
     eye = np.eye(sys.m)
     lu = la.lu_factor(eye - 0.5 * h * A)
     explicit = eye + 0.5 * h * A
