@@ -209,7 +209,7 @@ def h2_error(ref: GramianRecord, rsys: QuadraticOutputSystem) -> float:
     reduced = gramian_cache(rsys)[0]
 
     X = solve_sylvester(fom.A, rsys.A, fom.B, rsys.B, factors_a=ref.schur, factors_f=reduced.schur)
-    cross = float(np.sum(gemm(fom.N, X) * gemm(X, rsys.N)))
+    cross = float(np.einsum("ij,ij->", gemm(fom.N, X), gemm(X, rsys.N)))
     value = ref.norm_squared + reduced.norm_squared - 2.0 * cross
     scale = abs(ref.norm_squared) + abs(reduced.norm_squared)
     if value < -1e-10 * scale:

@@ -211,9 +211,11 @@ def run_reduce(cfg: ExperimentConfig) -> Path:
         ref, rom, sigma = bal.ref, truncate(bal, cfg.r_max), bal.sigma
         path = out / "reduce_bt.csv"
     else:
-        rom, sigma = reduce_arnoldi(fom, cfg.r_max, omega=cfg.omega), None
-        # the sweep needs the FOM's Schur form and norm, not its Gramian
+        # the sweep needs the FOM's Schur form and norm, not its Gramian.  They
+        # come first: the Gramian solve is the run's peak, and the Krylov
+        # basis and projected model would otherwise sit on top of it
         ref = gramian_cache(fom)[0]
+        rom, sigma = reduce_arnoldi(fom, cfg.r_max, omega=cfg.omega), None
         path = out / "reduce_arnoldi.csv"
     write_report_csv(sweep(ref, rom, range(cfg.r_min, cfg.r_max + 1), sigma=sigma), path)
     return path

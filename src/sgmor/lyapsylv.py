@@ -20,11 +20,16 @@ solution in place, so a solve holds the Schur pair (T, U), its one m x n
 result and the workspace.  Each leaf
 divides out the scale trsyl solves for and raises SpectralOverlapError when
 trsyl had to perturb nearly common eigenvalues (info = 1), so a recursion
-returns the solution or raises.  Schur factorizations computed up front can
+returns the solution or raises.  The Lyapunov recursion subtracts its
+update G + G^T into the second diagonal block one strip of columns of G at
+a time, read off T12 and the solved Z12 in place, so it copies nothing of
+Z12 but strips.  Schur factorizations computed up front can
 be passed to every solve; each solution is verified against its residual
-before it is returned, a NaN residual failing the check, and the Lyapunov
-residual is summed over strips of STRIP columns, so no m x m residual is
-formed.  ``symmetric_factor`` consumes its input the same way:
+before it is returned, a NaN residual failing the check.  The Lyapunov
+residual is summed over strips of STRIP / 2 columns, one strip of operator
+products held at a time, so no m x m residual is formed, and the Sylvester
+residual adds Y F^T and L R^T into the one m x n product A Y.
+``symmetric_factor`` consumes its input the same way:
 the eigensolver (LAPACK syevr) overwrites it, the factor is built inside the
 eigenvector array syevr returns and handed back Fortran-ordered in that
 buffer, shrunk to m x k, and the factor defect is taken in column strips.
@@ -80,7 +85,7 @@ LEAF = 64
 STRIP = LEAF
 
 
-def gemm(a, b, out: np.ndarray | None = None):
+def gemm(a, b, out: np.ndarray | None = None, accumulate: bool = False):
     """a @ b, with a product of two dense arrays on scipy's BLAS (``dgemm``).
 
     An operand with unit stride along its rows (C-ordered, or a strip of a
@@ -89,8 +94,10 @@ def gemm(a, b, out: np.ndarray | None = None):
     is a row on the left and a column on the right, as for ``@``.  ``out``,
     a C- or Fortran-contiguous float array of the 2-D result's shape, is
     written in place and returned; a C-ordered ``out`` is filled as
-    out^T = b^T a^T.  A sparse matrix or an operator such as
-    ``FirstOrderOperator`` is applied with its own ``@``, which calls no BLAS.
+    out^T = b^T a^T.  With ``accumulate`` the product is added to ``out``
+    (dgemm's beta = 1), so out += a @ b forms no temporary.  A sparse
+    matrix or an operator such as ``FirstOrderOperator`` is applied with its
+    own ``@``, which calls no BLAS.
     """
     if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
         return a @ b
@@ -101,13 +108,14 @@ def gemm(a, b, out: np.ndarray | None = None):
     if out is not None and not out.flags.f_contiguous:
         if not out.flags.c_contiguous:
             raise ValueError("out must be C- or Fortran-contiguous")
-        gemm(b.T, a.T, out.T)
+        gemm(b.T, a.T, out.T, accumulate)
         return out
     trans_a, a = _fortran_like(a)
     trans_b, b = _fortran_like(b)
     if out is None:
         return dgemm(1.0, a, b, trans_a=trans_a, trans_b=trans_b)
-    return dgemm(1.0, a, b, c=out, trans_a=trans_a, trans_b=trans_b, overwrite_c=1)
+    beta = 1.0 if accumulate else 0.0
+    return dgemm(1.0, a, b, beta=beta, c=out, trans_a=trans_a, trans_b=trans_b, overwrite_c=1)
 
 
 def _fortran_like(a: np.ndarray) -> tuple[int, np.ndarray]:
@@ -335,7 +343,10 @@ def _blocked_lyapunov(T: QuasiTriangular, R, trana: str, work: np.ndarray) -> No
         T11 Z11 + Z11 T11^T = R11 - G - G^T,  G = T12 Z12^T   (recursion)
 
     and Z21 = Z12^T is mirrored.  op = T is the mirror image: block 11
-    first, coupling Z11 T12, and G = T12^T Z12 into block 22.  A diagonal
+    first, coupling Z11 T12, and G = T12^T Z12 into block 22.  G is formed
+    one strip of columns I at a time, G[:, I] = T12 Z12[I, :]^T (op = N) or
+    T12^T Z12[:, I] (op = T), and the strip comes off columns I and its
+    transpose off rows I, so no copy of Z12^T is made.  A diagonal
     leaf's right-hand side is symmetric only to roundoff, so each leaf
     solution is symmetrized; without that the rounding of the leaves adds
     up to an indefinite part of the Gramian.  ``work`` holds each coupling
@@ -357,16 +368,13 @@ def _blocked_lyapunov(T: QuasiTriangular, R, trana: str, work: np.ndarray) -> No
     for J, out in _strips(*R12.shape, work):
         R12[:, J] -= gemm(T12, Z1[:, J], out) if trana == "N" else gemm(Z1, T12[:, J], out)
     _blocked_trsyl(T.T11, T.T22, R12, trana, _FLIP[trana], work)
-    # R2 -= G + G^T one strip of rows I of G at a time: G[I, :] comes off rows I
-    # and its transpose, formed in the workspace, off columns I.  Z12^T is
-    # copied once into the Fortran-ordered operand dgemm takes; f2py would
-    # copy the strided view R12 once per strip.
-    Z12T = np.asfortranarray(R12.T)
-    for I, out in _strips(R2.shape[1], R2.shape[0], work):
-        gt = gemm(Z12T.T, T12[I].T, out) if trana == "N" else gemm(Z12T, T12[:, I], out)
-        R2[I] -= gt.T
-        R2[:, I] -= gt
-    del Z12T
+    # R2 -= G + G^T one strip of columns I of G at a time, formed in the
+    # workspace: G[:, I] comes off columns I and its transpose off rows I.
+    # dgemm reads T12 in place and a strip of Z12, which f2py copies.
+    for I, out in _strips(*R2.shape, work):
+        g = gemm(T12, R12[I].T, out) if trana == "N" else gemm(T12.T, R12[:, I], out)
+        R2[:, I] -= g
+        R2[I] -= g.T
     _blocked_lyapunov(T2, R2, trana, work)
     R[k:, :k] = R12.T
 
@@ -385,8 +393,9 @@ def _bartels_stewart(fac_a: SchurFactors, fac_f: SchurFactors, L: np.ndarray, R:
     # Every coupling and both back-transform passes go through one thin
     # workspace of max(m, n) x LEAF doubles, so every strip is at least LEAF
     # wide and the only m x n array is Z, which is returned.  At d = 2
-    # (m = 960) the Gramian of the FOM then peaks at 2.92 m x m arrays
-    # traced, its Schur form included (the blocks of T, U and Z).
+    # (m = 960) the Gramian of the FOM then peaks at 2.68 m x m arrays
+    # traced, its Schur form and residual check included: the blocks of T,
+    # U and Z, 2.53, and one step's strips.
     Z = np.empty((m, n))
     work = np.empty(max(m, n) * LEAF)
     UL = gemm(fac_a.U.T, L)
@@ -467,20 +476,28 @@ def _lyapunov_residual(op, X: np.ndarray, B: np.ndarray) -> float:
     are formed, one strip of columns J at a time from row J.start down:
     R[:, J] = op X[:, J] + X (op^T E_J) + B B[J]^T, with E_J the identity
     columns J.  Off-diagonal blocks count twice.  op X[:, J] and op^T E_J are
-    two operator applications to STRIP columns, so an operator op
-    solves with few right-hand sides at once.
+    two operator applications to STRIP / 2 columns, one after the other,
+    each temporary dropped once it is summed in: applying the FOM's
+    operator to a strip holds about 2.5 strips of its own, so a strip of
+    half the width keeps the residual at about 0.12 m x m arrays at m = 960,
+    against 0.30 for full-width strips held together.
     """
     m = X.shape[0]
     total = 0.0
-    for j in range(0, m, STRIP):
-        J = slice(j, min(j + STRIP, m))
+    width = STRIP // 2
+    for j in range(0, m, width):
+        J = slice(j, min(j + width, m))
         w = J.stop - j
         E = np.zeros((m, w))
         E[J] = np.eye(w)
-        R = gemm(X[j:], gemm(op.T, E))
+        opTE = gemm(op.T, E)
+        del E
+        R = gemm(X[j:], opTE)
+        del opTE
         R += gemm(op, X[:, J])[j:]
-        R += gemm(B[j:], B[J].T)
+        gemm(B[j:], B[J].T, R, accumulate=True)
         total += _sum_squares(R[:w]) + 2.0 * _sum_squares(R[w:])
+        del R
     return float(np.sqrt(total))
 
 
@@ -534,10 +551,12 @@ def solve_sylvester(
         fac_a, fac_f, L, R, lambda Z, work: _blocked_trsyl(fac_a.T, fac_f.T, Z, "N", "T", work)
     )
 
-    C = gemm(L, R.T)
-    denom = max(np.sqrt(_sum_squares(C)), 1.0)
-    C += gemm(A, Y)
-    C += gemm(Y, F.T)
+    # max(||L R^T||_F, 1) from ||L R^T||_F^2 = trace((L^T L)(R^T R)), two
+    # k x k products; the residual is A Y with Y F^T and L R^T added into it
+    denom = np.sqrt(max(np.einsum("ij,ji->", gemm(L.T, L), gemm(R.T, R)), 1.0))
+    C = gemm(A, Y)
+    gemm(Y, F.T, C, accumulate=True)
+    gemm(L, R.T, C, accumulate=True)
     residual = np.sqrt(_sum_squares(C))
     if not residual <= RESIDUAL_RTOL * denom:
         raise ConvergenceError(

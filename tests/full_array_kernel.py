@@ -47,9 +47,9 @@ def blocked_lyapunov(T, R, trana: str, work) -> None:
     for J, out in _strips(*R12.shape, work):
         R12[:, J] -= gemm(T12, Z1[:, J], out) if trana == "N" else gemm(Z1, T12[:, J], out)
     blocked_trsyl(T[:k, :k], T[k:, k:], R12, trana, _FLIP[trana], work)
-    for I, out in _strips(R2.shape[1], R2.shape[0], work):
-        gt = gemm(R12, T12[I].T, out) if trana == "N" else gemm(R12.T, T12[:, I], out)
-        R2[I] -= gt.T
-        R2[:, I] -= gt
+    for I, out in _strips(*R2.shape, work):
+        g = gemm(T12, R12[I].T, out) if trana == "N" else gemm(T12.T, R12[:, I], out)
+        R2[:, I] -= g
+        R2[I] -= g.T
     blocked_lyapunov(T[second, second], R2, trana, work)
     R[k:, :k] = R12.T

@@ -569,6 +569,14 @@ class TestGemm:
         assert gemm_relative_error(work[: 7 * 13].reshape((7, 13), order=order), a, b) <= 1e-13
         assert np.isnan(work[7 * 13 :]).all(), "nothing past out was written"
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_accumulate_adds_into_out(self, rng, order):
+        a, b = rng.standard_normal((7, 65)), rng.standard_normal((13, 65))[:, ::-1].T
+        c = rng.standard_normal((7, 13))
+        out = np.array(c, order=order)
+        assert lyapsylv.gemm(a, b, out, accumulate=True) is out
+        assert gemm_relative_error(out - c, a, b) <= 1e-12
+
     def test_strided_out_is_refused(self, rng):
         with pytest.raises(ValueError, match="contiguous"):
             lyapsylv.gemm(np.ones((3, 2)), np.ones((2, 4)), np.empty((3, 8))[:, ::2])

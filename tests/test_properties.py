@@ -30,7 +30,7 @@ import numpy as np
 import numpy.linalg as la
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
@@ -297,7 +297,11 @@ def schur_forms(draw) -> np.ndarray:
     return schur_canonical(rng, m, density, straddle=draw(st.booleans(), label="straddle"))
 
 
-@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+# no shrink phase: shrinking an example of up to 192 x 192 blocks takes one
+# full solve per step, about 300 s before a broken kernel is reported; a
+# failure shows the example as drawn
+@settings(derandomize=True, database=None, max_examples=30, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(Ta=schur_forms(), Tf=schur_forms(), seed=st.integers(0, 2**32 - 1))
 def test_block_form_solves_as_the_full_array(Ta, Tf, seed):
     """The kernels on ``QuasiTriangular`` blocks equal the same recursion on
