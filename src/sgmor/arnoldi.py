@@ -65,8 +65,7 @@ def arnoldi_basis(fom: QuadraticOutputSystem, r: int, omega: float = 1.0) -> tup
         V[:, k] = w / norm_after
         queue.append(V[:, k])
         k += 1
-    meta = {"omega": omega, "deflated": deflated}
-    return V, meta
+    return V, {"deflated": deflated}
 
 
 def reduce_arnoldi(fom: QuadraticOutputSystem, r: int, omega: float = 1.0) -> ReducedModel:

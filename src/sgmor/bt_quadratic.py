@@ -36,10 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .errors import ConvergenceError, RankError, StabilityError
+from .errors import ConvergenceError, RankError
 from .galerkin import QuadraticOutputSystem
 from .lyapsylv import STRIP, SchurFactors, gemm, is_stable, real_schur, solve_lyapunov, solve_sylvester
-from .lyapsylv import stability_margin, symmetric_factor
+from .lyapsylv import symmetric_factor
 from .passivity import check_passivity
 
 __all__ = [
@@ -76,19 +76,15 @@ class GramianRecord:
 def gramian_cache(sys: QuadraticOutputSystem) -> tuple[GramianRecord, np.ndarray]:
     """The record of a stable system and its controllability Gramian P.
 
-    The Schur form of A is taken here (an operator A builds a dense A, which
-    gees overwrites), P is solved on it, and the H2 norm is summed over
-    strips of P, so no m x m N P is formed.  The caller owns P; one that
-    does not factor it drops it at once.  A system that
-    ``lyapsylv.is_stable`` does not pass raises StabilityError.
+    The Schur form of A is taken here, the one place the package takes a
+    Schur form (an operator A builds a dense A, which gees overwrites); P is
+    solved on it, and the H2 norm is summed over strips of P, so no m x m
+    N P is formed.  The caller owns P; one that does not factor it drops it
+    at once.  A system whose eigenvalues ``lyapsylv.is_stable`` does not
+    pass raises StabilityError from the solve of P.
     """
     fac = real_schur(sys.A)
-    if not is_stable(fac.eigenvalues):
-        raise StabilityError(
-            f"{sys.label}: spectral abscissa {fac.eigenvalues.real.max():.3e} is not below the stability "
-            f"margin {stability_margin(fac.eigenvalues):.3e}, Gramians undefined"
-        )
-    P = solve_lyapunov(sys.A, sys.B, factors=fac)
+    P = solve_lyapunov(sys.A, sys.B, fac)
     # trace(N P N P) = sum_J <N P[:, J], (N[J, :] P)^T>, one strip of STRIP
     # columns of N P and the matching rows at a time
     norm_sq = 0.0
@@ -159,7 +155,7 @@ def balance(fom: QuadraticOutputSystem) -> BalancedFactorization:
     del P
     # Q's right-hand side N Z_P Z_P^T N is passed as its factor N Z_P; Q goes
     # straight to symmetric_factor, which consumes it
-    Q = solve_lyapunov(fom.A, gemm(fom.N, Zp), factors=ref.schur, transposed=True)
+    Q = solve_lyapunov(fom.A, gemm(fom.N, Zp), ref.schur, transposed=True)
     Zq = symmetric_factor(Q)
     del Q
     left, sigma, right_t = la.svd(gemm(Zp.T, Zq), full_matrices=False)
@@ -208,7 +204,7 @@ def h2_error(ref: GramianRecord, rsys: QuadraticOutputSystem) -> float:
     fom = ref.system
     reduced = gramian_cache(rsys)[0]
 
-    X = solve_sylvester(fom.A, rsys.A, fom.B, rsys.B, factors_a=ref.schur, factors_f=reduced.schur)
+    X = solve_sylvester(fom.A, rsys.A, fom.B, rsys.B, ref.schur, reduced.schur)
     cross = float(np.einsum("ij,ij->", gemm(fom.N, X), gemm(X, rsys.N)))
     value = ref.norm_squared + reduced.norm_squared - 2.0 * cross
     scale = abs(ref.norm_squared) + abs(reduced.norm_squared)

@@ -251,7 +251,11 @@ def run_verify(cfg: ExperimentConfig) -> Path:
 
 
 def run_report(cfg: ExperimentConfig) -> Path:
-    """Merge the reduce/verify CSVs in the output directory, keyed by r."""
+    """Merge the reduce/verify CSVs in the output directory, keyed by r.
+
+    A CSV with no header holding an 'r' column, or with an r that is not an
+    integer, is refused with a ConfigError that names it.
+    """
     out = Path(cfg.out)
     sources = {
         "bt": out / "reduce_bt.csv",
@@ -267,11 +271,18 @@ def run_report(cfg: ExperimentConfig) -> Path:
     for name, path in present.items():
         with open(path, "r", encoding="ascii", newline="") as fh:
             reader = csv.DictReader(fh)
+            if reader.fieldnames is None or "r" not in reader.fieldnames:
+                raise ConfigError(f"malformed CSV {path}: no header with an 'r' column")
             fields = [f for f in reader.fieldnames if f != "r"]
             prefixed = [f"{name}_{f}" for f in fields]
             columns.extend(prefixed)
             for row in reader:
-                r = int(row["r"])
+                try:
+                    r = int(row["r"])
+                except (TypeError, ValueError):
+                    raise ConfigError(
+                        f"malformed CSV {path}: line {reader.line_num} has r = {row['r']!r}, not an integer"
+                    ) from None
                 target = merged.setdefault(r, {})
                 for field, col in zip(fields, prefixed):
                     target[col] = row[field]

@@ -23,8 +23,8 @@ trsyl had to perturb nearly common eigenvalues (info = 1), so a recursion
 returns the solution or raises.  The Lyapunov recursion subtracts its
 update G + G^T into the second diagonal block one strip of columns of G at
 a time, read off T12 and the solved Z12 in place, so it copies nothing of
-Z12 but strips.  Schur factorizations computed up front can
-be passed to every solve; each solution is verified against its residual
+Z12 but strips.  The Schur factorizations are computed up front
+and passed to every solve; each solution is verified against its residual
 before it is returned, a NaN residual failing the check.  The Lyapunov
 residual is summed over strips of STRIP / 2 columns, one strip of operator
 products held at a time, so no m x m residual is formed, and the Sylvester
@@ -78,6 +78,9 @@ RESIDUAL_RTOL = 1e-10
 # a matrix is stable when its spectral abscissa lies below -STABILITY_RTOL
 # times max(1, spectral radius)
 STABILITY_RTOL = 1e-12
+# symmetric_factor keeps the eigenvalues above FACTOR_RTOL * lambda_max and
+# allows a factor defect of 10 * FACTOR_RTOL relative to ||X||_F
+FACTOR_RTOL = 1e-12
 # largest block handed to trsyl; above it the flops go to GEMM couplings
 LEAF = 64
 # rows or columns of the strips in which an m x m product is reduced to a
@@ -187,17 +190,6 @@ class QuasiTriangular:
         k = _split(T)
         T11, T22 = cls.of(T[:k, :k]), cls.of(T[k:, k:])
         return cls(m, k=k, T11=T11, T12=np.array(T[:k, k:], order="F"), T22=T22)
-
-    def toarray(self) -> np.ndarray:
-        """T as one Fortran-ordered m x m array, zero below its blocks."""
-        if self.leaf is not None:
-            return self.leaf.copy(order="F")
-        k = self.k
-        T = np.zeros((self.m, self.m), order="F")
-        T[:k, :k] = self.T11.toarray()
-        T[:k, k:] = self.T12
-        T[k:, k:] = self.T22.toarray()
-        return T
 
 
 @dataclass(frozen=True)
@@ -421,43 +413,34 @@ def _factor(name: str, X, rows: int) -> np.ndarray:
     return X
 
 
-def solve_lyapunov(
-    A: np.ndarray,
-    B: np.ndarray,
-    factors: SchurFactors | None = None,
-    transposed: bool = False,
-) -> np.ndarray:
+def solve_lyapunov(A, B: np.ndarray, factors: SchurFactors, transposed: bool = False) -> np.ndarray:
     """Solve A X + X A^T + B B^T = 0 for an m x k factor B and asymptotically stable A.
 
-    The symmetric recursion ``_blocked_lyapunov`` on one Schur
-    factorization solves only the blocks of X on and above the diagonal;
-    stability of A keeps the spectra of A and -A apart, so no gap check is
-    needed.  With ``transposed`` the adjoint equation A^T X + X A + B B^T = 0
-    is solved instead, reusing the same factorization.  The result is
-    symmetrized; a StabilityError is raised for unstable A, a
-    SpectralOverlapError if trsyl perturbed the nearly common eigenvalues of
-    A and -A^T on a leaf (info = 1), and a ConvergenceError if the residual,
-    relative to ||B B^T||_F, exceeds RESIDUAL_RTOL or is NaN.
-
-    A is a dense array or, when ``factors`` are given, any operator with
-    ``shape``, ``T`` and ``@`` (the residual only applies it).
+    ``factors`` is the real Schur form of A; A itself is the operator the
+    residual applies, a dense array or a ``FirstOrderOperator`` (anything
+    with ``shape``, ``T`` and ``@``).  The symmetric recursion
+    ``_blocked_lyapunov`` solves only the blocks of X on and above the
+    diagonal; stability of A keeps the spectra of A and -A apart, so no gap
+    check is needed.  With ``transposed`` the adjoint equation
+    A^T X + X A + B B^T = 0 is solved instead, on the same factorization.
+    The result is symmetrized; a StabilityError is raised when the
+    eigenvalues of A do not pass ``is_stable``, a SpectralOverlapError if
+    trsyl perturbed the nearly common eigenvalues of A and -A^T on a leaf
+    (info = 1), and a ConvergenceError if the residual, relative to
+    ||B B^T||_F, exceeds RESIDUAL_RTOL or is NaN.
     """
-    if factors is None:
-        A = np.asarray(A, dtype=float)
-    m = A.shape[0]
-    B = _factor("B", B, m)
+    eigenvalues = factors.eigenvalues
+    if not is_stable(eigenvalues):
+        raise StabilityError(
+            f"coefficient matrix has spectral abscissa {eigenvalues.real.max():.3e}, "
+            f"not below the stability margin {stability_margin(eigenvalues):.3e}"
+        )
+    B = _factor("B", B, A.shape[0])
     # ||B B^T||_F = ||B^T B||_F, a k x k product
     cnorm = np.sqrt(_sum_squares(gemm(B.T, B)))
 
-    fac = factors if factors is not None else real_schur(A)
-    if not is_stable(fac.eigenvalues):
-        raise StabilityError(
-            f"coefficient matrix has spectral abscissa {fac.eigenvalues.real.max():.3e}, "
-            f"not below the stability margin {stability_margin(fac.eigenvalues):.3e}"
-        )
-
     trana = "T" if transposed else "N"
-    X = _bartels_stewart(fac, fac, B, B, lambda Z, work: _blocked_lyapunov(fac.T, Z, trana, work))
+    X = _bartels_stewart(factors, factors, B, B, lambda Z, work: _blocked_lyapunov(factors.T, Z, trana, work))
     _symmetrize(X)
 
     op = A.T if transposed else A
@@ -512,43 +495,34 @@ def _sum_squares(a: np.ndarray) -> float:
 
 
 def solve_sylvester(
-    A: np.ndarray,
-    F: np.ndarray,
-    L: np.ndarray,
-    R: np.ndarray,
-    factors_a: SchurFactors | None = None,
-    factors_f: SchurFactors | None = None,
+    A, F: np.ndarray, L: np.ndarray, R: np.ndarray, factors_a: SchurFactors, factors_f: SchurFactors
 ) -> np.ndarray:
     """Solve A Y + Y F^T + L R^T = 0 (the spectra of A and -F must be disjoint).
 
+    ``factors_a`` and ``factors_f`` are the real Schur forms of A and F; A
+    and F themselves are the operators the residual applies, dense arrays
+    or, for A, a ``FirstOrderOperator`` (anything with ``shape`` and ``@``).
     L (m x k) and R (n x k) factor the right-hand side; a general m x n C
-    is passed as (C, I).  Schur factorizations of A and F can be passed in
-    ``factors_a`` and ``factors_f`` when the caller already holds them; with
-    ``factors_a``, A may be any operator with ``shape`` and ``@`` (the
-    residual only applies it).  Nearly common eigenvalues of A and -F raise
+    is passed as (C, I).  Nearly common eigenvalues of A and -F raise
     SpectralOverlapError, whether the gap check up front or trsyl on a leaf
     (info = 1) finds them; a residual relative to max(||L R^T||_F, 1) above
     RESIDUAL_RTOL, or NaN, raises ConvergenceError.
     """
-    if factors_a is None:
-        A = np.asarray(A, dtype=float)
-    F = np.asarray(F, dtype=float)
     L = _factor("L", L, A.shape[0])
     R = _factor("R", R, F.shape[0])
     if L.shape[1] != R.shape[1]:
         raise ValueError(f"right-hand side factors have shapes {L.shape} and {R.shape}, column counts differ")
 
-    fac_a = factors_a if factors_a is not None else real_schur(A)
-    fac_f = factors_f if factors_f is not None else real_schur(F)
-    gaps = np.abs(fac_a.eigenvalues[:, None] + fac_f.eigenvalues[None, :])
-    scale = max(np.abs(fac_a.eigenvalues).max(), np.abs(fac_f.eigenvalues).max(), 1.0)
+    gaps = np.abs(factors_a.eigenvalues[:, None] + factors_f.eigenvalues[None, :])
+    scale = max(np.abs(factors_a.eigenvalues).max(), np.abs(factors_f.eigenvalues).max(), 1.0)
     if gaps.min() <= 1e-13 * scale:
         raise SpectralOverlapError(
             f"spectra of A and -F nearly intersect (gap {gaps.min():.3e})"
         )
 
     Y = _bartels_stewart(
-        fac_a, fac_f, L, R, lambda Z, work: _blocked_trsyl(fac_a.T, fac_f.T, Z, "N", "T", work)
+        factors_a, factors_f, L, R,
+        lambda Z, work: _blocked_trsyl(factors_a.T, factors_f.T, Z, "N", "T", work),
     )
 
     # max(||L R^T||_F, 1) from ||L R^T||_F^2 = trace((L^T L)(R^T R)), two
@@ -565,16 +539,16 @@ def solve_sylvester(
     return Y
 
 
-def symmetric_factor(X: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def symmetric_factor(X: np.ndarray) -> np.ndarray:
     """Low-rank symmetric factor Z with Z Z^T ~= X for numerically PSD X.
 
     Eigendecomposition with truncation: columns are kept for eigenvalues
-    above tol * lambda_max(X), so rank-deficient Gramians yield thin factors.
-    Raises DefinitenessError when an eigenvalue lies below
-    -10 * tol * ||X||_F, the defect budget below, since every dropped
-    eigenvalue, a negative one too, counts in that defect; and
-    ConvergenceError when ||Z Z^T - X||_F exceeds 10 * tol * ||X||_F or is
-    NaN.
+    above FACTOR_RTOL * lambda_max(X), so rank-deficient Gramians yield thin
+    factors.  Raises DefinitenessError when an eigenvalue lies below
+    -10 * FACTOR_RTOL * ||X||_F, the defect budget below, since every
+    dropped eigenvalue, a negative one too, counts in that defect; and
+    ConvergenceError when ||Z Z^T - X||_F exceeds 10 * FACTOR_RTOL * ||X||_F
+    or is NaN.
 
     X is consumed: the eigensolver runs in place on it and overwrites its
     upper triangle and diagonal.  A caller that reads X afterwards passes a
@@ -599,14 +573,14 @@ def symmetric_factor(X: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         raise ValueError(f"illegal argument {-info} passed to syevr")
     if info > 0:
         raise ConvergenceError("symmetric eigensolver syevr failed")
-    budget = 10.0 * tol * np.sqrt(np.einsum("i,i->", w, w))  # ||X||_F from the eigenvalues
+    budget = 10.0 * FACTOR_RTOL * np.sqrt(np.einsum("i,i->", w, w))  # ||X||_F from the eigenvalues
     if w[0] < -budget:
         raise DefinitenessError(
             f"matrix has eigenvalue {w[0]:.3e} below the PSD tolerance {-budget:.3e}"
         )
     # w ascends, so the k eigenvalues kept are the last ones; Z takes them in
     # descending order, which keeps the dominant directions first
-    k = np.count_nonzero(w > tol * max(w[-1], 0.0))
+    k = np.count_nonzero(w > FACTOR_RTOL * max(w[-1], 0.0))
     Z = _descending_factor(V, w, k)
     del V
 
@@ -627,9 +601,9 @@ def symmetric_factor(X: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         err_sq += _sum_squares(D[J]) + 2.0 * _sum_squares(D[J.stop :])
         x_sq += _sum_squares(Xd) + 2.0 * _sum_squares(X[J.stop :, J])
     err, xnorm = np.sqrt(err_sq), np.sqrt(x_sq)
-    if not err <= 10.0 * tol * xnorm:
+    if not err <= 10.0 * FACTOR_RTOL * xnorm:
         raise ConvergenceError(
-            f"factorization defect {err / xnorm:.3e} exceeds 10*tol={10 * tol:.1e}"
+            f"factorization defect {err / xnorm:.3e} exceeds tolerance {10 * FACTOR_RTOL:.1e}"
         )
     return Z
 

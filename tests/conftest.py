@@ -1,6 +1,6 @@
 """Shared helpers: small random systems with a known-good construction, the
-arrays held by the blocks of a Schur form's T, and the traced memory peak
-of a call."""
+arrays held by the blocks of a Schur form's T and the full T they hold, and
+the traced memory peak of a call."""
 
 from __future__ import annotations
 
@@ -37,6 +37,19 @@ def stored_blocks(T):
     yield from stored_blocks(T.T11)
     yield T.T12
     yield from stored_blocks(T.T22)
+
+
+def quasi_triangular_array(T) -> np.ndarray:
+    """The m x m array held by the blocks of a ``lyapsylv.QuasiTriangular``,
+    Fortran-ordered and zero below them."""
+    if T.leaf is not None:
+        return T.leaf.copy(order="F")
+    k = T.k
+    full = np.zeros((T.m, T.m), order="F")
+    full[:k, :k] = quasi_triangular_array(T.T11)
+    full[:k, k:] = T.T12
+    full[k:, k:] = quasi_triangular_array(T.T22)
+    return full
 
 
 def stored_doubles(T) -> int:

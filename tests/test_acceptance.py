@@ -20,7 +20,7 @@ from second_order import dense_first_order
 from sgmor.arnoldi import reduce_arnoldi
 from sgmor.bt_quadratic import balance, h2_error, sweep, truncate
 from sgmor.galerkin import assemble, to_first_order
-from sgmor.lyapsylv import solve_lyapunov, solve_sylvester
+from sgmor.lyapsylv import real_schur, solve_lyapunov, solve_sylvester
 from sgmor.msd import build_msd, default_config
 from sgmor.polychaos import PcBasis
 from sgmor.simulate import integrate, verify_error_bound
@@ -126,13 +126,14 @@ def test_criterion_04_matrix_equation_oracles():
     for _ in range(20):
         m = int(rng.integers(2, 11))
         sys = make_stable_system(rng, m)
-        X = solve_lyapunov(sys.A, sys.B)
+        fac = real_schur(sys.A)
+        X = solve_lyapunov(sys.A, sys.B, fac)
         oracle = kron_lyapunov(sys.A, sys.B @ sys.B.T)
         worst_lyap = max(worst_lyap, npla.norm(X - oracle) / npla.norm(oracle))
         r = int(rng.integers(2, 11))
         F = make_stable_system(rng, r).A
         G = rng.standard_normal((m, r))
-        Y = solve_sylvester(sys.A, F.T, G, np.eye(r))
+        Y = solve_sylvester(sys.A, F.T, G, np.eye(r), fac, real_schur(F.T))
         oracle = kron_sylvester(sys.A, F, G)
         worst_sylv = max(worst_sylv, npla.norm(Y - oracle) / npla.norm(oracle))
     elapsed = time.perf_counter() - start

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import make_stable_system, stored_doubles, traced_peak
+from conftest import make_stable_system, quasi_triangular_array, stored_doubles, traced_peak
 from kronecker import kron_lyapunov
 from sgmor import bt_quadratic, galerkin, lyapsylv, simulate
 from sgmor.bt_quadratic import (
@@ -129,6 +129,20 @@ class TestGramianCache:
         ]
         assert not found, found
 
+    def test_only_gramian_cache_takes_a_schur_form(self):
+        """The Schur form of a system is taken once, by gramian_cache: no other
+        function under src/sgmor/ calls real_schur, and the solvers take the
+        form as an argument."""
+        callers = []
+        for path in sorted(Path(bt_quadratic.__file__).parent.glob("*.py")):
+            function = None
+            for line in path.read_text(encoding="utf-8").splitlines():
+                if match := re.match(r"def (\w+)", line):
+                    function = match.group(1)
+                elif re.search(r"\breal_schur\(", line):
+                    callers.append((path.name, function, line.strip()))
+        assert [caller[:2] for caller in callers] == [("bt_quadratic.py", "gramian_cache")], callers
+
     def test_solvers_and_records_cache_nothing(self):
         """No solver, reduction record or integrator keeps a hidden cache:
         lyapsylv.py, bt_quadratic.py and simulate.py name no cached_property."""
@@ -153,9 +167,8 @@ class TestGramianCache:
         def reset():
             calls.update(schur=0, lyapunov=0, sylvester=0, factor=0)
 
-        # every binding of real_schur: the Schur form of a record and the solvers' fallback
-        for module in (bt_quadratic, lyapsylv):
-            monkeypatch.setattr(module, "real_schur", counted("schur", lyapsylv.real_schur))
+        # the one binding of real_schur the package calls, gramian_cache's
+        monkeypatch.setattr(bt_quadratic, "real_schur", counted("schur", lyapsylv.real_schur))
         for name, kind in (("solve_lyapunov", "lyapunov"), ("solve_sylvester", "sylvester"),
                            ("symmetric_factor", "factor")):
             monkeypatch.setattr(bt_quadratic, name, counted(kind, getattr(lyapsylv, name)))
@@ -252,7 +265,8 @@ def test_balance_releases_the_dense_gramian():
     T = bal.ref.schur.T
     held_by_T = stored_doubles(T) / fom.m**2
     assert held_by_T <= 0.55, f"the blocks of T hold {held_by_T:.3f} m^2 doubles"
-    assert np.array_equal(T.toarray(), lyapsylv.real_schur(fom.A.toarray()).T.toarray())
+    dense_T = lyapsylv.real_schur(fom.A.toarray()).T
+    assert np.array_equal(quasi_triangular_array(T), quasi_triangular_array(dense_T))
     held = [
         f"{prefix}.{key}"
         for prefix, owner in (("bal", bal), ("ref", bal.ref), ("schur", bal.ref.schur))
@@ -377,8 +391,7 @@ class TestReducedModel:
         def refuse(A):
             raise AssertionError("the verdict computed a Schur form")
 
-        for module in (bt_quadratic, lyapsylv):
-            monkeypatch.setattr(module, "real_schur", refuse)
+        monkeypatch.setattr(bt_quadratic, "real_schur", refuse)
         for shift, stable in ((1.0, False), (-1e-13, False), (-1.5e-12, False), (-1e-6, True)):
             A = np.array([[-2.0, 5.0], [0.0, shift]])
             system = QuadraticOutputSystem(A=A, B=np.ones((2, 1)), N=np.eye(2))

@@ -581,6 +581,22 @@ class TestMain:
         assert main(["report", "--out", str(tmp_path / "empty")]) == 4
         assert "I/O error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "no header with an 'r' column"),
+        ("rank,sup_error\n1,0.5\n", "no header with an 'r' column"),
+        ("r,sup_error\n1,0.5\n2.5,0.25\n", "line 3 has r = '2.5', not an integer"),
+    ])
+    def test_malformed_report_input_is_exit_2(self, tmp_path, capsys, text, message):
+        """An empty CSV, one without an r column and one with a non-integer r
+        are refused as config errors naming the file, and no report is written."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "verify.csv").write_text(text)
+        assert main(["report", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"sgmor: config error: malformed CSV {out / 'verify.csv'}: {message}" in err
+        assert not (out / "report.csv").exists()
+
     def test_default_model_without_variation_runs(self, tmp_path):
         """delta = 0 leaves Q with an eigenvalue of -1e-12 relative, rounding
         that balancing tolerates."""

@@ -6,7 +6,8 @@ independent of the Schur-based implementation under test.  Solves above the
 leaf size of the blocked kernel are checked against scipy's
 ``solve_sylvester``, one unblocked trsyl call on the whole system.  The
 solvers take factored right-hand sides: a Lyapunov C = B B^T is passed as B,
-and a general Sylvester C as (C, I).
+and a general Sylvester C as (C, I); each call passes the Schur forms of its
+coefficients, taken by ``real_schur``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from sgmor import lyapsylv
 from sgmor.errors import ConvergenceError, DefinitenessError, SpectralOverlapError, StabilityError
 from sgmor.galerkin import assemble, to_first_order
 from sgmor.lyapsylv import (
+    FACTOR_RTOL,
     LEAF,
     RESIDUAL_RTOL,
     SchurFactors,
@@ -36,7 +38,7 @@ from sgmor.lyapsylv import (
 )
 from sgmor.msd import build_msd, default_config
 from sgmor.polychaos import PcBasis
-from conftest import make_stable_system
+from conftest import make_stable_system, quasi_triangular_array
 from kronecker import kron_lyapunov, kron_sylvester
 
 
@@ -78,28 +80,30 @@ def diagonal_leaves(T: np.ndarray) -> list[int]:
 
 class TestLyapunov:
     def test_identity_coefficients(self):
-        X = solve_lyapunov(-np.eye(3), np.sqrt(2.0) * np.eye(3))
+        A = -np.eye(3)
+        X = solve_lyapunov(A, np.sqrt(2.0) * np.eye(3), real_schur(A))
         assert_allclose(X, np.eye(3), atol=1e-14)
 
     def test_diagonal_closed_form(self):
         """Diagonal A: X_ij = -(B B^T)_ij / (a_i + a_j) for a PSD B B^T."""
         a = np.array([-1.0, -2.0, -4.0])
         B = np.array([[1.0, 2.0], [-1.0, 0.5], [3.0, 1.0]])
-        X = solve_lyapunov(np.diag(a), B)
+        A = np.diag(a)
+        X = solve_lyapunov(A, B, real_schur(A))
         assert_allclose(X, -(B @ B.T) / (a[:, None] + a[None, :]), atol=1e-14)
 
     def test_random_against_kronecker(self, rng):
         for _ in range(6):
             m = int(rng.integers(2, 7))
             sys = make_stable_system(rng, m)
-            X = solve_lyapunov(sys.A, sys.B)
+            X = solve_lyapunov(sys.A, sys.B, real_schur(sys.A))
             oracle = kron_lyapunov(sys.A, sys.B @ sys.B.T)
             rel = la.norm(X - oracle) / la.norm(oracle)
             assert rel < 1e-10, f"Lyapunov deviation {rel:.2e} at m={m}"
 
     def test_transposed_equation(self, rng):
         sys = make_stable_system(rng, 5)
-        X = solve_lyapunov(sys.A, sys.N, transposed=True)
+        X = solve_lyapunov(sys.A, sys.N, real_schur(sys.A), transposed=True)
         oracle = kron_lyapunov(sys.A.T, sys.N @ sys.N.T)
         assert_allclose(X, oracle, rtol=1e-10)
 
@@ -113,20 +117,21 @@ class TestLyapunov:
 
     def test_solution_symmetric_and_psd(self, rng):
         sys = make_stable_system(rng, 7)
-        X = solve_lyapunov(sys.A, sys.B)
+        X = solve_lyapunov(sys.A, sys.B, real_schur(sys.A))
         assert_allclose(X, X.T, atol=1e-13 * la.norm(X))
         eigs = la.eigvalsh(0.5 * (X + X.T))
         assert eigs.min() >= -1e-10 * la.norm(X, 2)
 
     def test_unstable_coefficient_rejected(self):
         with pytest.raises(StabilityError):
-            solve_lyapunov(np.eye(2), np.eye(2))
+            solve_lyapunov(np.eye(2), np.eye(2), real_schur(np.eye(2)))
 
     def test_factor_shape_mismatch_rejected(self):
         """B B^T must be m x m: a factor with another row count, or a vector, is refused."""
+        A = -np.eye(2)
         for B in (np.ones((3, 1)), np.ones(2)):
             with pytest.raises(ValueError, match="shape"):
-                solve_lyapunov(-np.eye(2), B)
+                solve_lyapunov(A, B, real_schur(A))
 
 
 def dense_residual(A: np.ndarray, X: np.ndarray, B: np.ndarray) -> float:
@@ -169,7 +174,8 @@ class TestLyapunovResidual:
         op = sys.A.T if transposed else sys.A
         E = random_symmetric(rng, m)
         delta = ratio * RESIDUAL_RTOL * la.norm(sys.B.T @ sys.B) / la.norm(op @ E + E @ op.T)
-        X0 = solve_lyapunov(sys.A, sys.B, transposed=transposed)
+        fac = real_schur(sys.A)
+        X0 = solve_lyapunov(sys.A, sys.B, fac, transposed=transposed)
         kernel = lyapsylv._bartels_stewart
 
         def perturbed(*args):
@@ -177,11 +183,11 @@ class TestLyapunovResidual:
 
         monkeypatch.setattr(lyapsylv, "_bartels_stewart", perturbed)
         if ratio < 1.0:
-            X = solve_lyapunov(sys.A, sys.B, transposed=transposed)
+            X = solve_lyapunov(sys.A, sys.B, fac, transposed=transposed)
             assert_allclose(X, X0 + delta * E, rtol=0.0, atol=1e-14 * np.abs(X0).max())
         else:
             with pytest.raises(ConvergenceError, match="Lyapunov residual"):
-                solve_lyapunov(sys.A, sys.B, transposed=transposed)
+                solve_lyapunov(sys.A, sys.B, fac, transposed=transposed)
 
     def test_nan_in_the_factor_raises(self, rng):
         """One NaN entry of B makes X all NaN; the residual check must refuse it."""
@@ -189,20 +195,21 @@ class TestLyapunovResidual:
         B = sys.B.copy()
         B[1, 0] = np.nan
         with pytest.raises(ConvergenceError, match="Lyapunov residual"):
-            solve_lyapunov(sys.A, B)
+            solve_lyapunov(sys.A, B, real_schur(sys.A))
 
 
 class TestSylvester:
     def test_double_identity(self, rng):
         C = rng.standard_normal((4, 3))
-        Y = solve_sylvester(-np.eye(4), -np.eye(3), C, np.eye(3))
+        A, F = -np.eye(4), -np.eye(3)
+        Y = solve_sylvester(A, F, C, np.eye(3), real_schur(A), real_schur(F))
         assert_allclose(Y, C / 2.0, atol=1e-14)
 
     def test_diagonal_closed_form(self):
         A = np.diag([-1.0, -3.0])
         F = np.diag([-2.0, -5.0, -7.0])
         C = np.arange(6, dtype=float).reshape(2, 3) + 1.0
-        Y = solve_sylvester(A, F, C, np.eye(3))
+        Y = solve_sylvester(A, F, C, np.eye(3), real_schur(A), real_schur(F))
         expected = -C / (np.diag(A)[:, None] + np.diag(F)[None, :])
         assert_allclose(Y, expected, atol=1e-14)
 
@@ -213,7 +220,7 @@ class TestSylvester:
             A = make_stable_system(rng, m).A
             F = make_stable_system(rng, r).A
             C = rng.standard_normal((m, r))
-            Y = solve_sylvester(A, F.T, C, np.eye(r))
+            Y = solve_sylvester(A, F.T, C, np.eye(r), real_schur(A), real_schur(F.T))
             oracle = kron_sylvester(A, F, C)
             rel = la.norm(Y - oracle) / la.norm(oracle)
             assert rel < 1e-10, f"Sylvester deviation {rel:.2e} at ({m}, {r})"
@@ -221,7 +228,7 @@ class TestSylvester:
     def test_overlapping_spectra_raise(self):
         A = np.diag([-1.0, -2.0])
         with pytest.raises(SpectralOverlapError):
-            solve_sylvester(A, -A, np.ones((2, 1)), np.ones((2, 1)))
+            solve_sylvester(A, -A, np.ones((2, 1)), np.ones((2, 1)), real_schur(A), real_schur(-A))
 
     def test_nan_in_the_factor_raises(self, rng):
         """One NaN entry of L makes Y all NaN; the residual check must refuse it."""
@@ -229,7 +236,7 @@ class TestSylvester:
         L, R = rng.standard_normal((A.shape[0], 2)), rng.standard_normal((7, 2))
         L[2, 1] = np.nan
         with pytest.raises(ConvergenceError, match="Sylvester residual"):
-            solve_sylvester(A, F, L, R)
+            solve_sylvester(A, F, L, R, real_schur(A), real_schur(F))
 
     @pytest.mark.parametrize("ratio", [0.5, 2.0, np.nan])
     def test_check_fires_above_the_tolerance(self, rng, monkeypatch, ratio):
@@ -241,7 +248,8 @@ class TestSylvester:
         E = rng.standard_normal((m, r))
         denom = max(la.norm(L @ R.T), 1.0)
         delta = ratio * RESIDUAL_RTOL * denom / la.norm(A @ E + E @ F.T)
-        Y0 = solve_sylvester(A, F, L, R)
+        fac_a, fac_f = real_schur(A), real_schur(F)
+        Y0 = solve_sylvester(A, F, L, R, fac_a, fac_f)
         kernel = lyapsylv._bartels_stewart
 
         def perturbed(*args):
@@ -249,18 +257,19 @@ class TestSylvester:
 
         monkeypatch.setattr(lyapsylv, "_bartels_stewart", perturbed)
         if ratio < 1.0:
-            Y = solve_sylvester(A, F, L, R)
+            Y = solve_sylvester(A, F, L, R, fac_a, fac_f)
             assert_allclose(Y, Y0 + delta * E, rtol=0.0, atol=1e-14 * np.abs(Y0).max())
         else:
             with pytest.raises(ConvergenceError, match="Sylvester residual"):
-                solve_sylvester(A, F, L, R)
+                solve_sylvester(A, F, L, R, fac_a, fac_f)
 
     def test_shape_mismatch(self):
         """L must have m rows, R n rows, and both the same number of columns."""
+        A, F = -np.eye(3), -np.eye(2)
         for L, R in ((np.ones((2, 2)), np.eye(2)), (np.ones((3, 1)), np.ones((3, 1))),
                      (np.ones((3, 2)), np.ones((2, 1)))):
             with pytest.raises(ValueError, match="shape"):
-                solve_sylvester(-np.eye(3), -np.eye(2), L, R)
+                solve_sylvester(A, F, L, R, real_schur(A), real_schur(F))
 
 
 class TestBlockedKernel:
@@ -279,7 +288,7 @@ class TestBlockedKernel:
         return shapes
 
     def test_all_2x2_blocks_straddle_the_midpoint(self, rng):
-        T = real_schur(complex_pair_matrix(rng, 150)).T.toarray()
+        T = quasi_triangular_array(real_schur(complex_pair_matrix(rng, 150)).T)
         assert np.all(np.diag(T, -1)[::2] != 0.0) and np.all(np.diag(T, -1)[1::2] == 0.0)
         assert T[75, 74] != 0.0, "the midpoint 75 must cut a 2x2 block"
 
@@ -289,7 +298,7 @@ class TestBlockedKernel:
         A = complex_pair_matrix(rng, m)
         G = rng.standard_normal((m, 3))
         C = G @ G.T
-        X = solve_lyapunov(A, G, transposed=transposed)
+        X = solve_lyapunov(A, G, real_schur(A), transposed=transposed)
         oracle = unblocked_sylvester(A.T, A.T, C) if transposed else unblocked_sylvester(A, A, C)
         assert relative_error(X, oracle) < 1e-10
         assert np.array_equal(X, X.T)
@@ -300,8 +309,9 @@ class TestBlockedKernel:
     def test_lyapunov_solves_the_upper_block_triangle(self, rng, trsyl_calls, m, transposed):
         """One leaf per block on and above the diagonal: d(d+1)/2 calls, not d^2."""
         A = complex_pair_matrix(rng, m)
-        sizes = diagonal_leaves(real_schur(A).T.toarray())
-        solve_lyapunov(A, np.eye(m), transposed=transposed)
+        fac = real_schur(A)
+        sizes = diagonal_leaves(quasi_triangular_array(fac.T))
+        solve_lyapunov(A, np.eye(m), fac, transposed=transposed)
         d = len(sizes)
         assert d > 2 and len(trsyl_calls) == d * (d + 1) // 2
         upper = sum(s * sum(sizes[i:]) for i, s in enumerate(sizes))
@@ -311,7 +321,7 @@ class TestBlockedKernel:
     def test_rectangular_sylvester_against_unblocked(self, rng, trsyl_calls, m, r):
         A, F = complex_pair_matrix(rng, m), complex_pair_matrix(rng, r)
         C = rng.standard_normal((m, r))
-        Y = solve_sylvester(A, F, C, np.eye(r))
+        Y = solve_sylvester(A, F, C, np.eye(r), real_schur(A), real_schur(F))
         assert relative_error(Y, unblocked_sylvester(A, F, C)) < 1e-10
         assert len(trsyl_calls) > 1 and max(max(shape) for shape in trsyl_calls) <= LEAF
 
@@ -345,7 +355,7 @@ class TestBlockedKernel:
         calls = self.scale_leaf(monkeypatch, leaf)
         A, F = complex_pair_matrix(rng, 150), complex_pair_matrix(rng, 70)
         C = rng.standard_normal((150, 70))
-        Y = solve_sylvester(A, F, C, np.eye(70))
+        Y = solve_sylvester(A, F, C, np.eye(70), real_schur(A), real_schur(F))
         assert len(calls) > leaf
         assert relative_error(Y, unblocked_sylvester(A, F, C)) < 1e-10
 
@@ -357,7 +367,7 @@ class TestBlockedKernel:
         A = complex_pair_matrix(rng, 150)
         G = rng.standard_normal((150, 3))
         C = G @ G.T
-        X = solve_lyapunov(A, G, transposed=transposed)
+        X = solve_lyapunov(A, G, real_schur(A), transposed=transposed)
         assert len(calls) == 10
         oracle = unblocked_sylvester(A.T, A.T, C) if transposed else unblocked_sylvester(A, A, C)
         assert relative_error(X, oracle) < 1e-10
@@ -374,12 +384,13 @@ class TestBlockedKernel:
 
         monkeypatch.setattr(lyapsylv, "dtrsyl", perturbed)
         A = complex_pair_matrix(rng, 150)
+        fac = real_schur(A)
         with pytest.raises(SpectralOverlapError, match="trsyl"):
-            solve_sylvester(A, A, rng.standard_normal((150, 150)), np.eye(150))
+            solve_sylvester(A, A, rng.standard_normal((150, 150)), np.eye(150), fac, fac)
         assert len(calls) == 2
         calls.clear()
         with pytest.raises(SpectralOverlapError, match="trsyl"):
-            solve_lyapunov(A, np.eye(150))
+            solve_lyapunov(A, np.eye(150), fac)
         assert len(calls) == 2
 
     @pytest.mark.parametrize("leaf", [0, 1, 9])
@@ -394,15 +405,16 @@ class TestBlockedKernel:
             return z, scale, 1 if len(calls) - 1 == leaf else info
 
         monkeypatch.setattr(lyapsylv, "dtrsyl", perturbed)
+        A = complex_pair_matrix(rng, 150)
         with pytest.raises(SpectralOverlapError, match="trsyl"):
-            solve_lyapunov(complex_pair_matrix(rng, 150), np.eye(150), transposed=transposed)
+            solve_lyapunov(A, np.eye(150), real_schur(A), transposed=transposed)
         assert len(calls) == leaf + 1
 
     def test_near_overlap_raises(self, rng):
         A = complex_pair_matrix(rng, 150)
         F = -A + 1e-15 * np.eye(150)
         with pytest.raises(SpectralOverlapError):
-            solve_sylvester(A, F, rng.standard_normal((150, 150)), np.eye(150))
+            solve_sylvester(A, F, rng.standard_normal((150, 150)), np.eye(150), real_schur(A), real_schur(F))
 
 
 class TestSchurHelpers:
@@ -414,7 +426,7 @@ class TestSchurHelpers:
         A = rng.standard_normal((6, 6))
         fac = real_schur(A)
         assert isinstance(fac, SchurFactors)
-        assert_allclose(fac.U @ fac.T.toarray() @ fac.U.T, A, atol=1e-12 * la.norm(A))
+        assert_allclose(fac.U @ quasi_triangular_array(fac.T) @ fac.U.T, A, atol=1e-12 * la.norm(A))
         assert_allclose(np.sort(fac.eigenvalues), np.sort(la.eigvals(A)), atol=1e-10)
 
     def test_non_square_rejected(self):
@@ -450,10 +462,10 @@ class TestSymmetricFactor:
         assert_allclose(Z @ Z.T, X, atol=1e-12 * la.norm(X))
 
     def test_tolerance_controls_rank(self):
-        X = np.diag([1.0, 1e-6, 1e-14])
-        assert symmetric_factor(X, tol=1e-12).shape[1] == 2
-        assert symmetric_factor(X, tol=1e-8).shape[1] == 2
-        assert symmetric_factor(X, tol=1e-3).shape[1] == 1
+        """Eigenvalues above FACTOR_RTOL * lambda_max are kept, those below dropped."""
+        for diagonal, rank in (([1.0, 1e-6, 2.0 * FACTOR_RTOL], 3), ([1.0, 1e-6, 0.5 * FACTOR_RTOL], 2),
+                               ([1.0, 0.5 * FACTOR_RTOL, 0.0], 1)):
+            assert symmetric_factor(np.diag(diagonal)).shape[1] == rank, diagonal
 
     @pytest.mark.parametrize("dropped", [99, 399])
     def test_defect_beyond_ten_tol_raises(self, rng, dropped):

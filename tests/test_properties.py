@@ -36,7 +36,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 import full_array_kernel
-from conftest import make_stable_system, stored_blocks, stored_doubles
+from conftest import make_stable_system, quasi_triangular_array, stored_blocks, stored_doubles
 from second_order import corner_definiteness_check
 from kronecker import kron_lyapunov, kron_sylvester
 from test_bt_quadratic import h2_error_oracle
@@ -161,10 +161,9 @@ def test_sylvester_matches_kronecker(a, f, seed):
     A, F = a.A, f.A
     C = np.random.default_rng(seed).standard_normal((A.shape[0], F.shape[0]))
     oracle = kron_sylvester(A, F, C)
-    for factors in ({}, {"factors_a": real_schur(A), "factors_f": real_schur(F.T)}):
-        Y = solve_sylvester(A, F.T, C, np.eye(F.shape[0]), **factors)
-        rel = la.norm(Y - oracle) / la.norm(oracle)
-        assert rel < 1e-10, f"Sylvester deviation {rel:.2e} ({'with' if factors else 'without'} factors)"
+    Y = solve_sylvester(A, F.T, C, np.eye(F.shape[0]), real_schur(A), real_schur(F.T))
+    rel = la.norm(Y - oracle) / la.norm(oracle)
+    assert rel < 1e-10, f"Sylvester deviation {rel:.2e}"
 
 
 @settings(derandomize=True, database=None, max_examples=6, deadline=None)
@@ -173,14 +172,16 @@ def test_blocked_solves_match_unblocked(a, r, seed):
     rng = np.random.default_rng(seed)
     F = make_stable_system(rng, r).A
     C = rng.standard_normal((a.m, r))
-    rel = relative_error(solve_sylvester(a.A, F, C, np.eye(r)), unblocked_sylvester(a.A, F, C))
+    fac = real_schur(a.A)
+    Y = solve_sylvester(a.A, F, C, np.eye(r), fac, real_schur(F))
+    rel = relative_error(Y, unblocked_sylvester(a.A, F, C))
     assert rel < 1e-10, f"Sylvester deviation {rel:.2e} at ({a.m}, {r})"
     # the controllability equation A X + X A^T + B B^T = 0
-    rel = relative_error(solve_lyapunov(a.A, a.B), unblocked_sylvester(a.A, a.A, a.B @ a.B.T))
+    rel = relative_error(solve_lyapunov(a.A, a.B, fac), unblocked_sylvester(a.A, a.A, a.B @ a.B.T))
     assert rel < 1e-10, f"Lyapunov deviation {rel:.2e} at m={a.m}"
     # the observability equation A^T X + X A + N = 0, N passed as its Cholesky factor
     G = la.cholesky(a.N)
-    rel = relative_error(solve_lyapunov(a.A, G, transposed=True), unblocked_sylvester(a.A.T, a.A.T, a.N))
+    rel = relative_error(solve_lyapunov(a.A, G, fac, transposed=True), unblocked_sylvester(a.A.T, a.A.T, a.N))
     assert rel < 1e-10, f"adjoint Lyapunov deviation {rel:.2e} at m={a.m}"
 
 
@@ -208,7 +209,7 @@ def factors(draw, m: int) -> np.ndarray:
 def test_factored_lyapunov_matches_kronecker(seed, m, transposed, data):
     A = random_system(seed, m, 1).A
     B = data.draw(factors(m), label="B")
-    X = solve_lyapunov(A, B, transposed=transposed)
+    X = solve_lyapunov(A, B, real_schur(A), transposed=transposed)
     oracle = kron_lyapunov(A.T if transposed else A, B @ B.T)
     assert relative_error(X, oracle) < 1e-10, f"factor of shape {B.shape}"
 
@@ -219,7 +220,7 @@ def test_factored_sylvester_matches_kronecker(seed, m, f, data):
     A = random_system(seed, m, 1).A
     L = data.draw(factors(m), label="L")
     R = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")).standard_normal((f.m, L.shape[1]))
-    Y = solve_sylvester(A, f.A, L, R)
+    Y = solve_sylvester(A, f.A, L, R, real_schur(A), real_schur(f.A))
     oracle = kron_sylvester(A, f.A.T, L @ R.T)
     assert relative_error(Y, oracle) < 1e-10, f"factors of shapes {L.shape}, {R.shape}"
 
@@ -228,14 +229,16 @@ def test_factored_sylvester_matches_kronecker(seed, m, f, data):
 @given(a=large_systems, r=st.integers(1, 3 * LEAF), transposed=st.booleans(), data=st.data())
 def test_blocked_factored_solves_match_unblocked(a, r, transposed, data):
     B = data.draw(factors(a.m), label="B")
-    X = solve_lyapunov(a.A, B, transposed=transposed)
+    fac = real_schur(a.A)
+    X = solve_lyapunov(a.A, B, fac, transposed=transposed)
     A = a.A.T if transposed else a.A
     rel = relative_error(X, unblocked_sylvester(A, A, B @ B.T))
     assert rel < 1e-10, f"Lyapunov deviation {rel:.2e} at m={a.m}, factor of shape {B.shape}"
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     F = make_stable_system(rng, r).A
     R = rng.standard_normal((r, B.shape[1]))
-    rel = relative_error(solve_sylvester(a.A, F, B, R), unblocked_sylvester(a.A, F, B @ R.T))
+    Y = solve_sylvester(a.A, F, B, R, fac, real_schur(F))
+    rel = relative_error(Y, unblocked_sylvester(a.A, F, B @ R.T))
     assert rel < 1e-10, f"Sylvester deviation {rel:.2e} at ({a.m}, {r}), factors of shapes {B.shape}, {R.shape}"
 
 
@@ -253,7 +256,7 @@ def test_real_schur_leaves_its_input_unchanged(seed, m, fortran):
     # only the memory check tells a copy from the caller's array
     assert not any(np.shares_memory(block, A) for block in stored_blocks(fac.T))
     assert not np.shares_memory(fac.U, A)
-    T = fac.T.toarray()
+    T = quasi_triangular_array(fac.T)
     assert relative_error(fac.U @ T @ fac.U.T, A) < 1e-12
 
 
@@ -311,7 +314,8 @@ def test_block_form_solves_as_the_full_array(Ta, Tf, seed):
     forms = [(T, QuasiTriangular.of(T)) for T in (Ta, Tf)]
     for T, blocks in forms:
         m = T.shape[0]
-        assert np.array_equal(blocks.toarray(), T) and blocks.toarray().flags.f_contiguous
+        full = quasi_triangular_array(blocks)
+        assert np.array_equal(full, T) and full.flags.f_contiguous
         assert stored_doubles(blocks) <= m * (m + 1) // 2 + m * LEAF
         S = rng.standard_normal((m, m))
         for trana in "NT":
@@ -523,7 +527,7 @@ def test_real_schur_of_an_operator_equals_that_of_its_array(sys, d):
     before = A.copy()
     from_array, from_operator = real_schur(A), real_schur(fom.A)
     assert np.array_equal(A, before)
-    assert np.array_equal(from_operator.T.toarray(), from_array.T.toarray())
+    assert np.array_equal(quasi_triangular_array(from_operator.T), quasi_triangular_array(from_array.T))
     assert np.array_equal(from_operator.U, from_array.U)
     assert np.array_equal(from_operator.eigenvalues, from_array.eigenvalues)
 
