@@ -109,7 +109,7 @@ def _load_json(path: str | Path, what: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} must be an object, got {JSON_NAMES[type(raw)]}")
@@ -208,6 +208,8 @@ def run_reduce(cfg: ExperimentConfig) -> Path:
         raise ConfigError(f"'r.max' = {cfg.r_max} exceeds the state dimension {fom.m}")
     if cfg.reducer == "balanced-truncation":
         bal = balance(fom)
+        if cfg.r_max > bal.numerical_rank:
+            raise ConfigError(f"'r.max' = {cfg.r_max} exceeds the numerical rank {bal.numerical_rank}")
         ref, rom, sigma = bal.ref, truncate(bal, cfg.r_max), bal.sigma
         path = out / "reduce_bt.csv"
     else:
@@ -253,8 +255,8 @@ def run_verify(cfg: ExperimentConfig) -> Path:
 def run_report(cfg: ExperimentConfig) -> Path:
     """Merge the reduce/verify CSVs in the output directory, keyed by r.
 
-    A CSV with no header holding an 'r' column, or with an r that is not an
-    integer, is refused with a ConfigError that names it.
+    A CSV that is not ASCII text, has no header holding an 'r' column or has
+    an r that is not an integer is refused with a ConfigError that names it.
     """
     out = Path(cfg.out)
     sources = {
@@ -269,23 +271,25 @@ def run_report(cfg: ExperimentConfig) -> Path:
     merged: dict[int, dict[str, str]] = {}
     columns: list[str] = []
     for name, path in present.items():
-        with open(path, "r", encoding="ascii", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "r" not in reader.fieldnames:
-                raise ConfigError(f"malformed CSV {path}: no header with an 'r' column")
-            fields = [f for f in reader.fieldnames if f != "r"]
-            prefixed = [f"{name}_{f}" for f in fields]
-            columns.extend(prefixed)
-            for row in reader:
-                try:
-                    r = int(row["r"])
-                except (TypeError, ValueError):
-                    raise ConfigError(
-                        f"malformed CSV {path}: line {reader.line_num} has r = {row['r']!r}, not an integer"
-                    ) from None
-                target = merged.setdefault(r, {})
-                for field, col in zip(fields, prefixed):
-                    target[col] = row[field]
+        try:
+            reader = csv.DictReader(path.read_text(encoding="ascii").splitlines(keepends=True))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"malformed CSV {path}: not ASCII text ({exc})") from None
+        if reader.fieldnames is None or "r" not in reader.fieldnames:
+            raise ConfigError(f"malformed CSV {path}: no header with an 'r' column")
+        fields = [f for f in reader.fieldnames if f != "r"]
+        prefixed = [f"{name}_{f}" for f in fields]
+        columns.extend(prefixed)
+        for row in reader:
+            try:
+                r = int(row["r"])
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"malformed CSV {path}: line {reader.line_num} has r = {row['r']!r}, not an integer"
+                ) from None
+            target = merged.setdefault(r, {})
+            for field, col in zip(fields, prefixed):
+                target[col] = row[field]
 
     report_path = out / "report.csv"
     rows = ([r] + [merged[r].get(col, "") for col in columns] for r in sorted(merged))

@@ -7,9 +7,11 @@ boundary, the parts are solved in the order op(T) requires, and each
 off-diagonal coupling is a GEMM taken one strip at a time through a thin
 workspace of max(m, n) x LEAF doubles, allocated once per solve; LAPACK's
 level-2 trsyl runs only on leaf blocks of at most LEAF rows and columns.
-The Sylvester recursion halves the larger dimension of
-op(T_a) Z + Z op(T_f) = R.  The Lyapunov recursion splits op(T) Z +
-Z op(T)^T = R symmetrically and solves only the blocks on and above the
+Both recursions solve one equation form, op(T_a) Z + Z op(T_f)^T = R, op
+the identity, or the transpose for the adjoint Lyapunov equation, so trsyl
+sees only the operator pairs (N, T) and (T, N).  The Sylvester recursion
+halves the larger dimension of R.  The Lyapunov recursion (T_a = T_f = T)
+splits R symmetrically and solves only the blocks on and above the
 diagonal: two half-size Lyapunov equations and one Sylvester equation for
 the off-diagonal block, which is mirrored (136 instead of 256 leaves at
 m = 960).  A Schur form holds T as the blocks these recursions read,
@@ -30,9 +32,10 @@ residual is summed over strips of STRIP / 2 columns, one strip of operator
 products held at a time, so no m x m residual is formed, and the Sylvester
 residual adds Y F^T and L R^T into the one m x n product A Y.
 ``symmetric_factor`` consumes its input the same way:
-the eigensolver (LAPACK syevr) overwrites it, the factor is built inside the
-eigenvector array syevr returns and handed back Fortran-ordered in that
-buffer, shrunk to m x k, and the factor defect is taken in column strips.
+scipy's ``eigh`` (driver evr, LAPACK syevr) overwrites it, the factor is
+built inside the eigenvector array syevr returns and handed back
+Fortran-ordered in that buffer, shrunk to m x k, and the factor defect is
+taken in column strips.
 
 Right-hand sides are passed as factors, as in low-rank ADI (Penzl 2000; Li &
 White 2002): B B^T for a Lyapunov equation and L R^T for a Sylvester
@@ -58,8 +61,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dgees, dsyevr, dsyevr_lwork, dtrsyl
+from scipy.linalg.lapack import dgees, dtrsyl
 
 from .errors import ConvergenceError, DefinitenessError, SpectralOverlapError, StabilityError
 
@@ -275,16 +279,14 @@ def _split(T: np.ndarray) -> int:
     return k + 1 if T[k, k - 1] != 0.0 else k
 
 
-_FLIP = {"N": "T", "T": "N"}
-
-
-def _leaf(Ta, Tf, R, trana: str, tranb: str) -> None:
-    """Overwrite a leaf block R with Z solving op(Ta) Z + Z op(Tf) = R: one trsyl call.
+def _leaf(Ta, Tf, R, transposed: bool) -> None:
+    """Overwrite a leaf block R with Z solving op(Ta) Z + Z op(Tf)^T = R: one trsyl call.
 
     trsyl solves for scale * R with scale <= 1 to avoid overflow; Z is divided
     by it here, so no caller sees a scale.  info = 1 (trsyl perturbed nearly
     common eigenvalues of op(Ta) and -op(Tf)) raises SpectralOverlapError.
     """
+    trana, tranb = ("T", "N") if transposed else ("N", "T")
     z, scale, info = dtrsyl(Ta, Tf, R, trana=trana, tranb=tranb, isgn=1)
     if info < 0:
         raise ValueError(f"illegal argument {-info} passed to trsyl")
@@ -293,38 +295,36 @@ def _leaf(Ta, Tf, R, trana: str, tranb: str) -> None:
     np.divide(z, scale, out=R)
 
 
-def _blocked_trsyl(
-    Ta: QuasiTriangular, Tf: QuasiTriangular, R, trana: str, tranb: str, work: np.ndarray
-) -> None:
-    """Overwrite R with Z solving op(Ta) Z + Z op(Tf) = R.
+def _blocked_trsyl(Ta: QuasiTriangular, Tf: QuasiTriangular, R, transposed: bool, work: np.ndarray) -> None:
+    """Overwrite R with Z solving op(Ta) Z + Z op(Tf)^T = R.
 
     The rows of R are split at Ta's split k; a wider R is solved as its
-    transpose, op(Tf)^T Z^T + Z^T op(Ta)^T = R^T.  op(Ta) is block upper
-    triangular for "N" and block lower triangular for "T", so the half that
+    transpose, op(Tf) Z^T + Z^T op(Ta)^T = R^T, of the same form.  op(Ta) is
+    block upper triangular, or lower when ``transposed``, so the half that
     does not couple into the other is solved first.  The coupling T12 goes
     through ``work`` one strip of columns at a time.
     """
     m, n = R.shape
     if max(m, n) <= LEAF:
-        _leaf(Ta.leaf, Tf.leaf, R, trana, tranb)
+        _leaf(Ta.leaf, Tf.leaf, R, transposed)
         return
     if n > m:
-        _blocked_trsyl(Tf, Ta, R.T, _FLIP[tranb], _FLIP[trana], work)
+        _blocked_trsyl(Tf, Ta, R.T, transposed, work)
         return
 
     k = Ta.k
-    if trana == "N":
-        first, second, coupling, T1, T2 = slice(k, m), slice(0, k), Ta.T12, Ta.T22, Ta.T11
-    else:
+    if transposed:
         first, second, coupling, T1, T2 = slice(0, k), slice(k, m), Ta.T12.T, Ta.T11, Ta.T22
+    else:
+        first, second, coupling, T1, T2 = slice(k, m), slice(0, k), Ta.T12, Ta.T22, Ta.T11
     Z1, R2 = R[first], R[second]
-    _blocked_trsyl(T1, Tf, Z1, trana, tranb, work)
+    _blocked_trsyl(T1, Tf, Z1, transposed, work)
     for J, out in _strips(*R2.shape, work):
         R2[:, J] -= gemm(coupling, Z1[:, J], out)
-    _blocked_trsyl(T2, Tf, R2, trana, tranb, work)
+    _blocked_trsyl(T2, Tf, R2, transposed, work)
 
 
-def _blocked_lyapunov(T: QuasiTriangular, R, trana: str, work: np.ndarray) -> None:
+def _blocked_lyapunov(T: QuasiTriangular, R, transposed: bool, work: np.ndarray) -> None:
     """Overwrite the symmetric R with Z solving op(T) Z + Z op(T)^T = R.
 
     Only the blocks on and above the diagonal are solved.  For op = N, with
@@ -346,28 +346,28 @@ def _blocked_lyapunov(T: QuasiTriangular, R, trana: str, work: np.ndarray) -> No
     """
     m = R.shape[0]
     if m <= LEAF:
-        _leaf(T.leaf, T.leaf, R, trana, _FLIP[trana])
+        _leaf(T.leaf, T.leaf, R, transposed)
         R[...] = 0.5 * (R + R.T)
         return
 
     k, T12 = T.k, T.T12
-    if trana == "N":
-        first, second, T1, T2 = slice(k, m), slice(0, k), T.T22, T.T11
-    else:
+    if transposed:
         first, second, T1, T2 = slice(0, k), slice(k, m), T.T11, T.T22
+    else:
+        first, second, T1, T2 = slice(k, m), slice(0, k), T.T22, T.T11
     Z1, R2, R12 = R[first, first], R[second, second], R[:k, k:]
-    _blocked_lyapunov(T1, Z1, trana, work)
+    _blocked_lyapunov(T1, Z1, transposed, work)
     for J, out in _strips(*R12.shape, work):
-        R12[:, J] -= gemm(T12, Z1[:, J], out) if trana == "N" else gemm(Z1, T12[:, J], out)
-    _blocked_trsyl(T.T11, T.T22, R12, trana, _FLIP[trana], work)
+        R12[:, J] -= gemm(Z1, T12[:, J], out) if transposed else gemm(T12, Z1[:, J], out)
+    _blocked_trsyl(T.T11, T.T22, R12, transposed, work)
     # R2 -= G + G^T one strip of columns I of G at a time, formed in the
     # workspace: G[:, I] comes off columns I and its transpose off rows I.
     # dgemm reads T12 in place and a strip of Z12, which f2py copies.
     for I, out in _strips(*R2.shape, work):
-        g = gemm(T12, R12[I].T, out) if trana == "N" else gemm(T12.T, R12[:, I], out)
+        g = gemm(T12.T, R12[:, I], out) if transposed else gemm(T12, R12[I].T, out)
         R2[:, I] -= g
         R2[I] -= g.T
-    _blocked_lyapunov(T2, R2, trana, work)
+    _blocked_lyapunov(T2, R2, transposed, work)
     R[k:, :k] = R12.T
 
 
@@ -439,8 +439,9 @@ def solve_lyapunov(A, B: np.ndarray, factors: SchurFactors, transposed: bool = F
     # ||B B^T||_F = ||B^T B||_F, a k x k product
     cnorm = np.sqrt(_sum_squares(gemm(B.T, B)))
 
-    trana = "T" if transposed else "N"
-    X = _bartels_stewart(factors, factors, B, B, lambda Z, work: _blocked_lyapunov(factors.T, Z, trana, work))
+    X = _bartels_stewart(
+        factors, factors, B, B, lambda Z, work: _blocked_lyapunov(factors.T, Z, transposed, work)
+    )
     _symmetrize(X)
 
     op = A.T if transposed else A
@@ -522,7 +523,7 @@ def solve_sylvester(
 
     Y = _bartels_stewart(
         factors_a, factors_f, L, R,
-        lambda Z, work: _blocked_trsyl(factors_a.T, factors_f.T, Z, "N", "T", work),
+        lambda Z, work: _blocked_trsyl(factors_a.T, factors_f.T, Z, False, work),
     )
 
     # max(||L R^T||_F, 1) from ||L R^T||_F^2 = trace((L^T L)(R^T R)), two
@@ -548,13 +549,13 @@ def symmetric_factor(X: np.ndarray) -> np.ndarray:
     -10 * FACTOR_RTOL * ||X||_F, the defect budget below, since every
     dropped eigenvalue, a negative one too, counts in that defect; and
     ConvergenceError when ||Z Z^T - X||_F exceeds 10 * FACTOR_RTOL * ||X||_F
-    or is NaN.
+    or is NaN; an eigensolver failure raises scipy's LinAlgError.
 
-    X is consumed: the eigensolver runs in place on it and overwrites its
-    upper triangle and diagonal.  A caller that reads X afterwards passes a
-    copy.  Z is Fortran-ordered and built inside the eigenvector array
-    LAPACK syevr returns, which is then shrunk to the m x k of Z, so the
-    factor costs no m x k copy beside the eigenvectors.
+    X is consumed: the eigensolver, scipy's ``eigh`` with LAPACK syevr, runs
+    in place on it and overwrites its upper triangle and diagonal.  A caller
+    that reads X afterwards passes a copy.  Z is Fortran-ordered and built
+    inside the eigenvector array syevr returns, which is then shrunk to the
+    m x k of Z, so the factor costs no m x k copy beside the eigenvectors.
     """
     X = np.asarray(X, dtype=float)
     if not is_symmetric(X, 1e-12 * max(X.max(initial=0.0), -X.min(initial=0.0), 1.0)):
@@ -563,16 +564,8 @@ def symmetric_factor(X: np.ndarray) -> np.ndarray:
     diag = X.diagonal().copy()
     # X^T is Fortran-ordered, so syevr overwrites X itself; it reads the lower
     # triangle of X^T, the upper one of X, and leaves the strict lower
-    # triangle of X untouched, which with ``diag`` still defines X.  The
-    # workspace is the size syevr asks for, as scipy's ``eigh`` passes it.
-    lwork, liwork, info = dsyevr_lwork(m, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal argument {-info} passed to syevr's workspace query")
-    w, V, _, _, info = dsyevr(X.T, lower=1, overwrite_a=1, lwork=int(lwork), liwork=int(liwork))
-    if info < 0:
-        raise ValueError(f"illegal argument {-info} passed to syevr")
-    if info > 0:
-        raise ConvergenceError("symmetric eigensolver syevr failed")
+    # triangle of X untouched, which with ``diag`` still defines X
+    w, V = eigh(X.T, lower=True, overwrite_a=True, check_finite=False, driver="evr")
     budget = 10.0 * FACTOR_RTOL * np.sqrt(np.einsum("i,i->", w, w))  # ||X||_F from the eigenvalues
     if w[0] < -budget:
         raise DefinitenessError(

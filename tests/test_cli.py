@@ -301,6 +301,14 @@ class TestRunReduce:
         with pytest.raises(ConfigError, match="exceeds the state dimension"):
             run_reduce(cfg)
 
+    def test_rmax_beyond_rank(self, tmp_path):
+        """Balanced truncation refuses an r.max within the state dimension 8
+        but above the numerical rank 4, naming the config key."""
+        cfg = experiment_from_args(ns(config=str(write_config(tmp_path)), rmax=5))
+        with pytest.raises(ConfigError, match="'r.max' = 5 exceeds the numerical rank 4"):
+            run_reduce(cfg)
+        assert not (tmp_path / "out" / "reduce_bt.csv").exists()
+
     def test_arnoldi_sweep_peak_memory(self, tmp_path):
         """The default d = 2 Arnoldi sweep (m = 960, r = 1..100) peaks at the
         FOM's Gramian solve, 2.8 dense m x m arrays (2.71 measured), because
@@ -527,6 +535,16 @@ class TestMain:
             assert main([command, "--config", str(path), "--out", str(out)]) == 0
             assert checks.check_outputs(command, config, out, reference=False) == [], (command, experiment)
 
+    @pytest.mark.parametrize("which", ["config", "model"])
+    def test_non_utf8_file_is_exit_2(self, tmp_path, capsys, which):
+        """A config or model file that is not UTF-8 is a config error naming the file."""
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"degree": 1, "out": "\xff"}')
+        path = bad if which == "config" else write_config(tmp_path, model="bad.json")
+        assert main(["report", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"sgmor: config error: malformed JSON in {bad}: 'utf-8' codec can't decode byte 0xff" in err
+
     @pytest.mark.parametrize("content", [None, "{not json", "[1]"])
     def test_bad_model_file_is_exit_2(self, tmp_path, capsys, content):
         """A missing, malformed or non-object model file is a config error naming the file."""
@@ -585,13 +603,15 @@ class TestMain:
         ("", "no header with an 'r' column"),
         ("rank,sup_error\n1,0.5\n", "no header with an 'r' column"),
         ("r,sup_error\n1,0.5\n2.5,0.25\n", "line 3 has r = '2.5', not an integer"),
+        ("r,sup_error\n1,\xff\n", "not ASCII text ('ascii' codec can't decode byte 0xff"),
     ])
     def test_malformed_report_input_is_exit_2(self, tmp_path, capsys, text, message):
-        """An empty CSV, one without an r column and one with a non-integer r
-        are refused as config errors naming the file, and no report is written."""
+        """An empty CSV, one without an r column, one with a non-integer r and
+        one with a byte outside ASCII are refused as config errors naming the
+        file, and no report is written."""
         out = tmp_path / "out"
         out.mkdir()
-        (out / "verify.csv").write_text(text)
+        (out / "verify.csv").write_bytes(text.encode("latin-1"))
         assert main(["report", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"sgmor: config error: malformed CSV {out / 'verify.csv'}: {message}" in err

@@ -325,13 +325,14 @@ class TestBlockedKernel:
         assert relative_error(Y, unblocked_sylvester(A, F, C)) < 1e-10
         assert len(trsyl_calls) > 1 and max(max(shape) for shape in trsyl_calls) <= LEAF
 
-    @pytest.mark.parametrize("trana", ["N", "T"])
-    def test_quasi_triangular_solution_exactly_symmetric(self, rng, trana):
+    # ids are the letter of op: N for op(T) = T, T for op(T) = T^T
+    @pytest.mark.parametrize("transposed", [False, True], ids=["N", "T"])
+    def test_quasi_triangular_solution_exactly_symmetric(self, rng, transposed):
         """Leaf right-hand sides are symmetric only to roundoff; each leaf is symmetrized."""
         T = real_schur(complex_pair_matrix(rng, 150)).T
         S = rng.standard_normal((150, 150))
         R = S + S.T
-        assert lyapsylv._blocked_lyapunov(T, R, trana, np.empty(76 * 150)) is None
+        assert lyapsylv._blocked_lyapunov(T, R, transposed, np.empty(76 * 150)) is None
         assert np.array_equal(R, R.T)
 
     @staticmethod

@@ -318,22 +318,21 @@ def test_block_form_solves_as_the_full_array(Ta, Tf, seed):
         assert np.array_equal(full, T) and full.flags.f_contiguous
         assert stored_doubles(blocks) <= m * (m + 1) // 2 + m * LEAF
         S = rng.standard_normal((m, m))
-        for trana in "NT":
+        for transposed in (False, True):
             expected, got = S + S.T, S + S.T
-            full_array_kernel.blocked_lyapunov(T, expected, trana, np.empty(m * LEAF))
-            lyapsylv._blocked_lyapunov(blocks, got, trana, np.empty(m * LEAF))
-            assert np.array_equal(got, expected), f"Lyapunov op = {trana}, m = {m}"
+            full_array_kernel.blocked_lyapunov(T, expected, transposed, np.empty(m * LEAF))
+            lyapsylv._blocked_lyapunov(blocks, got, transposed, np.empty(m * LEAF))
+            assert np.array_equal(got, expected), f"Lyapunov transposed = {transposed}, m = {m}"
     # both orders, so one of them takes the n > m transpose path unless m = n
     for (A, A_blocks), (F, F_blocks) in (forms, forms[::-1]):
         m, n = A.shape[0], F.shape[0]
         R = rng.standard_normal((m, n))
-        for trana in "NT":
-            for tranb in "NT":
-                expected, got = R.copy(), R.copy()
-                work = np.empty(max(m, n) * LEAF)
-                full_array_kernel.blocked_trsyl(A, F, expected, trana, tranb, work)
-                lyapsylv._blocked_trsyl(A_blocks, F_blocks, got, trana, tranb, work)
-                assert np.array_equal(got, expected), f"Sylvester op = ({trana}, {tranb}), {m} x {n}"
+        for transposed in (False, True):
+            expected, got = R.copy(), R.copy()
+            work = np.empty(max(m, n) * LEAF)
+            full_array_kernel.blocked_trsyl(A, F, expected, transposed, work)
+            lyapsylv._blocked_trsyl(A_blocks, F_blocks, got, transposed, work)
+            assert np.array_equal(got, expected), f"Sylvester transposed = {transposed}, {m} x {n}"
 
 
 @st.composite
