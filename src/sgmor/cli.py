@@ -3,9 +3,12 @@
 Subcommands: ``assemble`` (Galerkin matrices plus a summary record),
 ``reduce`` (r-sweep of balanced truncation or Arnoldi with error and
 passivity columns), ``verify`` (time-domain error-bound and certificate
-checks), and ``report`` (merge of the emitted CSVs into one table keyed by
-reduced dimension).  All numeric CSV fields carry 17 significant digits, so
-repeated runs at a fixed BLAS thread count are byte-identical.
+checks of balanced truncations), and ``report`` (merge of the emitted CSVs
+into one table keyed by reduced dimension).  ``reduce`` and ``verify`` share
+one reduction stage: it builds one reduced model at the command's largest r,
+and every row reads its model as the leading block of that one.  All numeric
+CSV fields carry 17 significant digits, so repeated runs at a fixed BLAS
+thread count are byte-identical.
 """
 
 from __future__ import annotations
@@ -201,24 +204,35 @@ def run_assemble(cfg: ExperimentConfig) -> dict:
     return summary
 
 
+def _reduction(fom, reducer: str, omega: float | None, r: int, key: str):
+    """The FOM's record, its reduced model at r and the balancing singular
+    values (None for Arnoldi): the one reduction stage of ``reduce`` and
+    ``verify``.
+
+    Both reducers build nested bases, so each caller reads its smaller
+    models as leading blocks of this one.  The balanced factorization dies
+    on return, so no row runs with Z_P, Z_Q or the SVD factors alive.  A
+    balanced r above the numerical rank is a ConfigError naming ``key``.
+    """
+    if reducer == "arnoldi":
+        # the sweep needs the FOM's Schur form and norm, not its Gramian.  They
+        # come first: the Gramian solve is the run's peak, and the Krylov
+        # basis and projected model would otherwise sit on top of it
+        ref = gramian_cache(fom)[0]
+        return ref, reduce_arnoldi(fom, r, omega=omega), None
+    bal = balance(fom)
+    if r > bal.numerical_rank:
+        raise ConfigError(f"{key} = {r} exceeds the numerical rank {bal.numerical_rank}")
+    return bal.ref, truncate(bal, r), bal.sigma
+
+
 def run_reduce(cfg: ExperimentConfig) -> Path:
     """Sweep the configured reducer over the r range and write the CSV."""
     out, fom = _first_order_fom(cfg)
     if cfg.r_max > fom.m:
         raise ConfigError(f"'r.max' = {cfg.r_max} exceeds the state dimension {fom.m}")
-    if cfg.reducer == "balanced-truncation":
-        bal = balance(fom)
-        if cfg.r_max > bal.numerical_rank:
-            raise ConfigError(f"'r.max' = {cfg.r_max} exceeds the numerical rank {bal.numerical_rank}")
-        ref, rom, sigma = bal.ref, truncate(bal, cfg.r_max), bal.sigma
-        path = out / "reduce_bt.csv"
-    else:
-        # the sweep needs the FOM's Schur form and norm, not its Gramian.  They
-        # come first: the Gramian solve is the run's peak, and the Krylov
-        # basis and projected model would otherwise sit on top of it
-        ref = gramian_cache(fom)[0]
-        rom, sigma = reduce_arnoldi(fom, cfg.r_max, omega=cfg.omega), None
-        path = out / "reduce_arnoldi.csv"
+    ref, rom, sigma = _reduction(fom, cfg.reducer, cfg.omega, cfg.r_max, "'r.max'")
+    path = out / ("reduce_arnoldi.csv" if cfg.reducer == "arnoldi" else "reduce_bt.csv")
     write_report_csv(sweep(ref, rom, range(cfg.r_min, cfg.r_max + 1), sigma=sigma), path)
     return path
 
@@ -226,23 +240,22 @@ def run_reduce(cfg: ExperimentConfig) -> Path:
 def run_verify(cfg: ExperimentConfig) -> Path:
     """Error-bound and passivity checks for the configured dimensions.
 
+    The model is always balanced, whatever the config's reducer, and each
+    row's model is the leading block of the one at the largest dimension.
     One row per verification dimension plus a sentinel row for the full
     system (r equal to the full state dimension), which must be passive.
     """
     out, fom = _first_order_fom(cfg)
-    bal = balance(fom)
-    if any(r > bal.numerical_rank for r in cfg.verify_r):
-        raise ConfigError(
-            f"verification dimensions 'simulation.r_values' = {cfg.verify_r} "
-            f"exceed the numerical rank {bal.numerical_rank}"
-        )
+    r_max = max(cfg.verify_r)
+    ref, rom, _ = _reduction(fom, "balanced-truncation", None, r_max, "max 'simulation.r_values'")
+    roms = [rom.leading(r).system for r in cfg.verify_r]
+    del rom  # the rows read only the systems; V and W go before the FOM run
     u = default_input if cfg.sim_input == "default" else None
-    roms = [truncate(bal, r).system for r in cfg.verify_r]
-    checks = verify_error_bound(bal.ref, roms, u=u, h=cfg.sim_h, T=cfg.sim_T)
+    checks = verify_error_bound(ref, roms, u=u, h=cfg.sim_h, T=cfg.sim_T)
 
     rows = []
-    for r, rom, check in zip(cfg.verify_r, roms, checks):
-        cert = shifted_dissipation_certificate(rom)
+    for r, rsys, check in zip(cfg.verify_r, roms, checks):
+        cert = shifted_dissipation_certificate(rsys)
         rows.append([r, check.observed, check.bound, check.holds,
                      cert.lambda_max, cert.passive, cert.residual])
     cert = shifted_dissipation_certificate(fom)
@@ -255,8 +268,10 @@ def run_verify(cfg: ExperimentConfig) -> Path:
 def run_report(cfg: ExperimentConfig) -> Path:
     """Merge the reduce/verify CSVs in the output directory, keyed by r.
 
-    A CSV that is not ASCII text, has no header holding an 'r' column or has
-    an r that is not an integer is refused with a ConfigError that names it.
+    A CSV that is not ASCII text, has no header holding an 'r' column, has a
+    row whose field count differs from its header's, an r that is not an
+    integer or an r it already gave is refused with a ConfigError that names
+    it and the line.
     """
     out = Path(cfg.out)
     sources = {
@@ -280,13 +295,20 @@ def run_report(cfg: ExperimentConfig) -> Path:
         fields = [f for f in reader.fieldnames if f != "r"]
         prefixed = [f"{name}_{f}" for f in fields]
         columns.extend(prefixed)
+        lines: dict[int, int] = {}  # r -> the line that gave it
         for row in reader:
+            where = f"malformed CSV {path}: line {reader.line_num}"
+            # DictReader files a long row's extra fields under None and fills
+            # a short row's missing ones with None
+            if None in row or None in row.values():
+                raise ConfigError(f"{where} does not have the header's {len(reader.fieldnames)} fields")
             try:
                 r = int(row["r"])
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"malformed CSV {path}: line {reader.line_num} has r = {row['r']!r}, not an integer"
-                ) from None
+            except ValueError:
+                raise ConfigError(f"{where} has r = {row['r']!r}, not an integer") from None
+            if r in lines:
+                raise ConfigError(f"{where} repeats r = {r} of line {lines[r]}")
+            lines[r] = reader.line_num
             target = merged.setdefault(r, {})
             for field, col in zip(fields, prefixed):
                 target[col] = row[field]

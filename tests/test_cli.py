@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import gc
 import importlib.util
 import json
 import os
@@ -15,13 +16,14 @@ import scipy.io
 import scipy.linalg
 from numpy.linalg import LinAlgError
 from numpy.testing import assert_allclose
+from scipy.integrate import trapezoid
 
 from conftest import traced_peak
 
 import sgmor
 from sgmor import lyapsylv
 from sgmor.arnoldi import reduce_arnoldi
-from sgmor.bt_quadratic import balance, gramian_cache, h2_error, sweep, truncate
+from sgmor.bt_quadratic import BalancedFactorization, balance, gramian_cache, h2_error, sweep, truncate
 from sgmor.cli import (
     ConfigError,
     ExperimentConfig,
@@ -36,6 +38,7 @@ from sgmor.galerkin import assemble, to_first_order
 from sgmor.msd import DEFAULT_DAMPERS, DEFAULT_MASSES, DEFAULT_SPRINGS, build_msd, config_from_dict, default_config
 from sgmor.passivity import check_passivity
 from sgmor.polychaos import PcBasis
+from sgmor.simulate import _input_samples, _time_grid, default_input
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -83,6 +86,20 @@ def ns(**kw):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+@pytest.fixture(scope="module")
+def verify_d2(tmp_path_factory):
+    """``sgmor verify`` on the benchmark's seed-0 verify-d2 config (d = 2,
+    T = 20): the config, its file and the output directory."""
+    base = tmp_path_factory.mktemp("verify-d2")
+    with pytest.MonkeyPatch.context() as mp:
+        workloads = load_perfbench("workloads", mp)
+    workload = workloads.WORKLOADS["verify-d2"]
+    path, out = base / "verify-d2-0.json", base / "out"
+    workloads.write_config(workload, 0, path)
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
+    return workloads.experiment_config(workload, 0), path, out
 
 
 @pytest.fixture(scope="module")
@@ -354,8 +371,75 @@ class TestRunVerify:
             tmp_path, simulation={"h": 0.01, "T": 5.0, "r_values": [21]}
         )
         cfg = experiment_from_args(ns(config=str(path)))
-        with pytest.raises(ConfigError, match="numerical rank"):
+        with pytest.raises(ConfigError, match="max 'simulation.r_values' = 21 exceeds the numerical rank 4"):
             run_verify(cfg)
+
+    def test_bound_is_the_leading_block_error(self, verify_d2):
+        """Each row's bound is the H2 error of the leading block of the one
+        truncation at the largest r, times the input's L4 norm, bitwise.  At
+        d = 2 (m = 960) a truncation at r itself differs in its last bits."""
+        _, path, out = verify_d2
+        cfg = experiment_from_args(ns(config=str(path)))
+        parametric = build_msd(cfg.model)
+        bal = balance(to_first_order(assemble(parametric, PcBasis(q=parametric.q, d=cfg.degree))))
+        rom = truncate(bal, max(cfg.verify_r))
+        t = _time_grid(cfg.sim_h, cfg.sim_T)
+        u4 = np.linalg.norm(_input_samples(default_input, t, bal.ref.system.n_in), axis=1) ** 4
+        u_l4 = float(np.sqrt(trapezoid(u4, t)))
+        rows = read_csv(out / "verify.csv")
+        for r, row in zip(cfg.verify_r, rows):
+            assert float(row["bound"]) == h2_error(bal.ref, rom.leading(r).system) * u_l4, f"r={r}"
+
+    def test_benchmark_reference_comparison_holds(self, verify_d2, monkeypatch):
+        """The verify-d2 outputs pass the benchmark's comparison with its
+        reference outputs, so a CSV that drifts past its tolerances fails here
+        and not only in a benchmark run."""
+        config, _, out = verify_d2
+        checks = load_perfbench("checks", monkeypatch)
+        assert checks.check_outputs("verify", config, out, reference=True) == []
+
+
+def live_factorizations(fom):
+    """How many BalancedFactorization objects of ``fom`` are alive."""
+    return sum(isinstance(o, BalancedFactorization) and o.ref.system is fom for o in gc.get_objects())
+
+
+class TestReductionStage:
+    """``reduce`` and ``verify`` get their model from one balance and one
+    truncation at their largest r, and release the factorization before the
+    first row is computed."""
+
+    # command -> (the name its rows start at, its largest r in write_config's config)
+    ROWS = {"reduce": ("sweep", 4), "verify": ("verify_error_bound", 3)}
+
+    @pytest.mark.parametrize("command", sorted(ROWS))
+    def test_one_balance_and_one_truncation(self, tmp_path, monkeypatch, command):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, args[1:]))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sgmor.cli, "balance", counted("balance", balance))
+        monkeypatch.setattr(sgmor.cli, "truncate", counted("truncate", truncate))
+        assert main([command, "--config", str(write_config(tmp_path))]) == 0
+        assert calls == [("balance", ()), ("truncate", (self.ROWS[command][1],))]
+
+    @pytest.mark.parametrize("command", sorted(ROWS))
+    def test_factorization_released_before_the_rows(self, tmp_path, monkeypatch, command):
+        name = self.ROWS[command][0]
+        rows_fn = getattr(sgmor.cli, name)
+        alive = []
+
+        def checked(ref, *args, **kwargs):
+            alive.append(live_factorizations(ref.system))
+            return rows_fn(ref, *args, **kwargs)
+
+        monkeypatch.setattr(sgmor.cli, name, checked)
+        assert main([command, "--config", str(write_config(tmp_path))]) == 0
+        assert alive == [0], f"{command}: a BalancedFactorization was alive when {name} started"
 
 
 class TestMain:
@@ -554,9 +638,10 @@ class TestMain:
         assert main(["report", "--config", str(path)]) == 2
         assert str(tmp_path / "nope.json") in capsys.readouterr().err
 
-    def test_rmax_too_large_is_exit_2(self, tmp_path):
+    def test_rmax_too_large_is_exit_2(self, tmp_path, capsys):
         config = str(write_config(tmp_path))
         assert main(["reduce", "--config", config, "--rmax", "9"]) == 2
+        assert "sgmor: config error: 'r.max' = 9 exceeds the state dimension 8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("omega", ["nan", "inf"])
     def test_non_finite_omega_is_exit_2(self, tmp_path, capsys, omega):
@@ -604,11 +689,15 @@ class TestMain:
         ("rank,sup_error\n1,0.5\n", "no header with an 'r' column"),
         ("r,sup_error\n1,0.5\n2.5,0.25\n", "line 3 has r = '2.5', not an integer"),
         ("r,sup_error\n1,\xff\n", "not ASCII text ('ascii' codec can't decode byte 0xff"),
+        ("r,sup_error,bound\n1,0.5,1.0\n2,0.25\n", "line 3 does not have the header's 3 fields"),
+        ("r,sup_error\n1,0.5\n2,0.25,1.0\n", "line 3 does not have the header's 2 fields"),
+        ("r,sup_error\n1,0.5\n2,0.25\n1,0.125\n", "line 4 repeats r = 1 of line 2"),
     ])
     def test_malformed_report_input_is_exit_2(self, tmp_path, capsys, text, message):
-        """An empty CSV, one without an r column, one with a non-integer r and
-        one with a byte outside ASCII are refused as config errors naming the
-        file, and no report is written."""
+        """An empty CSV, one without an r column, one with a non-integer r, one
+        with a byte outside ASCII, a row shorter or longer than the header and
+        a repeated r are refused as config errors naming the file, and no
+        report is written."""
         out = tmp_path / "out"
         out.mkdir()
         (out / "verify.csv").write_bytes(text.encode("latin-1"))
