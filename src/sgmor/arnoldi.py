@@ -32,12 +32,13 @@ def arnoldi_basis(fom: QuadraticOutputSystem, r: int, omega: float = 1.0) -> tup
     """Orthonormal basis (m, r) of the shifted-inverse block Krylov space.
 
     A candidate is S^{-1} applied to the column at the head of the queue,
-    orthogonalized in REORTH_PASSES classical Gram-Schmidt passes against
-    the whole basis so far (one block product each).  A candidate whose
-    norm drops to 1e-12 of its pre-orthogonalization norm or below (a zero
-    candidate included) is deflated and its lineage ends; an accepted one
-    joins the basis and the back of the queue.  Deflations are reported in
-    the metadata; emptying the queue before r columns raises.
+    held as an m x 1 matrix for ``gemm``, and orthogonalized in
+    REORTH_PASSES classical Gram-Schmidt passes against the whole basis so
+    far (one block product each).  A candidate whose norm drops to 1e-12 of
+    its pre-orthogonalization norm or below (a zero candidate included) is
+    deflated and its lineage ends; an accepted one joins the basis and the
+    back of the queue.  Deflations are reported in the metadata; emptying
+    the queue before r columns raises.
     """
     m = fom.m
     if not 1 <= r <= m:
@@ -54,7 +55,7 @@ def arnoldi_basis(fom: QuadraticOutputSystem, r: int, omega: float = 1.0) -> tup
     while k < r:
         if not queue:
             raise ConvergenceError(f"Krylov space exhausted at dimension {k} before reaching {r}")
-        w = shift_inverse(queue.popleft())
+        w = shift_inverse(queue.popleft())[:, None]
         norm_before = np.linalg.norm(w)
         for _ in range(REORTH_PASSES):
             w -= gemm(V[:, :k], gemm(V[:, :k].T, w))
@@ -62,7 +63,7 @@ def arnoldi_basis(fom: QuadraticOutputSystem, r: int, omega: float = 1.0) -> tup
         if norm_after <= DEFLATION_RTOL * norm_before:
             deflated += 1
             continue
-        V[:, k] = w / norm_after
+        V[:, k] = w[:, 0] / norm_after
         queue.append(V[:, k])
         k += 1
     return V, {"deflated": deflated}

@@ -163,14 +163,14 @@ def balance(fom: QuadraticOutputSystem) -> BalancedFactorization:
 
 
 def project(fom: QuadraticOutputSystem, V: np.ndarray, W: np.ndarray) -> QuadraticOutputSystem:
-    """Reduced system A_r = W^T (A V), B_r = W^T B, N_r = sym(V^T (N V)).
+    """Reduced system A_r = W^T (A V), B_r = W^T B, N_r = V^T (N V).
 
     A and N are applied to the basis only, so a ``FirstOrderOperator`` and
-    a sparse N are never densified.
+    a sparse N are never densified.  N_r is symmetric only to roundoff;
+    ``QuadraticOutputSystem`` checks and symmetrizes it, as it does every N.
     """
-    N_r = gemm(V.T, gemm(fom.N, V))
     return QuadraticOutputSystem(
-        A=gemm(W.T, gemm(fom.A, V)), B=gemm(W.T, fom.B), N=0.5 * (N_r + N_r.T), label="rom"
+        A=gemm(W.T, gemm(fom.A, V)), B=gemm(W.T, fom.B), N=gemm(V.T, gemm(fom.N, V)), label="rom"
     )
 
 

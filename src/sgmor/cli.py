@@ -103,6 +103,11 @@ class ExperimentConfig:
                 f"verification dimensions 'simulation.r_values' must be a non-empty list of "
                 f"integers >= 1, got {list(self.verify_r)}"
             )
+        # verify.csv keys its rows by r, which ``report`` refuses to see twice
+        if len(set(self.verify_r)) != len(self.verify_r):
+            raise ConfigError(
+                f"verification dimensions 'simulation.r_values' repeat a dimension: {list(self.verify_r)}"
+            )
 
 
 def _load_json(path: str | Path, what: str) -> dict:
@@ -243,10 +248,15 @@ def run_verify(cfg: ExperimentConfig) -> Path:
     The model is always balanced, whatever the config's reducer, and each
     row's model is the leading block of the one at the largest dimension.
     One row per verification dimension plus a sentinel row for the full
-    system (r equal to the full state dimension), which must be passive.
+    system (r equal to the full state dimension), which must be passive;
+    a dimension that is not below the state dimension is a ConfigError, so
+    no r appears twice.
     """
     out, fom = _first_order_fom(cfg)
     r_max = max(cfg.verify_r)
+    # the sentinel row already has r = m
+    if r_max >= fom.m:
+        raise ConfigError(f"max 'simulation.r_values' = {r_max} is not below the state dimension {fom.m}")
     ref, rom, _ = _reduction(fom, "balanced-truncation", None, r_max, "max 'simulation.r_values'")
     roms = [rom.leading(r).system for r in cfg.verify_r]
     del rom  # the rows read only the systems; V and W go before the FOM run
@@ -358,16 +368,13 @@ def main(argv=None) -> int:
     try:
         cfg = experiment_from_args(args)
         runners[args.command](cfg)
-    except LinAlgError as exc:
-        # a LAPACK failure (eigh, svd, ...); LinAlgError subclasses ValueError
+    except (LinAlgError, NumericalError) as exc:
+        # LinAlgError (eigh, svd, ...) subclasses ValueError, so it is caught first
         print(f"sgmor: numerical failure: {exc}", file=_sys.stderr)
         return 3
     except ValueError as exc:  # ConfigError and RankError included
         print(f"sgmor: config error: {exc}", file=_sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"sgmor: numerical failure: {exc}", file=_sys.stderr)
-        return 3
     except OSError as exc:
         print(f"sgmor: I/O error: {exc}", file=_sys.stderr)
         return 4

@@ -49,11 +49,13 @@ also carries the LAPACK calls (gees, trsyl, syevr, svd).  numpy links its own
 OpenBLAS build, and ``@`` on two dense arrays runs there; mixing the two
 wakes two pools of BLAS worker threads, which on a machine with few cores
 compete for the same cores, and makes both allocate their packing buffers.
-``@`` is left for sparse and operator operands, whose kernels call no BLAS,
-for vector dot products, and for the matrix-vector products of each
-trapezoid step (``simulate``) on a reduced model: OpenBLAS runs those on the
-calling thread below 9,216 matrix entries (r < 96), and through f2py each
-would cost 2-5 us more, three times per step.
+``gemm`` multiplies matrices: a vector goes in as an m x 1 column, as the
+Arnoldi candidate does.  ``@`` is left for sparse and operator operands,
+whose kernels call no BLAS, for vector dot products, and for the
+matrix-vector products of each trapezoid step (``simulate``) on a reduced
+model: OpenBLAS runs those on the calling thread below 9,216 matrix entries
+(r < 96), and through f2py each would cost 2-5 us more, three times per
+step.
 """
 
 from __future__ import annotations
@@ -97,10 +99,10 @@ def gemm(a, b, out: np.ndarray | None = None, accumulate: bool = False):
 
     An operand with unit stride along its rows (C-ordered, or a strip of a
     C-ordered array) is passed as its transpose, so f2py copies no contiguous
-    operand and copies a strided one along its unit stride.  A 1-D operand
-    is a row on the left and a column on the right, as for ``@``.  ``out``,
-    a C- or Fortran-contiguous float array of the 2-D result's shape, is
-    written in place and returned; a C-ordered ``out`` is filled as
+    operand and copies a strided one along its unit stride.  Both operands
+    are matrices; a vector goes in as an m x 1 column.  ``out``, a C- or
+    Fortran-contiguous float array of the result's shape, is written in
+    place and returned; a C-ordered ``out`` is filled as
     out^T = b^T a^T.  With ``accumulate`` the product is added to ``out``
     (dgemm's beta = 1), so out += a @ b forms no temporary.  A sparse
     matrix or an operator such as ``FirstOrderOperator`` is applied with its
@@ -108,10 +110,6 @@ def gemm(a, b, out: np.ndarray | None = None, accumulate: bool = False):
     """
     if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
         return a @ b
-    if a.ndim == 1 or b.ndim == 1:
-        c = gemm(a[None, :] if a.ndim == 1 else a, b[:, None] if b.ndim == 1 else b)
-        # [()] turns the 0-d result of two vectors into a scalar, as ``@`` does
-        return c.reshape(a.shape[:-1] + b.shape[1:])[()]
     if out is not None and not out.flags.f_contiguous:
         if not out.flags.c_contiguous:
             raise ValueError("out must be C- or Fortran-contiguous")
@@ -545,11 +543,16 @@ def symmetric_factor(X: np.ndarray) -> np.ndarray:
 
     Eigendecomposition with truncation: columns are kept for eigenvalues
     above FACTOR_RTOL * lambda_max(X), so rank-deficient Gramians yield thin
-    factors.  Raises DefinitenessError when an eigenvalue lies below
-    -10 * FACTOR_RTOL * ||X||_F, the defect budget below, since every
-    dropped eigenvalue, a negative one too, counts in that defect; and
-    ConvergenceError when ||Z Z^T - X||_F exceeds 10 * FACTOR_RTOL * ||X||_F
-    or is NaN; an eigensolver failure raises scipy's LinAlgError.
+    factors.  ||X||_F is taken once, from the eigenvalues, and gives the one
+    budget 10 * FACTOR_RTOL * ||X||_F that both gates read: an eigenvalue
+    below minus the budget raises DefinitenessError, since every dropped
+    eigenvalue, a negative one too, counts in the defect; a defect
+    ||Z Z^T - X||_F above it, or NaN, raises ConvergenceError.  An
+    eigensolver failure raises scipy's LinAlgError.
+
+    The symmetry pre-scan is also the NaN guard: a NaN in X fails it and
+    raises ValueError (X must be finite and symmetric), where syevr, handed
+    a NaN, may not return at all.
 
     X is consumed: the eigensolver, scipy's ``eigh`` with LAPACK syevr, runs
     in place on it and overwrites its upper triangle and diagonal.  A caller
@@ -559,7 +562,7 @@ def symmetric_factor(X: np.ndarray) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     if not is_symmetric(X, 1e-12 * max(X.max(initial=0.0), -X.min(initial=0.0), 1.0)):
-        raise ValueError("matrix must be symmetric")
+        raise ValueError("matrix must be finite and symmetric")
     m = X.shape[0]
     diag = X.diagonal().copy()
     # X^T is Fortran-ordered, so syevr overwrites X itself; it reads the lower
@@ -577,12 +580,12 @@ def symmetric_factor(X: np.ndarray) -> np.ndarray:
     Z = _descending_factor(V, w, k)
     del V
 
-    # ||Z Z^T - X||_F and ||X||_F from the blocks on and below the diagonal,
-    # one strip of STRIP columns J at a time: D = Z Z[J]^T over the full
-    # height, since rows j: of the Fortran-ordered Z would reach dgemm as a
-    # copy, and from row j down D is compared with X's strict lower triangle
-    # and ``diag``; blocks below the diagonal count twice
-    err_sq = x_sq = 0.0
+    # ||Z Z^T - X||_F from the blocks on and below the diagonal, one strip of
+    # STRIP columns J at a time: D = Z Z[J]^T over the full height, since
+    # rows j: of the Fortran-ordered Z would reach dgemm as a copy, and from
+    # row j down D is compared with X's strict lower triangle and ``diag``;
+    # blocks below the diagonal count twice
+    err_sq = 0.0
     for j in range(0, m, STRIP):
         J = slice(j, min(j + STRIP, m))
         Xd = np.tril(X[J, J], -1)
@@ -592,11 +595,10 @@ def symmetric_factor(X: np.ndarray) -> np.ndarray:
         D[J] -= Xd
         D[J.stop :] -= X[J.stop :, J]
         err_sq += _sum_squares(D[J]) + 2.0 * _sum_squares(D[J.stop :])
-        x_sq += _sum_squares(Xd) + 2.0 * _sum_squares(X[J.stop :, J])
-    err, xnorm = np.sqrt(err_sq), np.sqrt(x_sq)
-    if not err <= 10.0 * FACTOR_RTOL * xnorm:
+    err = np.sqrt(err_sq)
+    if not err <= budget:
         raise ConvergenceError(
-            f"factorization defect {err / xnorm:.3e} exceeds tolerance {10 * FACTOR_RTOL:.1e}"
+            f"factorization defect {err:.3e} exceeds the defect budget {budget:.3e}"
         )
     return Z
 

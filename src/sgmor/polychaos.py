@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,18 +88,18 @@ class PcBasis:
     q: int
     d: int
     indices: np.ndarray = field(init=False, repr=False)
+    # multi-index (as a tuple) -> its row in ``indices``
+    _index_pos: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", multi_indices(self.q, self.d))
+        indices = multi_indices(self.q, self.d)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "_index_pos", {tuple(alpha): i for i, alpha in enumerate(indices)})
 
     @property
     def size(self) -> int:
         """Number s of basis polynomials."""
         return self.indices.shape[0]
-
-    @cached_property
-    def _index_pos(self) -> dict:
-        return {tuple(alpha): i for i, alpha in enumerate(self.indices)}
 
     def linear_weight_matrix(self, k: int) -> sp.csr_matrix:
         """Sparse s x s matrix of E[kappa_k phi_i phi_j].

@@ -38,7 +38,10 @@ def default_input(t):
 
 def _input_samples(u, t: np.ndarray, n_in: int) -> np.ndarray:
     """u on the grid t as a (t.size, n_in) array: zeros for None, u itself for
-    an array of samples, one call of u per grid point for a callable."""
+    an array of samples, one call of u per grid point for a callable.
+
+    A callable's value must have shape (n_in,), or be a scalar for a single
+    input: a scalar is not spread over several inputs."""
     if u is None:
         return np.zeros((t.size, n_in))
     if isinstance(u, np.ndarray):
@@ -47,7 +50,10 @@ def _input_samples(u, t: np.ndarray, n_in: int) -> np.ndarray:
         return u
     samples = np.empty((t.size, n_in))
     for k, tk in enumerate(t):
-        samples[k] = np.atleast_1d(u(tk))
+        value = u(tk)
+        if np.atleast_1d(value).shape != (n_in,):
+            raise ValueError(f"input value at t = {tk} has shape {np.shape(value)}, expected {(n_in,)}")
+        samples[k] = value
     return samples
 
 
@@ -73,7 +79,8 @@ def integrate(
 
     ``u`` is a callable of time returning a scalar (single input) or a vector
     of length n_in, or its samples at the grid points 0, h, ..., as a
-    (steps + 1, n_in) array; None means zero input.
+    (steps + 1, n_in) array; None means zero input.  A value of any other
+    shape raises ValueError.
     With omega = 2/h the step (I - h/2 A) x+ = (I + h/2 A) x + h/2 B (u + u+)
     reads x+ = (omega I - A)^{-1} (2 omega x + B (u + u+)) - x, since
     omega I + A = 2 omega I - (omega I - A): one ``sys.shift_inverse(2/h)``

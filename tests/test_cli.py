@@ -52,6 +52,15 @@ SMALL_MODEL = {
     "delta": 0.1,
 }
 
+# the README default model: 4 masses, 6 springs, 4 dampers; m = 8 at degree 0
+DEFAULT_MODEL = {
+    "masses": list(DEFAULT_MASSES),
+    "springs": [{"ends": [a, b], "stiffness": v} for a, b, v in DEFAULT_SPRINGS],
+    "dampers": [{"ends": [a, b], "coefficient": v} for a, b, v in DEFAULT_DAMPERS],
+    "input_spring": 6,
+    "delta": 0.1,
+}
+
 
 def load_perfbench(name, monkeypatch):
     """perfbench/<name>.py as a module, read without changing it."""
@@ -338,6 +347,20 @@ class TestRunReduce:
         assert path.name == "reduce_arnoldi.csv"
         assert peak <= 2.8, f"the Arnoldi sweep peaked at {peak:.2f} dense matrices"
 
+    def test_arnoldi_benchmark_reference_comparison_holds(self, tmp_path, monkeypatch):
+        """``sgmor reduce`` on the benchmark's seed-0 reduce-arnoldi-d2 config
+        passes the benchmark's comparison with its reference outputs, so an
+        Arnoldi CSV that drifts past its tolerances fails here and not only in
+        a benchmark run."""
+        workloads = load_perfbench("workloads", monkeypatch)
+        checks = load_perfbench("checks", monkeypatch)
+        workload = workloads.WORKLOADS["reduce-arnoldi-d2"]
+        path, out = tmp_path / "reduce-arnoldi-d2-0.json", tmp_path / "out"
+        workloads.write_config(workload, 0, path)
+        assert main(["reduce", "--config", str(path), "--out", str(out)]) == 0
+        config = workloads.experiment_config(workload, 0)
+        assert checks.check_outputs("reduce", config, out, reference=True) == []
+
 
 class TestRunVerify:
     def test_verify_csv(self, tmp_path):
@@ -367,11 +390,12 @@ class TestRunVerify:
         assert rows[0]["holds"] == "true"
 
     def test_verify_r_beyond_rank(self, tmp_path):
+        """r = 5 lies below the state dimension 8 but above the numerical rank 4."""
         path = write_config(
-            tmp_path, simulation={"h": 0.01, "T": 5.0, "r_values": [21]}
+            tmp_path, simulation={"h": 0.01, "T": 5.0, "r_values": [5]}
         )
         cfg = experiment_from_args(ns(config=str(path)))
-        with pytest.raises(ConfigError, match="max 'simulation.r_values' = 21 exceeds the numerical rank 4"):
+        with pytest.raises(ConfigError, match="max 'simulation.r_values' = 5 exceeds the numerical rank 4"):
             run_verify(cfg)
 
     def test_bound_is_the_leading_block_error(self, verify_d2):
@@ -706,18 +730,28 @@ class TestMain:
         assert f"sgmor: config error: malformed CSV {out / 'verify.csv'}: {message}" in err
         assert not (out / "report.csv").exists()
 
+    @pytest.mark.parametrize("degree, r_values, message", [
+        (1, [10, 10], "verification dimensions 'simulation.r_values' repeat a dimension: [10, 10]"),
+        (0, [8], "max 'simulation.r_values' = 8 is not below the state dimension 8"),
+    ], ids=["repeated", "state-dimension"])
+    def test_verify_row_report_would_refuse_is_exit_2(self, tmp_path, capsys, degree, r_values, message):
+        """A repeated r, or r = m beside the sentinel row of the full system,
+        would write a verify.csv with an r twice, which ``report`` refuses:
+        each is a config error, and no verify.csv is written.  The default
+        model at degree 0 has m = 8 and numerical rank 8."""
+        config = str(write_config(
+            tmp_path, model=DEFAULT_MODEL, degree=degree,
+            simulation={"h": 0.01, "T": 2.0, "r_values": r_values},
+        ))
+        assert main(["verify", "--config", config]) == 2
+        assert f"sgmor: config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "verify.csv").exists()
+
     def test_default_model_without_variation_runs(self, tmp_path):
         """delta = 0 leaves Q with an eigenvalue of -1e-12 relative, rounding
         that balancing tolerates."""
-        model = {
-            "masses": list(DEFAULT_MASSES),
-            "springs": [{"ends": [a, b], "stiffness": v} for a, b, v in DEFAULT_SPRINGS],
-            "dampers": [{"ends": [a, b], "coefficient": v} for a, b, v in DEFAULT_DAMPERS],
-            "input_spring": 6,
-            "delta": 0.0,
-        }
         config = str(write_config(
-            tmp_path, model=model, r={"min": 1, "max": 3},
+            tmp_path, model=dict(DEFAULT_MODEL, delta=0.0), r={"min": 1, "max": 3},
             simulation={"h": 0.01, "T": 2.0, "r_values": [3]},
         ))
         assert main(["reduce", "--config", config]) == 0

@@ -41,7 +41,7 @@ class TestIntegrate:
 
     def test_grid_and_shapes(self, rng):
         """One output per grid point 0, h, ..., T and no state."""
-        sys = make_stable_system(rng, 5)
+        sys = make_stable_system(rng, 5, n_in=1)
         y = integrate(sys, u=default_input, h=0.25, T=2.0)
         assert y.shape == (9,)
 
@@ -111,6 +111,14 @@ class TestIntegrate:
         assert np.array_equal(sampled, called)
         with pytest.raises(ValueError, match="input samples have shape"):
             integrate(sys, u=np.zeros((t.size - 1, 2)), h=h, T=T)
+
+    @pytest.mark.parametrize("u", [np.sin, lambda t: np.full(3, np.sin(t))], ids=["scalar", "three"])
+    def test_callable_value_must_match_the_inputs(self, rng, u):
+        """A scalar or a 3-vector does not drive a 2-input system: it is not
+        broadcast over the inputs."""
+        sys = make_stable_system(rng, 5, n_in=2)
+        with pytest.raises(ValueError, match=r"input value at t = 0.0 has shape \(\d?,?\), expected \(2,\)"):
+            integrate(sys, u=u, h=0.05, T=1.0)
 
     def test_rejects_bad_initial_state(self):
         with pytest.raises(ValueError, match="initial state"):
@@ -227,7 +235,7 @@ class TestSecondOrderPath:
 
 class TestErrorBound:
     def test_identical_models_hold(self, rng):
-        fom = make_stable_system(rng, 6)
+        fom = make_stable_system(rng, 6, n_in=1)
         [check] = verify_error_bound(gramian_cache(fom)[0], [fom], h=0.02, T=5.0)
         assert isinstance(check, BoundCheck)
         assert check.observed == 0.0, f"self-comparison observed {check.observed}"
