@@ -343,14 +343,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "rmax": dict(type=int, help="largest reduced dimension"),
         "out": dict(help="output directory"),
     }
-    for name, help_text, reads in (
-        ("assemble", "write Galerkin matrices and a summary record", ("config", "degree", "out")),
-        ("reduce", "sweep a reducer over r and write per-dimension diagnostics",
+    for name, run, help_text, reads in (
+        ("assemble", run_assemble, "write Galerkin matrices and a summary record",
+         ("config", "degree", "out")),
+        ("reduce", run_reduce, "sweep a reducer over r and write per-dimension diagnostics",
          ("config", "degree", "reducer", "omega", "rmax", "out")),
-        ("verify", "check output error bounds and dissipation certificates", ("config", "degree", "out")),
-        ("report", "merge emitted CSVs into one table", ("config", "out")),
+        ("verify", run_verify, "check output error bounds and dissipation certificates",
+         ("config", "degree", "out")),
+        ("report", run_report, "merge emitted CSVs into one table", ("config", "out")),
     ):
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(run=run)
         for flag in reads:
             cmd.add_argument(f"--{flag}", **flags[flag])
     return parser
@@ -359,15 +362,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    runners = {
-        "assemble": run_assemble,
-        "reduce": run_reduce,
-        "verify": run_verify,
-        "report": run_report,
-    }
     try:
         cfg = experiment_from_args(args)
-        runners[args.command](cfg)
+        args.run(cfg)
     except (LinAlgError, NumericalError) as exc:
         # LinAlgError (eigh, svd, ...) subclasses ValueError, so it is caught first
         print(f"sgmor: numerical failure: {exc}", file=_sys.stderr)

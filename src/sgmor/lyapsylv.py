@@ -100,7 +100,8 @@ def gemm(a, b, out: np.ndarray | None = None, accumulate: bool = False):
     An operand with unit stride along its rows (C-ordered, or a strip of a
     C-ordered array) is passed as its transpose, so f2py copies no contiguous
     operand and copies a strided one along its unit stride.  Both operands
-    are matrices; a vector goes in as an m x 1 column.  ``out``, a C- or
+    are matrices; a vector goes in as an m x 1 column, and a dense operand
+    that is not 2-D raises ValueError naming both shapes.  ``out``, a C- or
     Fortran-contiguous float array of the result's shape, is written in
     place and returned; a C-ordered ``out`` is filled as
     out^T = b^T a^T.  With ``accumulate`` the product is added to ``out``
@@ -108,6 +109,8 @@ def gemm(a, b, out: np.ndarray | None = None, accumulate: bool = False):
     matrix or an operator such as ``FirstOrderOperator`` is applied with its
     own ``@``, which calls no BLAS.
     """
+    if any(isinstance(x, np.ndarray) and x.ndim != 2 for x in (a, b)):
+        raise ValueError(f"gemm multiplies matrices, got operands of shapes {a.shape} and {b.shape}")
     if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
         return a @ b
     if out is not None and not out.flags.f_contiguous:
@@ -345,7 +348,7 @@ def _blocked_lyapunov(T: QuasiTriangular, R, transposed: bool, work: np.ndarray)
     m = R.shape[0]
     if m <= LEAF:
         _leaf(T.leaf, T.leaf, R, transposed)
-        R[...] = 0.5 * (R + R.T)
+        _symmetrize(R)
         return
 
     k, T12 = T.k, T.T12
@@ -442,13 +445,17 @@ def solve_lyapunov(A, B: np.ndarray, factors: SchurFactors, transposed: bool = F
     )
     _symmetrize(X)
 
-    op = A.T if transposed else A
-    residual = _lyapunov_residual(op, X, B)
-    if not residual <= RESIDUAL_RTOL * cnorm:
-        raise ConvergenceError(
-            f"Lyapunov residual {residual / cnorm:.3e} exceeds tolerance {RESIDUAL_RTOL:.1e}"
-        )
+    _check_residual("Lyapunov", _lyapunov_residual(A.T if transposed else A, X, B), cnorm)
     return X
+
+
+def _check_residual(equation: str, residual: float, scale: float) -> None:
+    """The residual gate of both solvers: ConvergenceError unless
+    residual <= RESIDUAL_RTOL * scale, so a NaN residual fails."""
+    if not residual <= RESIDUAL_RTOL * scale:
+        raise ConvergenceError(
+            f"{equation} residual {residual / scale:.3e} exceeds tolerance {RESIDUAL_RTOL:.1e}"
+        )
 
 
 def _lyapunov_residual(op, X: np.ndarray, B: np.ndarray) -> float:
@@ -530,11 +537,7 @@ def solve_sylvester(
     C = gemm(A, Y)
     gemm(Y, F.T, C, accumulate=True)
     gemm(L, R.T, C, accumulate=True)
-    residual = np.sqrt(_sum_squares(C))
-    if not residual <= RESIDUAL_RTOL * denom:
-        raise ConvergenceError(
-            f"Sylvester residual {residual / denom:.3e} exceeds tolerance {RESIDUAL_RTOL:.1e}"
-        )
+    _check_residual("Sylvester", np.sqrt(_sum_squares(C)), denom)
     return Y
 
 

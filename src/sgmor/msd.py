@@ -170,29 +170,25 @@ def build_msd(cfg: MsdConfig) -> ParametricSecondOrderSystem:
     """Assemble the affine-parametric system of the configured network.
 
     Parameter order: masses, then springs, then dampers, each entering only
-    its own matrix family.  The input vector is the nominal stiffness of the
-    input spring times the unit vector of the mass it is attached to.
+    its own matrix family.  A mass m_i is the element (i + 1, 0, m_i)
+    between its node and the ground, so one loop runs over masses, springs
+    and dampers, and each element with value v and pattern P adds v P to
+    term 0 and sets its own term to delta v P, in M, K or D respectively.
+    The input vector is the nominal stiffness of the input spring times the
+    unit vector of the mass it is attached to.
     """
-    n, q = cfg.n, cfg.q
+    n = cfg.n
     zero = np.zeros((n, n))
-    M_terms = [np.diag(np.asarray(cfg.masses, dtype=float))] + [zero] * q
-    K_terms = [np.zeros((n, n))] + [zero] * q
-    D_terms = [np.zeros((n, n))] + [zero] * q
-
+    masses = tuple((i + 1, 0, m) for i, m in enumerate(cfg.masses))
+    families = (masses, cfg.springs, cfg.dampers)
+    M_terms, K_terms, D_terms = terms = [[np.zeros((n, n))] + [zero] * cfg.q for _ in families]
     k = 1
-    for i, m in enumerate(cfg.masses):
-        M_terms[k] = cfg.delta * m * _incidence(n, i + 1, 0)
-        k += 1
-    for a, b, stiffness in cfg.springs:
-        pattern = _incidence(n, a, b)
-        K_terms[0] = K_terms[0] + stiffness * pattern
-        K_terms[k] = cfg.delta * stiffness * pattern
-        k += 1
-    for a, b, coeff in cfg.dampers:
-        pattern = _incidence(n, a, b)
-        D_terms[0] = D_terms[0] + coeff * pattern
-        D_terms[k] = cfg.delta * coeff * pattern
-        k += 1
+    for elements, family in zip(families, terms):
+        for a, b, value in elements:
+            pattern = _incidence(n, a, b)
+            family[0] += value * pattern
+            family[k] = cfg.delta * value * pattern
+            k += 1
 
     a, b, stiffness = cfg.springs[cfg.input_spring - 1]
     driven_mass = a if a > 0 else b
@@ -202,4 +198,3 @@ def build_msd(cfg: MsdConfig) -> ParametricSecondOrderSystem:
     return ParametricSecondOrderSystem(
         M_terms=tuple(M_terms), D_terms=tuple(D_terms), K_terms=tuple(K_terms), B=B
     )
-

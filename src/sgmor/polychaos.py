@@ -42,7 +42,7 @@ def multi_indices(q: int, d: int) -> np.ndarray:
     sorted by total degree first, lexicographically within each degree.  The
     zero multi-index comes first.
     """
-    size = basis_size(q, d)
+    basis_size(q, d)  # refuses q < 1 and d < 0
 
     def emit(dims: int, budget: int):
         if dims == 1:
@@ -54,9 +54,7 @@ def multi_indices(q: int, d: int) -> np.ndarray:
                     yield (k,) + rest
 
     indices = sorted(emit(q, d), key=lambda a: (sum(a), a))
-    out = np.array(indices, dtype=np.int64)
-    assert out.shape == (size, q)
-    return out
+    return np.array(indices, dtype=np.int64)
 
 
 def linear_triple_coefficient(a: int, b: int) -> float:
@@ -87,7 +85,8 @@ class PcBasis:
 
     q: int
     d: int
-    indices: np.ndarray = field(init=False, repr=False)
+    # (q, d) determine the basis, so equality and hashing read only them
+    indices: np.ndarray = field(init=False, repr=False, compare=False)
     # multi-index (as a tuple) -> its row in ``indices``
     _index_pos: dict = field(init=False, repr=False, compare=False)
 

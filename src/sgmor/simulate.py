@@ -58,9 +58,12 @@ def _input_samples(u, t: np.ndarray, n_in: int) -> np.ndarray:
 
 
 def _time_grid(h: float, T: float) -> np.ndarray:
-    """Uniform grid 0, h, ..., round(T/h) h; it must hold at least one step."""
-    if h <= 0 or T <= 0:
-        raise ValueError("step size and horizon must be positive")
+    """Uniform grid 0, h, ..., round(T/h) h; it must hold at least one step.
+
+    A step size or horizon that is not finite and positive raises ValueError
+    naming both (a NaN fails every comparison)."""
+    if not (0 < h < np.inf and 0 < T < np.inf):
+        raise ValueError(f"step size h = {h} and horizon T = {T} must be finite and positive")
     steps = int(round(T / h))
     if steps < 1:
         raise ValueError(f"horizon T = {T} is shorter than half a step h = {h}: no step to take")
@@ -86,8 +89,9 @@ def integrate(
     omega I + A = 2 omega I - (omega I - A): one ``sys.shift_inverse(2/h)``
     factorization per run and one shifted solve per step, for every system.
     B is applied per step, so no (steps, m) forcing array is made.
-    A horizon shorter than half a step raises ValueError, a singular step
-    matrix NumericalError.
+    A step size or horizon that is not finite and positive, or a horizon
+    shorter than half a step, raises ValueError, a singular step matrix
+    NumericalError.
     """
     t = _time_grid(h, T)
     m = sys.m

@@ -72,6 +72,19 @@ def load_perfbench(name, monkeypatch):
     return module
 
 
+def reference_failures(name, tmp_path, monkeypatch):
+    """The benchmark's reference comparison of ``sgmor`` run on the seed-0
+    config of workload ``name``: the list of failures, empty when it holds."""
+    workloads = load_perfbench("workloads", monkeypatch)
+    checks = load_perfbench("checks", monkeypatch)
+    workload = workloads.WORKLOADS[name]
+    path, out = tmp_path / f"{name}-0.json", tmp_path / "out"
+    workloads.write_config(workload, 0, path)
+    assert main([workload.command, "--config", str(path), "--out", str(out)]) == 0
+    config = workloads.experiment_config(workload, 0)
+    return checks.check_outputs(workload.command, config, out, reference=True)
+
+
 def write_config(tmp_path, **overrides):
     raw = {
         "model": SMALL_MODEL,
@@ -352,14 +365,15 @@ class TestRunReduce:
         passes the benchmark's comparison with its reference outputs, so an
         Arnoldi CSV that drifts past its tolerances fails here and not only in
         a benchmark run."""
-        workloads = load_perfbench("workloads", monkeypatch)
-        checks = load_perfbench("checks", monkeypatch)
-        workload = workloads.WORKLOADS["reduce-arnoldi-d2"]
-        path, out = tmp_path / "reduce-arnoldi-d2-0.json", tmp_path / "out"
-        workloads.write_config(workload, 0, path)
-        assert main(["reduce", "--config", str(path), "--out", str(out)]) == 0
-        config = workloads.experiment_config(workload, 0)
-        assert checks.check_outputs("reduce", config, out, reference=True) == []
+        assert reference_failures("reduce-arnoldi-d2", tmp_path, monkeypatch) == []
+
+    def test_bt_benchmark_reference_comparison_holds(self, tmp_path, monkeypatch):
+        """``sgmor reduce`` on the benchmark's seed-0 reduce-bt-d2 config, the
+        paper's r = 1..100 balanced-truncation sweep, passes the benchmark's
+        comparison with its reference outputs, so a balanced-truncation CSV
+        that drifts past its tolerances fails here and not only in a
+        benchmark run."""
+        assert reference_failures("reduce-bt-d2", tmp_path, monkeypatch) == []
 
 
 class TestRunVerify:

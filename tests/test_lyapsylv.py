@@ -608,6 +608,16 @@ class TestGemm:
         with pytest.raises(ValueError, match="contiguous"):
             lyapsylv.gemm(np.ones((3, 2)), np.ones((2, 4)), np.empty((3, 8))[:, ::2])
 
+    @pytest.mark.parametrize("left, right", [("A", "x"), ("y", "A"), ("x", "x")])
+    def test_a_vector_operand_is_refused(self, rng, left, right):
+        """A 1-D operand is neither read as a column nor left to f2py's
+        dimension check: each pair names both shapes."""
+        operands = {"A": rng.standard_normal((8, 6)), "x": rng.standard_normal(6),
+                    "y": rng.standard_normal(8)}
+        a, b = operands[left], operands[right]
+        with pytest.raises(ValueError, match=re.escape(f"operands of shapes {a.shape} and {b.shape}")):
+            lyapsylv.gemm(a, b)
+
     def test_sparse_and_operator_operands_keep_their_own_product(self, rng):
         N = sp.random(20, 20, density=0.2, random_state=1, format="csr")
         X = rng.standard_normal((20, 3))

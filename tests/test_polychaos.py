@@ -160,3 +160,10 @@ class TestPcBasis:
         basis = PcBasis(q=2, d=1)
         with pytest.raises(ValueError):
             basis.linear_weight_matrix(3)
+
+    def test_equality_and_hash_read_q_and_d(self):
+        """(q, d) determine the basis, so equal arguments give equal bases and
+        a basis can key a dict; its index array takes no part."""
+        assert PcBasis(q=2, d=1) == PcBasis(q=2, d=1)
+        assert PcBasis(q=2, d=1) != PcBasis(q=2, d=2)
+        assert {PcBasis(q=2, d=1): "linear"}[PcBasis(q=2, d=1)] == "linear"

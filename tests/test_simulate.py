@@ -1,5 +1,6 @@
 """Tests for the trapezoidal integrator and the output error bound."""
 
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -91,6 +92,14 @@ class TestIntegrate:
             integrate(scalar_decay(), h=0.0)
         with pytest.raises(ValueError, match="positive"):
             integrate(scalar_decay(), T=-1.0)
+
+    @pytest.mark.parametrize("h, T", [(0.01, float("inf")), (float("nan"), 1.0), (0.01, float("nan"))])
+    def test_rejects_a_non_finite_step_or_horizon(self, h, T):
+        """One ValueError naming both values, not an OverflowError or a
+        message about converting NaN to an integer."""
+        message = f"step size h = {h} and horizon T = {T} must be finite and positive"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            integrate(scalar_decay(), h=h, T=T)
 
     @pytest.mark.parametrize("T", [0.4, 0.5])
     def test_rejects_a_horizon_without_a_step(self, T):
