@@ -9,6 +9,12 @@ one reduction stage: it builds one reduced model at the command's largest r,
 and every row reads its model as the leading block of that one.  All numeric
 CSV fields carry 17 significant digits, so repeated runs at a fixed BLAS
 thread count are byte-identical.
+
+Each fact is stated once: an ``ExperimentConfig`` field gives its setting's
+default, config path, flag and help text, and its annotation is both the
+setting's JSON kind and the flag's type; ``REDUCERS`` gives each reducer's
+CSV tag and ``INPUTS`` each input signal.  A config or model file that gives
+a key twice in one object is refused.
 """
 
 from __future__ import annotations
@@ -18,8 +24,9 @@ import csv
 import json
 import math
 import sys as _sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from numpy.linalg import LinAlgError
 
@@ -31,7 +38,7 @@ from .jsonconfig import JSON_NAMES, read, read_object
 from .msd import MsdConfig, build_msd, config_from_dict, default_config
 from .passivity import shifted_dissipation_certificate
 from .polychaos import PcBasis
-from .simulate import default_input, verify_error_bound
+from .simulate import _steps, default_input, verify_error_bound
 
 __all__ = [
     "ConfigError",
@@ -43,59 +50,58 @@ __all__ = [
     "main",
 ]
 
-REDUCERS = ("balanced-truncation", "arnoldi")
+# reducer -> its tag, which names its sweep CSV reduce_<tag>.csv and prefixes
+# that file's columns in the report
+REDUCERS = {"balanced-truncation": "bt", "arnoldi": "arnoldi"}
+# input signal -> the input ``verify`` integrates; None is zero input
+INPUTS = {"default": default_input, "zero": None}
 
-# ExperimentConfig field -> (config path, JSON kind, command-line flag or None);
-# a field that neither the file nor a flag sets keeps its default
-SETTINGS = {
-    "degree": ("degree", int, "degree"),
-    "reducer": ("reducer", str, "reducer"),
-    "omega": ("omega", float, "omega"),
-    "out": ("out", str, "out"),
-    "r_min": ("r.min", int, None),
-    "r_max": ("r.max", int, "rmax"),
-    "sim_h": ("simulation.h", float, None),
-    "sim_T": ("simulation.T", float, None),
-    "sim_input": ("simulation.input", str, None),
-    "verify_r": ("simulation.r_values", tuple[int, ...], None),
-}
+
+def _setting(default, path: str, flag: str | None = None, **argument):
+    """An ExperimentConfig setting: its default, its config path and, if a
+    command-line flag sets it, the flag and its argparse arguments but ``type``."""
+    return field(default=default, metadata={"path": path, "flag": flag, "argument": argument})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment run needs; flags override file values."""
+    """Everything one experiment run needs; flags override file values.
+
+    Every field but ``model`` is a setting, and its annotation is both its
+    JSON kind and its flag's type.  A setting that neither the file nor a
+    flag sets keeps its default.
+    """
 
     model: MsdConfig
-    degree: int = 2
-    reducer: str = "balanced-truncation"
-    omega: float = 1.0
-    r_min: int = 1
-    r_max: int = 100
-    sim_h: float = 0.01
-    sim_T: float = 100.0
-    sim_input: str = "default"
-    verify_r: tuple[int, ...] = (10, 30, 50)
-    out: str = "results"
+    degree: int = _setting(2, "degree", "degree", help="total polynomial degree")
+    reducer: str = _setting("balanced-truncation", "reducer", "reducer",
+                            choices=tuple(REDUCERS), help="reduction method")
+    omega: float = _setting(1.0, "omega", "omega", help="Arnoldi expansion point")
+    r_min: int = _setting(1, "r.min")
+    r_max: int = _setting(100, "r.max", "rmax", help="largest reduced dimension")
+    sim_h: float = _setting(0.01, "simulation.h")
+    sim_T: float = _setting(100.0, "simulation.T")
+    sim_input: str = _setting("default", "simulation.input")
+    verify_r: tuple[int, ...] = _setting((10, 30, 50), "simulation.r_values")
+    out: str = _setting("results", "out", "out", help="output directory")
 
     def __post_init__(self):
         if self.degree < 0:
             raise ConfigError(f"config key 'degree' must be >= 0, got {self.degree}")
         if self.reducer not in REDUCERS:
-            raise ConfigError(f"config key 'reducer' must be one of {REDUCERS}, got {self.reducer!r}")
+            raise ConfigError(f"config key 'reducer' must be one of {tuple(REDUCERS)}, got {self.reducer!r}")
         if not math.isfinite(self.omega):
             raise ConfigError(f"config key 'omega': expansion point must be finite, got {self.omega}")
         if self.r_min < 1 or self.r_max < self.r_min:
             raise ConfigError(f"invalid r range ['r.min', 'r.max'] = [{self.r_min}, {self.r_max}]")
-        if not all(math.isfinite(v) and v > 0 for v in (self.sim_h, self.sim_T)):
-            raise ConfigError("'simulation.h' and 'simulation.T' must be finite and positive")
-        # round(T / h) = 0 steps exactly when T / h <= 0.5 (round half to even)
-        if self.sim_T / self.sim_h <= 0.5:
+        try:
+            _steps(self.sim_h, self.sim_T)
+        except ValueError as exc:
+            raise ConfigError(f"'simulation.h' and 'simulation.T': {exc}") from None
+        if self.sim_input not in INPUTS:
             raise ConfigError(
-                f"'simulation.T' = {self.sim_T} is shorter than half a step 'simulation.h' = {self.sim_h}"
-            )
-        if self.sim_input not in ("default", "zero"):
-            raise ConfigError(
-                f"input signal 'simulation.input' must be 'default' or 'zero', got {self.sim_input!r}"
+                f"input signal 'simulation.input' must be {' or '.join(map(repr, INPUTS))}, "
+                f"got {self.sim_input!r}"
             )
         # an empty list would balance and integrate the FOM for no row
         if not self.verify_r or min(self.verify_r) < 1:
@@ -111,10 +117,24 @@ class ExperimentConfig:
 
 
 def _load_json(path: str | Path, what: str) -> dict:
-    """The JSON object in the file at ``path``; ``what`` names the file in errors."""
+    """The JSON object in the file at ``path``; ``what`` names the file in errors.
+
+    A key that one object of the file gives twice is refused: ``json.load``
+    would keep the last value silently."""
+
+    def unique(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(
+                    f"malformed JSON in {path}: key {json.dumps(key)} appears twice in one object"
+                )
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=unique)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
@@ -124,26 +144,33 @@ def _load_json(path: str | Path, what: str) -> dict:
     return raw
 
 
+def _settings() -> list[tuple[str, type, dict]]:
+    """(field name, annotation, metadata) of each ExperimentConfig setting."""
+    kinds = get_type_hints(ExperimentConfig)
+    return [(f.name, kinds[f.name], f.metadata) for f in fields(ExperimentConfig) if f.metadata]
+
+
 def _file_settings(raw: dict) -> dict:
-    """The ExperimentConfig fields that the config file sets, each read by its SETTINGS row."""
+    """The ExperimentConfig settings that the config file sets, each read as its annotation."""
+    settings = _settings()
     keys = {"": {"model"}}  # section of the file ("" for the top level) -> the keys it may hold
-    for path, _, _ in SETTINGS.values():
-        section, _, key = path.rpartition(".")
+    for _, _, meta in settings:
+        section, _, key = meta["path"].rpartition(".")
         keys.setdefault(section, set()).add(key)
         keys[""].add(section or key)
     objects = {s: read_object(raw.get(s, {}) if s else raw, s, known) for s, known in keys.items()}
-    fields = {}
-    for field, (path, kind, _) in SETTINGS.items():
-        section, _, key = path.rpartition(".")
+    values = {}
+    for name, kind, meta in settings:
+        section, _, key = meta["path"].rpartition(".")
         if key in objects[section]:
-            fields[field] = read(objects[section][key], kind, path)
-    return fields
+            values[name] = read(objects[section][key], kind, meta["path"])
+    return values
 
 
 def experiment_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """Merge config file (if any) and command-line flags into one config."""
     raw = _load_json(args.config, "the config file") if args.config else {}
-    fields = _file_settings(raw)
+    values = _file_settings(raw)
     model_entry = raw.get("model")
     if model_entry is None:
         model = default_config()
@@ -155,10 +182,10 @@ def experiment_from_args(args: argparse.Namespace) -> ExperimentConfig:
     else:
         model = config_from_dict(read(model_entry, dict, "model"))
     # a subcommand registers only the flags it reads
-    for field, (_, _, flag) in SETTINGS.items():
-        if flag and getattr(args, flag, None) is not None:
-            fields[field] = getattr(args, flag)
-    return ExperimentConfig(model=model, **fields)
+    for name, _, meta in _settings():
+        if meta["flag"] and getattr(args, meta["flag"], None) is not None:
+            values[name] = getattr(args, meta["flag"])
+    return ExperimentConfig(model=model, **values)
 
 
 def _assemble_fom(cfg: ExperimentConfig):
@@ -166,11 +193,11 @@ def _assemble_fom(cfg: ExperimentConfig):
     return assemble(sys, PcBasis(q=sys.q, d=cfg.degree))
 
 
-def _first_order_fom(cfg: ExperimentConfig):
-    """The output directory, created, and the first-order FOM of the configured model."""
+def _out_dir(cfg: ExperimentConfig) -> Path:
+    """The output directory, created."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out, to_first_order(_assemble_fom(cfg))
+    return out
 
 
 def run_assemble(cfg: ExperimentConfig) -> dict:
@@ -180,8 +207,7 @@ def run_assemble(cfg: ExperimentConfig) -> dict:
     import scipy.io
     import scipy.sparse as sp
 
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     galerkin = _assemble_fom(cfg)
     for name in ("M", "D", "K"):
         mat = getattr(galerkin, name)
@@ -233,11 +259,12 @@ def _reduction(fom, reducer: str, omega: float | None, r: int, key: str):
 
 def run_reduce(cfg: ExperimentConfig) -> Path:
     """Sweep the configured reducer over the r range and write the CSV."""
-    out, fom = _first_order_fom(cfg)
+    out = _out_dir(cfg)
+    fom = to_first_order(_assemble_fom(cfg))
     if cfg.r_max > fom.m:
         raise ConfigError(f"'r.max' = {cfg.r_max} exceeds the state dimension {fom.m}")
     ref, rom, sigma = _reduction(fom, cfg.reducer, cfg.omega, cfg.r_max, "'r.max'")
-    path = out / ("reduce_arnoldi.csv" if cfg.reducer == "arnoldi" else "reduce_bt.csv")
+    path = out / f"reduce_{REDUCERS[cfg.reducer]}.csv"
     write_report_csv(sweep(ref, rom, range(cfg.r_min, cfg.r_max + 1), sigma=sigma), path)
     return path
 
@@ -252,7 +279,8 @@ def run_verify(cfg: ExperimentConfig) -> Path:
     a dimension that is not below the state dimension is a ConfigError, so
     no r appears twice.
     """
-    out, fom = _first_order_fom(cfg)
+    out = _out_dir(cfg)
+    fom = to_first_order(_assemble_fom(cfg))
     r_max = max(cfg.verify_r)
     # the sentinel row already has r = m
     if r_max >= fom.m:
@@ -260,8 +288,7 @@ def run_verify(cfg: ExperimentConfig) -> Path:
     ref, rom, _ = _reduction(fom, "balanced-truncation", None, r_max, "max 'simulation.r_values'")
     roms = [rom.leading(r).system for r in cfg.verify_r]
     del rom  # the rows read only the systems; V and W go before the FOM run
-    u = default_input if cfg.sim_input == "default" else None
-    checks = verify_error_bound(ref, roms, u=u, h=cfg.sim_h, T=cfg.sim_T)
+    checks = verify_error_bound(ref, roms, u=INPUTS[cfg.sim_input], h=cfg.sim_h, T=cfg.sim_T)
 
     rows = []
     for r, rsys, check in zip(cfg.verify_r, roms, checks):
@@ -279,16 +306,13 @@ def run_report(cfg: ExperimentConfig) -> Path:
     """Merge the reduce/verify CSVs in the output directory, keyed by r.
 
     A CSV that is not ASCII text, has no header holding an 'r' column, has a
-    row whose field count differs from its header's, an r that is not an
-    integer or an r it already gave is refused with a ConfigError that names
-    it and the line.
+    header that repeats a column, a row whose field count differs from its
+    header's, an r that is not an integer or an r it already gave is refused
+    with a ConfigError that names it and the line.
     """
     out = Path(cfg.out)
-    sources = {
-        "bt": out / "reduce_bt.csv",
-        "arnoldi": out / "reduce_arnoldi.csv",
-        "verify": out / "verify.csv",
-    }
+    sources = {tag: out / f"reduce_{tag}.csv" for tag in REDUCERS.values()}
+    sources["verify"] = out / "verify.csv"
     present = {name: path for name, path in sources.items() if path.exists()}
     if not present:
         raise FileNotFoundError(f"no reduction or verification CSVs found in {out}")
@@ -302,6 +326,10 @@ def run_report(cfg: ExperimentConfig) -> Path:
             raise ConfigError(f"malformed CSV {path}: not ASCII text ({exc})") from None
         if reader.fieldnames is None or "r" not in reader.fieldnames:
             raise ConfigError(f"malformed CSV {path}: no header with an 'r' column")
+        # DictReader keeps the last of two equal columns and loses the first
+        repeated = [f for i, f in enumerate(reader.fieldnames) if f in reader.fieldnames[:i]]
+        if repeated:
+            raise ConfigError(f"malformed CSV {path}: header repeats column {repeated[0]!r}")
         fields = [f for f in reader.fieldnames if f != "r"]
         prefixed = [f"{name}_{f}" for f in fields]
         columns.extend(prefixed)
@@ -335,25 +363,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Stochastic Galerkin assembly and energy-output model reduction",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    flags = {
-        "config": dict(help="JSON experiment config"),
-        "degree": dict(type=int, help="total polynomial degree"),
-        "reducer": dict(choices=REDUCERS, help="reduction method"),
-        "omega": dict(type=float, help="Arnoldi expansion point"),
-        "rmax": dict(type=int, help="largest reduced dimension"),
-        "out": dict(help="output directory"),
-    }
+    flags = {meta["flag"]: dict(type=kind, **meta["argument"]) for _, kind, meta in _settings() if meta["flag"]}
     for name, run, help_text, reads in (
-        ("assemble", run_assemble, "write Galerkin matrices and a summary record",
-         ("config", "degree", "out")),
+        ("assemble", run_assemble, "write Galerkin matrices and a summary record", ("degree", "out")),
         ("reduce", run_reduce, "sweep a reducer over r and write per-dimension diagnostics",
-         ("config", "degree", "reducer", "omega", "rmax", "out")),
-        ("verify", run_verify, "check output error bounds and dissipation certificates",
-         ("config", "degree", "out")),
-        ("report", run_report, "merge emitted CSVs into one table", ("config", "out")),
+         ("degree", "reducer", "omega", "rmax", "out")),
+        ("verify", run_verify, "check output error bounds and dissipation certificates", ("degree", "out")),
+        ("report", run_report, "merge emitted CSVs into one table", ("out",)),
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(run=run)
+        cmd.add_argument("--config", help="JSON experiment config")
         for flag in reads:
             cmd.add_argument(f"--{flag}", **flags[flag])
     return parser

@@ -238,7 +238,9 @@ class QuadraticOutputSystem:
         S x_1 = (omega M + D) b_1 + M b_2 and S x_2 = omega M b_2 - K b_1.
         One sparse LU of S serves both as one two-column solve.  Neither
         block is recovered from the other through omega, so the solve keeps
-        its digits as omega grows and holds at omega = 0.
+        its digits as omega grows and holds at omega = 0.  An omega so large
+        that S overflows raises NumericalError: the LU of an infinite S
+        solves to zeros.
         """
         g = self.galerkin
         if g is None:
@@ -252,8 +254,12 @@ class QuadraticOutputSystem:
             return lambda b: inverse @ b
 
         ns = g.dimension
+        with np.errstate(over="ignore"):  # an overflow is refused below, not warned about
+            S = (omega * omega * g.M + omega * g.D + g.K).tocsc()
+        if not np.isfinite(S.data).all():
+            raise NumericalError(f"shift {omega} overflows omega^2 M + omega D + K")
         try:
-            lu = spla.splu((omega * omega * g.M + omega * g.D + g.K).tocsc())
+            lu = spla.splu(S)
         except RuntimeError as exc:  # splu reports an exactly singular factor this way
             raise NumericalError(f"shift {omega} makes omega*I - A singular") from exc
         rhs = sp.bmat([[omega * g.M + g.D, g.M], [-g.K, omega * g.M]], format="csr")

@@ -57,17 +57,23 @@ def _input_samples(u, t: np.ndarray, n_in: int) -> np.ndarray:
     return samples
 
 
-def _time_grid(h: float, T: float) -> np.ndarray:
-    """Uniform grid 0, h, ..., round(T/h) h; it must hold at least one step.
+def _steps(h: float, T: float) -> int:
+    """round(T/h), the number of steps of size h to the horizon T; at least one.
 
     A step size or horizon that is not finite and positive raises ValueError
-    naming both (a NaN fails every comparison)."""
+    naming both (a NaN fails every comparison), and so does a horizon
+    shorter than half a step."""
     if not (0 < h < np.inf and 0 < T < np.inf):
         raise ValueError(f"step size h = {h} and horizon T = {T} must be finite and positive")
     steps = int(round(T / h))
     if steps < 1:
         raise ValueError(f"horizon T = {T} is shorter than half a step h = {h}: no step to take")
-    return h * np.arange(steps + 1)
+    return steps
+
+
+def _time_grid(h: float, T: float) -> np.ndarray:
+    """Uniform grid 0, h, ..., round(T/h) h; ``_steps`` checks h and T."""
+    return h * np.arange(_steps(h, T) + 1)
 
 
 def integrate(

@@ -6,6 +6,8 @@ repeatedly to B with a generic dense solve and compare spans.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import numpy.linalg as la
 import pytest
@@ -100,6 +102,20 @@ class TestBasis:
         assert np.abs(V.T @ V - np.eye(2)).max() < 1e-12
         with pytest.raises(NumericalError, match="singular"):
             arnoldi_basis(fom, 2, omega=-1.0)
+
+    @pytest.mark.parametrize("omega", [1e154, -1e160])
+    def test_overflowing_shift_on_sparse_pencil_rejected(self, omega):
+        """With M = 2, omega^2 M overflows in the product at 1e154 (omega^2 is
+        finite) and in omega^2 itself at 1e160; the LU of the infinite
+        pencil solved to zeros, which read as an exhausted Krylov space at
+        dimension 0."""
+        one, zero = np.array([[1.0]]), np.zeros((1, 1))
+        sys = ParametricSecondOrderSystem(
+            M_terms=(2.0 * one, zero), D_terms=(one, zero), K_terms=(one, zero), B=one
+        )
+        fom = to_first_order(assemble(sys, PcBasis(q=1, d=1)))
+        with pytest.raises(NumericalError, match=re.escape(f"shift {omega} overflows omega^2 M + omega D + K")):
+            arnoldi_basis(fom, 2, omega=omega)
 
     @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
     @pytest.mark.filterwarnings("error")

@@ -30,7 +30,7 @@ from sgmor.bt_quadratic import (
     truncate,
     write_report_csv,
 )
-from sgmor.errors import RankError, StabilityError
+from sgmor.errors import ConvergenceError, RankError, StabilityError
 from sgmor.galerkin import QuadraticOutputSystem, assemble, to_first_order
 from sgmor.lyapsylv import solve_lyapunov, symmetric_factor
 from sgmor.msd import build_msd, config_from_dict, default_config
@@ -372,6 +372,13 @@ class TestH2Error:
         bal = balance(sys)
         errs = [h2_error(bal.ref, truncate(bal, r).system) for r in (2, 6, 10)]
         assert errs[0] >= errs[1] >= errs[2]
+
+    def test_negative_trace_argument_raises(self, rng):
+        """A recorded norm of 0 against the system itself leaves the trace
+        argument at -||H||^2, far below the cancellation dead zone."""
+        ref = record(make_stable_system(rng, 7))
+        with pytest.raises(ConvergenceError, match="trace argument .* is negative beyond tolerance"):
+            h2_error(dataclasses.replace(ref, norm_squared=0.0), ref.system)
 
 
 class TestReducedModel:

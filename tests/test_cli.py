@@ -27,6 +27,7 @@ from sgmor.bt_quadratic import BalancedFactorization, balance, gramian_cache, h2
 from sgmor.cli import (
     ConfigError,
     ExperimentConfig,
+    _build_parser,
     experiment_from_args,
     main,
     run_assemble,
@@ -208,6 +209,23 @@ class TestConfigParsing:
         path = write_config(tmp_path, model={"springs": []})
         with pytest.raises(ConfigError, match="missing model key 'masses'"):
             experiment_from_args(ns(config=str(path)))
+
+    def test_parsed_flags_reach_their_fields(self):
+        """Flags parsed from argv arrive with the types of their fields."""
+        args = _build_parser().parse_args(
+            ["reduce", "--degree", "3", "--reducer", "arnoldi", "--omega", "2.5", "--rmax", "7", "--out", "x"]
+        )
+        cfg = experiment_from_args(args)
+        assert (type(cfg.degree), cfg.degree) == (int, 3)
+        assert (type(cfg.omega), cfg.omega) == (float, 2.5)
+        assert (type(cfg.r_max), cfg.r_max) == (int, 7)
+        assert (cfg.reducer, cfg.out) == ("arnoldi", "x")
+
+    def test_non_integer_degree_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(["reduce", "--degree", "1.5"])
+        assert exc.value.code == 2
+        assert "argument --degree: invalid int value: '1.5'" in capsys.readouterr().err
 
     def test_bad_reducer_in_file(self, tmp_path):
         path = write_config(tmp_path, reducer="modal")
@@ -529,6 +547,24 @@ class TestMain:
         assert main(["assemble", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, model, key", [
+        ('{"degree": 0, "degree": 1}', None, "degree"),
+        ('{"degree": 0, "simulation": {"h": 0.01, "h": 0.02}}', None, "h"),
+        ('{"degree": 0, "model": "model.json"}', json.dumps(SMALL_MODEL)[:-1] + ', "delta": 0.2}', "delta"),
+    ], ids=["top-level", "simulation", "model-file"])
+    def test_repeated_key_is_exit_2(self, tmp_path, capsys, config, model, key):
+        """A key given twice in one object is refused, not read as its last value."""
+        path = tmp_path / "experiment.json"
+        path.write_text(config)
+        if model is not None:
+            (tmp_path / "model.json").write_text(model)
+        out = tmp_path / "out"
+        assert main(["assemble", "--config", str(path), "--out", str(out)]) == 2
+        bad = path if model is None else tmp_path / "model.json"
+        message = f'sgmor: config error: malformed JSON in {bad}: key "{key}" appears twice in one object'
+        assert message in capsys.readouterr().err
+        assert not out.exists(), "rejected before any output was written"
+
     @pytest.mark.parametrize("raw, message", [
         ({"r": 5}, "config key 'r' must be an object, got a number"),
         ({"simulation": 3}, "config key 'simulation' must be an object, got a number"),
@@ -706,7 +742,9 @@ class TestMain:
         simulation = {"h": 0.01, "T": 20.0, "r_values": [2, 3], **setting}
         config = str(write_config(tmp_path, simulation=simulation))
         assert main(["verify", "--config", config]) == 2
-        assert "must be finite and positive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: 'simulation.h' and 'simulation.T': " in err
+        assert "must be finite and positive" in err
         assert not (tmp_path / "out").exists(), "rejected before any output was written"
 
     @pytest.mark.parametrize("T", [0.4, 0.5])
@@ -715,7 +753,9 @@ class TestMain:
         simulation = {"h": 1.0, "T": T, "r_values": [2]}
         config = str(write_config(tmp_path, degree=0, simulation=simulation))
         assert main(["verify", "--config", config]) == 2
-        assert "shorter than half a step" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: 'simulation.h' and 'simulation.T': " in err
+        assert "shorter than half a step" in err
         assert not (tmp_path / "out").exists(), "rejected before any output was written"
 
     def test_missing_report_inputs_is_exit_4(self, tmp_path, capsys):
@@ -730,12 +770,14 @@ class TestMain:
         ("r,sup_error,bound\n1,0.5,1.0\n2,0.25\n", "line 3 does not have the header's 3 fields"),
         ("r,sup_error\n1,0.5\n2,0.25,1.0\n", "line 3 does not have the header's 2 fields"),
         ("r,sup_error\n1,0.5\n2,0.25\n1,0.125\n", "line 4 repeats r = 1 of line 2"),
+        ("r,sup_error,sup_error\n1,0.5,0.7\n", "header repeats column 'sup_error'"),
+        ("r,sup_error,r\n1,0.5,2\n", "header repeats column 'r'"),
     ])
     def test_malformed_report_input_is_exit_2(self, tmp_path, capsys, text, message):
         """An empty CSV, one without an r column, one with a non-integer r, one
-        with a byte outside ASCII, a row shorter or longer than the header and
-        a repeated r are refused as config errors naming the file, and no
-        report is written."""
+        with a byte outside ASCII, a row shorter or longer than the header, a
+        repeated r and a header that repeats a column are refused as config
+        errors naming the file, and no report is written."""
         out = tmp_path / "out"
         out.mkdir()
         (out / "verify.csv").write_bytes(text.encode("latin-1"))
@@ -776,6 +818,13 @@ class TestMain:
         config = str(write_config(tmp_path, model=model, reducer="arnoldi"))
         assert main(["reduce", "--config", config]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_overflowing_arnoldi_shift_is_exit_3(self, tmp_path, capsys):
+        """An omega whose square overflows is named, not reported as an exhausted Krylov space."""
+        config = str(write_config(tmp_path, reducer="arnoldi"))
+        assert main(["reduce", "--config", config, "--omega", "1e160"]) == 3
+        err = capsys.readouterr().err
+        assert "sgmor: numerical failure: shift 1e+160 overflows omega^2 M + omega D + K" in err
 
     def test_schur_failure_is_exit_3(self, tmp_path, capsys, monkeypatch):
         """A QR iteration that does not converge is a numerical failure, not a config error."""

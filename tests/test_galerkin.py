@@ -177,6 +177,12 @@ class TestFirstOrder:
             with pytest.raises(ValueError, match=r"not A\^T"):
                 call()
 
+    def test_operand_row_count_checked(self):
+        fom = to_first_order(assemble(two_mass_example(), PcBasis(q=2, d=1)))
+        for op in (fom.A, fom.A.T):
+            with pytest.raises(ValueError, match=f"operand has 3 rows, expected {fom.m}"):
+                op @ np.ones((3, 2))
+
     def test_indefinite_mass_rejected(self, rng):
         eye = sp.identity(2, format="csr")
         g = GalerkinSystem(
@@ -255,6 +261,17 @@ class TestQuadraticOutputSystem:
         N[0, 1] = np.nan
         with pytest.raises(ValueError, match="symmetric"):
             QuadraticOutputSystem(A=-np.eye(2), B=np.ones((2, 1)), N=form(N))
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda sys: {"D_terms": sys.D_terms[:-1]}, "M, D, K must have the same number of affine terms"),
+    (lambda sys: {"K_terms": (np.eye(3), *sys.K_terms[1:])}, r"K term 0 has shape \(3, 3\), expected \(2, 2\)"),
+    (lambda sys: {"B": np.ones((3, 1))}, "B has 3 rows, expected 2"),
+], ids=["term-count", "term-shape", "B-rows"])
+def test_inconsistent_terms_rejected(change, message):
+    sys = two_mass_example()
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(sys, **change(sys))
 
 
 def test_asymmetric_term_rejected():

@@ -437,6 +437,13 @@ class TestSchurHelpers:
         with pytest.raises(ValueError, match="square"):
             real_schur(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, value):
+        A = -np.eye(3)
+        A[1, 2] = value
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            real_schur(A)
+
 
 @pytest.mark.parametrize("m", [1, LEAF - 1, LEAF, LEAF + 1, 3 * LEAF + 5])
 def test_in_place_symmetrization_is_exact(rng, m):
